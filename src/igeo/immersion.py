@@ -11,6 +11,11 @@ form alpha:
 
 Sign convention: for position-transversal surfaces the toolkit standardises
 xi = -f (pointing toward the origin), which gives alpha = 0 and S = I.
+
+The structural equations of Gauss, Codazzi and Ricci, the volume transport
+and the Codazzi residual of the statistical structure all read first
+derivatives of this data.  ``induced_derivative`` takes them in one pass: a
+single stencil over the packed (Gamma, h, S, alpha, eta) at each point.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from .errors import DegenerateH, SchemaError
 from .expressions import compile_expression
-from .infogeo import ConnectionField, MetricField, codazzi_check, curvature
+from .infogeo import (ConnectionField, MetricField,
+                      covariant_metric_derivative, riemann)
 from .models import Box
 from .numerics import DiffScheme, derive, solve_frame
 
@@ -118,6 +124,31 @@ def decompose(surface: Hypersurface, u) -> ImmersionData:
                          alpha_form=alpha, volume=float(np.linalg.det(frame)))
 
 
+def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
+    """d_a of every induced field at u, from one stencil over the packed data.
+
+    The fields carry a leading derivative axis: ``gamma[a, i, j, k] =
+    d_a Gamma^k_{ij}``, ``h[a, i, j]``, ``shape_operator[a, k, j] =
+    d_a S^k_j``, ``alpha_form[a, i]`` and ``volume[a] = d_a eta``.  The
+    stencil acts componentwise, so every entry equals the derivative of its
+    field taken on its own.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    n = surface.dim
+
+    def packed(v):
+        d = decompose(surface, v)
+        return np.concatenate([d.gamma.ravel(), d.h.ravel(),
+                               d.shape_operator.ravel(), d.alpha_form, [d.volume]])
+
+    D = np.stack([derive(packed, u, (a,), scheme=SURFACE_FIELD_SCHEME,
+                         domain=surface.domain) for a in range(n)])
+    gamma, h, S, alpha, eta = np.split(D, np.cumsum([n**3, n * n, n * n, n]), axis=1)
+    return ImmersionData(gamma=gamma.reshape(n, n, n, n), h=h.reshape(n, n, n),
+                         shape_operator=S.reshape(n, n, n), alpha_form=alpha,
+                         volume=eta[:, 0])
+
+
 def gamma_field(surface: Hypersurface) -> ConnectionField:
     """Induced connection as an infogeo-compatible field."""
     return ConnectionField(dim=surface.dim,
@@ -147,15 +178,6 @@ class StructuralResiduals:
         return max(self.gauss, self.codazzi_h, self.codazzi_s, self.ricci)
 
 
-def _field_derivative(surface: Hypersurface, extract: Callable, u: np.ndarray,
-                      scheme: DiffScheme = SURFACE_FIELD_SCHEME) -> np.ndarray:
-    """d_a of a decomposed quantity, stacked finite difference."""
-    n = surface.dim
-    out = [derive(lambda v: extract(decompose(surface, v)), u, (a,),
-                  scheme=scheme, domain=surface.domain) for a in range(n)]
-    return np.stack(out, axis=0)
-
-
 def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
     """Max-entry residuals of the four structural identities at u.
 
@@ -163,31 +185,28 @@ def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
     (2) (nabla_X h)(Y,Z) + alpha(X) h(Y,Z) symmetric in X,Y
     (3) (nabla_X S)(Y) - alpha(X) SY symmetric in X,Y
     (4) h(X,SY) - h(SX,Y) = d alpha(X,Y)
-    The curvature comes from the induced connection field.
+    Every derivative comes from one ``induced_derivative`` at u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = surface.dim
     data = decompose(surface, u)
+    d = induced_derivative(surface, u)
     G, h, S, al = data.gamma, data.h, data.shape_operator, data.alpha_form
 
-    pack = curvature(gamma_field(surface), u, scheme=SURFACE_FIELD_SCHEME)
+    R = riemann(d.gamma, G)
     gauss_rhs = np.einsum("jk,li->ijkl", h, S) - np.einsum("ik,lj->ijkl", h, S)
-    gauss = float(np.abs(pack.R - gauss_rhs).max())
+    gauss = float(np.abs(R - gauss_rhs).max())
 
-    dh = _field_derivative(surface, lambda d: d.h, u)
-    nabla_h = dh - np.einsum("ijm,mk->ijk", G, h) - np.einsum("ikm,jm->ijk", G, h)
-    lhs_h = nabla_h + np.einsum("i,jk->ijk", al, h)
+    lhs_h = covariant_metric_derivative(G, h, d.h) + np.einsum("i,jk->ijk", al, h)
     codazzi_h = float(np.abs(lhs_h - np.transpose(lhs_h, (1, 0, 2))).max())
 
-    # dS[a, k, j] = d_a S^k_j; (nabla_i S)^k_j = dS + Gamma^k_{im} S^m_j - Gamma^m_{ij} S^k_m
-    dS = _field_derivative(surface, lambda d: d.shape_operator, u)
-    nabla_S = dS + np.einsum("imk,mj->ikj", G, S) - np.einsum("ijm,km->ikj", G, S)
+    # (nabla_i S)^k_j = d_i S^k_j + Gamma^k_{im} S^m_j - Gamma^m_{ij} S^k_m
+    nabla_S = (d.shape_operator + np.einsum("imk,mj->ikj", G, S)
+               - np.einsum("ijm,km->ikj", G, S))
     lhs_s = nabla_S - np.einsum("i,kj->ikj", al, S)
     codazzi_s = float(np.abs(lhs_s - np.transpose(lhs_s, (2, 1, 0))).max())
 
-    dal = _field_derivative(surface, lambda d: d.alpha_form, u)
     ricci_lhs = h @ S - (h @ S).T
-    ricci = float(np.abs(ricci_lhs - (dal - dal.T)).max())
+    ricci = float(np.abs(ricci_lhs - (d.alpha_form - d.alpha_form.T)).max())
 
     return StructuralResiduals(gauss=gauss, codazzi_h=codazzi_h,
                                codazzi_s=codazzi_s, ricci=ricci)
@@ -203,6 +222,15 @@ class VolumeCheck:
     blaschke_gap: float         # | |eta| - sqrt|det h| |
 
 
+def _blaschke_gap(data: ImmersionData, u: np.ndarray,
+                  degeneracy_tol: float = 1e-10) -> float:
+    det_h = float(np.linalg.det(data.h))
+    if abs(det_h) < degeneracy_tol:
+        raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}; "
+                          "volume comparison needs nondegenerate h")
+    return float(abs(abs(data.volume) - math.sqrt(abs(det_h))))
+
+
 def induced_volume_check(surface: Hypersurface, u,
                          degeneracy_tol: float = 1e-10) -> VolumeCheck:
     """Volume transport identity and the Blaschke gap at u.
@@ -213,16 +241,11 @@ def induced_volume_check(surface: Hypersurface, u,
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     data = decompose(surface, u)
-    deta = _field_derivative(surface, lambda d: d.volume, u)
+    deta = induced_derivative(surface, u).volume
     trace_term = np.einsum("imm->i", data.gamma) * data.volume
     residual = float(np.abs(deta - trace_term - data.alpha_form * data.volume).max())
-
-    det_h = float(np.linalg.det(data.h))
-    if abs(det_h) < degeneracy_tol:
-        raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}; "
-                          "volume comparison needs nondegenerate h")
-    gap = float(abs(abs(data.volume) - math.sqrt(abs(det_h))))
-    return VolumeCheck(transport_residual=residual, blaschke_gap=gap)
+    return VolumeCheck(transport_residual=residual,
+                       blaschke_gap=_blaschke_gap(data, u, degeneracy_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +283,7 @@ def classify(surface: Hypersurface, grid: Sequence,
     min_det = float("inf")
     max_gap = 0.0
     max_S = 0.0
-    lambdas = []
+    shapes = []
     lam_dev = 0.0
     gap_testable = True
     for u in grid:
@@ -280,18 +303,15 @@ def classify(surface: Hypersurface, grid: Sequence,
         det_h = float(np.linalg.det(data.h))
         min_det = min(min_det, abs(det_h))
         max_S = max(max_S, float(np.abs(data.shape_operator).max()))
-        lambdas.append(float(np.trace(data.shape_operator)) / n)
+        shapes.append(data.shape_operator)
         try:
-            check = induced_volume_check(surface, u)
-            max_gap = max(max_gap, check.blaschke_gap)
+            max_gap = max(max_gap, _blaschke_gap(data, u))
         except DegenerateH:
             gap_testable = False
 
-    lam = float(np.mean(lambdas)) if lambdas else None
-    if lam is not None:
-        for u in grid:
-            S = decompose(surface, np.atleast_1d(np.asarray(u, float))).shape_operator
-            lam_dev = max(lam_dev, float(np.abs(S - lam * np.eye(n)).max()))
+    lam = float(np.mean([float(np.trace(S)) / n for S in shapes])) if shapes else None
+    for S in shapes:
+        lam_dev = max(lam_dev, float(np.abs(S - lam * np.eye(n)).max()))
 
     centro = bool(centro_res < tol)
     equi = bool(max_alpha < tol)
@@ -337,17 +357,19 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
     vanishes; a non-equiaffine transversal shows up as a residual of the
     size of alpha.  Raises DegenerateH when h is singular on the grid.
     """
-    conn = gamma_field(surface)
-    hf = h_field(surface)
     residual = 0.0
     for u in grid:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        det_h = float(np.linalg.det(hf(u)))
+        data = decompose(surface, u)
+        det_h = float(np.linalg.det(data.h))
         if abs(det_h) < degeneracy_tol:
             raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}")
-        residual = max(residual, codazzi_check(hf, conn, u,
-                                               scheme=SURFACE_FIELD_SCHEME))
-    return StatisticalStructure(gamma=conn, h=hf, codazzi_residual=residual,
+        nabla_h = covariant_metric_derivative(data.gamma, data.h,
+                                              induced_derivative(surface, u).h)
+        residual = max(residual,
+                       float(np.abs(nabla_h - np.transpose(nabla_h, (2, 1, 0))).max()))
+    return StatisticalStructure(gamma=gamma_field(surface), h=h_field(surface),
+                                codazzi_residual=residual,
                                 is_statistical=bool(residual < tol),
                                 tolerance=tol)
 

@@ -256,13 +256,21 @@ def covariant_metric_derivative(up0: np.ndarray, g0: np.ndarray,
     return dg - np.einsum("ijm,mk->ijk", up0, g0) - np.einsum("ikm,jm->ijk", up0, g0)
 
 
-def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
-              metric_field: Optional[MetricField] = None) -> CurvaturePack:
-    """Coordinate curvature of the connection field at theta.
+def riemann(DG: np.ndarray, up0: np.ndarray) -> np.ndarray:
+    """R[i,j,k,l] = R^l_{ijk} from DG[a,b,c,d] = d_a Gamma^d_{bc} and Gamma:
 
     R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
                 + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
-    plus torsion, Ricci trace, and nabla h when a metric field is supplied.
+    """
+    quad = np.einsum("iml,jkm->ijkl", up0, up0)
+    return DG - np.swapaxes(DG, 0, 1) + quad - np.swapaxes(quad, 0, 1)
+
+
+def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
+              metric_field: Optional[MetricField] = None) -> CurvaturePack:
+    """Coordinate curvature (see ``riemann``) of the connection field at
+    theta, plus torsion, Ricci trace, and nabla h when a metric field is
+    supplied.
     """
     th = np.atleast_1d(np.asarray(theta, float))
     n = th.size
@@ -270,8 +278,7 @@ def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
     for a in range(n):
         DG[a] = derive(conn.up, th, (a,), scheme=scheme, domain=conn.domain)
     up0 = conn.up(th)
-    quad = np.einsum("iml,jkm->ijkl", up0, up0)
-    R = DG - np.swapaxes(DG, 0, 1) + quad - np.swapaxes(quad, 0, 1)
+    R = riemann(DG, up0)
     torsion = up0 - np.transpose(up0, (1, 0, 2))
     ricci = np.einsum("mjkm->jk", R)
     nabla_h = None

@@ -118,6 +118,40 @@ class TestStructural:
         assert np.abs(pack.R - want).max() < 1e-6
 
 
+class TestInducedDerivative:
+    """One stencil over the packed data must reproduce the per-field routes."""
+
+    @pytest.mark.parametrize("name", ["sphere", "paraboloid-tilted"])
+    def test_residuals_equal_reference_routes(self, name):
+        from igeo.infogeo import codazzi_check, curvature
+        surf = immersion.SURFACES[name]()
+        scheme = immersion.SURFACE_FIELD_SCHEME
+        for u in (np.array([0.2, 0.3]), np.array([-0.3, 0.1])):
+            data = decompose(surf, u)
+            h, S = data.h, data.shape_operator
+            pack = curvature(gamma_field(surf), u, scheme=scheme)
+            gauss_rhs = (np.einsum("jk,li->ijkl", h, S)
+                         - np.einsum("ik,lj->ijkl", h, S))
+            assert structural_check(surf, u).gauss == \
+                float(np.abs(pack.R - gauss_rhs).max())
+            assert statistical_structure(surf, [u]).codazzi_residual == \
+                codazzi_check(h_field(surf), gamma_field(surf), u, scheme=scheme)
+
+    def test_structural_check_decomposes_each_stencil_node_once(self, monkeypatch):
+        seen = []
+        real = immersion.decompose
+
+        def counting(surface, u):
+            seen.append(tuple(np.atleast_1d(u)))
+            return real(surface, u)
+
+        monkeypatch.setattr(immersion, "decompose", counting)
+        structural_check(unit_sphere(), (0.2, 0.3))
+        # the point itself plus 2 nodes x 2 Richardson levels per coordinate
+        assert len(seen) == 1 + 4 * 2
+        assert len(set(seen)) == len(seen)
+
+
 class TestVolume:
     def test_paraboloid_blaschke(self):
         v = induced_volume_check(paraboloid(), (0.3, 0.4))
@@ -167,6 +201,12 @@ class TestClassify:
         f = rep.flags
         assert f.centro_affine and f.equiaffine and f.nondegenerate
         assert not f.blaschke
+
+    def test_blaschke_gap_equals_volume_check(self):
+        for surf in (unit_sphere(), scaled_sphere(1.5), paraboloid()):
+            rep = classify(surf, GRID)
+            assert rep.max_blaschke_gap == max(
+                induced_volume_check(surf, u).blaschke_gap for u in GRID)
 
     @given(st.permutations(list(range(len(GRID)))))
     @settings(max_examples=10, deadline=None)
