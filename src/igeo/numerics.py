@@ -64,8 +64,8 @@ class DiffScheme:
         return _DEFAULT_BASE_STEP[self.order]
 
 
-# 1-d central stencils: (offset, coefficient) pairs; coefficient is divided
-# by h**count at evaluation time.
+# 1-d central stencils: (offset, coefficient) pairs; the weighted sum of node
+# values is divided by h**count once, after it is accumulated.
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
@@ -106,15 +106,16 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
     steps = {i: scheme.step * max(1.0, abs(point[i])) for i in coords}
 
     def estimate(shrink: float):
+        # Summing c*f(node) before the single division keeps the cancelling
+        # node values exact; scaling each by an inexact 1/h**k first does not.
         total = None
         stencil_axes = [_STENCILS[counts[i]] for i in coords]
         for combo in product(*stencil_axes):
             x = point.copy()
             coeff = 1.0
             for i, (offset, c) in zip(coords, combo):
-                h = steps[i] * shrink
-                x[i] += offset * h
-                coeff *= c / h ** counts[i]
+                x[i] += offset * (steps[i] * shrink)
+                coeff *= c
             if not _in_domain(domain, x):
                 raise StencilOutOfDomain(
                     f"stencil node {x.tolist()} leaves the declared domain")
@@ -122,7 +123,7 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
             if not np.all(np.isfinite(val)):
                 raise NonFinite(f"fn returned a non-finite value at {x.tolist()}")
             total = coeff * val if total is None else total + coeff * val
-        return total
+        return total / math.prod((steps[i] * shrink) ** counts[i] for i in coords)
 
     levels = scheme.richardson_levels
     table = [[estimate(0.5 ** i)] for i in range(levels + 1)]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
@@ -69,6 +69,8 @@ class TestDerive:
 
     @given(c2=st.integers(-4, 4), c1=st.integers(-4, 4), c0=st.integers(-4, 4),
            x0=st.integers(-6, 6))
+    @example(c2=0, c1=4, c0=3, x0=3)
+    @example(c2=0, c1=4, c0=3, x0=6)
     @settings(max_examples=40, deadline=None)
     def test_polynomials_of_low_degree_exact(self, c2, c1, c0, x0):
         # dyadic coefficients and points keep the evaluation exact, so the
