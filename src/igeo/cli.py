@@ -136,24 +136,21 @@ def _load_subject(spec: RunSpec):
     return submanifold.load_embedding(doc)
 
 
-def _domain_of(spec: RunSpec, subject):
-    return subject.domain
+def _as_model(subject) -> models.StatisticalModel:
+    """The statistical model of a model or family subject."""
+    if isinstance(subject, models.StatisticalModel):
+        return subject
+    return dualflat.family_model(subject)
 
 
 def _grid_points(spec: RunSpec, subject) -> list:
     if spec.grid_doc is None:
         # default: 3 points per coordinate over the middle half of the domain
-        box = _domain_of(spec, subject)
-        lo = np.asarray(box.lo)
-        hi = np.asarray(box.hi)
+        lo, hi = np.asarray(subject.domain.lo), np.asarray(subject.domain.hi)
         quarter = (hi - lo) / 4.0
-        inner = models.Box(tuple(lo + quarter), tuple(hi - quarter))
-        return inner.grid([3] * box.dim)
+        return models.grid(lo + quarter, hi - quarter, [3] * lo.size)
     g = spec.grid_doc
-    axes = [np.linspace(float(a), float(b), int(c))
-            for a, b, c in zip(g["lo"], g["hi"], g["counts"])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+    return models.grid(g["lo"], g["hi"], g["counts"])
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +189,7 @@ def _assert_status(ok: bool) -> str:
 
 
 def _check_validate(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     report = models.validate_model(model, grid)
     override = spec.tol("validate")
     passed = report.passed if override is None else \
@@ -211,8 +207,7 @@ def _check_validate(spec, subject, grid):
 
 
 def _check_flatness(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     tol = spec.tol("flatness")
     residuals = {}
     ok = True
@@ -227,8 +222,7 @@ def _check_flatness(spec, subject, grid):
 
 
 def _check_alpha_duality(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     tol = spec.tol("alpha-duality")
     gf = infogeo.fisher_field(model)
     worst = 0.0
@@ -245,8 +239,7 @@ def _check_alpha_duality(spec, subject, grid):
 
 
 def _check_codazzi(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     tol = spec.tol("codazzi")
     gf = infogeo.fisher_field(model)
     residuals = {}
@@ -262,22 +255,24 @@ def _check_codazzi(spec, subject, grid):
 
 
 def _check_cubic_symmetry(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     tol = spec.tol("cubic-symmetry")
-    alphas = [a for a in spec.alphas if a != 0.0] or [1.0]
+    # C(-alpha) equals C(alpha) bit for bit, so one sign of each alpha suffices
+    alphas = [a for i, a in enumerate(spec.alphas)
+              if a != 0.0 and -a not in spec.alphas[:i]] or [1.0]
     worst_sym = 0.0
     worst_spread = 0.0
-    base = None
-    for alpha in alphas:
-        C = infogeo.cubic_tensor(model, grid[0], alpha)
-        for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-            worst_sym = max(worst_sym,
-                            float(np.abs(C - np.transpose(C, perm)).max()))
-        if base is None:
-            base = C
-        else:
-            worst_spread = max(worst_spread, float(np.abs(C - base).max()))
+    for theta in grid:
+        base = None
+        for alpha in alphas:
+            C = infogeo.cubic_tensor(model, theta, alpha)
+            for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+                worst_sym = max(worst_sym,
+                                float(np.abs(C - np.transpose(C, perm)).max()))
+            if base is None:
+                base = C
+            else:
+                worst_spread = max(worst_spread, float(np.abs(C - base).max()))
     ok = worst_sym < tol and worst_spread < tol
     return CheckResult(status=_assert_status(ok),
                        residuals={"max_asymmetry": worst_sym,
@@ -287,8 +282,7 @@ def _check_cubic_symmetry(spec, subject, grid):
 
 
 def _check_exponential_form(spec, subject, grid):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     tol = spec.tol("exponential-form")
     rep = submanifold.exponential_form_check(model, grid, tol=tol)
     expected = _expected_flag(spec, "exponential-form", True)
@@ -300,13 +294,11 @@ def _check_exponential_form(spec, subject, grid):
 
 def _check_structural(spec, subject, grid):
     tol = spec.tol("structural")
-    worst = {"gauss": 0.0, "codazzi_h": 0.0, "codazzi_s": 0.0, "ricci": 0.0}
+    worst = dict.fromkeys(("gauss", "codazzi_h", "codazzi_s", "ricci"), 0.0)
     for u in grid:
         r = immersion.structural_check(subject, u)
-        worst["gauss"] = max(worst["gauss"], r.gauss)
-        worst["codazzi_h"] = max(worst["codazzi_h"], r.codazzi_h)
-        worst["codazzi_s"] = max(worst["codazzi_s"], r.codazzi_s)
-        worst["ricci"] = max(worst["ricci"], r.ricci)
+        for key in worst:
+            worst[key] = max(worst[key], getattr(r, key))
     ok = max(worst.values()) < tol
     return CheckResult(status=_assert_status(ok), residuals=worst,
                        tolerance=tol,
@@ -483,8 +475,7 @@ def _check_embedding_curvature(spec, subject, grid):
 
 def _check_geodesic(spec, subject, grid):
     doc = spec.geodesic_doc
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     alpha = float(doc.get("alpha", 1.0))
     conn = infogeo.alpha_field(model, alpha)
     path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
@@ -643,8 +634,7 @@ def write_tensor_csv(path, header, rows):
 
 
 def dump_model_tensors(spec: RunSpec, subject, grid, out_dir: Path):
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     rows_g = []
     rows_c = []
     for p, theta in enumerate(grid):
@@ -688,8 +678,7 @@ def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
 
 def dump_geodesic_csv(spec: RunSpec, subject, out_path: Path):
     doc = spec.geodesic_doc
-    model = subject if isinstance(subject, models.StatisticalModel) \
-        else dualflat.family_model(subject)
+    model = _as_model(subject)
     conn = infogeo.alpha_field(model, float(doc.get("alpha", 1.0)))
     path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
                              float(doc.get("t_final", 1.0)),

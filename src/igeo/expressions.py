@@ -86,3 +86,14 @@ def compile_expression(text: str, variables: Sequence[str] = ("x", "theta")) -> 
     except SyntaxError as exc:
         raise SchemaError(f"cannot parse expression {text!r}: {exc}") from None
     return _build(tree, tuple(variables))
+
+
+def compile_chart(texts: Sequence[str]) -> Callable:
+    """Compile one expression over ``u`` per component into ``u -> ndarray``."""
+    comp = [compile_expression(t, ("u",)) for t in texts]
+
+    def chart(u):
+        env = {"u": np.asarray(u, dtype=float)}
+        return np.array([float(c(env)) for c in comp])
+
+    return chart

@@ -4,7 +4,7 @@ A hypersurface is a chart ``f: U in R^n -> R^{n+1}`` together with a
 transversal field ``xi``.  Differentiating the chart and expanding in the
 moving frame ``{d_1 f, ..., d_n f, xi}`` recovers the induced connection,
 the affine fundamental form h, the shape operator S and the transversal
-form alpha:
+form alpha (the induced volume is eta = det[d_1 f ... d_n f xi]):
 
     d_i d_j f = Gamma^k_{ij} d_k f + h_{ij} xi
     d_i xi    = -S^k_i d_k f + alpha_i xi
@@ -12,22 +12,20 @@ form alpha:
 Sign convention: for position-transversal surfaces the toolkit standardises
 xi = -f (pointing toward the origin), which gives alpha = 0 and S = I.
 
-The structural equations of Gauss, Codazzi and Ricci, the volume transport
-and the Codazzi residual of the statistical structure all read first
-derivatives of this data.  ``induced_derivative`` takes them in one pass: a
-single stencil over the packed (Gamma, h, S, alpha, eta) at each point.
+Every check that differentiates this data (Gauss, Codazzi, Ricci, volume
+transport, statistical structure) reads ``induced_derivative``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateH, SchemaError
-from .expressions import compile_expression
+from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
 from .models import Box
@@ -39,6 +37,7 @@ from .numerics import DiffScheme, derive, solve_frame
 CHART_SCHEME_1 = DiffScheme(order=1, base_step=2.0**-8, richardson_levels=1)
 CHART_SCHEME_2 = DiffScheme(order=2, base_step=2.0**-8, richardson_levels=1)
 SURFACE_FIELD_SCHEME = DiffScheme(order=1, base_step=2.0**-7, richardson_levels=1)
+DEGENERATE_DET_H = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +126,10 @@ def decompose(surface: Hypersurface, u) -> ImmersionData:
 def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
     """d_a of every induced field at u, from one stencil over the packed data.
 
-    The fields carry a leading derivative axis: ``gamma[a, i, j, k] =
-    d_a Gamma^k_{ij}``, ``h[a, i, j]``, ``shape_operator[a, k, j] =
-    d_a S^k_j``, ``alpha_form[a, i]`` and ``volume[a] = d_a eta``.  The
-    stencil acts componentwise, so every entry equals the derivative of its
-    field taken on its own.
+    Each field gains a leading axis a, e.g. ``gamma[a, i, j, k] = d_a
+    Gamma^k_{ij}`` and ``volume[a] = d_a eta``; the stencil acts
+    componentwise, so each entry equals its field's own derivative.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     n = surface.dim
 
     def packed(v):
@@ -145,8 +141,7 @@ def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
                          domain=surface.domain) for a in range(n)])
     gamma, h, S, alpha, eta = np.split(D, np.cumsum([n**3, n * n, n * n, n]), axis=1)
     return ImmersionData(gamma=gamma.reshape(n, n, n, n), h=h.reshape(n, n, n),
-                         shape_operator=S.reshape(n, n, n), alpha_form=alpha,
-                         volume=eta[:, 0])
+                         shape_operator=S.reshape(n, n, n), alpha_form=alpha, volume=eta[:, 0])
 
 
 def gamma_field(surface: Hypersurface) -> ConnectionField:
@@ -222,17 +217,15 @@ class VolumeCheck:
     blaschke_gap: float         # | |eta| - sqrt|det h| |
 
 
-def _blaschke_gap(data: ImmersionData, u: np.ndarray,
-                  degeneracy_tol: float = 1e-10) -> float:
+def _blaschke_gap(data: ImmersionData, u: np.ndarray) -> float:
     det_h = float(np.linalg.det(data.h))
-    if abs(det_h) < degeneracy_tol:
+    if abs(det_h) < DEGENERATE_DET_H:
         raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}; "
                           "volume comparison needs nondegenerate h")
     return float(abs(abs(data.volume) - math.sqrt(abs(det_h))))
 
 
-def induced_volume_check(surface: Hypersurface, u,
-                         degeneracy_tol: float = 1e-10) -> VolumeCheck:
+def induced_volume_check(surface: Hypersurface, u) -> VolumeCheck:
     """Volume transport identity and the Blaschke gap at u.
 
     The covariant derivative of the induced volume must equal alpha x eta;
@@ -245,7 +238,7 @@ def induced_volume_check(surface: Hypersurface, u,
     trace_term = np.einsum("imm->i", data.gamma) * data.volume
     residual = float(np.abs(deta - trace_term - data.alpha_form * data.volume).max())
     return VolumeCheck(transport_residual=residual,
-                       blaschke_gap=_blaschke_gap(data, u, degeneracy_tol))
+                       blaschke_gap=_blaschke_gap(data, u))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +342,7 @@ class StatisticalStructure:
 
 
 def statistical_structure(surface: Hypersurface, grid: Sequence,
-                          tol: float = 1e-5,
-                          degeneracy_tol: float = 1e-10) -> StatisticalStructure:
+                          tol: float = 1e-5) -> StatisticalStructure:
     """Induced (connection, h) pair with its Codazzi residual over a grid.
 
     The pair is a statistical structure precisely when the residual
@@ -362,7 +354,7 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
         u = np.atleast_1d(np.asarray(u, dtype=float))
         data = decompose(surface, u)
         det_h = float(np.linalg.det(data.h))
-        if abs(det_h) < degeneracy_tol:
+        if abs(det_h) < DEGENERATE_DET_H:
             raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}")
         nabla_h = covariant_metric_derivative(data.gamma, data.h,
                                               induced_derivative(surface, u).h)
@@ -378,19 +370,8 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
 # Builtin surfaces and schema loading
 # ---------------------------------------------------------------------------
 
-def unit_sphere(extent: float = 0.8) -> Hypersurface:
-    """Upper hemisphere of the unit sphere in the graph chart, xi = -f."""
-
-    def chart(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([u[0], u[1], math.sqrt(1.0 - float(u @ u))])
-
-    return Hypersurface.centro_affine(chart, Box((-extent, -extent), (extent, extent)),
-                                      dim=2, label="sphere")
-
-
 def scaled_sphere(c: float, extent: float = 0.8) -> Hypersurface:
-    """Sphere of radius c with the position transversal xi = -f."""
+    """Upper hemisphere of the sphere of radius c in the graph chart, xi = -f."""
 
     def chart(u):
         u = np.asarray(u, dtype=float)
@@ -400,14 +381,20 @@ def scaled_sphere(c: float, extent: float = 0.8) -> Hypersurface:
                                       dim=2, label=f"sphere-scaled-{c}")
 
 
+def unit_sphere(extent: float = 0.8) -> Hypersurface:
+    """Upper hemisphere of the unit sphere in the graph chart, xi = -f."""
+    return replace(scaled_sphere(1.0, extent), label="sphere")
+
+
+def _paraboloid_chart(u):
+    u = np.asarray(u, dtype=float)
+    return np.array([u[0], u[1], 0.5 * float(u @ u)])
+
+
 def paraboloid(extent: float = 2.0) -> Hypersurface:
     """Elliptic paraboloid x3 = (x1^2 + x2^2)/2 with constant transversal e3."""
-
-    def chart(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([u[0], u[1], 0.5 * float(u @ u)])
-
-    return Hypersurface(chart=chart, transversal=lambda u: np.array([0.0, 0.0, 1.0]),
+    return Hypersurface(chart=_paraboloid_chart,
+                        transversal=lambda u: np.array([0.0, 0.0, 1.0]),
                         domain=Box((-extent, -extent), (extent, extent)),
                         dim=2, label="paraboloid")
 
@@ -415,15 +402,11 @@ def paraboloid(extent: float = 2.0) -> Hypersurface:
 def tilted_paraboloid(slope: float = 0.3, extent: float = 2.0) -> Hypersurface:
     """Paraboloid with a deliberately non-equiaffine transversal."""
 
-    def chart(u):
-        u = np.asarray(u, dtype=float)
-        return np.array([u[0], u[1], 0.5 * float(u @ u)])
-
     def xi(u):
         u = np.asarray(u, dtype=float)
         return np.array([slope * u[0], 0.0, 1.0])
 
-    return Hypersurface(chart=chart, transversal=xi,
+    return Hypersurface(chart=_paraboloid_chart, transversal=xi,
                         domain=Box((-extent, -extent), (extent, extent)),
                         dim=2, label=f"paraboloid-tilted-{slope}")
 
@@ -464,12 +447,7 @@ def load_surface(doc: dict) -> Hypersurface:
     chart_exprs = doc["chart"]
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")
-    comp = [compile_expression(e, ("u",)) for e in chart_exprs]
-
-    def chart(u):
-        env = {"u": np.asarray(u, dtype=float)}
-        return np.array([float(c(env)) for c in comp])
-
+    chart = compile_chart(chart_exprs)
     dom = doc["domain"]
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
     if box.dim != dim:
@@ -480,11 +458,5 @@ def load_surface(doc: dict) -> Hypersurface:
         return Hypersurface.centro_affine(chart, box, dim, label=doc["name"])
     if not isinstance(tr, list) or len(tr) != dim + 1:
         raise SchemaError('transversal must be "centro-affine" or dim+1 expressions')
-    tcomp = [compile_expression(e, ("u",)) for e in tr]
-
-    def xi(u):
-        env = {"u": np.asarray(u, dtype=float)}
-        return np.array([float(c(env)) for c in tcomp])
-
-    return Hypersurface(chart=chart, transversal=xi, domain=box, dim=dim,
+    return Hypersurface(chart=chart, transversal=compile_chart(tr), domain=box, dim=dim,
                         label=doc["name"])

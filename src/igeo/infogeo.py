@@ -257,21 +257,17 @@ def covariant_metric_derivative(up0: np.ndarray, g0: np.ndarray,
 
 
 def riemann(DG: np.ndarray, up0: np.ndarray) -> np.ndarray:
-    """R[i,j,k,l] = R^l_{ijk} from DG[a,b,c,d] = d_a Gamma^d_{bc} and Gamma:
-
-    R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-                + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
-    """
+    """R[i,j,k,l] = R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
+    + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}, given
+    DG[a,b,c,d] = d_a Gamma^d_{bc} and up0 = Gamma."""
     quad = np.einsum("iml,jkm->ijkl", up0, up0)
     return DG - np.swapaxes(DG, 0, 1) + quad - np.swapaxes(quad, 0, 1)
 
 
 def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
               metric_field: Optional[MetricField] = None) -> CurvaturePack:
-    """Coordinate curvature (see ``riemann``) of the connection field at
-    theta, plus torsion, Ricci trace, and nabla h when a metric field is
-    supplied.
-    """
+    """Coordinate curvature (``riemann``) of the connection field at theta,
+    plus torsion, Ricci trace, and nabla h when a metric field is supplied."""
     th = np.atleast_1d(np.asarray(theta, float))
     n = th.size
     DG = np.empty((n, n, n, n))  # DG[a, b, c, d] = d_a Gamma^d_{bc}

@@ -46,6 +46,14 @@ def default_quad_nodes(fallback: int) -> int:
     return value
 
 
+def grid(lo, hi, counts) -> list:
+    """Row-major tensor grid from ``lo`` to ``hi`` with ``counts`` points per
+    coordinate; ``lo`` may equal ``hi`` along any axis."""
+    axes = [np.linspace(float(a), float(b), int(c)) for a, b, c in zip(lo, hi, counts)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+
+
 @dataclass(frozen=True)
 class Box:
     """Open axis-aligned parameter box."""
@@ -76,9 +84,7 @@ class Box:
 
     def grid(self, counts) -> list:
         """Row-major tensor grid with ``counts`` points per coordinate."""
-        axes = [np.linspace(a, b, int(c)) for a, b, c in zip(self.lo, self.hi, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+        return grid(self.lo, self.hi, counts)
 
 
 @dataclass(frozen=True, eq=False)

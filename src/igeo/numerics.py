@@ -10,7 +10,7 @@ built from three primitives:
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
 
 All functions here are pure; nothing keeps global state beyond node caches
-keyed by the rule parameters.
+keyed by the rule parameters, whose arrays are shared and so read-only.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ class DiffScheme:
         return _DEFAULT_BASE_STEP[self.order]
 
 
-# 1-d central stencils: (offset, coefficient) pairs; the weighted sum of node
-# values is divided by h**count once, after it is accumulated.
+# 1-d central stencils: (offset, coefficient) pairs.  The weighted node values
+# are summed first and divided by h**count once: scaling each by an inexact
+# 1/h**count before the sum would spoil the cancellation between them.
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
@@ -106,8 +107,6 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
     steps = {i: scheme.step * max(1.0, abs(point[i])) for i in coords}
 
     def estimate(shrink: float):
-        # Summing c*f(node) before the single division keeps the cancelling
-        # node values exact; scaling each by an inexact 1/h**k first does not.
         total = None
         stencil_axes = [_STENCILS[counts[i]] for i in coords]
         for combo in product(*stencil_axes):
@@ -195,6 +194,7 @@ def _gh_nodes_1d(n: int, loc: float, scale: float):
     # effective weights for the flat measure; computed in log space so large
     # |t| nodes do not overflow exp(t^2)
     weights = math.sqrt(2.0) * scale * np.exp(np.log(w) + t * t)
+    x.flags.writeable = weights.flags.writeable = False
     return x, weights
 
 
@@ -202,15 +202,16 @@ def _gh_nodes_1d(n: int, loc: float, scale: float):
 def quadrature_nodes(n: int, loc: float, scale: float, xdim: int):
     """Tensor-product mapped Gauss-Hermite nodes.
 
-    Returns ``(points, weights)`` with points of shape ``(n**xdim, xdim)``.
+    Returns read-only ``(points, weights)``, points of shape ``(n**xdim, xdim)``.
     """
     x1, w1 = _gh_nodes_1d(n, loc, scale)
     if xdim == 1:
-        return x1.reshape(-1, 1), w1.copy()
+        return x1.reshape(-1, 1), w1
     grids = np.meshgrid(*([x1] * xdim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*([w1] * xdim), indexing="ij")
     weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    pts.flags.writeable = weights.flags.writeable = False
     return pts, weights
 
 

@@ -23,14 +23,12 @@ from scipy import stats as sstats
 from .dualflat import PotentialFamily, family_model
 from .errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
                      RankDeficientB, SchemaError)
-from .expressions import compile_expression
+from .expressions import compile_chart
+from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, load_model,
                      second_log_derivs)
-from .numerics import DiffScheme, derive
-
-CHART_SCHEME_1 = DiffScheme(order=1, base_step=2.0**-8, richardson_levels=1)
-CHART_SCHEME_2 = DiffScheme(order=2, base_step=2.0**-8, richardson_levels=1)
+from .numerics import derive
 
 _RANK_TOL = 1e-8
 
@@ -300,12 +298,7 @@ def load_embedding(doc: dict) -> SubmanifoldEmbedding:
     exprs = doc["map"]
     if not isinstance(exprs, list) or len(exprs) != ambient.dim:
         raise SchemaError("map must list one expression per ambient coordinate")
-    comp = [compile_expression(e, ("u",)) for e in exprs]
-
-    def chart(u):
-        env = {"u": np.asarray(u, dtype=float)}
-        return np.array([float(c(env)) for c in comp])
-
+    chart = compile_chart(exprs)
     dom = doc["domain"]
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
     return SubmanifoldEmbedding(ambient=ambient, chart=chart, domain=box,

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from igeo import cli
@@ -52,6 +53,23 @@ class TestRun:
         assert res.residuals["proper_hypersphere"] is True
         assert abs(res.residuals["lambda"] - 1.0) < 1e-6
         assert rep.runs[0].results["structural"].status == "pass"
+
+    def test_cubic_symmetry_covers_every_grid_point(self, monkeypatch):
+        seen = []
+        real = cli.infogeo.cubic_tensor
+
+        def counting(model, theta, alpha=1.0):
+            seen.append((tuple(np.atleast_1d(theta)), alpha))
+            return real(model, theta, alpha)
+
+        monkeypatch.setattr(cli.infogeo, "cubic_tensor", counting)
+        rep = run_document({"subject": {"model": "bernoulli-natural"},
+                            "grid": {"lo": [-0.5], "hi": [0.5], "counts": [3]},
+                            "checks": ["cubic-symmetry"],
+                            "alpha": [1.0, -1.0, 0.5]})
+        assert rep.runs[0].results["cubic-symmetry"].status == "pass"
+        # C(-1) is C(1) bit for bit, so alpha = -1 is skipped
+        assert seen == [((t,), a) for t in (-0.5, 0.0, 0.5) for a in (1.0, 0.5)]
 
     def test_unknown_check_rejected_before_execution(self):
         with pytest.raises(SchemaError):

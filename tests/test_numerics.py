@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from igeo import numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
 from igeo.numerics import (DiffScheme, ExpectationRule, derive, expect,
@@ -161,6 +162,16 @@ class TestExpect:
             ExpectationRule(kind="gauss-hermite", nodes=0)
         with pytest.raises(ValueError):
             ExpectationRule(kind="adaptive-quadrature", tol=0.0)
+
+
+class TestQuadratureNodes:
+    @pytest.mark.parametrize("xdim", [1, 2])
+    def test_cached_arrays_are_read_only(self, xdim):
+        pts, weights = numerics.quadrature_nodes(8, 0.0, 1.0, xdim)
+        x1, w1 = numerics._gh_nodes_1d(8, 0.0, 1.0)
+        for arr in (pts, weights, x1, w1):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSolveFrame:
