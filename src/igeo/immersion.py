@@ -60,7 +60,7 @@ class Hypersurface:
 
 @dataclass(frozen=True, eq=False)
 class ImmersionData:
-    """Induced data at one chart point."""
+    """Induced data at one chart point (or its d_a, see ``induced_derivative``)."""
 
     gamma: np.ndarray        # gamma[i,j,k] = Gamma^k_{ij}
     h: np.ndarray            # affine fundamental form
