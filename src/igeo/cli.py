@@ -137,7 +137,8 @@ def _load_subject(spec: RunSpec):
 
 
 def _as_model(subject) -> models.StatisticalModel:
-    """The statistical model of a model or family subject."""
+    """The statistical model of a model or family subject; a family gets a
+    new model, so build it once per run to share its memo."""
     if isinstance(subject, models.StatisticalModel):
         return subject
     return dualflat.family_model(subject)
@@ -160,7 +161,7 @@ def _grid_points(spec: RunSpec, subject) -> list:
 @dataclass(frozen=True)
 class CheckDef:
     kinds: tuple
-    runner: Callable
+    runner: Callable    # (spec, subject, grid, model) -> CheckResult
 
 
 @dataclass
@@ -188,8 +189,7 @@ def _assert_status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _check_validate(spec, subject, grid):
-    model = _as_model(subject)
+def _check_validate(spec, subject, grid, model):
     report = models.validate_model(model, grid)
     override = spec.tol("validate")
     passed = report.passed if override is None else \
@@ -206,8 +206,7 @@ def _check_validate(spec, subject, grid):
         provenance="normalization by the space's expectation rule")
 
 
-def _check_flatness(spec, subject, grid):
-    model = _as_model(subject)
+def _check_flatness(spec, subject, grid, model):
     tol = spec.tol("flatness")
     residuals = {}
     ok = True
@@ -221,8 +220,7 @@ def _check_flatness(spec, subject, grid):
                        provenance="curvature of the alpha-connection field")
 
 
-def _check_alpha_duality(spec, subject, grid):
-    model = _as_model(subject)
+def _check_alpha_duality(spec, subject, grid, model):
     tol = spec.tol("alpha-duality")
     gf = infogeo.fisher_field(model)
     worst = 0.0
@@ -238,8 +236,7 @@ def _check_alpha_duality(spec, subject, grid):
                                   "evaluation at -alpha")
 
 
-def _check_codazzi(spec, subject, grid):
-    model = _as_model(subject)
+def _check_codazzi(spec, subject, grid, model):
     tol = spec.tol("codazzi")
     gf = infogeo.fisher_field(model)
     residuals = {}
@@ -254,8 +251,7 @@ def _check_codazzi(spec, subject, grid):
                        provenance="max |(nabla_i h)_jk - (nabla_k h)_ji|")
 
 
-def _check_cubic_symmetry(spec, subject, grid):
-    model = _as_model(subject)
+def _check_cubic_symmetry(spec, subject, grid, model):
     tol = spec.tol("cubic-symmetry")
     # C(-alpha) equals C(alpha) bit for bit, so one sign of each alpha suffices
     alphas = [a for i, a in enumerate(spec.alphas)
@@ -281,8 +277,7 @@ def _check_cubic_symmetry(spec, subject, grid):
                        provenance="skewness tensor from alpha spread")
 
 
-def _check_exponential_form(spec, subject, grid):
-    model = _as_model(subject)
+def _check_exponential_form(spec, subject, grid, model):
     tol = spec.tol("exponential-form")
     rep = submanifold.exponential_form_check(model, grid, tol=tol)
     expected = _expected_flag(spec, "exponential-form", True)
@@ -292,7 +287,7 @@ def _check_exponential_form(spec, subject, grid):
                        tolerance=tol, provenance=rep.note)
 
 
-def _check_structural(spec, subject, grid):
+def _check_structural(spec, subject, grid, model):
     tol = spec.tol("structural")
     worst = dict.fromkeys(("gauss", "codazzi_h", "codazzi_s", "ricci"), 0.0)
     for u in grid:
@@ -306,7 +301,7 @@ def _check_structural(spec, subject, grid):
                                   "of the induced data")
 
 
-def _check_classify(spec, subject, grid):
+def _check_classify(spec, subject, grid, model):
     tol = spec.tol("classify")
     rep = immersion.classify(subject, grid, tol=tol)
     flags = {
@@ -329,7 +324,7 @@ def _check_classify(spec, subject, grid):
                        tolerance=tol, provenance="thresholded grid flags")
 
 
-def _check_volume_transport(spec, subject, grid):
+def _check_volume_transport(spec, subject, grid, model):
     tol = spec.tol("volume-transport")
     worst_transport = 0.0
     worst_gap = 0.0
@@ -353,7 +348,7 @@ def _check_volume_transport(spec, subject, grid):
                        provenance="volume transport nabla eta = alpha eta")
 
 
-def _check_statistical_structure(spec, subject, grid):
+def _check_statistical_structure(spec, subject, grid, model):
     tol = spec.tol("statistical-structure")
     try:
         rep = immersion.statistical_structure(subject, grid, tol=tol)
@@ -367,7 +362,7 @@ def _check_statistical_structure(spec, subject, grid):
                        provenance="Codazzi residual of the induced pair")
 
 
-def _check_legendre(spec, subject, grid):
+def _check_legendre(spec, subject, grid, model):
     tol = spec.tol("legendre-roundtrip")
     worst = 0.0
     for theta in grid:
@@ -380,9 +375,8 @@ def _check_legendre(spec, subject, grid):
                        provenance="theta -> grad K -> Newton inverse")
 
 
-def _check_hessian_vs_fisher(spec, subject, grid):
+def _check_hessian_vs_fisher(spec, subject, grid, model):
     tol = spec.tol("hessian-vs-fisher")
-    model = dualflat.family_model(subject)
     worst = 0.0
     for theta in grid:
         H = dualflat.hessian_metric(subject, theta)
@@ -393,7 +387,7 @@ def _check_hessian_vs_fisher(spec, subject, grid):
                        provenance="Hess K vs score covariance")
 
 
-def _check_graph_realization(spec, subject, grid):
+def _check_graph_realization(spec, subject, grid, model):
     tol_h = spec.tol("graph-realization")
     tol_zero = 1e-6
     surf = dualflat.graph_realization(subject)
@@ -414,7 +408,7 @@ def _check_graph_realization(spec, subject, grid):
                        provenance="decomposition of the potential graph")
 
 
-def _check_centro_affine_lift(spec, subject, grid):
+def _check_centro_affine_lift(spec, subject, grid, model):
     tol = spec.tol("centro-affine-lift")
     surf = dualflat.centro_affine_lift(subject)
     n = subject.dim
@@ -443,7 +437,7 @@ def _check_centro_affine_lift(spec, subject, grid):
                                   "connection, rho = -d log psi")
 
 
-def _check_autoparallel(spec, subject, grid):
+def _check_autoparallel(spec, subject, grid, model):
     tol = spec.tol("autoparallel")
     alpha = spec.alphas[0]
     conn = infogeo.alpha_field(subject.ambient, alpha)
@@ -459,7 +453,7 @@ def _check_autoparallel(spec, subject, grid):
                                   "normal frame")
 
 
-def _check_embedding_curvature(spec, subject, grid):
+def _check_embedding_curvature(spec, subject, grid, model):
     tol = spec.tol("embedding-curvature")
     alpha = spec.alphas[0]
     conn = infogeo.alpha_field(subject.ambient, alpha)
@@ -473,9 +467,8 @@ def _check_embedding_curvature(spec, subject, grid):
                        tolerance=tol, provenance="informational sweep")
 
 
-def _check_geodesic(spec, subject, grid):
+def _check_geodesic(spec, subject, grid, model):
     doc = spec.geodesic_doc
-    model = _as_model(subject)
     alpha = float(doc.get("alpha", 1.0))
     conn = infogeo.alpha_field(model, alpha)
     path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
@@ -590,13 +583,18 @@ class Report:
 
 
 def run(spec: RunSpec) -> RunReport:
-    """Execute every check of one spec; per-check failures never propagate."""
+    """Execute every check of one spec; per-check failures never propagate.
+
+    The subject, and for a family its model, is built once, so every check
+    shares the pointwise tensors memoized on it; both go with the run.
+    """
     subject = _load_subject(spec)
+    model = _as_model(subject) if spec.kind in ("model", "family") else None
     grid = _grid_points(spec, subject)
     results = {}
     for name in spec.checks:
         try:
-            results[name] = CHECKS[name].runner(spec, subject, grid)
+            results[name] = CHECKS[name].runner(spec, subject, grid, model)
         except IgeoError as exc:
             results[name] = CheckResult(status="error", detail=str(exc))
         except Exception as exc:  # never abort sibling checks

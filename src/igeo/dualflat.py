@@ -31,7 +31,7 @@ from .immersion import Hypersurface
 from .infogeo import ConnectionField, MetricField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, node_quadrature, space_from_doc)
-from .numerics import derive, expect
+from .numerics import PointMemo, derive, expect
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,18 +81,17 @@ def potential(family: PotentialFamily, theta) -> float:
 
 
 def family_model(family: PotentialFamily) -> StatisticalModel:
-    """The family as a StatisticalModel; K is cached per parameter point."""
-    cache: dict = {}
+    """The family as a StatisticalModel.
 
-    def K(th):
-        key = th.tobytes()
-        if key not in cache:
-            cache[key] = potential(family, th)
-        return cache[key]
+    Each call builds a new model with its own memo; K is kept per parameter
+    point in a bounded ``PointMemo`` shared by the model and any copy of it.
+    """
+    potentials = PointMemo()
 
     def ll(x, th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        return family.exponent(x, th) - K(th)
+        return family.exponent(x, th) - potentials.get(
+            th.tobytes(), lambda: potential(family, th))
 
     return StatisticalModel(space=family.space, dim=family.dim,
                             domain=family.domain, log_density=ll,

@@ -19,7 +19,7 @@ transport, statistical structure) reads ``induced_derivative``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
 from .models import Box
-from .numerics import DiffScheme, derive, solve_frame
+from .numerics import DiffScheme, PointMemo, derive, solve_frame
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
 # decomposition error to ~1e-10; the field scheme differentiates decomposed
@@ -42,13 +42,18 @@ DEGENERATE_DET_H = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Hypersurface:
-    """Immersion chart plus transversal field over an open box."""
+    """Immersion chart plus transversal field over an open box.
+
+    ``memo`` holds the induced data computed for this surface (``decompose``,
+    ``induced_derivative``); ``dataclasses.replace`` starts a new one.
+    """
 
     chart: Callable       # u (n,) -> (n+1,)
     transversal: Callable
     domain: Box
     dim: int
     label: str = ""
+    memo: PointMemo = field(default_factory=PointMemo, init=False, repr=False)
 
     @classmethod
     def centro_affine(cls, chart: Callable, domain: Box, dim: int,
@@ -93,8 +98,16 @@ def _chart_jacobian(surface: Hypersurface, u: np.ndarray) -> np.ndarray:
 
 
 def decompose(surface: Hypersurface, u) -> ImmersionData:
-    """Frame-solve the second derivatives of the chart and the transversal."""
+    """Frame-solve the second derivatives of the chart and the transversal.
+
+    Memoized per surface and point; the returned arrays are read-only.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    return surface.memo.get(("decompose", u.tobytes()),
+                            lambda: _decompose(surface, u))
+
+
+def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
     n = surface.dim
     J = _chart_jacobian(surface, u)
     xi = np.asarray(surface.transversal(u), dtype=float)
@@ -129,7 +142,14 @@ def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
     Each field gains a leading axis a, e.g. ``gamma[a, i, j, k] = d_a
     Gamma^k_{ij}`` and ``volume[a] = d_a eta``; the stencil acts
     componentwise, so each entry equals its field's own derivative.
+    Memoized per surface and point; the returned arrays are read-only.
     """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return surface.memo.get(("induced_derivative", u.tobytes()),
+                            lambda: _induced_derivative(surface, u))
+
+
+def _induced_derivative(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
     n = surface.dim
 
     def packed(v):

@@ -111,8 +111,15 @@ def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
-    """Fisher information g_ij = E[score_i * score_j] at theta."""
+    """Fisher information g_ij = E[score_i * score_j] at theta.
+
+    Memoized per model and point; the returned array is read-only.
+    """
     th = model.check_theta(theta)
+    return model.memo.get(("fisher", th.tobytes()), lambda: _fisher_metric(model, th))
+
+
+def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
     nodes = node_quadrature(model.space)
     if nodes is not None:
         xs, w = nodes
@@ -146,9 +153,16 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
     """Lowered alpha-connection coefficients.
 
     Gamma^a_{ij,k} = E[(d_i d_j l + (1-a)/2 d_i l d_j l) d_k l], symmetric in
-    (i, j) by construction of the central stencils.
+    (i, j) by construction of the central stencils.  Memoized per model,
+    point and alpha; the returned array is read-only.
     """
     th = model.check_theta(theta)
+    return model.memo.get(("alpha", th.tobytes(), float(alpha)),
+                          lambda: _alpha_connection(model, th, alpha))
+
+
+def _alpha_connection(model: StatisticalModel, th: np.ndarray,
+                      alpha: float) -> np.ndarray:
     c = (1.0 - alpha) / 2.0
     nodes = node_quadrature(model.space)
     if nodes is not None:

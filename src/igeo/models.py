@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.special import gammaln
 from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
-from .numerics import DiffScheme, ExpectationRule, derive, expect
+from .numerics import DiffScheme, ExpectationRule, PointMemo, derive, expect
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -137,13 +137,18 @@ class SampleSpace:
 
 @dataclass(frozen=True, eq=False)
 class StatisticalModel:
-    """Parametrized family of densities on a sample space."""
+    """Parametrized family of densities on a sample space.
+
+    ``memo`` holds the pointwise tensors computed for this model (Fisher
+    metric, alpha-connections); ``dataclasses.replace`` starts a new one.
+    """
 
     space: SampleSpace
     dim: int
     domain: Box
     log_density: Callable   # (x:(N,xdim), theta:(dim,)) -> (N,)
     label: str = ""
+    memo: PointMemo = field(default_factory=PointMemo, init=False, repr=False)
 
     def __post_init__(self):
         if self.domain.dim != self.dim:

@@ -9,8 +9,11 @@ built from three primitives:
                      over a sample space, under one of four rules.
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
 
-All functions here are pure; nothing keeps global state beyond node caches
-keyed by the rule parameters, whose arrays are shared and so read-only.
+All functions here are pure.  Two kinds of cache exist, and neither
+changes a result: the node caches keyed by the rule parameters, which are
+global, and ``PointMemo``, a bounded memo of pointwise tensors that each
+subject (model, surface) owns and frees with itself.  Arrays handed out by
+either are shared and so read-only.
 """
 
 from __future__ import annotations
@@ -312,3 +315,41 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     if not np.isfinite(cond) or cond > condition_cap:
         raise SingularFrame(f"frame condition {cond:.3e} exceeds cap {condition_cap:.1e}")
     return np.linalg.solve(A, np.asarray(rhs, dtype=float))
+
+
+# Entries one PointMemo holds before it starts over: several times the
+# stencil nodes of every check on a default grid, a few hundred kB at most.
+MEMO_SIZE = 1024
+
+
+class PointMemo:
+    """Bounded memo of pointwise results, keyed by parameter bytes.
+
+    ``get(key, compute)`` returns the stored value or stores ``compute()``;
+    an exception from ``compute`` propagates and stores nothing.  A full
+    memo is cleared before the next store, so it never holds more than
+    ``MEMO_SIZE`` entries.  Stored arrays, and the array fields of stored
+    dataclasses, are made read-only because every hit shares them.
+    """
+
+    def __init__(self):
+        self._store = {}
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def get(self, key, compute: Callable):
+        try:
+            return self._store[key]
+        except KeyError:
+            pass
+        value = compute()
+        fields = (value,) if isinstance(value, np.ndarray) else \
+            getattr(value, "__dict__", {}).values()
+        for a in fields:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        if len(self._store) >= MEMO_SIZE:
+            self._store.clear()
+        self._store[key] = value
+        return value

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -5,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igeo import cli
+from igeo import cli, immersion, infogeo, models, numerics
 from igeo.cli import RunSpec, run_document
-from igeo.errors import SchemaError
+from igeo.errors import OutOfDomain, SchemaError
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -227,3 +228,108 @@ class TestQuadNodesEnv:
         spec = RunSpec.from_dict(flatness_spec)
         subject = cli._load_subject(spec)
         assert subject.space.rule.nodes == 32
+
+
+MODEL_CHECKS = ["validate", "flatness", "alpha-duality", "codazzi",
+                "cubic-symmetry", "exponential-form"]
+SURFACE_CHECKS = ["structural", "classify", "volume-transport",
+                  "statistical-structure"]
+
+
+class TestSubjectMemo:
+    @pytest.mark.parametrize("subject, checks", [
+        ({"model": "normal-natural"}, MODEL_CHECKS),
+        ({"surface": "paraboloid-tilted"}, SURFACE_CHECKS),
+    ])
+    def test_shared_run_matches_each_check_alone(self, subject, checks):
+        spec = {"subject": subject, "checks": checks, "alpha": [1.0, -1.0]}
+        together = cli.run(RunSpec.from_dict(spec)).to_dict()["results"]
+        for name in checks:
+            alone = cli.run(RunSpec.from_dict({**spec, "checks": [name]}))
+            assert alone.to_dict()["results"][name] == together[name]
+
+    def test_family_model_built_once_per_run(self, monkeypatch):
+        built = []
+        real = cli.dualflat.family_model
+
+        def counting(family):
+            built.append(family)
+            return real(family)
+
+        monkeypatch.setattr(cli.dualflat, "family_model", counting)
+        run_document({"subject": {"family": "bernoulli-natural"},
+                      "grid": {"lo": [-0.5], "hi": [0.5], "counts": [2]},
+                      "checks": ["validate", "codazzi", "hessian-vs-fisher"]})
+        assert len(built) == 1
+
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        memo = numerics.PointMemo()
+        for i in range(numerics.MEMO_SIZE + 10):
+            assert memo.get(i, lambda: i) == i
+            assert len(memo) <= numerics.MEMO_SIZE
+        monkeypatch.setattr(numerics, "MEMO_SIZE", 3)
+        model = models.bernoulli_natural()
+        thetas = [np.array([t]) for t in np.linspace(-1.0, 1.0, 7)]
+        first = [infogeo.fisher_metric(model, th) for th in thetas]
+        assert len(model.memo) <= 3
+        fresh = models.bernoulli_natural()
+        assert all(np.array_equal(g, infogeo.fisher_metric(fresh, th))
+                   for g, th in zip(first, thetas))
+
+    def test_memoized_arrays_are_read_only(self):
+        model = models.normal_natural()
+        theta = np.array([-0.5, 0.1])
+        surf = immersion.paraboloid()
+        data = immersion.decompose(surf, (0.3, 0.4))
+        deriv = immersion.induced_derivative(surf, (0.3, 0.4))
+        arrays = [infogeo.fisher_metric(model, theta),
+                  infogeo.alpha_connection(model, theta, 1.0)]
+        for d in (data, deriv):
+            arrays += [d.gamma, d.h, d.shape_operator, d.alpha_form]
+        arrays.append(deriv.volume)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_repeated_calls_evaluate_nothing_new(self):
+        evaluations = []
+        base = models.normal_natural()
+
+        def log_density(x, th):
+            evaluations.append("l")
+            return base.log_density(x, th)
+
+        model = dataclasses.replace(base, log_density=log_density)
+        theta = np.array([-0.5, 0.1])
+        g = infogeo.fisher_metric(model, theta)
+        low = infogeo.alpha_connection(model, theta, -1.0)
+        base_surf = immersion.tilted_paraboloid()
+
+        def chart(u):
+            evaluations.append("f")
+            return base_surf.chart(u)
+
+        surf = dataclasses.replace(base_surf, chart=chart)
+        data = immersion.decompose(surf, (0.3, 0.4))
+        count = len(evaluations)
+        assert infogeo.fisher_metric(model, theta.tolist()) is g
+        assert infogeo.alpha_connection(model, theta.copy(), -1.0) is low
+        assert immersion.decompose(surf, np.array([0.3, 0.4])) is data
+        assert len(evaluations) == count
+
+    def test_errors_are_raised_and_never_stored(self):
+        model = models.bernoulli_natural()
+        with pytest.raises(OutOfDomain):
+            infogeo.fisher_metric(model, [7.0])
+        assert len(model.memo) == 0
+        memo = numerics.PointMemo()
+        attempts = []
+
+        def failing():
+            attempts.append(1)
+            raise ValueError("boom")
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                memo.get("k", failing)
+        assert len(attempts) == 2 and len(memo) == 0
