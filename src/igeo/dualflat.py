@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (LeftDomain, NonConvergent, OutOfDomain, OutOfDualDomain,
                      SchemaError)
 from .expressions import compile_expression
 from .immersion import Hypersurface
-from .infogeo import ConnectionField, MetricField
+from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, node_quadrature, space_from_doc)
 from .numerics import PointMemo, derive, expect
@@ -65,6 +64,18 @@ class PotentialFamily:
         return total
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))), shifted by the largest entry, which leaves the sum
+    as log1p of the others (as scipy.special.logsumexp does)."""
+    i = int(np.argmax(a))
+    top = a[i]
+    if not np.isfinite(top):
+        return float(top)
+    rest = np.exp(a - top)
+    rest[i] = 0.0
+    return float(np.log1p(rest.sum()) + top)
+
+
 def potential(family: PotentialFamily, theta) -> float:
     """Normalizer K(theta), by exact sum or quadrature (log-sum-exp)."""
     th = family.check_theta(theta)
@@ -72,9 +83,7 @@ def potential(family: PotentialFamily, theta) -> float:
     if nodes is not None:
         xs, w = nodes
         expo = family.exponent(xs, th)
-        if w is None:
-            return float(logsumexp(expo))
-        return float(logsumexp(expo + np.log(w)))
+        return _logsumexp(expo if w is None else expo + np.log(w))
     val = expect(family.space, lambda x: np.exp(family.exponent(x, th)),
                  lambda x: np.ones(len(x)))
     return float(np.log(val))
@@ -117,11 +126,6 @@ def hessian_metric(family: PotentialFamily, theta) -> np.ndarray:
                                        (i, j), scheme=HESSIAN_SCHEME,
                                        domain=family.domain)
     return H
-
-
-def hessian_field(family: PotentialFamily) -> MetricField:
-    return MetricField(dim=family.dim, fn=lambda th: hessian_metric(family, th),
-                       label=f"hessK[{family.label}]", domain=family.domain)
 
 
 def legendre_inverse(family: PotentialFamily, eta, theta0=None,

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from igeo import immersion, infogeo
+from igeo import immersion, infogeo, models
 from igeo.dualflat import (FAMILIES, GeodesicPath, centro_affine_lift,
                            dual_coords, dual_potential, family_model,
                            geodesic, graph_realization, hessian_metric,
@@ -32,6 +34,24 @@ class TestPotential:
     def test_out_of_domain(self, normal_natural_family):
         with pytest.raises(OutOfDomain):
             potential(normal_natural_family, (0.5, 0.0))
+
+    def test_log_sum_exp_matches_scipy(self):
+        """potential's log-sum-exp against scipy's, on every builtin family
+        at its reference grid, and on a base measure with -inf entries."""
+        families = [(factory(), models.reference_grid(name))
+                    for name, factory in FAMILIES.items()]
+        bern = FAMILIES["bernoulli-natural"]()
+        # log base measure -inf at x = 0 leaves K(theta) = theta
+        families.append((dataclasses.replace(
+            bern, base=lambda x: np.where(x[..., 0] == 0.0, -np.inf, 0.0)),
+            models.reference_grid("bernoulli-natural")))
+        for fam, grid in families:
+            xs, w = models.node_quadrature(fam.space)
+            for theta in grid:
+                expo = fam.exponent(xs, theta)
+                want = logsumexp(expo if w is None else expo + np.log(w))
+                assert potential(fam, theta) == pytest.approx(want, rel=1e-15, abs=0)
+        assert potential(families[-1][0], [0.5]) == 0.5
 
 
 class TestLegendre:
