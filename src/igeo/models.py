@@ -269,6 +269,7 @@ class ValidationEntry:
     normalization_residual: float
     score_gram_condition: float
     smooth: bool
+    reason: str = ""    # the exceptions behind an inf residual or smooth=False
 
 
 @dataclass(frozen=True)
@@ -289,17 +290,19 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
     Per point: |E[exp(l)] - 1| (normalization), condition number of the
     score Gram matrix (linear independence), and finiteness of l and its
     first two parameter derivatives on a probe sample.  Failures are
-    reported, never thrown.
+    reported, never thrown; the entry's ``reason`` names the exceptions.
     """
     entries = []
     for theta in grid:
         th = model.check_theta(theta)
         one = lambda x: np.ones(len(x))
+        reasons = []
         try:
             total = expect(model.space, model.density(th), one)
             residual = abs(total - 1.0)
-        except Exception:
+        except Exception as exc:
             residual = float("inf")
+            reasons.append(f"{type(exc).__name__}: {exc}")
         smooth = True
         gram_cond = float("inf")
         try:
@@ -311,10 +314,11 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
             # unweighted-by-rule Gram is enough: condition is scale invariant
             gram = np.einsum("in,jn,n->ij", s, s, p)
             gram_cond = float(np.linalg.cond(gram))
-        except Exception:
+        except Exception as exc:
             smooth = False
+            reasons.append(f"{type(exc).__name__}: {exc}")
         entries.append(ValidationEntry(tuple(th.tolist()), float(residual),
-                                       gram_cond, smooth))
+                                       gram_cond, smooth, "; ".join(reasons)))
     tol = model.tolerance
     passed = all(e.normalization_residual < tol for e in entries)
     return ValidationReport(model.label, tuple(entries), tol, passed)

@@ -77,12 +77,29 @@ class TestValidateModel:
         assert rep.max_normalization_residual == \
             pytest.approx(math.sqrt(math.pi) - 1.0, abs=1e-6)
 
+    def test_probe_failure_leaves_a_reason(self):
+        space = SampleSpace.real_line(
+            ExpectationRule.monte_carlo(nodes=512, seed=3, scale=1.5))
+        probe = models.quadrature_sample(space)
+
+        def ll(x, th):
+            if x.shape == probe.shape and np.array_equal(x, probe):
+                raise RuntimeError("probe rejected")
+            return -0.5 * (x[..., 0] - th[0]) ** 2 - 0.5 * math.log(2 * math.pi)
+
+        model = StatisticalModel(space=space, dim=1, domain=Box((-1.0,), (1.0,)),
+                                 log_density=ll, label="probe-raises")
+        entry, = validate_model(model, [(0.0,)]).entries
+        assert entry.smooth is False
+        assert entry.reason == "RuntimeError: probe rejected"
+        assert math.isfinite(entry.normalization_residual)
+
     def test_catalog_reference_grids(self):
         for name, factory in CATALOG.items():
             model = factory()
             rep = validate_model(model, reference_grid(name))
             assert rep.passed, (name, rep.max_normalization_residual)
-            assert all(e.smooth for e in rep.entries), name
+            assert all(e.smooth and not e.reason for e in rep.entries), name
             assert all(e.score_gram_condition < 1e12 for e in rep.entries), name
 
 
