@@ -136,14 +136,6 @@ def _load_subject(spec: RunSpec):
     return submanifold.load_embedding(doc)
 
 
-def _as_model(subject) -> models.StatisticalModel:
-    """The statistical model of a model or family subject; a family gets a
-    new model, so build it once per run to share its memo."""
-    if isinstance(subject, models.StatisticalModel):
-        return subject
-    return dualflat.family_model(subject)
-
-
 def _grid_points(spec: RunSpec, subject) -> list:
     if spec.grid_doc is None:
         # default: 3 points per coordinate over the middle half of the domain
@@ -533,9 +525,15 @@ def _jsonable(value):
 
 @dataclass
 class RunReport:
-    label: str
-    spec_echo: dict
+    """Results of one run, with the spec, subject, model and grid they were
+    computed on (for the CSV dumps); only the spec's label and document are
+    serialized."""
+
+    spec: RunSpec
     results: dict
+    subject: object
+    model: Optional[models.StatisticalModel]
+    grid: list
 
     @property
     def all_passed(self) -> bool:
@@ -543,8 +541,8 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "label": self.label,
-            "spec": _jsonable(self.spec_echo),
+            "label": self.spec.label,
+            "spec": _jsonable(self.spec.raw),
             "all_passed": self.all_passed,
             "results": {
                 name: {
@@ -589,7 +587,9 @@ def run(spec: RunSpec) -> RunReport:
     shares the pointwise tensors memoized on it; both go with the run.
     """
     subject = _load_subject(spec)
-    model = _as_model(subject) if spec.kind in ("model", "family") else None
+    model = subject if spec.kind == "model" else None
+    if spec.kind == "family":
+        model = dualflat.family_model(subject)
     grid = _grid_points(spec, subject)
     results = {}
     for name in spec.checks:
@@ -600,7 +600,7 @@ def run(spec: RunSpec) -> RunReport:
         except Exception as exc:  # never abort sibling checks
             results[name] = CheckResult(
                 status="error", detail=f"{type(exc).__name__}: {exc}")
-    return RunReport(label=spec.label, spec_echo=spec.raw, results=results)
+    return RunReport(spec, results, subject, model, grid)
 
 
 def run_document(doc: dict, seed_override=None, tol_overrides=None) -> Report:
@@ -631,8 +631,7 @@ def write_tensor_csv(path, header, rows):
             writer.writerow(row)
 
 
-def dump_model_tensors(spec: RunSpec, subject, grid, out_dir: Path):
-    model = _as_model(subject)
+def dump_model_tensors(spec: RunSpec, model, grid, out_dir: Path):
     rows_g = []
     rows_c = []
     for p, theta in enumerate(grid):
@@ -674,9 +673,8 @@ def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
                      ["point", "tensor", "i", "j", "k", "value"], rows)
 
 
-def dump_geodesic_csv(spec: RunSpec, subject, out_path: Path):
+def dump_geodesic_csv(spec: RunSpec, model, out_path: Path):
     doc = spec.geodesic_doc
-    model = _as_model(subject)
     conn = infogeo.alpha_field(model, float(doc.get("alpha", 1.0)))
     path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
                              float(doc.get("t_final", 1.0)),
@@ -752,21 +750,18 @@ def main(argv=None) -> int:
         if args.command in ("compute", "geodesic"):
             csv_dir = Path(args.csv_dir or ".")
             csv_dir.mkdir(parents=True, exist_ok=True)
-            single = [RunSpec.from_dict(d, args.seed, overrides)
-                      for d in (doc["runs"] if "runs" in doc else [doc])]
-            for spec in single:
-                subject = _load_subject(spec)
+            for run_ in report.runs:
+                spec = run_.spec
                 if args.command == "geodesic":
-                    if spec.geodesic_doc is None:
-                        raise SchemaError("geodesic command needs a geodesic block")
-                    dump_geodesic_csv(spec, subject,
+                    if spec.geodesic_doc is None or run_.model is None:
+                        raise SchemaError("geodesic command needs a model or "
+                                          "family spec with a geodesic block")
+                    dump_geodesic_csv(spec, run_.model,
                                       csv_dir / f"geodesic_{spec.label}.csv")
-                else:
-                    grid = _grid_points(spec, subject)
-                    if spec.kind in ("model", "family"):
-                        dump_model_tensors(spec, subject, grid, csv_dir)
-                    elif spec.kind == "surface":
-                        dump_surface_tensors(spec, subject, grid, csv_dir)
+                elif run_.model is not None:
+                    dump_model_tensors(spec, run_.model, run_.grid, csv_dir)
+                elif spec.kind == "surface":
+                    dump_surface_tensors(spec, run_.subject, run_.grid, csv_dir)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ centro-affine lift (theta, 1)/psi(theta) with the position transversal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,13 +29,19 @@ from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
-                     StatisticalModel, node_quadrature, space_from_doc)
-from .numerics import PointMemo, derive, expect
+                     StatisticalModel, domain_from_doc, node_quadrature,
+                     space_from_doc)
+from .numerics import PointMemo, expect, gradient, hessian
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialFamily:
-    """Exponential family defined by statistics, base measure and domain."""
+    """Exponential family defined by statistics, base measure and domain.
+
+    ``memo`` holds K per parameter point for every user of the family (its
+    models, dual coordinates, Hessian metric, realizations);
+    ``dataclasses.replace`` starts a new one.
+    """
 
     stats: tuple                 # callables x:(N,xdim) -> (N,)
     base: Callable               # log base measure D(x)
@@ -43,6 +49,7 @@ class PotentialFamily:
     domain: Box
     label: str = ""
     closed_form_potential: Optional[Callable] = None
+    memo: PointMemo = field(default_factory=PointMemo, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -77,8 +84,18 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def potential(family: PotentialFamily, theta) -> float:
-    """Normalizer K(theta), by exact sum or quadrature (log-sum-exp)."""
-    th = family.check_theta(theta)
+    """Normalizer K(theta), by exact sum or quadrature (log-sum-exp).
+
+    Memoized per family and point.  Only a point that passed
+    ``check_theta`` is ever stored, so a hit skips the check, which would
+    cost the family's log-density more than the lookup.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    return family.memo.get(th.tobytes(),
+                           lambda: _potential(family, family.check_theta(th)))
+
+
+def _potential(family: PotentialFamily, th: np.ndarray) -> float:
     nodes = node_quadrature(family.space)
     if nodes is not None:
         xs, w = nodes
@@ -92,15 +109,12 @@ def potential(family: PotentialFamily, theta) -> float:
 def family_model(family: PotentialFamily) -> StatisticalModel:
     """The family as a StatisticalModel.
 
-    Each call builds a new model with its own memo; K is kept per parameter
-    point in a bounded ``PointMemo`` shared by the model and any copy of it.
+    Each call builds a new model with its own memo; K comes from the
+    family's memo, which every such model shares.
     """
-    potentials = PointMemo()
 
     def ll(x, th):
-        th = np.atleast_1d(np.asarray(th, dtype=float))
-        return family.exponent(x, th) - potentials.get(
-            th.tobytes(), lambda: potential(family, th))
+        return family.exponent(x, th) - potential(family, th)
 
     return StatisticalModel(space=family.space, dim=family.dim,
                             domain=family.domain, log_density=ll,
@@ -110,22 +124,13 @@ def family_model(family: PotentialFamily) -> StatisticalModel:
 def dual_coords(family: PotentialFamily, theta) -> np.ndarray:
     """Dual (expectation) coordinates eta = grad K(theta)."""
     th = family.check_theta(theta)
-    return np.array([derive(lambda t: potential(family, t), th, (i,),
-                            scheme=SCORE_SCHEME, domain=family.domain)
-                     for i in range(family.dim)])
+    return gradient(lambda t: potential(family, t), th, SCORE_SCHEME, family.domain)
 
 
 def hessian_metric(family: PotentialFamily, theta) -> np.ndarray:
     """Hessian of the potential: the dually flat metric in theta coordinates."""
     th = family.check_theta(theta)
-    n = family.dim
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            H[i, j] = H[j, i] = derive(lambda t: potential(family, t), th,
-                                       (i, j), scheme=HESSIAN_SCHEME,
-                                       domain=family.domain)
-    return H
+    return hessian(lambda t: potential(family, t), th, HESSIAN_SCHEME, family.domain)
 
 
 def legendre_inverse(family: PotentialFamily, eta, theta0=None,
@@ -369,10 +374,7 @@ def load_family(doc: dict) -> PotentialFamily:
         base = lambda x: base_c({"x": x}) * np.ones(len(x))
     else:
         base = lambda x: np.zeros(len(x))
-    dom = doc["domain"]
-    box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
-    if box.dim != len(stats):
-        raise SchemaError("domain dimension must match the number of statistics")
+    box = domain_from_doc(doc, len(stats))
     space = space_from_doc(doc["space"])
     return PotentialFamily(stats=stats, base=base, space=space, domain=box,
                            label=doc.get("name", "family"))

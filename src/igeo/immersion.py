@@ -28,8 +28,8 @@ from .errors import DegenerateH, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
-from .models import Box
-from .numerics import DiffScheme, PointMemo, derive, solve_frame
+from .models import Box, domain_from_doc
+from .numerics import DiffScheme, PointMemo, gradient, hessian, solve_frame
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
 # decomposition error to ~1e-10; the field scheme differentiates decomposed
@@ -91,12 +91,6 @@ class ImmersionFlags:
             raise ValueError("proper and improper hypersphere are exclusive")
 
 
-def _chart_jacobian(surface: Hypersurface, u: np.ndarray) -> np.ndarray:
-    cols = [derive(surface.chart, u, (i,), scheme=CHART_SCHEME_1,
-                   domain=surface.domain) for i in range(surface.dim)]
-    return np.column_stack(cols)
-
-
 def decompose(surface: Hypersurface, u) -> ImmersionData:
     """Frame-solve the second derivatives of the chart and the transversal.
 
@@ -109,28 +103,22 @@ def decompose(surface: Hypersurface, u) -> ImmersionData:
 
 def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
     n = surface.dim
-    J = _chart_jacobian(surface, u)
+    df = gradient(surface.chart, u, CHART_SCHEME_1, surface.domain)
     xi = np.asarray(surface.transversal(u), dtype=float)
-    frame = np.column_stack([J, xi])
+    frame = np.column_stack([*df, xi])
 
+    d2f = hessian(surface.chart, u, CHART_SCHEME_2, surface.domain)
     gamma = np.empty((n, n, n))
     h = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            rhs = derive(surface.chart, u, (i, j), scheme=CHART_SCHEME_2,
-                         domain=surface.domain)
-            coeff = solve_frame(frame, rhs)
+            coeff = solve_frame(frame, d2f[i, j])
             gamma[i, j, :] = gamma[j, i, :] = coeff[:n]
             h[i, j] = h[j, i] = coeff[n]
 
-    S = np.empty((n, n))
-    alpha = np.empty(n)
-    for i in range(n):
-        rhs = derive(surface.transversal, u, (i,), scheme=CHART_SCHEME_1,
-                     domain=surface.domain)
-        coeff = solve_frame(frame, rhs)
-        S[:, i] = -coeff[:n]
-        alpha[i] = coeff[n]
+    dxi = gradient(surface.transversal, u, CHART_SCHEME_1, surface.domain)
+    coeffs = np.column_stack([solve_frame(frame, rhs) for rhs in dxi])
+    S, alpha = -coeffs[:n], coeffs[n]
 
     return ImmersionData(gamma=gamma, h=h, shape_operator=S,
                          alpha_form=alpha, volume=float(np.linalg.det(frame)))
@@ -157,8 +145,7 @@ def _induced_derivative(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
         return np.concatenate([d.gamma.ravel(), d.h.ravel(),
                                d.shape_operator.ravel(), d.alpha_form, [d.volume]])
 
-    D = np.stack([derive(packed, u, (a,), scheme=SURFACE_FIELD_SCHEME,
-                         domain=surface.domain) for a in range(n)])
+    D = gradient(packed, u, SURFACE_FIELD_SCHEME, surface.domain)
     gamma, h, S, alpha, eta = np.split(D, np.cumsum([n**3, n * n, n * n, n]), axis=1)
     return ImmersionData(gamma=gamma.reshape(n, n, n, n), h=h.reshape(n, n, n),
                          shape_operator=S.reshape(n, n, n), alpha_form=alpha, volume=eta[:, 0])
@@ -468,10 +455,7 @@ def load_surface(doc: dict) -> Hypersurface:
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")
     chart = compile_chart(chart_exprs)
-    dom = doc["domain"]
-    box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
-    if box.dim != dim:
-        raise SchemaError("surface domain dimension must equal dim")
+    box = domain_from_doc(doc, dim)
 
     tr = doc.get("transversal", "centro-affine")
     if tr == "centro-affine":

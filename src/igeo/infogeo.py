@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SingularMetric
 from .models import (HESSIAN_SCHEME, StatisticalModel, node_quadrature,
                      score_matrix, second_log_derivs)
-from .numerics import DiffScheme, derive, expect
+from .numerics import DiffScheme, derive, expect, gradient
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -215,13 +215,7 @@ def cubic_tensor(model: StatisticalModel, theta, alpha: float = 1.0) -> np.ndarr
 def metric_derivative(metric_field: MetricField, theta,
                       scheme: DiffScheme = FIELD_SCHEME) -> np.ndarray:
     """dg[a, j, k] = d_a g_jk by finite differences of the field."""
-    th = np.atleast_1d(np.asarray(theta, float))
-    n = th.size
-    dg = np.empty((n, n, n))
-    for a in range(n):
-        dg[a] = derive(metric_field, th, (a,), scheme=scheme,
-                       domain=metric_field.domain)
-    return dg
+    return gradient(metric_field, theta, scheme, metric_field.domain)
 
 
 def levi_civita(metric_field: MetricField, theta,
@@ -283,10 +277,7 @@ def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
     """Coordinate curvature (``riemann``) of the connection field at theta,
     plus torsion, Ricci trace, and nabla h when a metric field is supplied."""
     th = np.atleast_1d(np.asarray(theta, float))
-    n = th.size
-    DG = np.empty((n, n, n, n))  # DG[a, b, c, d] = d_a Gamma^d_{bc}
-    for a in range(n):
-        DG[a] = derive(conn.up, th, (a,), scheme=scheme, domain=conn.domain)
+    DG = gradient(conn.up, th, scheme, conn.domain)  # DG[a,b,c,d] = d_a Gamma^d_{bc}
     up0 = conn.up(th)
     R = riemann(DG, up0)
     torsion = up0 - np.transpose(up0, (1, 0, 2))
@@ -391,12 +382,10 @@ def conformal_transform(metric_field: MetricField, conn: ConnectionField,
 
     def new_low(th):
         th = np.atleast_1d(np.asarray(th, float))
-        n = th.size
         g0 = metric_field(th)
         gt = new_metric(th)
         low0 = conn.low(th)
-        dphi = np.array([derive(phi, th, (a,), scheme=dscheme,
-                                domain=metric_field.domain) for a in range(n)])
+        dphi = gradient(phi, th, dscheme, metric_field.domain)
         term_z = -(1.0 + alpha) / 2.0 * np.einsum("k,ij->ijk", dphi, g0)
         term_x = (1.0 - alpha) / 2.0 * (np.einsum("i,jk->ijk", dphi, gt)
                                         + np.einsum("j,ik->ijk", dphi, gt))

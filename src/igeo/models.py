@@ -24,7 +24,8 @@ from scipy.special import gammaln
 from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
-from .numerics import DiffScheme, ExpectationRule, PointMemo, derive, expect
+from .numerics import (DiffScheme, ExpectationRule, PointMemo, derive, expect,
+                       gradient, hessian)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -33,7 +34,8 @@ HESSIAN_SCHEME = DiffScheme(order=2, base_step=2.0**-12)
 
 
 def default_quad_nodes(fallback: int) -> int:
-    """Quadrature node count, overridable through IGEO_QUAD_NODES."""
+    """Node count of a rule that does not fix its own (a builtin, or a spec
+    quadrature without ``nodes``): IGEO_QUAD_NODES if set, else ``fallback``."""
     raw = os.environ.get("IGEO_QUAD_NODES")
     if raw is None:
         return fallback
@@ -207,26 +209,14 @@ def score_matrix(model: StatisticalModel, theta, xs,
                  scheme: DiffScheme = SCORE_SCHEME) -> np.ndarray:
     """All scores at once: array of shape (dim, N) over sample points xs."""
     th = model.check_theta(theta)
-    out = np.empty((model.dim, len(xs)))
-    for i in range(model.dim):
-        out[i] = derive(lambda t: model.log_density(xs, t), th, (i,),
-                        scheme=scheme, domain=model.domain)
-    return out
+    return gradient(lambda t: model.log_density(xs, t), th, scheme, model.domain)
 
 
 def second_log_derivs(model: StatisticalModel, theta, xs,
                       scheme: DiffScheme = HESSIAN_SCHEME) -> np.ndarray:
     """Second parameter derivatives of the log-density, shape (dim, dim, N)."""
     th = model.check_theta(theta)
-    n = model.dim
-    out = np.empty((n, n, len(xs)))
-    for i in range(n):
-        for j in range(i, n):
-            val = derive(lambda t: model.log_density(xs, t), th, (i, j),
-                         scheme=scheme, domain=model.domain)
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    return hessian(lambda t: model.log_density(xs, t), th, scheme, model.domain)
 
 
 def node_quadrature(space: SampleSpace):
@@ -470,20 +460,34 @@ def reference_grid(name: str) -> list:
 # Schema loading
 # ---------------------------------------------------------------------------
 
-def _require(doc: dict, key: str, types):
+def _require(doc: dict, key: str, types, where: str = "document"):
     if key not in doc:
-        raise SchemaError(f"model document is missing {key!r}")
+        raise SchemaError(f"{where} is missing {key!r}")
     value = doc[key]
     if not isinstance(value, types):
         raise SchemaError(f"field {key!r} has unexpected type {type(value).__name__}")
     return value
 
 
+def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
+    """The open box ``doc["domain"] = {"lo": [...], "hi": [...]}``, of
+    dimension ``dim`` when given; SchemaError for anything else."""
+    dom = _require(doc, "domain", dict)
+    lo, hi = (_require(dom, key, list, "domain") for key in ("lo", "hi"))
+    try:
+        box = Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad domain box: {exc}") from None
+    if dim is not None and box.dim != dim:
+        raise SchemaError(f"domain box has dimension {box.dim}, expected {dim}")
+    return box
+
+
 def _rule_from_doc(doc: dict) -> ExpectationRule:
     kind = _require(doc, "kind", str)
     if kind == "gauss-hermite":
         return ExpectationRule.gauss_hermite(
-            nodes=default_quad_nodes(int(doc.get("nodes", 64))),
+            nodes=int(doc["nodes"]) if "nodes" in doc else default_quad_nodes(64),
             loc=float(doc.get("loc", 0.0)), scale=float(doc.get("scale", 1.0)))
     if kind == "adaptive-quadrature":
         return ExpectationRule.adaptive(tol=float(doc.get("tol", 1e-10)))
@@ -525,11 +529,7 @@ def load_model(doc: dict) -> StatisticalModel:
     name = _require(doc, "name", str)
     dim = _require(doc, "dim", int)
     space = space_from_doc(_require(doc, "space", dict))
-    dom = _require(doc, "domain", dict)
-    box = Box(tuple(float(v) for v in _require(dom, "lo", list)),
-              tuple(float(v) for v in _require(dom, "hi", list)))
-    if box.dim != dim:
-        raise SchemaError("domain box dimension does not match dim")
+    box = domain_from_doc(doc, dim)
     expr = compile_expression(_require(doc, "log_density", str), ("x", "theta"))
 
     def ll(x, th):

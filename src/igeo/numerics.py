@@ -4,7 +4,10 @@ Everything downstream (metrics, connections, curvature, immersion data) is
 built from three primitives:
 
 * ``derive``      -- central finite differences for mixed partials up to
-                     order three, with optional Richardson extrapolation.
+                     order three, with optional Richardson extrapolation;
+                     ``gradient`` and ``hessian`` stack its first and second
+                     partials over every coordinate (pair), the one path by
+                     which stacked derivatives are taken.
 * ``expect``      -- expectations of an integrand against an explicit weight
                      over a sample space, under one of four rules.
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
@@ -137,6 +140,30 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
     if result.ndim == 0:
         return float(result)
     return result
+
+
+def gradient(fn: Callable, point, scheme: Optional[DiffScheme] = None,
+             domain=None) -> np.ndarray:
+    """``D[a] = d_a fn`` at ``point``, one ``derive`` per coordinate a."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    return np.array([derive(fn, point, (a,), scheme, domain)
+                     for a in range(point.size)])
+
+
+def hessian(fn: Callable, point, scheme: Optional[DiffScheme] = None,
+            domain=None) -> np.ndarray:
+    """``D[a, b] = d_a d_b fn`` at ``point``: one ``derive`` per pair a <= b,
+    taken in row-major order and mirrored into (b, a)."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    n = point.size
+    D = None
+    for a in range(n):
+        for b in range(a, n):
+            value = derive(fn, point, (a, b), scheme, domain)
+            if D is None:
+                D = np.empty((n, n) + np.shape(value))
+            D[a, b] = D[b, a] = value
+    return D
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from .errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
 from .expressions import compile_chart
 from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
-from .models import (Box, SampleSpace, StatisticalModel, load_model,
-                     second_log_derivs)
-from .numerics import derive
+from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
+                     load_model, second_log_derivs)
+from .numerics import gradient, hessian
 
 _RANK_TOL = 1e-8
 
@@ -57,9 +57,7 @@ class SubmanifoldEmbedding:
 def tangent_basis(emb: SubmanifoldEmbedding, u) -> np.ndarray:
     """Jacobian columns B[:, a] = d theta / d u_a; raises RankDeficientB."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    cols = [derive(emb.chart, u, (a,), scheme=CHART_SCHEME_1, domain=emb.domain)
-            for a in range(emb.dim)]
-    B = np.column_stack([np.atleast_1d(c) for c in cols])
+    B = gradient(emb.chart, u, CHART_SCHEME_1, emb.domain).reshape(emb.dim, -1).T
     if np.linalg.matrix_rank(B, tol=_RANK_TOL) < emb.dim:
         raise RankDeficientB(f"Jacobian columns dependent at u={u.tolist()}")
     return B
@@ -117,13 +115,10 @@ def embedding_curvature(emb: SubmanifoldEmbedding, conn: ConnectionField,
     up = conn.up(th)
 
     N = normal_frame(g, B)
-    V = np.empty((m, m, emb.ambient.dim))
+    V = hessian(emb.chart, u, CHART_SCHEME_2, emb.domain).reshape(m, m, -1)
     for a in range(m):
         for b in range(a, m):
-            dd = derive(emb.chart, u, (a, b), scheme=CHART_SCHEME_2,
-                        domain=emb.domain)
-            vec = np.atleast_1d(dd) + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
-            V[a, b] = V[b, a] = vec
+            V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
     H = np.einsum("abi,ij,jk->abk", V, g, N)
     max_abs = float(np.abs(H).max()) if H.size else 0.0
     return EmbeddingCurvature(H=H, max_abs=max_abs, normal_basis=N)
@@ -299,7 +294,6 @@ def load_embedding(doc: dict) -> SubmanifoldEmbedding:
     if not isinstance(exprs, list) or len(exprs) != ambient.dim:
         raise SchemaError("map must list one expression per ambient coordinate")
     chart = compile_chart(exprs)
-    dom = doc["domain"]
-    box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
+    box = domain_from_doc(doc)
     return SubmanifoldEmbedding(ambient=ambient, chart=chart, domain=box,
                                 dim=box.dim, label=doc.get("name", "embedding"))

@@ -210,6 +210,68 @@ class TestMain:
         assert lines[0] == "step,t,theta_0,theta_1,v_0,v_1"
         assert len(lines) == 52  # header + 51 samples
 
+    def test_compute_reuses_the_run(self, tmp_path, monkeypatch):
+        """The CSV dumps read the tensors the checks computed, and equal
+        dumps from a freshly loaded subject byte for byte."""
+        doc = {"runs": [{"label": "nn", "subject": {"model": "normal-natural"},
+                         "checks": ["codazzi"], "alpha": [1.0, -1.0]},
+                        {"label": "tilted", "subject": {"surface": "paraboloid-tilted"},
+                         "checks": ["structural"]}]}
+        computed = []
+        real = infogeo._fisher_metric
+
+        def counting(model, th):
+            computed.append(th.tobytes())
+            return real(model, th)
+
+        monkeypatch.setattr(infogeo, "_fisher_metric", counting)
+        csv_dir = tmp_path / "csv"
+        code = cli.main(["compute", "--spec", str(self._write_spec(tmp_path, doc)),
+                         "--out", str(tmp_path / "r.json"), "--csv-dir", str(csv_dir)])
+        assert code == 0
+        assert len(computed) == len(set(computed)) == 81
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        model_spec, surface_spec = (RunSpec.from_dict(d) for d in doc["runs"])
+        model = cli._load_subject(model_spec)
+        cli.dump_model_tensors(model_spec, model,
+                               cli._grid_points(model_spec, model), fresh)
+        surface = cli._load_subject(surface_spec)
+        cli.dump_surface_tensors(surface_spec, surface,
+                                 cli._grid_points(surface_spec, surface), fresh)
+        for name in ("fisher.csv", "connection.csv", "grid.csv", "immersion.csv"):
+            assert (csv_dir / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_geodesic_needs_a_model_subject(self, tmp_path):
+        spec = self._write_spec(tmp_path, {
+            "subject": {"surface": "paraboloid"}, "checks": ["classify"],
+            "geodesic": {"theta0": [0.1, 0.1], "v0": [0.1, 0.0]}})
+        code = cli.main(["geodesic", "--spec", str(spec), "--csv-dir", str(tmp_path)])
+        assert code == 2
+
+    @pytest.mark.parametrize("kind", ["model", "surface", "family", "embedding"])
+    @pytest.mark.parametrize("bad", ["missing-lo", "lo-above-hi", "not-a-number"])
+    def test_bad_domain_exits_two(self, tmp_path, capsys, kind, bad):
+        dim = 2 if kind == "surface" else 1
+        domain = {"missing-lo": {"hi": [1.0] * dim},
+                  "lo-above-hi": {"lo": [1.0] * dim, "hi": [0.0] * dim},
+                  "not-a-number": {"lo": ["a"] * dim, "hi": [1.0] * dim}}[bad]
+        bernoulli_space = {"kind": "finite-discrete", "points": [[0.0], [1.0]]}
+        subject, check = {
+            "model": ({"name": "m", "dim": 1, "space": bernoulli_space,
+                       "domain": domain, "log_density": "x[0]*theta[0]"}, "validate"),
+            "surface": ({"name": "s", "dim": 2, "chart": ["u[0]", "u[1]", "u[0]*u[1]"],
+                         "domain": domain}, "classify"),
+            "family": ({"stats": ["x[0]"], "space": bernoulli_space,
+                        "domain": domain}, "validate"),
+            "embedding": ({"ambient": "normal-natural", "map": ["-0.5", "u[0]"],
+                           "domain": domain}, "autoparallel"),
+        }[kind]
+        spec = self._write_spec(tmp_path, {"subject": {kind: subject},
+                                           "checks": [check]})
+        assert cli.main(["verify", "--spec", str(spec)]) == 2
+        assert "domain" in capsys.readouterr().err
+
     def test_classify_subcommand(self, tmp_path, sphere_spec):
         doc = dict(sphere_spec)
         doc.pop("checks")

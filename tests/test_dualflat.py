@@ -6,10 +6,11 @@ import pytest
 from scipy.special import logsumexp
 
 from igeo import immersion, infogeo, models
-from igeo.dualflat import (FAMILIES, GeodesicPath, centro_affine_lift,
-                           dual_coords, dual_potential, family_model,
-                           geodesic, graph_realization, hessian_metric,
-                           legendre_inverse, load_family, potential)
+from igeo.dualflat import (FAMILIES, GeodesicPath, PotentialFamily,
+                           centro_affine_lift, dual_coords, dual_potential,
+                           family_model, geodesic, graph_realization,
+                           hessian_metric, legendre_inverse, load_family,
+                           potential)
 from igeo.errors import LeftDomain, OutOfDomain, OutOfDualDomain, SchemaError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -52,6 +53,33 @@ class TestPotential:
                 want = logsumexp(expo if w is None else expo + np.log(w))
                 assert potential(fam, theta) == pytest.approx(want, rel=1e-15, abs=0)
         assert potential(families[-1][0], [0.5]) == 0.5
+
+    def test_memoized_per_family(self, monkeypatch):
+        fam = FAMILIES["normal-natural"]()
+        theta = (-0.5, 0.1)
+        H = hessian_metric(fam, theta)
+        evaluations = []
+        real = PotentialFamily.exponent
+
+        def exponent(self, x, th):
+            evaluations.append(1)
+            return real(self, x, th)
+
+        monkeypatch.setattr(PotentialFamily, "exponent", exponent)
+        assert np.array_equal(hessian_metric(fam, theta), H)
+        assert evaluations == []
+        stored = len(fam.memo)
+        for _ in range(2):
+            with pytest.raises(OutOfDomain):
+                potential(fam, (0.5, 0.0))
+        assert len(fam.memo) == stored
+        # a copy with another base measure starts with an empty memo
+        doubled = dataclasses.replace(
+            fam, base=lambda x: np.full(len(x), math.log(2.0)))
+        assert len(doubled.memo) == 0
+        assert potential(doubled, theta) == pytest.approx(
+            potential(fam, theta) + math.log(2.0), abs=1e-12)
+        assert evaluations == [1]
 
 
 class TestLegendre:

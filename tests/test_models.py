@@ -135,6 +135,15 @@ class TestCatalog:
         with pytest.raises(SchemaError):
             models.normal_mean_sigma()
 
+    def test_spec_node_count_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("IGEO_QUAD_NODES", "48")
+        quad = {"kind": "gauss-hermite", "nodes": 20}
+        space = models.space_from_doc({"kind": "real-line", "quadrature": quad})
+        assert space.rule.nodes == 20
+        quad.pop("nodes")
+        space = models.space_from_doc({"kind": "real-line", "quadrature": quad})
+        assert space.rule.nodes == 48
+
 
 class TestLoadModel:
     def test_builtin_reference(self):

@@ -9,7 +9,7 @@ from igeo import numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
 from igeo.numerics import (DiffScheme, ExpectationRule, derive, expect,
-                           solve_frame)
+                           gradient, hessian, solve_frame)
 
 
 class TestDerive:
@@ -83,6 +83,57 @@ class TestDerive:
         cubic = lambda x: c2 * x[0] ** 3 + c1 * x[0] + c0
         d2 = derive(cubic, point, (0, 0))
         assert d2 == pytest.approx(6 * c2 * point[0], abs=1e-8, rel=1e-8)
+
+
+def _scalar_fn(x):
+    return math.sin(x[0]) * math.exp(0.3 * x[1]) + x[2] ** 3 / 7.0
+
+
+def _array_fn(x):
+    return np.array([[x[0] * x[1], math.cos(x[2])], [x[1] ** 2, x[0] * x[2]]])
+
+
+class TestGradientHessian:
+    """The stacked primitives equal one derive call per index, bit for bit."""
+
+    POINT = (0.3, -0.7, 1.1)
+
+    @pytest.mark.parametrize("fn", [_scalar_fn, _array_fn])
+    @pytest.mark.parametrize("levels", [None, 0, 1, 2])
+    def test_gradient_equals_derive_per_coordinate(self, fn, levels):
+        scheme = None if levels is None else DiffScheme(
+            order=1, base_step=2.0**-10, richardson_levels=levels)
+        got = gradient(fn, self.POINT, scheme)
+        want = np.stack([np.asarray(derive(fn, self.POINT, (a,), scheme))
+                         for a in range(3)])
+        assert got.shape == (3,) + np.shape(fn(np.array(self.POINT)))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", [_scalar_fn, _array_fn])
+    @pytest.mark.parametrize("levels", [None, 0, 1, 2])
+    def test_hessian_equals_derive_per_pair(self, fn, levels):
+        scheme = None if levels is None else DiffScheme(
+            order=2, base_step=2.0**-8, richardson_levels=levels)
+        got = hessian(fn, self.POINT, scheme)
+        assert got.shape == (3, 3) + np.shape(fn(np.array(self.POINT)))
+        for a in range(3):
+            for b in range(3):
+                want = derive(fn, self.POINT, (min(a, b), max(a, b)), scheme)
+                assert np.array_equal(got[a, b], want)
+
+    def test_one_coordinate(self):
+        assert np.array_equal(gradient(lambda x: x[0] ** 2, 1.5),
+                              [derive(lambda x: x[0] ** 2, 1.5, (0,))])
+        assert hessian(lambda x: x[0] ** 3, 0.5).shape == (1, 1)
+
+    @pytest.mark.parametrize("stack", [gradient, hessian])
+    def test_errors_propagate(self, stack):
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(StencilOutOfDomain):
+            stack(lambda x: x[0] * x[1], (0.5, 1.0 - 1e-9), domain=box)
+        # only the stencils along the second coordinate meet the NaN
+        with pytest.raises(NonFinite):
+            stack(lambda x: x[0] if x[1] == 0.5 else np.nan, (0.5, 0.5))
 
 
 class TestExpect:
