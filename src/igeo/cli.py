@@ -88,12 +88,21 @@ class RunSpec:
                 raise SchemaError(f"check {c!r} does not apply to a {kind}")
         grid_doc = doc.get("grid")
         if grid_doc is not None:
+            if not isinstance(grid_doc, dict):
+                raise SchemaError("grid must be a mapping")
             for key in ("lo", "hi", "counts"):
-                if key not in grid_doc:
-                    raise SchemaError(f'grid needs "{key}"')
-            if any(int(c) < 1 for c in grid_doc["counts"]):
+                if not isinstance(grid_doc.get(key), list):
+                    raise SchemaError(f'grid needs a list "{key}"')
+            for key in ("lo", "hi"):
+                for v in grid_doc[key]:
+                    models.number_from_doc(float, v, f"grid {key}")
+            if any(models.number_from_doc(int, c, "grid count") < 1
+                   for c in grid_doc["counts"]):
                 raise SchemaError("grid counts must be >= 1")
-        alphas = tuple(float(a) for a in doc.get("alpha", [1.0]))
+        alphas = doc.get("alpha", [1.0])
+        if not isinstance(alphas, list):
+            raise SchemaError("alpha must be a list of numbers")
+        alphas = tuple(models.number_from_doc(float, a, "alpha") for a in alphas)
         tolerances = dict(doc.get("tolerances", {}))
         for name in tolerances:
             if name not in DEFAULT_TOLERANCES:
@@ -106,13 +115,15 @@ class RunSpec:
         seed = doc.get("seed")
         if seed_override is not None:
             seed = seed_override
+        if seed is not None:
+            seed = models.number_from_doc(int, seed, "seed")
         geodesic_doc = doc.get("geodesic")
         if "geodesic" in checks and geodesic_doc is None:
             raise SchemaError('the geodesic check needs a "geodesic" block '
                               '(theta0, v0, t_final, steps)')
         return cls(kind=kind, subject_doc=subject_doc, grid_doc=grid_doc,
                    checks=tuple(checks), alphas=alphas, tolerances=tolerances,
-                   expect=expect, seed=None if seed is None else int(seed),
+                   expect=expect, seed=seed,
                    geodesic_doc=geodesic_doc,
                    label=str(doc.get("label", kind)), raw=doc)
 
@@ -429,14 +440,21 @@ def _check_centro_affine_lift(spec, subject, grid, model):
                                   "connection, rho = -d log psi")
 
 
-def _check_autoparallel(spec, subject, grid, model):
-    tol = spec.tol("autoparallel")
+def _embedding_sweep(spec, subject, grid, check):
+    """Embedding curvature of the ambient alpha-connection over the grid,
+    held against the check's tolerance; the status honours ``expect``."""
+    tol = spec.tol(check)
     alpha = spec.alphas[0]
-    conn = infogeo.alpha_field(subject.ambient, alpha)
-    gf = infogeo.fisher_field(subject.ambient)
-    rep = submanifold.autoparallel_check(subject, conn, gf, grid, tol=tol)
-    expected = _expected_flag(spec, "autoparallel", True, alpha)
-    return CheckResult(status=_assert_status(rep.autoparallel == expected),
+    rep = submanifold.autoparallel_check(
+        subject, infogeo.alpha_field(subject.ambient, alpha),
+        infogeo.fisher_field(subject.ambient), grid, tol=tol)
+    expected = _expected_flag(spec, check, True, alpha)
+    return rep, alpha, tol, _assert_status(rep.autoparallel == expected)
+
+
+def _check_autoparallel(spec, subject, grid, model):
+    rep, alpha, tol, status = _embedding_sweep(spec, subject, grid, "autoparallel")
+    return CheckResult(status=status,
                        residuals={"autoparallel": rep.autoparallel,
                                   "max_abs_H": rep.max_abs,
                                   "alpha": alpha},
@@ -446,17 +464,12 @@ def _check_autoparallel(spec, subject, grid, model):
 
 
 def _check_embedding_curvature(spec, subject, grid, model):
-    tol = spec.tol("embedding-curvature")
-    alpha = spec.alphas[0]
-    conn = infogeo.alpha_field(subject.ambient, alpha)
-    gf = infogeo.fisher_field(subject.ambient)
-    worst = 0.0
-    for u in grid:
-        worst = max(worst, submanifold.embedding_curvature(
-            subject, conn, gf, u).max_abs)
-    return CheckResult(status="pass",
-                       residuals={"max_abs_H": worst, "alpha": alpha},
-                       tolerance=tol, provenance="informational sweep")
+    rep, alpha, tol, status = _embedding_sweep(spec, subject, grid,
+                                               "embedding-curvature")
+    return CheckResult(status=status,
+                       residuals={"max_abs_H": rep.max_abs, "alpha": alpha},
+                       tolerance=tol,
+                       provenance="largest embedding curvature over the grid")
 
 
 def _check_geodesic(spec, subject, grid, model):

@@ -28,7 +28,7 @@ from .errors import DegenerateH, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
-from .models import Box, domain_from_doc
+from .models import Box, domain_from_doc, number_from_doc
 from .numerics import DiffScheme, PointMemo, gradient, hessian, solve_frame
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
@@ -450,7 +450,7 @@ def load_surface(doc: dict) -> Hypersurface:
     for key in ("name", "dim", "chart", "domain"):
         if key not in doc:
             raise SchemaError(f"surface document is missing {key!r}")
-    dim = int(doc["dim"])
+    dim = number_from_doc(int, doc["dim"], "surface dim")
     chart_exprs = doc["chart"]
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")

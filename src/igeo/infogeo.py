@@ -10,6 +10,16 @@ Index conventions, fixed across the toolkit (all arrays are numpy):
 All formulas are coordinate expressions in a frame with vanishing brackets,
 so no explicit commutator terms appear.  Tensor fields are represented as
 plain callables of the parameter point wrapped in small dataclasses.
+
+Every alpha-connection splits into two alpha-independent moments of the
+log-density l (Amari & Nagaoka 2000, sec. 2.3):
+
+    Gamma^a_{ij,k} = A_{ijk} + (1-a)/2 T_{ijk},
+    A = E[d_i d_j l d_k l],  T = E[d_i l d_j l d_k l].
+
+Under a node rule, A, T and the Fisher metric g = E[d_i l d_j l] are taken
+from one log-density jet per point and stored on the model's memo, so any
+number of alphas cost one jet.
 """
 
 from __future__ import annotations
@@ -122,11 +132,14 @@ def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
 def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
     nodes = node_quadrature(model.space)
     if nodes is not None:
-        xs, w = nodes
-        s = score_matrix(model, th, xs)
-        p = np.exp(model.log_density(xs, th))
-        pw = p if w is None else p * w
-        g = np.einsum("in,jn,n->ij", s, s, pw)
+        # the moments, when stored, hold the same einsum over the same scores;
+        # otherwise only the scores are taken, never the wider Hessian stencil
+        moments = model.memo.peek(("moments", th.tobytes()))
+        if moments is not None:
+            g = moments.g
+        else:
+            xs, w = nodes
+            g = _score_gram(score_matrix(model, th, xs), _node_weights(model, th, xs, w))
     else:
         n = model.dim
         g = np.empty((n, n))
@@ -137,11 +150,46 @@ def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
                     s = score_matrix(model, th, x)
                     return s[i] * s[j]
                 g[i, j] = g[j, i] = expect(model.space, weight, integrand)
-    g = 0.5 * (g + g.T)
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > _METRIC_CONDITION_CAP:
         raise SingularMetric(f"Fisher metric condition {cond:.3e} exceeds cap")
     return g
+
+
+def _node_weights(model: StatisticalModel, th: np.ndarray, xs, w) -> np.ndarray:
+    """p * w on the quadrature nodes (p alone for the counting measure)."""
+    p = np.exp(model.log_density(xs, th))
+    return p if w is None else p * w
+
+
+def _score_gram(s: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    g = np.einsum("in,jn,n->ij", s, s, pw)
+    return 0.5 * (g + g.T)
+
+
+@dataclass(frozen=True, eq=False)
+class _Moments:
+    """The alpha-independent moments of the log-density jet at one point."""
+
+    g: np.ndarray  # E[s_i s_j], symmetrised
+    A: np.ndarray  # E[d_i d_j l * s_k]
+    T: np.ndarray  # E[s_i s_j s_k]
+
+
+def _moments(model: StatisticalModel, th: np.ndarray) -> _Moments:
+    """Node-rule moments at th, memoized per model and point.  The jet
+    (scores, second log-derivatives, p * w) is evaluated once and dropped."""
+
+    def compute():
+        xs, w = node_quadrature(model.space)
+        s = score_matrix(model, th, xs)
+        dd = second_log_derivs(model, th, xs)
+        pw = _node_weights(model, th, xs, w)
+        return _Moments(g=_score_gram(s, pw),
+                        A=np.einsum("ijn,kn,n->ijk", dd, s, pw),
+                        T=np.einsum("in,jn,kn,n->ijk", s, s, s, pw))
+
+    return model.memo.get(("moments", th.tobytes()), compute)
 
 
 def fisher_field(model: StatisticalModel) -> MetricField:
@@ -152,9 +200,12 @@ def fisher_field(model: StatisticalModel) -> MetricField:
 def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray:
     """Lowered alpha-connection coefficients.
 
-    Gamma^a_{ij,k} = E[(d_i d_j l + (1-a)/2 d_i l d_j l) d_k l], symmetric in
-    (i, j) by construction of the central stencils.  Memoized per model,
-    point and alpha; the returned array is read-only.
+    Gamma^a_{ij,k} = E[(d_i d_j l + (1-a)/2 d_i l d_j l) d_k l]
+                   = A_{ijk} + (1-a)/2 T_{ijk},
+    with A = E[d_i d_j l d_k l] and the skewness T = E[d_i l d_j l d_k l];
+    symmetric in (i, j) by construction of the central stencils.  Under a
+    node rule A and T are taken once per point and serve every alpha.
+    Memoized per model, point and alpha; the returned array is read-only.
     """
     th = model.check_theta(theta)
     return model.memo.get(("alpha", th.tobytes(), float(alpha)),
@@ -164,15 +215,9 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
 def _alpha_connection(model: StatisticalModel, th: np.ndarray,
                       alpha: float) -> np.ndarray:
     c = (1.0 - alpha) / 2.0
-    nodes = node_quadrature(model.space)
-    if nodes is not None:
-        xs, w = nodes
-        s = score_matrix(model, th, xs)
-        dd = second_log_derivs(model, th, xs)
-        p = np.exp(model.log_density(xs, th))
-        pw = p if w is None else p * w
-        core = dd + c * s[:, None, :] * s[None, :, :]
-        return np.einsum("ijn,kn,n->ijk", core, s, pw)
+    if node_quadrature(model.space) is not None:
+        moments = _moments(model, th)
+        return moments.A + c * moments.T
     n = model.dim
     low = np.empty((n, n, n))
     weight = model.density(th)

@@ -469,6 +469,14 @@ def _require(doc: dict, key: str, types, where: str = "document"):
     return value
 
 
+def number_from_doc(convert: Callable, value, what: str):
+    """``convert(value)`` for a spec field; SchemaError when it is no number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a number, got {value!r}") from None
+
+
 def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
     """The open box ``doc["domain"] = {"lo": [...], "hi": [...]}``, of
     dimension ``dim`` when given; SchemaError for anything else."""
@@ -485,18 +493,22 @@ def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
 
 def _rule_from_doc(doc: dict) -> ExpectationRule:
     kind = _require(doc, "kind", str)
+
+    def number(key, convert, default):
+        return number_from_doc(convert, doc.get(key, default), f"quadrature {key}")
+
     if kind == "gauss-hermite":
         return ExpectationRule.gauss_hermite(
-            nodes=int(doc["nodes"]) if "nodes" in doc else default_quad_nodes(64),
-            loc=float(doc.get("loc", 0.0)), scale=float(doc.get("scale", 1.0)))
+            nodes=number("nodes", int, None) if "nodes" in doc else default_quad_nodes(64),
+            loc=number("loc", float, 0.0), scale=number("scale", float, 1.0))
     if kind == "adaptive-quadrature":
-        return ExpectationRule.adaptive(tol=float(doc.get("tol", 1e-10)))
+        return ExpectationRule.adaptive(tol=number("tol", float, 1e-10))
     if kind == "monte-carlo":
         if "seed" not in doc:
             raise SchemaError("monte-carlo quadrature requires a seed")
         return ExpectationRule.monte_carlo(
-            nodes=int(doc.get("nodes", 4096)), seed=int(doc["seed"]),
-            loc=float(doc.get("loc", 0.0)), scale=float(doc.get("scale", 1.0)))
+            nodes=number("nodes", int, 4096), seed=number("seed", int, None),
+            loc=number("loc", float, 0.0), scale=number("scale", float, 1.0))
     raise SchemaError(f"unknown quadrature kind {kind!r}")
 
 
@@ -506,7 +518,7 @@ def space_from_doc(doc: dict) -> SampleSpace:
         return SampleSpace.finite(_require(doc, "points", list))
     if kind in ("real-line", "real-k"):
         rule = _rule_from_doc(_require(doc, "quadrature", dict))
-        k = int(doc.get("k", 1)) if kind == "real-k" else 1
+        k = number_from_doc(int, doc.get("k", 1), "space k") if kind == "real-k" else 1
         return SampleSpace.real(k, rule)
     raise SchemaError(f"unknown sample space kind {kind!r}")
 

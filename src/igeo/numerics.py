@@ -344,9 +344,11 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     return np.linalg.solve(A, np.asarray(rhs, dtype=float))
 
 
-# Entries one PointMemo holds before it starts over: four times what the
-# grid checks of one 3x3-grid run store (at most 243), and about 1.2 MB
-# when full of 2-d immersion data.  Geodesics stream new points through.
+# Entries one PointMemo holds before it starts over: three times what the
+# grid checks of one 3x3-grid run store (at most 324: the Fisher metric,
+# the jet moments and two alpha-connections at each of 81 points), and
+# about 1.2 MB when full of 2-d immersion data.  Geodesics stream new
+# points through.
 MEMO_SIZE = 1024
 
 
@@ -365,6 +367,10 @@ class PointMemo:
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def peek(self, key):
+        """The stored value, or None; never computes or stores."""
+        return self._store.get(key)
 
     def get(self, key, compute: Callable):
         try:

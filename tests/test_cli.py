@@ -272,6 +272,60 @@ class TestMain:
         assert cli.main(["verify", "--spec", str(spec)]) == 2
         assert "domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["grid-count", "grid-lo", "alpha", "seed",
+                                       "surface-dim", "quadrature-nodes", "space-k"])
+    def test_bad_number_exits_two(self, tmp_path, capsys, field):
+        grid = {"lo": [-0.5], "hi": [0.5], "counts": [3]}
+        doc = {"subject": {"model": "bernoulli-natural"}, "checks": ["validate"],
+               "grid": grid}
+        if field == "grid-count":
+            grid["counts"] = ["a"]
+        elif field == "grid-lo":
+            grid["lo"] = [None]
+        elif field == "alpha":
+            doc["alpha"] = [1.0, "minus one"]
+        elif field == "seed":
+            doc["seed"] = "x"
+        elif field == "surface-dim":
+            doc = {"subject": {"surface": {
+                       "name": "s", "dim": "two", "chart": ["u[0]", "u[1]", "u[0]*u[1]"],
+                       "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}},
+                   "checks": ["classify"]}
+        else:
+            rule = {"kind": "gauss-hermite", "nodes": 16}
+            space = {"kind": "real-k", "k": 1, "quadrature": rule}
+            if field == "quadrature-nodes":
+                rule["nodes"] = "many"
+            else:
+                space["k"] = "one"
+            doc["subject"] = {"model": {
+                "name": "m", "dim": 1, "space": space,
+                "domain": {"lo": [-1.0], "hi": [1.0]},
+                "log_density": "-0.5*(x[0]-theta[0])^2 - 0.9189385332046727"}}
+        spec = self._write_spec(tmp_path, doc)
+        assert cli.main(["verify", "--spec", str(spec)]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
+    def test_embedding_curvature_enforces_its_tolerance(self, tmp_path):
+        bent = {"subject": {"embedding": {
+                    "name": "bent-slice", "ambient": "normal-natural",
+                    "map": ["-0.5 + 0.2*u[0]^2", "u[0]"],
+                    "domain": {"lo": [-0.4], "hi": [0.4]}}},
+                "grid": {"lo": [-0.3], "hi": [0.3], "counts": [3]},
+                "checks": ["autoparallel", "embedding-curvature"]}
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--spec", str(self._write_spec(tmp_path, bent)),
+                         "--out", str(out)])
+        results = json.loads(out.read_text())["runs"][0]["results"]
+        assert code == 1
+        assert results["embedding-curvature"]["status"] == "fail"
+        assert results["embedding-curvature"]["residuals"]["max_abs_H"] > 0.1
+        assert results["autoparallel"]["status"] == "fail"
+        bent["expect"] = {"autoparallel": False, "embedding-curvature": False}
+        code = cli.main(["verify", "--spec", str(self._write_spec(tmp_path, bent)),
+                         "--out", str(out)])
+        assert code == 0
+
     def test_classify_subcommand(self, tmp_path, sphere_spec):
         doc = dict(sphere_spec)
         doc.pop("checks")
@@ -378,6 +432,22 @@ class TestSubjectMemo:
         assert infogeo.alpha_connection(model, theta.copy(), -1.0) is low
         assert immersion.decompose(surf, np.array([0.3, 0.4])) is data
         assert len(evaluations) == count
+
+    def test_alphas_and_metric_share_one_jet(self):
+        evaluations = []
+        base = models.normal_natural()
+
+        def log_density(x, th):
+            evaluations.append(1)
+            return base.log_density(x, th)
+
+        model = dataclasses.replace(base, log_density=log_density)
+        theta = np.array([-0.5, 0.1])
+        for alpha in (1.0, -1.0, 0.5):
+            infogeo.alpha_connection(model, theta, alpha)
+        infogeo.fisher_metric(model, theta)
+        # 4 score nodes, 10 second-derivative nodes and p itself, once
+        assert len(evaluations) == 15
 
     def test_errors_are_raised_and_never_stored(self):
         model = models.bernoulli_natural()

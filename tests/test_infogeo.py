@@ -96,6 +96,40 @@ class TestAlphaConnection:
             assert np.abs(lc - a0).max() < 1e-4
 
 
+class TestSharedMoments:
+    """Under a node rule the Fisher metric and every alpha-connection are
+    read from one set of moments; they must equal the per-alpha formula."""
+
+    @pytest.mark.parametrize("name", sorted(models.CATALOG))
+    def test_match_the_per_alpha_formula(self, name):
+        factory = models.CATALOG[name]
+        xs, w = models.node_quadrature(factory().space)
+        for theta in models.reference_grid(name):
+            model = factory()
+            s = models.score_matrix(model, theta, xs)
+            dd = models.second_log_derivs(model, theta, xs)
+            p = np.exp(model.log_density(xs, theta))
+            pw = p if w is None else p * w
+            g = np.einsum("in,jn,n->ij", s, s, pw)
+            g = 0.5 * (g + g.T)
+            # scores alone first, then read back from the stored moments
+            assert np.array_equal(fisher_metric(model, theta), g)
+            model = factory()
+            for alpha in (-1.0, 0.0, 0.5, 1.0):
+                c = (1.0 - alpha) / 2.0
+                core = dd + c * s[:, None, :] * s[None, :, :]
+                expected = np.einsum("ijn,kn,n->ijk", core, s, pw)
+                got = alpha_connection(model, theta, alpha)
+                if alpha == 1.0:
+                    assert np.array_equal(got, expected)
+                else:
+                    # roundoff scale of the node sums; on location families
+                    # Gamma vanishes and max|Gamma| is itself cancellation noise
+                    scale = np.einsum("ijn,kn,n->ijk", np.abs(core), np.abs(s), pw).max()
+                    assert np.abs(got - expected).max() <= 1e-12 * scale
+            assert np.array_equal(fisher_metric(model, theta), g)
+
+
 class TestRaiseLower:
     def test_identity_metric(self):
         low = np.arange(8.0).reshape(2, 2, 2)
