@@ -51,6 +51,39 @@ DEFAULT_TOLERANCES = {
 _SUBJECT_KINDS = ("model", "surface", "family", "embedding")
 
 
+@dataclass(frozen=True)
+class GeodesicSpec:
+    """A spec's geodesic block: the alpha-geodesic from ``theta0`` with
+    velocity ``v0``, integrated to ``t_final`` in ``steps`` RK4 steps."""
+
+    theta0: tuple
+    v0: tuple
+    t_final: float
+    steps: int
+    alpha: float
+
+    @classmethod
+    def from_dict(cls, doc) -> "GeodesicSpec":
+        if not isinstance(doc, dict):
+            raise SchemaError("geodesic must be a mapping")
+        vectors = {}
+        for key in ("theta0", "v0"):
+            if not isinstance(doc.get(key), list):
+                raise SchemaError(f'geodesic needs a list "{key}"')
+            vectors[key] = tuple(models.number_from_doc(float, v, f"geodesic {key}")
+                                 for v in doc[key])
+        geo = cls(**vectors,
+                  t_final=models.number_from_doc(float, doc.get("t_final", 1.0),
+                                                 "geodesic t_final"),
+                  steps=models.number_from_doc(int, doc.get("steps", 1000),
+                                               "geodesic steps"),
+                  alpha=models.number_from_doc(float, doc.get("alpha", 1.0),
+                                               "geodesic alpha"))
+        if geo.steps < 1 or not geo.t_final > 0:
+            raise SchemaError("geodesic needs steps >= 1 and t_final > 0")
+        return geo
+
+
 @dataclass(frozen=True, eq=False)
 class RunSpec:
     """Validated run description."""
@@ -63,7 +96,7 @@ class RunSpec:
     tolerances: dict
     expect: dict
     seed: Optional[int]
-    geodesic_doc: Optional[dict]
+    geodesic: Optional[GeodesicSpec]
     label: str
     raw: dict
 
@@ -117,14 +150,15 @@ class RunSpec:
             seed = seed_override
         if seed is not None:
             seed = models.number_from_doc(int, seed, "seed")
-        geodesic_doc = doc.get("geodesic")
-        if "geodesic" in checks and geodesic_doc is None:
+        geodesic = doc.get("geodesic")
+        if "geodesic" in checks and geodesic is None:
             raise SchemaError('the geodesic check needs a "geodesic" block '
                               '(theta0, v0, t_final, steps)')
+        if geodesic is not None:
+            geodesic = GeodesicSpec.from_dict(geodesic)
         return cls(kind=kind, subject_doc=subject_doc, grid_doc=grid_doc,
                    checks=tuple(checks), alphas=alphas, tolerances=tolerances,
-                   expect=expect, seed=seed,
-                   geodesic_doc=geodesic_doc,
+                   expect=expect, seed=seed, geodesic=geodesic,
                    label=str(doc.get("label", kind)), raw=doc)
 
     def tol(self, check: str, fallback: Optional[float] = None) -> Optional[float]:
@@ -472,14 +506,15 @@ def _check_embedding_curvature(spec, subject, grid, model):
                        provenance="largest embedding curvature over the grid")
 
 
+def _integrate_geodesic(spec: RunSpec, model) -> dualflat.GeodesicPath:
+    geo = spec.geodesic
+    return dualflat.geodesic(infogeo.alpha_field(model, geo.alpha), geo.theta0,
+                             geo.v0, geo.t_final, geo.steps, domain=model.domain)
+
+
 def _check_geodesic(spec, subject, grid, model):
-    doc = spec.geodesic_doc
-    alpha = float(doc.get("alpha", 1.0))
-    conn = infogeo.alpha_field(model, alpha)
-    path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
-                             float(doc.get("t_final", 1.0)),
-                             int(doc.get("steps", 1000)),
-                             domain=model.domain)
+    alpha = spec.geodesic.alpha
+    path = _integrate_geodesic(spec, model)
     gf = infogeo.fisher_field(model)
     speeds = [float(v @ gf(th) @ v) for th, v in
               zip(path.theta[::max(1, len(path.theta) // 20)],
@@ -687,11 +722,7 @@ def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
 
 
 def dump_geodesic_csv(spec: RunSpec, model, out_path: Path):
-    doc = spec.geodesic_doc
-    conn = infogeo.alpha_field(model, float(doc.get("alpha", 1.0)))
-    path = dualflat.geodesic(conn, doc["theta0"], doc["v0"],
-                             float(doc.get("t_final", 1.0)),
-                             int(doc.get("steps", 1000)), domain=model.domain)
+    path = _integrate_geodesic(spec, model)
     n = path.theta.shape[1]
     header = (["step", "t"] + [f"theta_{i}" for i in range(n)]
               + [f"v_{i}" for i in range(n)])
@@ -766,7 +797,7 @@ def main(argv=None) -> int:
             for run_ in report.runs:
                 spec = run_.spec
                 if args.command == "geodesic":
-                    if spec.geodesic_doc is None or run_.model is None:
+                    if spec.geodesic is None or run_.model is None:
                         raise SchemaError("geodesic command needs a model or "
                                           "family spec with a geodesic block")
                     dump_geodesic_csv(spec, run_.model,

@@ -139,7 +139,8 @@ def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
             g = moments.g
         else:
             xs, w = nodes
-            g = _score_gram(score_matrix(model, th, xs), _node_weights(model, th, xs, w))
+            g = _score_gram(score_matrix(model, th, xs),
+                            _node_weights(model.log_density(xs, th), w))
     else:
         n = model.dim
         g = np.empty((n, n))
@@ -156,9 +157,9 @@ def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
     return g
 
 
-def _node_weights(model: StatisticalModel, th: np.ndarray, xs, w) -> np.ndarray:
+def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
     """p * w on the quadrature nodes (p alone for the counting measure)."""
-    p = np.exp(model.log_density(xs, th))
+    p = np.exp(log_p)
     return p if w is None else p * w
 
 
@@ -178,13 +179,16 @@ class _Moments:
 
 def _moments(model: StatisticalModel, th: np.ndarray) -> _Moments:
     """Node-rule moments at th, memoized per model and point.  The jet
-    (scores, second log-derivatives, p * w) is evaluated once and dropped."""
+    (scores, second log-derivatives, p * w) is evaluated once and dropped;
+    the log-density at th itself is evaluated once, for p and for the centre
+    node of every diagonal second derivative."""
 
     def compute():
         xs, w = node_quadrature(model.space)
+        log_p = model.log_density(xs, th)
         s = score_matrix(model, th, xs)
-        dd = second_log_derivs(model, th, xs)
-        pw = _node_weights(model, th, xs, w)
+        dd = second_log_derivs(model, th, xs, centre=log_p)
+        pw = _node_weights(log_p, w)
         return _Moments(g=_score_gram(s, pw),
                         A=np.einsum("ijn,kn,n->ijk", dd, s, pw),
                         T=np.einsum("in,jn,kn,n->ijk", s, s, s, pw))

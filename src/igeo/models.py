@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri, pdtrc
 
 from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
@@ -213,10 +213,13 @@ def score_matrix(model: StatisticalModel, theta, xs,
 
 
 def second_log_derivs(model: StatisticalModel, theta, xs,
-                      scheme: DiffScheme = HESSIAN_SCHEME) -> np.ndarray:
-    """Second parameter derivatives of the log-density, shape (dim, dim, N)."""
+                      scheme: DiffScheme = HESSIAN_SCHEME,
+                      centre: Optional[np.ndarray] = None) -> np.ndarray:
+    """Second parameter derivatives of the log-density, shape (dim, dim, N).
+    ``centre`` is the log-density at theta on xs, if the caller has it."""
     th = model.check_theta(theta)
-    return hessian(lambda t: model.log_density(xs, t), th, scheme, model.domain)
+    return hessian(lambda t: model.log_density(xs, t), th, scheme, model.domain,
+                   centre)
 
 
 def node_quadrature(space: SampleSpace):
@@ -232,17 +235,21 @@ def node_quadrature(space: SampleSpace):
     return None
 
 
+def normal_quantiles(rule: ExpectationRule, q) -> np.ndarray:
+    """Quantiles ``q`` of the normal law N(rule.loc, rule.scale**2)."""
+    return ndtri(q) * rule.scale + rule.loc
+
+
 def quadrature_sample(space: SampleSpace) -> np.ndarray:
-    """Representative sample points: the full support or the rule's nodes."""
+    """Representative sample points: the full support, the rule's nodes,
+    or for adaptive and Monte Carlo rules a ``normal_quantiles`` spread."""
     if space.points is not None:
         return space.points
     if space.rule.kind == "gauss-hermite":
         pts, _ = numerics.quadrature_nodes(space.rule.nodes, space.rule.loc,
                                            space.rule.scale, space.xdim)
         return pts
-    # adaptive / monte-carlo: deterministic quantile spread
-    qs = stats.norm.ppf(np.linspace(0.02, 0.98, 25),
-                        loc=space.rule.loc, scale=space.rule.scale)
+    qs = normal_quantiles(space.rule, np.linspace(0.02, 0.98, 25))
     if space.xdim == 1:
         return qs.reshape(-1, 1)
     grids = np.meshgrid(*([qs] * space.xdim), indexing="ij")
@@ -390,7 +397,8 @@ def poisson_natural() -> StatisticalModel:
     """
     hi = 2.5
     lam_max = math.exp(hi)
-    cutoff = int(stats.poisson.isf(1e-12, lam_max)) + 2
+    # smallest k with P(X > k) = pdtrc(k, lam_max) <= 1e-12
+    cutoff = next(k for k in count() if pdtrc(k, lam_max) <= 1e-12) + 2
     points = np.arange(cutoff + 1, dtype=float).reshape(-1, 1)
 
     def ll(x, th):

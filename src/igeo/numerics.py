@@ -9,7 +9,9 @@ built from three primitives:
                      partials over every coordinate (pair), the one path by
                      which stacked derivatives are taken.
 * ``expect``      -- expectations of an integrand against an explicit weight
-                     over a sample space, under one of four rules.
+                     over a sample space, under one of four rules; the
+                     adaptive rule loads ``scipy.integrate`` on first use,
+                     so importing this module needs numpy alone.
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
 
 All functions here are pure.  Two kinds of cache exist, and neither
@@ -29,7 +31,6 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 
@@ -89,7 +90,7 @@ def _in_domain(domain, x) -> bool:
 
 
 def derive(fn: Callable, point, multi_index: Sequence[int],
-           scheme: Optional[DiffScheme] = None, domain=None):
+           scheme: Optional[DiffScheme] = None, domain=None, centre=None):
     """Mixed partial derivative of ``fn`` at ``point`` by central differences.
 
     ``multi_index`` lists 0-based coordinate indices, one entry per
@@ -97,7 +98,9 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
     coordinate).  ``fn`` may return a scalar or an ndarray; the stencil is
     applied componentwise.  ``domain`` is an optional ``contains``-style
     object or predicate; stencil nodes outside it raise
-    ``StencilOutOfDomain``.
+    ``StencilOutOfDomain``.  ``centre``, when given, is ``fn(point)``: the
+    stencil node at ``point`` itself (a pure second derivative has one)
+    takes it instead of calling ``fn`` again.
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
     idx = tuple(int(i) for i in multi_index)
@@ -124,7 +127,8 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
             if not _in_domain(domain, x):
                 raise StencilOutOfDomain(
                     f"stencil node {x.tolist()} leaves the declared domain")
-            val = np.asarray(fn(x), dtype=float)
+            at_centre = centre is not None and not any(o for o, _ in combo)
+            val = np.asarray(centre if at_centre else fn(x), dtype=float)
             if not np.all(np.isfinite(val)):
                 raise NonFinite(f"fn returned a non-finite value at {x.tolist()}")
             total = coeff * val if total is None else total + coeff * val
@@ -151,15 +155,16 @@ def gradient(fn: Callable, point, scheme: Optional[DiffScheme] = None,
 
 
 def hessian(fn: Callable, point, scheme: Optional[DiffScheme] = None,
-            domain=None) -> np.ndarray:
+            domain=None, centre=None) -> np.ndarray:
     """``D[a, b] = d_a d_b fn`` at ``point``: one ``derive`` per pair a <= b,
-    taken in row-major order and mirrored into (b, a)."""
+    taken in row-major order and mirrored into (b, a).  ``centre`` is
+    ``fn(point)`` when the caller has it; every diagonal entry reuses it."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     n = point.size
     D = None
     for a in range(n):
         for b in range(a, n):
-            value = derive(fn, point, (a, b), scheme, domain)
+            value = derive(fn, point, (a, b), scheme, domain, centre)
             if D is None:
                 D = np.empty((n, n) + np.shape(value))
             D[a, b] = D[b, a] = value
@@ -282,6 +287,8 @@ def expect(space, weight: Callable, integrand: Callable,
         return float(np.dot(qweights, contrib))
 
     if rule.kind == "adaptive-quadrature":
+        from scipy import integrate
+
         def g(*coords):
             x = np.array([coords], dtype=float)
             w = float(np.asarray(weight(x)).reshape(()))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .dualflat import PotentialFamily, family_model
 from .errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
@@ -27,7 +26,7 @@ from .expressions import compile_chart
 from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
-                     load_model, second_log_derivs)
+                     load_model, normal_quantiles, second_log_derivs)
 from .numerics import gradient, hessian
 
 _RANK_TOL = 1e-8
@@ -160,17 +159,16 @@ def composed_model(emb: SubmanifoldEmbedding) -> StatisticalModel:
 # ---------------------------------------------------------------------------
 
 def probe_points(space: SampleSpace, count: int = 8) -> np.ndarray:
-    """Sample-space probes: quantile-spread for continuous, full support
-    (up to truncation) for discrete."""
+    """Sample-space probes: quantile-spread for continuous (through
+    ``models.normal_quantiles``), full support (up to truncation) for discrete."""
     if space.points is not None:
         return space.points
     if space.xdim == 1:
         qs = np.linspace(0.05, 0.95, max(count, 8))
-        x = sstats.norm.ppf(qs, loc=space.rule.loc, scale=space.rule.scale)
-        return x.reshape(-1, 1)
+        return normal_quantiles(space.rule, qs).reshape(-1, 1)
     per_dim = int(np.ceil(max(count, 8) ** (1.0 / space.xdim)))
     qs = np.linspace(0.05, 0.95, per_dim)
-    x1 = sstats.norm.ppf(qs, loc=space.rule.loc, scale=space.rule.scale)
+    x1 = normal_quantiles(space.rule, qs)
     grids = np.meshgrid(*([x1] * space.xdim), indexing="ij")
     return np.stack([gg.ravel() for gg in grids], axis=-1)
 

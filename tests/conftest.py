@@ -1,7 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from igeo import dualflat, models
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """``run_fresh(code)``: stdout of ``code`` run by a new interpreter
+    that imports igeo from this checkout; fails the test when it fails."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+
+    def run(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -242,6 +242,22 @@ class TestMain:
         for name in ("fisher.csv", "connection.csv", "grid.csv", "immersion.csv"):
             assert (csv_dir / name).read_bytes() == (fresh / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["verify", "geodesic"])
+    @pytest.mark.parametrize("field, value", [
+        ("steps", "many"), ("theta0", 0.5), ("v0", [0.1, "up"]),
+        ("t_final", None), ("alpha", "e"), ("steps", 0)])
+    def test_bad_geodesic_block_exits_two(self, tmp_path, capsys, command,
+                                          field, value):
+        block = {"theta0": [-0.5, 0.0], "v0": [0.05, 0.1], "t_final": 1.0,
+                 "steps": 10, "alpha": 1.0, field: value}
+        spec = self._write_spec(tmp_path, {
+            "subject": {"family": "normal-natural"}, "checks": ["geodesic"],
+            "geodesic": block})
+        assert cli.main([command, "--spec", str(spec), "--csv-dir", str(tmp_path),
+                         "--out", str(tmp_path / "r.json")]) == 2
+        assert "geodesic" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_geodesic_needs_a_model_subject(self, tmp_path):
         spec = self._write_spec(tmp_path, {
             "subject": {"surface": "paraboloid"}, "checks": ["classify"],
@@ -336,6 +352,14 @@ class TestMain:
         assert code == 0
         report = json.loads(out.read_text())
         assert list(report["runs"][0]["results"]) == ["classify"]
+
+
+class TestImports:
+    def test_cli_loads_neither_scipy_stats_nor_integrate(self, run_fresh):
+        out = run_fresh("import sys\nimport igeo.cli\n"
+                        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                        "(['scipy', 'stats'], ['scipy', 'integrate'])))")
+        assert out.strip() == "[]"
 
 
 class TestQuadNodesEnv:
@@ -434,20 +458,23 @@ class TestSubjectMemo:
         assert len(evaluations) == count
 
     def test_alphas_and_metric_share_one_jet(self):
-        evaluations = []
-        base = models.normal_natural()
+        # 2*dim score nodes, the second-derivative nodes other than theta
+        # itself, and the log-density at theta once: for p and for the
+        # centre node of every diagonal second derivative
+        for name, theta, count in (("normal-natural", [-0.5, 0.1], 4 + 8 + 1),
+                                   ("bernoulli-natural", [0.3], 2 + 2 + 1)):
+            evaluations = []
+            base = models.load_model({"builtin": name})
 
-        def log_density(x, th):
-            evaluations.append(1)
-            return base.log_density(x, th)
+            def log_density(x, th, base=base, evaluations=evaluations):
+                evaluations.append(1)
+                return base.log_density(x, th)
 
-        model = dataclasses.replace(base, log_density=log_density)
-        theta = np.array([-0.5, 0.1])
-        for alpha in (1.0, -1.0, 0.5):
-            infogeo.alpha_connection(model, theta, alpha)
-        infogeo.fisher_metric(model, theta)
-        # 4 score nodes, 10 second-derivative nodes and p itself, once
-        assert len(evaluations) == 15
+            model = dataclasses.replace(base, log_density=log_density)
+            for alpha in (1.0, -1.0, 0.5):
+                infogeo.alpha_connection(model, np.array(theta), alpha)
+            infogeo.fisher_metric(model, np.array(theta))
+            assert len(evaluations) == count, name
 
     def test_errors_are_raised_and_never_stored(self):
         model = models.bernoulli_natural()

@@ -112,6 +112,14 @@ class TestCatalog:
         mass = stats.poisson.cdf(pts.max(), lam)
         assert mass > 1.0 - 1e-10
 
+    def test_poisson_support_cutoff(self):
+        """The support ends two past the 1e-12 upper quantile at the largest
+        rate, 44 at e^2.5, where scipy.stats.poisson.isf puts it."""
+        from scipy import stats
+        points = CATALOG["poisson-natural"]().space.points[:, 0]
+        assert np.array_equal(points, np.arange(44 + 3))
+        assert int(stats.poisson.isf(1e-12, math.exp(2.5))) == 44
+
     def test_categorical_dimensions(self):
         model = models.categorical_natural(3)
         assert model.dim == 3
@@ -143,6 +151,46 @@ class TestCatalog:
         quad.pop("nodes")
         space = models.space_from_doc({"kind": "real-line", "quadrature": quad})
         assert space.rule.nodes == 48
+
+
+class TestNormalQuantiles:
+    """normal_quantiles equals scipy.stats.norm.ppf bit for bit."""
+
+    # the q grids of quadrature_sample (25 points) and probe_points (8 or
+    # more per axis in 1-d, ceil(count ** (1/xdim)) per axis otherwise)
+    Q_GRIDS = [np.linspace(0.02, 0.98, 25)] + [
+        np.linspace(0.05, 0.95, n) for n in (2, 3, 4, 8, 9, 10, 16, 25)]
+
+    def rules(self):
+        # every builtin's rule, and Monte Carlo rules with loc 0 and scale
+        # 2*s, s in [0.8, 1.25], as the model-grid benchmark draws them
+        rng = np.random.default_rng(5)
+        scales = np.concatenate([[1.6, 2.5], 2.0 * rng.uniform(0.8, 1.25, 200)])
+        return ([factory().space.rule for factory in CATALOG.values()]
+                + [ExpectationRule.monte_carlo(4096, seed=1, scale=float(s))
+                   for s in scales]
+                + [ExpectationRule.gauss_hermite(8, loc=float(loc), scale=float(s))
+                   for loc, s in zip(rng.uniform(-3, 3, 200), rng.uniform(0.05, 5, 200))])
+
+    def test_equals_norm_ppf(self):
+        from scipy import stats
+        for rule in self.rules():
+            for q in self.Q_GRIDS:
+                want = stats.norm.ppf(q, loc=rule.loc, scale=rule.scale)
+                assert np.array_equal(models.normal_quantiles(rule, q), want), rule
+
+    def test_sample_spreads_use_it(self):
+        from igeo.submanifold import probe_points
+        rule = ExpectationRule.monte_carlo(4096, seed=1, loc=0.3, scale=2.1)
+        for k in (1, 2):
+            space = SampleSpace.real(k, rule)
+            x25 = models.normal_quantiles(rule, np.linspace(0.02, 0.98, 25))
+            assert np.array_equal(models.quadrature_sample(space)[:, -1],
+                                  np.tile(x25, 25 ** (k - 1)))
+            per_axis = 8 if k == 1 else 3
+            x = models.normal_quantiles(rule, np.linspace(0.05, 0.95, per_axis))
+            assert np.array_equal(probe_points(space)[:, -1],
+                                  np.tile(x, per_axis ** (k - 1)))
 
 
 class TestLoadModel:

@@ -121,6 +121,27 @@ class TestGradientHessian:
                 want = derive(fn, self.POINT, (min(a, b), max(a, b)), scheme)
                 assert np.array_equal(got[a, b], want)
 
+    @pytest.mark.parametrize("fn", [_scalar_fn, _array_fn])
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_hessian_reuses_a_given_centre(self, fn, levels):
+        """fn(point), when the caller passes it, serves the centre node of
+        every diagonal entry at every Richardson level, bit for bit."""
+        scheme = DiffScheme(order=2, base_step=2.0**-8, richardson_levels=levels)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+
+        want = hessian(counted, self.POINT, scheme)
+        evaluated = len(calls)
+        calls.clear()
+        centre = fn(np.array(self.POINT))
+        assert np.array_equal(hessian(counted, self.POINT, scheme, centre=centre), want)
+        assert len(calls) == evaluated - 3 * (levels + 1)
+        with pytest.raises(NonFinite):
+            hessian(fn, self.POINT, scheme, centre=np.nan * np.asarray(centre))
+
     def test_one_coordinate(self):
         assert np.array_equal(gradient(lambda x: x[0] ** 2, 1.5),
                               [derive(lambda x: x[0] ** 2, 1.5, (0,))])
@@ -160,6 +181,22 @@ class TestExpect:
         pdf = lambda x: np.exp(-0.5 * x[..., 0] ** 2) / math.sqrt(2 * math.pi)
         val = expect(space, pdf, lambda x: x[..., 0] ** 4)
         assert val == pytest.approx(3.0, abs=1e-8)
+
+    def test_adaptive_quadrature_in_a_fresh_interpreter(self, run_fresh):
+        """numerics leaves scipy.integrate to the adaptive rule, which
+        imports it on its first call."""
+        code = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "from igeo.models import SampleSpace\n"
+            "from igeo.numerics import ExpectationRule, expect\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "space = SampleSpace.real_line(ExpectationRule.adaptive(1e-11))\n"
+            "pdf = lambda x: np.exp(-0.5 * x[..., 0] ** 2) / math.sqrt(2 * math.pi)\n"
+            "print(repr(expect(space, pdf, lambda x: x[..., 0] ** 4)))\n"
+            "assert 'scipy.integrate' in sys.modules\n")
+        out = run_fresh(code)
+        assert float(out) == pytest.approx(3.0, abs=1e-8)
 
     def test_monte_carlo_reproducible(self):
         rule = ExpectationRule.monte_carlo(20000, seed=7)
