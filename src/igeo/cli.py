@@ -126,6 +126,8 @@ class RunSpec:
             for key in ("lo", "hi", "counts"):
                 if not isinstance(grid_doc.get(key), list):
                     raise SchemaError(f'grid needs a list "{key}"')
+            if len({len(grid_doc[key]) for key in ("lo", "hi", "counts")}) != 1:
+                raise SchemaError("grid lo, hi and counts must have the same length")
             for key in ("lo", "hi"):
                 for v in grid_doc[key]:
                     models.number_from_doc(float, v, f"grid {key}")
@@ -145,6 +147,13 @@ class RunSpec:
         expect = doc.get("expect", {})
         if not isinstance(expect, dict):
             raise SchemaError("expect must be a mapping")
+        for name, flag in expect.items():
+            if name not in CHECKS:
+                raise SchemaError(f"expect names unknown check {name!r}")
+            # classify maps flag names; every other mapping is keyed by alpha
+            if isinstance(flag, dict) and name != "classify":
+                for key in flag:
+                    models.number_from_doc(float, key, f"expect {name} alpha")
         seed = doc.get("seed")
         if seed_override is not None:
             seed = seed_override
@@ -188,6 +197,8 @@ def _grid_points(spec: RunSpec, subject) -> list:
         quarter = (hi - lo) / 4.0
         return models.grid(lo + quarter, hi - quarter, [3] * lo.size)
     g = spec.grid_doc
+    if len(g["lo"]) != subject.domain.dim:
+        raise SchemaError(f"grid has dimension {len(g['lo'])}, expected {subject.domain.dim}")
     return models.grid(g["lo"], g["hi"], g["counts"])
 
 

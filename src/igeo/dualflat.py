@@ -29,9 +29,8 @@ from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
-                     StatisticalModel, domain_from_doc, node_quadrature,
-                     space_from_doc)
-from .numerics import PointMemo, expect, gradient, hessian
+                     StatisticalModel, domain_from_doc, space_from_doc)
+from .numerics import PointMemo, expect, gradient, hessian, node_quadrature
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,14 +366,15 @@ def load_family(doc: dict) -> PotentialFamily:
             raise SchemaError(f"family document is missing {key!r}")
     if not isinstance(doc["stats"], list) or not doc["stats"]:
         raise SchemaError("stats must be a non-empty list of expressions")
-    compiled = [compile_expression(e, ("x",)) for e in doc["stats"]]
+    space = space_from_doc(doc["space"])
+    variables = {"x": space.xdim}
+    compiled = [compile_expression(e, variables) for e in doc["stats"]]
     stats = tuple((lambda c: (lambda x: c({"x": x})))(c) for c in compiled)
     if "base" in doc:
-        base_c = compile_expression(doc["base"], ("x",))
+        base_c = compile_expression(doc["base"], variables)
         base = lambda x: base_c({"x": x}) * np.ones(len(x))
     else:
         base = lambda x: np.zeros(len(x))
     box = domain_from_doc(doc, len(stats))
-    space = space_from_doc(doc["space"])
     return PotentialFamily(stats=stats, base=base, space=space, domain=box,
                            label=doc.get("name", "family"))

@@ -9,7 +9,7 @@ environment dict; evaluation is vectorised through numpy.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,10 @@ def _build(node, variables):
         if not (isinstance(sl, ast.Constant) and isinstance(sl.value, int)):
             raise SchemaError("subscripts must be integer literals")
         index = sl.value
+        size = variables[var]
+        if size is not None and index >= size:
+            raise SchemaError(f"{var}[{index}] is out of range: {var} has "
+                              f"{size} component(s)")
         return lambda env: np.asarray(env[var])[..., index]
     if isinstance(node, ast.Name):
         raise UnknownSymbol(
@@ -72,11 +76,14 @@ def _build(node, variables):
     raise SchemaError(f"disallowed syntax: {ast.dump(node)}")
 
 
-def compile_expression(text: str, variables: Sequence[str] = ("x", "theta")) -> Callable:
+def compile_expression(text: str,
+                       variables: Optional[Mapping[str, Optional[int]]] = None) -> Callable:
     """Compile ``text`` into ``fn(env)`` where env maps variable names to arrays.
 
-    Variables are indexed along the last axis, so an ``x`` of shape ``(N, k)``
-    yields vectorised results of shape ``(N,)``.
+    ``variables`` maps each variable name to its number of components (None
+    for any; by default ``x`` and ``theta`` of any size); a subscript beyond
+    it is a SchemaError.  Variables are indexed along the last axis, so an
+    ``x`` of shape ``(N, k)`` yields vectorised results of shape ``(N,)``.
     """
     if not isinstance(text, str) or not text.strip():
         raise SchemaError("expression must be a non-empty string")
@@ -85,12 +92,13 @@ def compile_expression(text: str, variables: Sequence[str] = ("x", "theta")) -> 
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise SchemaError(f"cannot parse expression {text!r}: {exc}") from None
-    return _build(tree, tuple(variables))
+    return _build(tree, variables or {"x": None, "theta": None})
 
 
-def compile_chart(texts: Sequence[str]) -> Callable:
-    """Compile one expression over ``u`` per component into ``u -> ndarray``."""
-    comp = [compile_expression(t, ("u",)) for t in texts]
+def compile_chart(texts: Sequence[str], dim: int) -> Callable:
+    """Compile one expression over ``u`` (``dim`` components) per component
+    into ``u -> ndarray``."""
+    comp = [compile_expression(t, {"u": dim}) for t in texts]
 
     def chart(u):
         env = {"u": np.asarray(u, dtype=float)}

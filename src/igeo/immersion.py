@@ -454,7 +454,7 @@ def load_surface(doc: dict) -> Hypersurface:
     chart_exprs = doc["chart"]
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")
-    chart = compile_chart(chart_exprs)
+    chart = compile_chart(chart_exprs, dim)
     box = domain_from_doc(doc, dim)
 
     tr = doc.get("transversal", "centro-affine")
@@ -462,5 +462,5 @@ def load_surface(doc: dict) -> Hypersurface:
         return Hypersurface.centro_affine(chart, box, dim, label=doc["name"])
     if not isinstance(tr, list) or len(tr) != dim + 1:
         raise SchemaError('transversal must be "centro-affine" or dim+1 expressions')
-    return Hypersurface(chart=chart, transversal=compile_chart(tr), domain=box, dim=dim,
+    return Hypersurface(chart=chart, transversal=compile_chart(tr, dim), domain=box, dim=dim,
                         label=doc["name"])

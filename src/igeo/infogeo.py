@@ -17,9 +17,9 @@ log-density l (Amari & Nagaoka 2000, sec. 2.3):
     Gamma^a_{ij,k} = A_{ijk} + (1-a)/2 T_{ijk},
     A = E[d_i d_j l d_k l],  T = E[d_i l d_j l d_k l].
 
-Under a node rule, A, T and the Fisher metric g = E[d_i l d_j l] are taken
-from one log-density jet per point and stored on the model's memo, so any
-number of alphas cost one jet.
+Under a node rule (exact sum, Gauss-Hermite or Monte Carlo), A, T and the
+Fisher metric g = E[d_i l d_j l] are taken from one log-density jet per
+point and stored on the model's memo, so any number of alphas cost one jet.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .models import (HESSIAN_SCHEME, StatisticalModel, node_quadrature,
-                     score_matrix, second_log_derivs)
-from .numerics import DiffScheme, derive, expect, gradient
+from .models import (HESSIAN_SCHEME, StatisticalModel, score_matrix,
+                     second_log_derivs)
+from .numerics import DiffScheme, derive, expect, gradient, node_quadrature
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the

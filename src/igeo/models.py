@@ -8,6 +8,8 @@ reference grid.
 
 Array conventions: sample points always have shape ``(N, xdim)`` and
 vectorised callables over the sample space return shape ``(N,)``.
+Expectations over a space go through its rule: ``numerics.node_quadrature``
+gives the nodes of every rule but adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.special import gammaln, ndtri, pdtrc
 from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
-from .numerics import (DiffScheme, ExpectationRule, PointMemo, derive, expect,
+from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
                        gradient, hessian)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
@@ -93,8 +95,8 @@ class Box:
 class SampleSpace:
     """Sample space: finite point list or a real coordinate space.
 
-    Real spaces carry a default quadrature rule; finite spaces default to the
-    exact compensated sum.
+    Real spaces carry a quadrature rule; finite spaces take the exact
+    compensated sum and no other rule.
     """
 
     kind: str
@@ -110,17 +112,19 @@ class SampleSpace:
                 raise ValueError("finite-discrete spaces need >= 2 points")
             if len(np.unique(self.points, axis=0)) < 2:
                 raise ValueError("finite-discrete spaces need >= 2 distinct points")
+            if self.rule.kind != "exact-finite-sum":
+                raise ValueError("finite-discrete spaces take the exact sum only")
         else:
             if self.rule.kind == "exact-finite-sum":
                 raise ValueError("real sample spaces need a quadrature rule")
 
     @classmethod
-    def finite(cls, points, rule: Optional[ExpectationRule] = None) -> "SampleSpace":
+    def finite(cls, points) -> "SampleSpace":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         return cls(kind="finite-discrete", xdim=pts.shape[1],
-                   rule=rule or ExpectationRule.exact(), points=pts)
+                   rule=ExpectationRule.exact(), points=pts)
 
     @classmethod
     def real_line(cls, rule: ExpectationRule) -> "SampleSpace":
@@ -131,10 +135,6 @@ class SampleSpace:
         if k == 1:
             return cls.real_line(rule)
         return cls(kind="real-k", xdim=int(k), rule=rule)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "finite-discrete" and self.rule.kind == "exact-finite-sum"
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +171,7 @@ class StatisticalModel:
     @property
     def tolerance(self) -> float:
         """Residual tolerance profile: exact sums 1e-6, quadrature 1e-4."""
-        return 1e-6 if self.space.is_exact else 1e-4
+        return 1e-6 if self.space.kind == "finite-discrete" else 1e-4
 
 
 def log_density(model: StatisticalModel, x, theta) -> float:
@@ -182,15 +182,6 @@ def log_density(model: StatisticalModel, x, theta) -> float:
     if not math.isfinite(val):
         raise NonFinite(f"log-density not finite at x={x}, theta={th.tolist()}")
     return val
-
-
-def score(model: StatisticalModel, x, theta, i: int,
-          scheme: DiffScheme = SCORE_SCHEME) -> float:
-    """i-th score (0-based) at a single sample point, by central differences."""
-    th = model.check_theta(theta)
-    xa = _as_sample(model, x)
-    fn = lambda t: np.asarray(model.log_density(xa, t)).reshape(())
-    return float(derive(fn, th, (i,), scheme=scheme, domain=model.domain))
 
 
 def _as_sample(model: StatisticalModel, x) -> np.ndarray:
@@ -222,36 +213,17 @@ def second_log_derivs(model: StatisticalModel, theta, xs,
                    centre)
 
 
-def node_quadrature(space: SampleSpace):
-    """(points, weights) when the space's rule is node based, else None.
-
-    ``weights`` of None means the counting measure (plain sum over points).
-    """
-    if space.points is not None and space.rule.kind == "exact-finite-sum":
-        return space.points, None
-    if space.rule.kind == "gauss-hermite":
-        return numerics.quadrature_nodes(space.rule.nodes, space.rule.loc,
-                                         space.rule.scale, space.xdim)
-    return None
-
-
 def normal_quantiles(rule: ExpectationRule, q) -> np.ndarray:
     """Quantiles ``q`` of the normal law N(rule.loc, rule.scale**2)."""
     return ndtri(q) * rule.scale + rule.loc
 
 
 def quadrature_sample(space: SampleSpace) -> np.ndarray:
-    """Representative sample points: the full support, the rule's nodes,
-    or for adaptive and Monte Carlo rules a ``normal_quantiles`` spread."""
-    if space.points is not None:
-        return space.points
-    if space.rule.kind == "gauss-hermite":
-        pts, _ = numerics.quadrature_nodes(space.rule.nodes, space.rule.loc,
-                                           space.rule.scale, space.xdim)
-        return pts
+    """Representative sample points: the nodes of an exact or Gauss-Hermite
+    rule, or for adaptive and Monte Carlo rules a ``normal_quantiles`` spread."""
+    if space.rule.kind in ("exact-finite-sum", "gauss-hermite"):
+        return numerics.node_quadrature(space)[0]
     qs = normal_quantiles(space.rule, np.linspace(0.02, 0.98, 25))
-    if space.xdim == 1:
-        return qs.reshape(-1, 1)
     grids = np.meshgrid(*([qs] * space.xdim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -550,7 +522,8 @@ def load_model(doc: dict) -> StatisticalModel:
     dim = _require(doc, "dim", int)
     space = space_from_doc(_require(doc, "space", dict))
     box = domain_from_doc(doc, dim)
-    expr = compile_expression(_require(doc, "log_density", str), ("x", "theta"))
+    expr = compile_expression(_require(doc, "log_density", str),
+                              {"x": space.xdim, "theta": dim})
 
     def ll(x, th):
         return expr({"x": x, "theta": th})

@@ -8,17 +8,17 @@ built from three primitives:
                      ``gradient`` and ``hessian`` stack its first and second
                      partials over every coordinate (pair), the one path by
                      which stacked derivatives are taken.
-* ``expect``      -- expectations of an integrand against an explicit weight
-                     over a sample space, under one of four rules; the
-                     adaptive rule loads ``scipy.integrate`` on first use,
-                     so importing this module needs numpy alone.
+* ``expect``      -- expectations against an explicit weight over a sample
+                     space: a sum over the nodes of ``node_quadrature``
+                     (exact sum, Gauss-Hermite, Monte Carlo) or adaptive
+                     quadrature, which loads ``scipy.integrate`` on first use.
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
 
 All functions here are pure.  Two kinds of cache exist, and neither
-changes a result: the node caches keyed by the rule parameters, which are
-global, and ``PointMemo``, a bounded memo of pointwise tensors that each
-subject (model, surface) owns and frees with itself.  Arrays handed out by
-either are shared and so read-only.
+changes a result: the Gauss-Hermite and Monte Carlo node caches keyed by
+the rule parameters, which are global, and ``PointMemo``, a bounded memo
+of pointwise tensors that each subject (model, surface) owns and frees
+with itself.  Arrays handed out by either are shared and so read-only.
 """
 
 from __future__ import annotations
@@ -175,12 +175,12 @@ def hessian(fn: Callable, point, scheme: Optional[DiffScheme] = None,
 class ExpectationRule:
     """How E[integrand] under an explicit weight is evaluated.
 
-    kind is one of ``exact-finite-sum``, ``gauss-hermite``,
-    ``adaptive-quadrature``, ``monte-carlo``.  Gauss-Hermite nodes are
-    affinely mapped (``loc`` + sqrt(2)*``scale``*t) and carry effective
-    weights for integration against the flat measure, so the weight function
-    is always an explicit factor.  Monte-carlo requires a seed; unseeded
-    rules are rejected at construction.
+    kind is one of ``exact-finite-sum``, ``gauss-hermite``, ``monte-carlo``
+    (the node rules of ``node_quadrature``) and ``adaptive-quadrature``.
+    Node weights are for integration against the flat measure, so the
+    weight function is always an explicit factor.  Gauss-Hermite nodes are
+    affinely mapped (``loc`` + sqrt(2)*``scale``*t); Monte Carlo nodes are
+    draws from N(``loc``, ``scale``^2) and need a seed.
     """
 
     kind: str
@@ -250,6 +250,34 @@ def quadrature_nodes(n: int, loc: float, scale: float, xdim: int):
     return pts, weights
 
 
+@lru_cache(maxsize=64)
+def monte_carlo_nodes(n: int, seed: int, loc: float, scale: float, xdim: int):
+    """Read-only ``(points, weights)``: ``n`` seeded draws from
+    N(loc, scale^2)^xdim, shape ``(n, xdim)``, and the importance weights
+    ``1 / (n q(x))`` for their density q."""
+    pts = np.random.default_rng(seed).normal(loc, scale, size=(n, xdim))
+    log_q = -0.5 * np.sum(((pts - loc) / scale) ** 2, axis=-1) \
+        - xdim * math.log(math.sqrt(2 * math.pi) * scale)
+    weights = np.exp(-log_q) / n
+    pts.flags.writeable = weights.flags.writeable = False
+    return pts, weights
+
+
+def node_quadrature(space):
+    """(points, weights) of the space's rule; None for the adaptive rule,
+    which has no fixed nodes.  ``weights`` of None means the counting
+    measure (plain sum over the points of a finite space)."""
+    rule = space.rule
+    if rule.kind == "exact-finite-sum":
+        return space.points, None
+    if rule.kind == "gauss-hermite":
+        return quadrature_nodes(rule.nodes, rule.loc, rule.scale, space.xdim)
+    if rule.kind == "monte-carlo":
+        return monte_carlo_nodes(rule.nodes, rule.seed, rule.loc, rule.scale,
+                                 space.xdim)
+    return None
+
+
 def _masked_products(weight_vals, integrand_vals):
     w = np.asarray(weight_vals, dtype=float)
     if np.any(w < 0):
@@ -261,74 +289,51 @@ def _masked_products(weight_vals, integrand_vals):
     return contrib
 
 
-def expect(space, weight: Callable, integrand: Callable,
-           rule: Optional[ExpectationRule] = None) -> float:
+def expect(space, weight: Callable, integrand: Callable) -> float:
     """Expectation of ``integrand`` against ``weight`` over ``space``.
 
-    ``space`` provides ``points`` (finite spaces) or ``xdim`` (real spaces)
-    and a default ``rule``.  Both callables are evaluated on arrays of shape
-    ``(N, xdim)`` and must return shape ``(N,)``.  Deterministic for a fixed
-    rule; the exact-finite-sum path uses compensated summation and is
-    therefore invariant under permutations of the point list.
+    ``space`` provides its ``rule``, ``xdim`` and, if finite, ``points``.
+    Both callables are evaluated on arrays of shape ``(N, xdim)`` and must
+    return shape ``(N,)``.  Every rule but the adaptive one sums over the
+    nodes of ``node_quadrature``; the counting measure uses compensated
+    summation, invariant under permutations of the point list.
     """
-    if rule is None:
-        rule = space.rule
-
-    if rule.kind == "exact-finite-sum":
-        pts = space.points
-        if pts is None:
-            raise ValueError("exact-finite-sum requires a finite sample space")
+    nodes = node_quadrature(space)
+    if nodes is not None:
+        pts, qweights = nodes
         contrib = _masked_products(weight(pts), integrand(pts))
-        return math.fsum(contrib.tolist())
-
-    if rule.kind == "gauss-hermite":
-        pts, qweights = quadrature_nodes(rule.nodes, rule.loc, rule.scale, space.xdim)
-        contrib = _masked_products(weight(pts), integrand(pts))
+        if qweights is None:
+            return math.fsum(contrib.tolist())
         return float(np.dot(qweights, contrib))
 
-    if rule.kind == "adaptive-quadrature":
-        from scipy import integrate
+    # adaptive quadrature, the one rule without fixed nodes
+    from scipy import integrate
+    rule = space.rule
 
-        def g(*coords):
-            x = np.array([coords], dtype=float)
-            w = float(np.asarray(weight(x)).reshape(()))
-            if w < 0:
-                raise ValueError("weight must be nonnegative on all evaluated nodes")
-            if w == 0.0:
-                return 0.0
-            val = w * float(np.asarray(integrand(x)).reshape(()))
-            if not math.isfinite(val):
-                raise NonFinite("non-finite integrand*weight during adaptive quadrature")
-            return val
+    def g(*coords):
+        x = np.array([coords], dtype=float)
+        w = float(np.asarray(weight(x)).reshape(()))
+        if w < 0:
+            raise ValueError("weight must be nonnegative on all evaluated nodes")
+        if w == 0.0:
+            return 0.0
+        val = w * float(np.asarray(integrand(x)).reshape(()))
+        if not math.isfinite(val):
+            raise NonFinite("non-finite integrand*weight during adaptive quadrature")
+        return val
 
-        if space.xdim == 1:
-            out = integrate.quad(g, -np.inf, np.inf, epsabs=rule.tol,
-                                 epsrel=rule.tol, limit=200, full_output=1)
-            if len(out) > 3:
-                raise Divergent(f"adaptive quadrature did not converge: {out[3]}")
-            return float(out[0])
-        ranges = [(-np.inf, np.inf)] * space.xdim
-        val, abserr = integrate.nquad(g, ranges,
-                                      opts={"epsabs": rule.tol, "epsrel": rule.tol})
-        if not math.isfinite(val) or abserr > max(rule.tol * 100, rule.tol * abs(val) * 100):
-            raise Divergent(f"adaptive quadrature error estimate {abserr:.2e} too large")
-        return float(val)
-
-    if rule.kind == "monte-carlo":
-        rng = np.random.default_rng(rule.seed)
-        if space.points is not None:
-            n_pts = len(space.points)
-            picks = rng.integers(0, n_pts, size=rule.nodes)
-            pts = space.points[picks]
-            contrib = _masked_products(weight(pts), integrand(pts))
-            return float(np.mean(contrib) * n_pts)
-        pts = rng.normal(rule.loc, rule.scale, size=(rule.nodes, space.xdim))
-        log_prop = -0.5 * np.sum(((pts - rule.loc) / rule.scale) ** 2, axis=-1) \
-            - space.xdim * math.log(math.sqrt(2 * math.pi) * rule.scale)
-        contrib = _masked_products(weight(pts), integrand(pts))
-        return float(np.mean(contrib * np.exp(-log_prop)))
-
-    raise ValueError(f"unknown rule kind {rule.kind!r}")
+    if space.xdim == 1:
+        out = integrate.quad(g, -np.inf, np.inf, epsabs=rule.tol,
+                             epsrel=rule.tol, limit=200, full_output=1)
+        if len(out) > 3:
+            raise Divergent(f"adaptive quadrature did not converge: {out[3]}")
+        return float(out[0])
+    ranges = [(-np.inf, np.inf)] * space.xdim
+    val, abserr = integrate.nquad(g, ranges,
+                                  opts={"epsabs": rule.tol, "epsrel": rule.tol})
+    if not math.isfinite(val) or abserr > max(rule.tol * 100, rule.tol * abs(val) * 100):
+        raise Divergent(f"adaptive quadrature error estimate {abserr:.2e} too large")
+    return float(val)
 
 
 def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):

@@ -291,7 +291,7 @@ def load_embedding(doc: dict) -> SubmanifoldEmbedding:
     exprs = doc["map"]
     if not isinstance(exprs, list) or len(exprs) != ambient.dim:
         raise SchemaError("map must list one expression per ambient coordinate")
-    chart = compile_chart(exprs)
     box = domain_from_doc(doc)
+    chart = compile_chart(exprs, box.dim)
     return SubmanifoldEmbedding(ambient=ambient, chart=chart, domain=box,
                                 dim=box.dim, label=doc.get("name", "embedding"))

@@ -27,6 +27,23 @@ def run_fresh():
     return run
 
 
+# A 1-d Gaussian location model written inline, on a seeded Monte Carlo rule
+MC_LOCATION = {
+    "name": "mc-gaussian-location", "dim": 1,
+    "space": {"kind": "real-line",
+              "quadrature": {"kind": "monte-carlo", "nodes": 4096, "seed": 5,
+                             "loc": 0.0, "scale": 2.0}},
+    "domain": {"lo": [-1.5], "hi": [1.5]},
+    "log_density": "-(x[0] - theta[0])^2/2 - 0.9189385332046727",
+}
+
+
+@pytest.fixture(scope="session")
+def mc_location():
+    """Factory of new ``MC_LOCATION`` models, each with its own memo."""
+    return lambda: models.load_model(MC_LOCATION)
+
+
 @pytest.fixture(scope="session")
 def normal_model():
     return models.normal_mean_sigma()

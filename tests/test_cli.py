@@ -115,6 +115,22 @@ class TestRun:
         rep = run_document(doc)
         assert rep.runs[0].results["flatness"].status == "fail"
 
+    def test_monte_carlo_family_is_dually_flat(self):
+        """An inline 2-d normal family on a Monte Carlo rule takes K, g and
+        every alpha-connection on the rule's nodes, where it is an
+        exponential family of its own: normalized, and flat for alpha = +-1,
+        to finite-difference error."""
+        space = {"kind": "real-line",
+                 "quadrature": {"kind": "monte-carlo", "nodes": 4096, "seed": 3,
+                                "loc": 0.0, "scale": 2.0}}
+        tols = dict.fromkeys(("validate", "flatness", "codazzi"), 1e-6)
+        report = cli.run(RunSpec.from_dict({
+            "subject": {"family": {"stats": ["x[0]", "x[0]^2"], "space": space,
+                                   "domain": {"lo": [-0.5, -1.5], "hi": [0.5, -0.5]}}},
+            "checks": ["validate", "flatness", "codazzi"], "alpha": [1.0, -1.0],
+            "tolerances": tols}))
+        assert report.all_passed, report.to_dict()["results"]
+
     def test_geodesic_requires_block(self):
         with pytest.raises(SchemaError):
             RunSpec.from_dict({"subject": {"family": "normal-natural"},
@@ -289,12 +305,18 @@ class TestMain:
         assert "domain" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["grid-count", "grid-lo", "alpha", "seed",
-                                       "surface-dim", "quadrature-nodes", "space-k"])
+                                       "surface-dim", "quadrature-nodes", "space-k",
+                                       "grid-shape"])
     def test_bad_number_exits_two(self, tmp_path, capsys, field):
         grid = {"lo": [-0.5], "hi": [0.5], "counts": [3]}
         doc = {"subject": {"model": "bernoulli-natural"}, "checks": ["validate"],
                "grid": grid}
-        if field == "grid-count":
+        message = "must be a number"
+        if field == "grid-shape":
+            # zip would drop the extra entry and leave every check an error
+            grid["hi"] = [0.5, 0.5]
+            message = "grid lo, hi and counts must have the same length"
+        elif field == "grid-count":
             grid["counts"] = ["a"]
         elif field == "grid-lo":
             grid["lo"] = [None]
@@ -320,7 +342,58 @@ class TestMain:
                 "log_density": "-0.5*(x[0]-theta[0])^2 - 0.9189385332046727"}}
         spec = self._write_spec(tmp_path, doc)
         assert cli.main(["verify", "--spec", str(spec)]) == 2
-        assert "must be a number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    BAD_SPEC_MESSAGES = {
+        "grid-dimension": "grid has dimension 2, expected 1",
+        "expect-check": "expect names unknown check 'exponential-from'",
+        "expect-alpha": "expect flatness alpha must be a number, got 'one'",
+        "model-x": "x[1] is out of range: x has 1 component",
+        "model-theta": "theta[1] is out of range: theta has 1 component",
+        "family-x": "x[2] is out of range: x has 1 component",
+        "surface-u": "u[2] is out of range: u has 2 component",
+        "transversal-u": "u[2] is out of range: u has 2 component",
+        "embedding-u": "u[1] is out of range: u has 1 component",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPEC_MESSAGES))
+    def test_bad_spec_exits_two(self, tmp_path, capsys, case):
+        """Specs that used to run and report every check as an error (or
+        silently ignore a field) are configuration errors."""
+        doc = {"subject": {"model": "bernoulli-natural"}, "checks": ["flatness"],
+               "grid": {"lo": [-0.5], "hi": [0.5], "counts": [3]}}
+        bernoulli = {"name": "m", "dim": 1,
+                     "space": {"kind": "finite-discrete", "points": [[0.0], [1.0]]},
+                     "domain": {"lo": [-1.0], "hi": [1.0]},
+                     "log_density": "x[0]*theta[0] - log(1 + exp(theta[0]))"}
+        surface = {"name": "s", "dim": 2, "chart": ["u[0]", "u[1]", "u[0]*u[1]"],
+                   "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+        if case == "grid-dimension":
+            doc["grid"] = {"lo": [-0.5, 0.0], "hi": [0.5, 0.0], "counts": [3, 1]}
+        elif case == "expect-check":
+            doc["expect"] = {"exponential-from": False}
+        elif case == "expect-alpha":
+            doc["expect"] = {"flatness": {"one": True}}
+        elif case in ("model-x", "model-theta"):
+            var = case.split("-")[1]
+            bernoulli["log_density"] += f" + 0*{var}[1]"
+            doc["subject"] = {"model": bernoulli}
+        elif case == "family-x":
+            doc["subject"] = {"family": {"stats": ["x[0]"], "base": "0*x[2]",
+                                         "space": bernoulli["space"],
+                                         "domain": bernoulli["domain"]}}
+        elif case in ("surface-u", "transversal-u"):
+            key = "chart" if case == "surface-u" else "transversal"
+            surface[key] = ["u[0]", "u[1]", "u[0]*u[2]"]
+            doc = {"subject": {"surface": surface}, "checks": ["classify"]}
+        else:
+            doc = {"subject": {"embedding": {"ambient": "normal-natural",
+                                             "map": ["-0.5", "u[1]"],
+                                             "domain": {"lo": [-1.0], "hi": [1.0]}}},
+                   "checks": ["autoparallel"]}
+        spec = self._write_spec(tmp_path, doc)
+        assert cli.main(["verify", "--spec", str(spec)]) == 2
+        assert self.BAD_SPEC_MESSAGES[case] in capsys.readouterr().err
 
     def test_embedding_curvature_enforces_its_tolerance(self, tmp_path):
         bent = {"subject": {"embedding": {
@@ -457,14 +530,16 @@ class TestSubjectMemo:
         assert immersion.decompose(surf, np.array([0.3, 0.4])) is data
         assert len(evaluations) == count
 
-    def test_alphas_and_metric_share_one_jet(self):
+    def test_alphas_and_metric_share_one_jet(self, mc_location):
         # 2*dim score nodes, the second-derivative nodes other than theta
         # itself, and the log-density at theta once: for p and for the
-        # centre node of every diagonal second derivative
-        for name, theta, count in (("normal-natural", [-0.5, 0.1], 4 + 8 + 1),
-                                   ("bernoulli-natural", [0.3], 2 + 2 + 1)):
+        # centre node of every diagonal second derivative; Monte Carlo is a
+        # node rule like the others
+        for base, theta, count in (
+                (models.normal_natural(), [-0.5, 0.1], 4 + 8 + 1),
+                (models.bernoulli_natural(), [0.3], 2 + 2 + 1),
+                (mc_location(), [0.2], 2 + 2 + 1)):
             evaluations = []
-            base = models.load_model({"builtin": name})
 
             def log_density(x, th, base=base, evaluations=evaluations):
                 evaluations.append(1)
@@ -474,7 +549,7 @@ class TestSubjectMemo:
             for alpha in (1.0, -1.0, 0.5):
                 infogeo.alpha_connection(model, np.array(theta), alpha)
             infogeo.fisher_metric(model, np.array(theta))
-            assert len(evaluations) == count, name
+            assert len(evaluations) == count, base.label
 
     def test_errors_are_raised_and_never_stored(self):
         model = models.bernoulli_natural()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from igeo import immersion, infogeo, models
+from igeo import immersion, infogeo, models, numerics
 from igeo.dualflat import (FAMILIES, GeodesicPath, PotentialFamily,
                            centro_affine_lift, dual_coords, dual_potential,
                            family_model, geodesic, graph_realization,
@@ -47,7 +47,7 @@ class TestPotential:
             bern, base=lambda x: np.where(x[..., 0] == 0.0, -np.inf, 0.0)),
             models.reference_grid("bernoulli-natural")))
         for fam, grid in families:
-            xs, w = models.node_quadrature(fam.space)
+            xs, w = numerics.node_quadrature(fam.space)
             for theta in grid:
                 expo = fam.exponent(xs, theta)
                 want = logsumexp(expo if w is None else expo + np.log(w))

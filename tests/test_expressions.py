@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igeo.errors import SchemaError, UnknownSymbol
-from igeo.expressions import compile_expression
+from igeo.expressions import compile_chart, compile_expression
 
 
 def test_arithmetic_and_power():
@@ -63,3 +63,16 @@ def test_syntax_error():
 def test_non_integer_subscript():
     with pytest.raises(SchemaError):
         compile_expression("x[0.5]")
+
+
+def test_subscripts_within_declared_sizes():
+    f = compile_expression("x[1]*theta[0]", {"x": 2, "theta": 1})
+    assert f({"x": np.array([3.0, 2.0]), "theta": np.array([4.0])}) == 8.0
+    with pytest.raises(SchemaError, match=r"theta\[1\] is out of range"):
+        compile_expression("theta[1]", {"x": 2, "theta": 1})
+    with pytest.raises(SchemaError, match=r"x\[2\] is out of range"):
+        compile_expression("x[2]", {"x": 2, "theta": 1})
+    # None leaves a variable unbounded, as the default does for x and theta
+    assert compile_expression("x[5]", {"x": None})({"x": np.arange(6.0)}) == 5.0
+    with pytest.raises(SchemaError, match=r"u\[1\] is out of range"):
+        compile_chart(["u[0]", "u[1]"], 1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeo import infogeo, models
+from igeo import infogeo, models, numerics
 from igeo.errors import SingularMetric
 from igeo.infogeo import (ConnectionField, MetricField, alpha_connection,
                           alpha_field, codazzi_check, conformal_transform,
@@ -97,14 +97,18 @@ class TestAlphaConnection:
 
 
 class TestSharedMoments:
-    """Under a node rule the Fisher metric and every alpha-connection are
-    read from one set of moments; they must equal the per-alpha formula."""
+    """Under a node rule (Monte Carlo included) the Fisher metric and every
+    alpha-connection are read from one set of moments; they must equal the
+    per-alpha formula."""
 
-    @pytest.mark.parametrize("name", sorted(models.CATALOG))
-    def test_match_the_per_alpha_formula(self, name):
-        factory = models.CATALOG[name]
-        xs, w = models.node_quadrature(factory().space)
-        for theta in models.reference_grid(name):
+    @pytest.mark.parametrize("name", sorted(models.CATALOG) + ["mc-gaussian-location"])
+    def test_match_the_per_alpha_formula(self, name, mc_location):
+        if name in models.CATALOG:
+            factory, grid = models.CATALOG[name], models.reference_grid(name)
+        else:
+            factory, grid = mc_location, [np.array([t]) for t in (-0.5, 0.0, 0.5)]
+        xs, w = numerics.node_quadrature(factory().space)
+        for theta in grid:
             model = factory()
             s = models.score_matrix(model, theta, xs)
             dd = models.second_log_derivs(model, theta, xs)

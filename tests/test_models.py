@@ -6,7 +6,7 @@ import pytest
 from igeo import models
 from igeo.errors import OutOfDomain, SchemaError
 from igeo.models import (CATALOG, Box, SampleSpace, StatisticalModel,
-                         load_model, log_density, reference_grid, score,
+                         load_model, log_density, reference_grid,
                          validate_model)
 from igeo.numerics import ExpectationRule, expect
 
@@ -49,8 +49,9 @@ class TestLogDensity:
 
     def test_score_scalar_api(self, bernoulli_model):
         # score of bernoulli at x=1, theta=0 is 1 - p = 0.5
-        assert score(bernoulli_model, 1.0, (0.0,), 0) == \
-            pytest.approx(0.5, abs=1e-9)
+        s = models.score_matrix(bernoulli_model, (0.0,), np.array([[1.0]]))
+        assert s.shape == (1, 1)
+        assert s[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
 class TestValidateModel:
@@ -240,6 +241,14 @@ class TestSampleSpace:
     def test_real_needs_quadrature(self):
         with pytest.raises(ValueError):
             SampleSpace(kind="real-line", xdim=1, rule=ExpectationRule.exact())
+
+    @pytest.mark.parametrize("rule", [ExpectationRule.monte_carlo(64, seed=1),
+                                      ExpectationRule.gauss_hermite(8),
+                                      ExpectationRule.adaptive()])
+    def test_finite_takes_only_the_exact_sum(self, rule):
+        with pytest.raises(ValueError):
+            SampleSpace(kind="finite-discrete", xdim=1, rule=rule,
+                        points=np.array([[0.0], [1.0]]))
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

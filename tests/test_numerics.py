@@ -207,6 +207,21 @@ class TestExpect:
         assert a == b
         assert a == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("xdim", [1, 2])
+    def test_monte_carlo_matches_the_importance_sampling_mean(self, xdim):
+        """The node sum equals mean(contrib * exp(-log q)) over the rule's
+        draws, q the sampling density, written out here."""
+        rule = ExpectationRule.monte_carlo(3000, seed=11, loc=0.3, scale=1.7)
+        space = SampleSpace.real(xdim, rule)
+        pdf = lambda x: np.exp(-0.5 * np.sum((x - 0.1) ** 2, axis=-1)) \
+            / (2 * math.pi) ** (xdim / 2)
+        integrand = lambda x: x[..., 0] ** 2 + 1.0
+        pts = np.random.default_rng(11).normal(0.3, 1.7, size=(3000, xdim))
+        log_q = -0.5 * np.sum(((pts - 0.3) / 1.7) ** 2, axis=-1) \
+            - xdim * math.log(math.sqrt(2 * math.pi) * 1.7)
+        want = float(np.mean(pdf(pts) * integrand(pts) * np.exp(-log_q)))
+        assert expect(space, pdf, integrand) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_monte_carlo_requires_seed(self):
         with pytest.raises(ValueError):
             ExpectationRule(kind="monte-carlo", nodes=100)
@@ -260,6 +275,28 @@ class TestQuadratureNodes:
         for arr in (pts, weights, x1, w1):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestNodeQuadrature:
+    @pytest.mark.parametrize("xdim", [1, 2])
+    def test_monte_carlo_nodes_are_the_seeded_draws(self, xdim):
+        rule = ExpectationRule.monte_carlo(500, seed=3, loc=-0.2, scale=1.5)
+        pts, weights = numerics.node_quadrature(SampleSpace.real(xdim, rule))
+        assert np.array_equal(
+            pts, np.random.default_rng(3).normal(-0.2, 1.5, (500, xdim)))
+        assert weights.shape == (500,)
+        for arr in (pts, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_every_rule_but_adaptive_has_nodes(self):
+        finite = SampleSpace.finite([[0.0], [1.0]])
+        pts, weights = numerics.node_quadrature(finite)
+        assert pts is finite.points and weights is None
+        gh = SampleSpace.real(2, ExpectationRule.gauss_hermite(8))
+        assert numerics.node_quadrature(gh) is numerics.quadrature_nodes(8, 0.0, 1.0, 2)
+        adaptive = SampleSpace.real_line(ExpectationRule.adaptive())
+        assert numerics.node_quadrature(adaptive) is None
 
 
 class TestSolveFrame:
