@@ -50,6 +50,11 @@ DEFAULT_TOLERANCES = {
 
 _SUBJECT_KINDS = ("model", "surface", "family", "embedding")
 
+# The flags of immersion.classify, in report order; ``expect.classify``
+# maps some of them to the expected value.
+CLASSIFY_FLAGS = ("centro_affine", "equiaffine", "nondegenerate", "blaschke",
+                  "improper_hypersphere", "proper_hypersphere")
+
 
 @dataclass(frozen=True)
 class GeodesicSpec:
@@ -151,7 +156,14 @@ class RunSpec:
             if name not in CHECKS:
                 raise SchemaError(f"expect names unknown check {name!r}")
             # classify maps flag names; every other mapping is keyed by alpha
-            if isinstance(flag, dict) and name != "classify":
+            if name == "classify":
+                if not isinstance(flag, dict):
+                    raise SchemaError("expect classify must map flag names to "
+                                      f"booleans, got {flag!r}")
+                for key in flag:
+                    if key not in CLASSIFY_FLAGS:
+                        raise SchemaError(f"expect classify names unknown flag {key!r}")
+            elif isinstance(flag, dict):
                 for key in flag:
                     models.number_from_doc(float, key, f"expect {name} alpha")
         seed = doc.get("seed")
@@ -352,16 +364,9 @@ def _check_structural(spec, subject, grid, model):
 def _check_classify(spec, subject, grid, model):
     tol = spec.tol("classify")
     rep = immersion.classify(subject, grid, tol=tol)
-    flags = {
-        "centro_affine": rep.flags.centro_affine,
-        "equiaffine": rep.flags.equiaffine,
-        "nondegenerate": rep.flags.nondegenerate,
-        "blaschke": rep.flags.blaschke,
-        "improper_hypersphere": rep.flags.improper_hypersphere,
-        "proper_hypersphere": rep.flags.proper_hypersphere,
-    }
+    flags = {k: getattr(rep.flags, k) for k in CLASSIFY_FLAGS}
     expected = spec.expect.get("classify", {})
-    ok = all(flags.get(k) == bool(v) for k, v in expected.items())
+    ok = all(flags[k] == bool(v) for k, v in expected.items())
     residuals = dict(flags)
     residuals.update({"lambda": rep.lambda_mean,
                       "lambda_deviation": rep.lambda_deviation,

@@ -30,7 +30,8 @@ from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, domain_from_doc, space_from_doc)
-from .numerics import PointMemo, expect, gradient, hessian, node_quadrature
+from .numerics import (PointMemo, expect, node_quadrature, partials, stencil,
+                       symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,58 +63,96 @@ class PotentialFamily:
         return th
 
     def exponent(self, x, theta) -> np.ndarray:
-        """sum_i theta_i F_i(x) + D(x), before normalization."""
+        """sum_i theta_i F_i(x) + D(x), before normalization: shape (N,) for
+        one point theta, (..., N) for parameter rows theta of shape
+        (..., dim).  The statistics are evaluated once per call, whatever
+        the number of rows."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         total = np.asarray(self.base(x), dtype=float)
-        for t, F in zip(th, self.stats):
-            total = total + t * np.asarray(F(x), dtype=float)
+        for i, F in enumerate(self.stats):
+            total = total + th[..., i, None] * np.asarray(F(x), dtype=float)
         return total
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))), shifted by the largest entry, which leaves the sum
-    as log1p of the others (as scipy.special.logsumexp does)."""
-    i = int(np.argmax(a))
-    top = a[i]
-    if not np.isfinite(top):
-        return float(top)
-    rest = np.exp(a - top)
-    rest[i] = 0.0
-    return float(np.log1p(rest.sum()) + top)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of every row of a 2-d array, each row shifted by its
+    largest entry, which leaves the sum as log1p of the others (as
+    scipy.special.logsumexp does); a row whose largest entry is not finite
+    gives that entry."""
+    rows = np.arange(len(a))
+    i = np.argmax(a, axis=1)
+    top = a[rows, i]
+    finite = np.isfinite(top)
+    if finite.all():
+        rest = np.exp(a - top[:, None])
+    else:
+        with np.errstate(all="ignore"):
+            rest = np.exp(a - np.where(finite, top, 0.0)[:, None])
+    rest[rows, i] = 0.0
+    return np.where(finite, np.log1p(rest.sum(axis=1)) + top, top)
 
 
 def potential(family: PotentialFamily, theta) -> float:
     """Normalizer K(theta), by exact sum or quadrature (log-sum-exp).
 
-    Memoized per family and point.  Only a point that passed
-    ``check_theta`` is ever stored, so a hit skips the check, which would
-    cost the family's log-density more than the lookup.
+    Memoized per family and point, through ``_potentials``.  A hit skips
+    ``check_theta``, which would cost the family's log-density more than
+    the lookup.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return family.memo.get(th.tobytes(),
-                           lambda: _potential(family, family.check_theta(th)))
+    hit = family.memo.peek(th.tobytes())
+    if hit is not None:
+        return hit
+    return float(_potentials(family, family.check_theta(th)[None])[0])
 
 
-def _potential(family: PotentialFamily, th: np.ndarray) -> float:
-    nodes = node_quadrature(family.space)
-    if nodes is not None:
-        xs, w = nodes
-        expo = family.exponent(xs, th)
-        return _logsumexp(expo if w is None else expo + np.log(w))
-    val = expect(family.space, lambda x: np.exp(family.exponent(x, th)),
-                 lambda x: np.ones(len(x)))
-    return float(np.log(val))
+def _potentials(family: PotentialFamily, TH) -> np.ndarray:
+    """K on every parameter row of TH (..., dim), shape (...).
+
+    Each row is looked up in the family memo; the misses are checked
+    against the domain at once, share one ``exponent`` call and one
+    row-wise log-sum-exp, and are stored.  Only checked points are stored.
+    """
+    TH = np.asarray(TH, dtype=float)
+    rows = TH.reshape(-1, family.dim)
+    raw, width = rows.tobytes(), 8 * family.dim
+    keys = [raw[r * width:(r + 1) * width] for r in range(len(rows))]
+    out = np.empty(len(rows))
+    misses = []
+    for r, key in enumerate(keys):
+        hit = family.memo.peek(key)
+        if hit is None:
+            misses.append(r)
+        else:
+            out[r] = hit
+    if misses:
+        new = rows[misses]
+        inside = family.domain.inside(new)
+        if not inside.all():
+            family.check_theta(new[int(np.argmin(inside))])
+        nodes = node_quadrature(family.space)
+        if nodes is not None:
+            xs, w = nodes
+            expo = family.exponent(xs, new)
+            values = _logsumexp(expo if w is None else expo + np.log(w))
+        else:
+            values = [float(np.log(expect(
+                family.space, lambda x, th=th: np.exp(family.exponent(x, th)),
+                lambda x: np.ones(len(x))))) for th in new]
+        for r, value in zip(misses, values):
+            out[r] = family.memo.put(keys[r], float(value))
+    return out.reshape(TH.shape[:-1])
 
 
 def family_model(family: PotentialFamily) -> StatisticalModel:
-    """The family as a StatisticalModel.
+    """The family as a StatisticalModel, batched like every log-density.
 
     Each call builds a new model with its own memo; K comes from the
     family's memo, which every such model shares.
     """
 
     def ll(x, th):
-        return family.exponent(x, th) - potential(family, th)
+        return family.exponent(x, th) - _potentials(family, th)[..., None]
 
     return StatisticalModel(space=family.space, dim=family.dim,
                             domain=family.domain, log_density=ll,
@@ -123,13 +162,16 @@ def family_model(family: PotentialFamily) -> StatisticalModel:
 def dual_coords(family: PotentialFamily, theta) -> np.ndarray:
     """Dual (expectation) coordinates eta = grad K(theta)."""
     th = family.check_theta(theta)
-    return gradient(lambda t: potential(family, t), th, SCORE_SCHEME, family.domain)
+    return np.array(stencil(lambda T: _potentials(family, T), th,
+                            partials(family.dim, 1, SCORE_SCHEME), family.domain))
 
 
 def hessian_metric(family: PotentialFamily, theta) -> np.ndarray:
     """Hessian of the potential: the dually flat metric in theta coordinates."""
     th = family.check_theta(theta)
-    return hessian(lambda t: potential(family, t), th, HESSIAN_SCHEME, family.domain)
+    return symmetric(stencil(lambda T: _potentials(family, T), th,
+                             partials(family.dim, 2, HESSIAN_SCHEME), family.domain),
+                     family.dim)
 
 
 def legendre_inverse(family: PotentialFamily, eta, theta0=None,

@@ -62,8 +62,10 @@ def _build(node, variables):
         if var not in variables:
             raise UnknownSymbol(f"unknown variable {var!r}")
         sl = node.slice
-        if not (isinstance(sl, ast.Constant) and isinstance(sl.value, int)):
-            raise SchemaError("subscripts must be integer literals")
+        if not (isinstance(sl, ast.Constant) and isinstance(sl.value, int)
+                and not isinstance(sl.value, bool)):
+            raise SchemaError(f"{var}[{ast.unparse(sl)}]: subscripts must be "
+                              "integer literals")
         index = sl.value
         size = variables[var]
         if size is not None and index >= size:

@@ -20,6 +20,8 @@ log-density l (Amari & Nagaoka 2000, sec. 2.3):
 Under a node rule (exact sum, Gauss-Hermite or Monte Carlo), A, T and the
 Fisher metric g = E[d_i l d_j l] are taken from one log-density jet per
 point and stored on the model's memo, so any number of alphas cost one jet.
+A jet is one ``numerics.stencil`` batch: one log-density call on the theta
+rows of every score and second-derivative node and theta itself.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .models import (HESSIAN_SCHEME, StatisticalModel, score_matrix,
-                     second_log_derivs)
-from .numerics import DiffScheme, derive, expect, gradient, node_quadrature
+from .models import (HESSIAN_SCHEME, SCORE_SCHEME, StatisticalModel,
+                     log_density_jet, log_density_rows, score_matrix)
+from .numerics import DiffScheme, expect, gradient, node_quadrature, partials, stencil
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -139,8 +141,10 @@ def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
             g = moments.g
         else:
             xs, w = nodes
-            g = _score_gram(score_matrix(model, th, xs),
-                            _node_weights(model.log_density(xs, th), w))
+            n = model.dim
+            jet = stencil(log_density_rows(model, xs), th,
+                          partials(n, 1, SCORE_SCHEME) + [((), None)], model.domain)
+            g = _score_gram(np.array(jet[:n]), _node_weights(jet[-1], w))
     else:
         n = model.dim
         g = np.empty((n, n))
@@ -179,15 +183,14 @@ class _Moments:
 
 def _moments(model: StatisticalModel, th: np.ndarray) -> _Moments:
     """Node-rule moments at th, memoized per model and point.  The jet
-    (scores, second log-derivatives, p * w) is evaluated once and dropped;
-    the log-density at th itself is evaluated once, for p and for the centre
-    node of every diagonal second derivative."""
+    (scores, second log-derivatives, p * w) comes from one log-density call
+    on one stencil batch, and is dropped once the moments are taken; th
+    itself is one row of the batch, for p and for the centre node of every
+    diagonal second derivative."""
 
     def compute():
         xs, w = node_quadrature(model.space)
-        log_p = model.log_density(xs, th)
-        s = score_matrix(model, th, xs)
-        dd = second_log_derivs(model, th, xs, centre=log_p)
+        log_p, s, dd = log_density_jet(model, th, xs)
         pw = _node_weights(log_p, w)
         return _Moments(g=_score_gram(s, pw),
                         A=np.einsum("ijn,kn,n->ijk", dd, s, pw),
@@ -229,9 +232,10 @@ def _alpha_connection(model: StatisticalModel, th: np.ndarray,
         for j in range(i, n):
             for k in range(n):
                 def integrand(x, i=i, j=j, k=k):
-                    s = score_matrix(model, th, x)
-                    dd = derive(lambda t: model.log_density(x, t), th, (i, j),
-                                scheme=HESSIAN_SCHEME, domain=model.domain)
+                    jet = stencil(log_density_rows(model, x), th,
+                                  partials(n, 1, SCORE_SCHEME)
+                                  + [((i, j), HESSIAN_SCHEME)], model.domain)
+                    s, dd = jet[:n], jet[n]
                     return (dd + c * s[i] * s[j]) * s[k]
                 low[i, j, k] = low[j, i, k] = expect(model.space, weight, integrand)
     return low

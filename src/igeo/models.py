@@ -7,7 +7,10 @@ the verification suite; every entry passes ``validate_model`` on its
 reference grid.
 
 Array conventions: sample points always have shape ``(N, xdim)`` and
-vectorised callables over the sample space return shape ``(N,)``.
+vectorised callables over the sample space return shape ``(N,)``.  A
+log-density is also batched over parameters: theta of shape ``(..., dim)``
+gives shape ``(..., N)``, so one call evaluates a whole stencil of theta
+rows (``numerics.stencil``); ``log_density_rows`` holds a model to that.
 Expectations over a space go through its rule: ``numerics.node_quadrature``
 gives the nodes of every rule but adaptive quadrature.
 """
@@ -27,7 +30,7 @@ from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
 from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
-                       gradient, hessian)
+                       partials, stencil, symmetric)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -82,6 +85,11 @@ class Box:
         if p.size != self.dim:
             return False
         return bool(np.all(p > self._lo + margin) and np.all(p < self._hi - margin))
+
+    def inside(self, points) -> np.ndarray:
+        """Boolean ``contains`` of every row of ``points``, shape (..., dim)."""
+        p = np.asarray(points, dtype=float)
+        return np.all(p > self._lo, axis=-1) & np.all(p < self._hi, axis=-1)
 
     def center(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
@@ -148,7 +156,9 @@ class StatisticalModel:
     space: SampleSpace
     dim: int
     domain: Box
-    log_density: Callable   # (x:(N,xdim), theta:(dim,)) -> (N,)
+    # (x:(N,xdim), theta:(..., dim)) -> (..., N): a parameter batch of shape
+    # (M, dim) gives one row of N values per parameter row
+    log_density: Callable
     label: str = ""
     memo: PointMemo = field(default_factory=PointMemo, init=False, repr=False)
 
@@ -196,21 +206,48 @@ def _as_sample(model: StatisticalModel, x) -> np.ndarray:
     return xa
 
 
+def log_density_rows(model: StatisticalModel, xs) -> Callable:
+    """``TH -> model.log_density(xs, TH)`` for parameter rows TH of shape
+    (M, dim), held to the batch contract: the result must have shape
+    (M, N).  A log-density that ignores the batch axis raises ValueError
+    instead of feeding wrong values into a stencil."""
+
+    def rows(TH):
+        val = np.asarray(model.log_density(xs, TH), dtype=float)
+        if val.shape != (len(TH), len(xs)):
+            raise ValueError(
+                f"log-density of {model.label or 'model'} returned shape {val.shape} "
+                f"for {len(TH)} parameter rows and {len(xs)} sample points; the "
+                "contract is theta (..., dim) -> (..., N)")
+        return val
+
+    return rows
+
+
 def score_matrix(model: StatisticalModel, theta, xs,
                  scheme: DiffScheme = SCORE_SCHEME) -> np.ndarray:
     """All scores at once: array of shape (dim, N) over sample points xs."""
     th = model.check_theta(theta)
-    return gradient(lambda t: model.log_density(xs, t), th, scheme, model.domain)
+    return np.array(stencil(log_density_rows(model, xs), th,
+                            partials(model.dim, 1, scheme), model.domain))
 
 
 def second_log_derivs(model: StatisticalModel, theta, xs,
-                      scheme: DiffScheme = HESSIAN_SCHEME,
-                      centre: Optional[np.ndarray] = None) -> np.ndarray:
-    """Second parameter derivatives of the log-density, shape (dim, dim, N).
-    ``centre`` is the log-density at theta on xs, if the caller has it."""
+                      scheme: DiffScheme = HESSIAN_SCHEME) -> np.ndarray:
+    """Second parameter derivatives of the log-density, shape (dim, dim, N)."""
     th = model.check_theta(theta)
-    return hessian(lambda t: model.log_density(xs, t), th, scheme, model.domain,
-                   centre)
+    return symmetric(stencil(log_density_rows(model, xs), th,
+                             partials(model.dim, 2, scheme), model.domain), model.dim)
+
+
+def log_density_jet(model: StatisticalModel, th: np.ndarray, xs):
+    """l, the scores (dim, N) and the second derivatives (dim, dim, N) at a
+    checked point th over sample points xs, from one log-density call."""
+    n = model.dim
+    jet = stencil(log_density_rows(model, xs), th,
+                  partials(n, 1, SCORE_SCHEME) + partials(n, 2, HESSIAN_SCHEME)
+                  + [((), None)], model.domain)
+    return jet[-1], np.array(jet[:n]), symmetric(jet[n:-1], n)
 
 
 def normal_quantiles(rule: ExpectationRule, q) -> np.ndarray:
@@ -275,11 +312,9 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
         smooth = True
         gram_cond = float("inf")
         try:
-            xs = quadrature_sample(model.space)
-            s = score_matrix(model, th, xs)
-            dd = second_log_derivs(model, th, xs)
+            log_p, s, dd = log_density_jet(model, th, quadrature_sample(model.space))
             smooth = bool(np.all(np.isfinite(s)) and np.all(np.isfinite(dd)))
-            p = np.exp(model.log_density(xs, th))
+            p = np.exp(log_p)
             # unweighted-by-rule Gram is enough: condition is scale invariant
             gram = np.einsum("in,jn,n->ij", s, s, p)
             gram_cond = float(np.linalg.cond(gram))
@@ -300,12 +335,20 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _rowwise(scalar: Callable, th: np.ndarray) -> np.ndarray:
+    """``scalar(row)`` for every parameter row of ``th`` (..., dim), shaped
+    (..., 1) to broadcast against sample points; keeps the builtins' scalar
+    ``math`` calls on batches."""
+    rows = th.reshape(-1, th.shape[-1])
+    return np.array([scalar(r) for r in rows]).reshape(th.shape[:-1] + (1,))
+
+
 def normal_mean_sigma() -> StatisticalModel:
     """Normal family in (mu, sigma) coordinates."""
     rule = ExpectationRule.gauss_hermite(default_quad_nodes(96), loc=0.0, scale=2.5)
 
     def ll(x, th):
-        mu, sig = th
+        mu, sig = th[..., 0, None], th[..., 1, None]
         z = (x[..., 0] - mu) / sig
         return -0.5 * z * z - np.log(sig) - 0.5 * _LOG_2PI
 
@@ -326,7 +369,8 @@ def normal_natural() -> StatisticalModel:
 
     def ll(x, th):
         x0 = x[..., 0]
-        return th[0] * x0 * x0 + th[1] * x0 - normal_natural_potential(th)
+        return th[..., 0, None] * x0 * x0 + th[..., 1, None] * x0 \
+            - _rowwise(normal_natural_potential, th)
 
     # theta1 lower bound keeps the density wide enough for the fixed rule
     return StatisticalModel(space=SampleSpace.real_line(rule), dim=2,
@@ -336,7 +380,8 @@ def normal_natural() -> StatisticalModel:
 
 def bernoulli_natural() -> StatisticalModel:
     def ll(x, th):
-        return x[..., 0] * th[0] - np.logaddexp(0.0, th[0])
+        t = th[..., 0, None]
+        return x[..., 0] * t - np.logaddexp(0.0, t)
 
     return StatisticalModel(space=SampleSpace.finite([[0.0], [1.0]]), dim=1,
                             domain=Box((-6.0,), (6.0,)),
@@ -353,8 +398,8 @@ def categorical_natural(n: int = 2) -> StatisticalModel:
         xv = x[..., 0]
         val = np.zeros_like(xv)
         for i in range(n):
-            val = val + th[i] * (xv == i + 1)
-        return val - np.log1p(np.sum(np.exp(th)))
+            val = val + th[..., i, None] * (xv == i + 1)
+        return val - np.log1p(np.sum(np.exp(th), axis=-1, keepdims=True))
 
     return StatisticalModel(space=SampleSpace.finite(points), dim=n,
                             domain=Box((-4.0,) * n, (4.0,) * n),
@@ -375,19 +420,32 @@ def poisson_natural() -> StatisticalModel:
 
     def ll(x, th):
         xv = x[..., 0]
-        return xv * th[0] - math.exp(th[0]) - gammaln(xv + 1.0)
+        return xv * th[..., 0, None] - _rowwise(lambda t: math.exp(t[0]), th) \
+            - gammaln(xv + 1.0)
 
     return StatisticalModel(space=SampleSpace.finite(points), dim=1,
                             domain=Box((-2.5,), (hi,)),
                             log_density=ll, label="poisson-natural")
 
 
+# log q(y) of a location family, written over the temporary y: with a
+# batch of parameter rows y is (M, N), and each extra temporary costs M*N
+# floats.  In-place steps round exactly as the plain expressions do.
+
 def _log_q_logistic(y):
-    return -y - 2.0 * np.logaddexp(0.0, -y)
+    """-y - 2 log(1 + e^-y)"""
+    np.negative(y, out=y)
+    t = np.logaddexp(0.0, y)
+    t *= 2.0
+    return np.subtract(y, t, out=y)
 
 
 def _log_q_gaussian(y):
-    return -0.5 * y * y - 0.5 * _LOG_2PI
+    """-y^2/2 - log(2 pi)/2"""
+    t = np.multiply(-0.5, y)
+    t *= y
+    t -= 0.5 * _LOG_2PI
+    return t
 
 
 def location_family(q: str = "logistic", k: int = 1) -> StatisticalModel:
@@ -400,7 +458,10 @@ def location_family(q: str = "logistic", k: int = 1) -> StatisticalModel:
     rule = ExpectationRule.gauss_hermite(default_quad_nodes(64), loc=0.0, scale=1.0)
 
     def ll(x, th):
-        return sum(log_q(x[..., i] - th[i]) for i in range(k))
+        total = log_q(x[..., 0] - th[..., 0, None])
+        for i in range(1, k):
+            total += log_q(x[..., i] - th[..., i, None])
+        return total
 
     return StatisticalModel(space=SampleSpace.real(k, rule), dim=k,
                             domain=Box((-1.5,) * k, (1.5,) * k),
@@ -526,7 +587,11 @@ def load_model(doc: dict) -> StatisticalModel:
                               {"x": space.xdim, "theta": dim})
 
     def ll(x, th):
-        return expr({"x": x, "theta": th})
+        if np.ndim(th) <= 1:
+            return expr({"x": x, "theta": th})
+        # theta rows (M, 1, dim) against sample points (1, N, xdim)
+        val = expr({"x": x, "theta": th[..., None, :]})
+        return np.broadcast_to(val, th.shape[:-1] + (len(x),))
 
     return StatisticalModel(space=space, dim=dim, domain=box,
                             log_density=ll, label=name)

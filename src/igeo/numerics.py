@@ -3,11 +3,15 @@
 Everything downstream (metrics, connections, curvature, immersion data) is
 built from three primitives:
 
-* ``derive``      -- central finite differences for mixed partials up to
-                     order three, with optional Richardson extrapolation;
-                     ``gradient`` and ``hessian`` stack its first and second
-                     partials over every coordinate (pair), the one path by
-                     which stacked derivatives are taken.
+* ``stencil``     -- central finite differences for mixed partials up to
+                     order three, with optional Richardson extrapolation,
+                     for any set of partials at one point: their nodes form
+                     one ``(M, dim)`` batch, without repeats, that is tested
+                     against the domain once and handed to a batched ``fn``
+                     once.  ``derive``, ``gradient`` and ``hessian`` are its
+                     pointwise wrappers: they evaluate a one-point ``fn`` row
+                     by row over the same batch, so they return the same
+                     bits as a per-node loop.
 * ``expect``      -- expectations against an explicit weight over a sample
                      space: a sum over the nodes of ``node_quadrature``
                      (exact sum, Gauss-Hermite, Monte Carlo) or adaptive
@@ -74,6 +78,7 @@ class DiffScheme:
 # 1-d central stencils: (offset, coefficient) pairs.  The weighted node values
 # are summed first and divided by h**count once: scaling each by an inexact
 # 1/h**count before the sum would spoil the cancellation between them.
+# A mixed partial takes the product stencil over its coordinates.
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
@@ -81,66 +86,160 @@ _STENCILS = {
 }
 
 
-def _in_domain(domain, x) -> bool:
-    if domain is None:
-        return True
-    if callable(domain):
-        return bool(domain(x))
-    return bool(domain.contains(x))
+@lru_cache(maxsize=256)
+def _layout(entries: tuple, dim: int):
+    """The node rows of ``entries`` at any point with ``dim`` coordinates:
+    per row its offsets, the coordinates it moves and its step factor (base
+    step times Richardson shrink).  Per entry None for the value itself,
+    else its coordinates, their counts, base step, coefficients in summation
+    order and the shrink of each Richardson level."""
+    node_rows, plans = [], []
+    for idx, scheme in entries:
+        idx = tuple(int(i) for i in idx)
+        if len(idx) > 3:
+            raise ValueError("multi_index must contain at most 3 entries")
+        if any(i < 0 or i >= dim for i in idx):
+            raise ValueError(f"coordinate index out of range for point of size {dim}")
+        if not idx:
+            node_rows.append((np.zeros(dim), np.zeros(dim, dtype=bool), 0.0))
+            plans.append(None)
+            continue
+        scheme = scheme or DiffScheme(order=len(idx))
+        counts = Counter(idx)
+        coords = tuple(sorted(counts))
+        combos = list(product(*(_STENCILS[counts[i]] for i in coords)))
+        levels = tuple(0.5 ** level for level in range(scheme.richardson_levels + 1))
+        moved = np.isin(np.arange(dim), coords)
+        for shrink in levels:
+            for combo in combos:
+                offset = np.zeros(dim)
+                offset[list(coords)] = [o for o, _ in combo]
+                node_rows.append((offset, moved, scheme.step * shrink))
+        plans.append((coords, tuple(counts[i] for i in coords), scheme.step,
+                      tuple(math.prod(c for _, c in combo) for combo in combos), levels))
+    offsets, moved, factors = (np.array(a) for a in zip(*node_rows))
+    factors = factors[:, None]
+    for a in (offsets, moved, factors):
+        a.flags.writeable = False
+    return offsets, moved, factors, tuple(plans)
+
+
+def partials(dim: int, order: int, scheme: Optional[DiffScheme] = None) -> list:
+    """Stencil entries of every first partial (``order`` 1, coordinate
+    order) or every second partial a <= b (``order`` 2, row-major)."""
+    if order == 1:
+        return [((a,), scheme) for a in range(dim)]
+    return [((a, b), scheme) for a in range(dim) for b in range(a, dim)]
+
+
+def symmetric(values: Sequence, dim: int) -> np.ndarray:
+    """``D[a, b] = D[b, a]`` from the second partials of ``partials(dim, 2)``."""
+    D = np.empty((dim, dim) + np.shape(values[0]))
+    k = 0
+    for a in range(dim):
+        for b in range(a, dim):
+            D[a, b] = D[b, a] = values[k]
+            k += 1
+    return D
+
+
+def stencil(fn: Callable, point, entries: Sequence, domain=None) -> list:
+    """Values of several partial derivatives of ``fn`` at ``point`` from one
+    batched evaluation.
+
+    ``entries`` are ``(multi_index, scheme)`` pairs: a tuple of 0-based coordinates,
+    one per differentiation (e.g. ``(0, 0)`` for a second derivative along
+    the first coordinate), and a ``DiffScheme`` or None for the default of
+    that order; the empty multi-index asks for ``fn(point)`` itself.  The
+    nodes of every entry at every Richardson level are stacked into one
+    ``(M, dim)`` array, duplicate nodes dropped; the array is tested against
+    ``domain`` (a ``Box`` or None) once, ``fn`` is called once on it and
+    must return shape ``(M, ...)``, and the values are tested for
+    finiteness once.  Nodes outside the domain raise ``StencilOutOfDomain``
+    and non-finite values ``NonFinite``, each naming the first such node.
+    Returns one value per entry, in order.
+    """
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    dim = point.size
+    offsets, moved, factors, plans = _layout(tuple(entries), dim)
+    # node = x + offset * (step * shrink * max(1, |x|)) along each moved
+    # coordinate, x itself along the others
+    X = np.where(moved, point + offsets * (factors * np.fmax(1.0, np.abs(point))),
+                 point)
+
+    # first occurrence of every distinct node, in stacking order
+    width = 8 * dim
+    raw = X.tobytes()
+    seen, first, rows = {}, [], []
+    for r in range(len(X)):
+        key = raw[r * width:(r + 1) * width]
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = len(first)
+            first.append(r)
+        rows.append(j)
+    U = X[first]
+
+    if domain is not None:
+        inside = domain.inside(U)
+        if not inside.all():
+            bad = U[int(np.argmin(inside))]
+            raise StencilOutOfDomain(
+                f"stencil node {bad.tolist()} leaves the declared domain")
+    V = np.asarray(fn(U), dtype=float)
+    if V.shape[:1] != (len(U),):
+        raise ValueError(f"fn returned shape {V.shape} for {len(U)} stencil nodes; "
+                         "it must map nodes (M, dim) to values (M, ...)")
+    if not np.isfinite(V).all():
+        finite = np.isfinite(V).reshape(len(U), -1).all(axis=1)
+        bad = U[int(np.argmin(finite))]
+        raise NonFinite(f"fn returned a non-finite value at {bad.tolist()}")
+
+    x = point.tolist()
+    out, r = [], 0
+    for plan in plans:
+        if plan is None:
+            out.append(V[rows[r]])
+            r += 1
+            continue
+        coords, counts, step, coeffs, levels = plan
+        h = [step * max(1.0, abs(x[i])) for i in coords]
+        table = []
+        for shrink in levels:
+            total = coeffs[0] * V[rows[r]]
+            for k in range(1, len(coeffs)):
+                total = total + coeffs[k] * V[rows[r + k]]
+            r += len(coeffs)
+            # the weighted values are summed first and divided by h**count once
+            table.append([total / math.prod((hi * shrink) ** c
+                                            for hi, c in zip(h, counts))])
+        # Richardson extrapolation (error orders h^2, h^4, ...)
+        for i in range(1, len(table)):
+            for j in range(1, i + 1):
+                table[i].append((4.0 ** j * table[i][j - 1] - table[i - 1][j - 1])
+                                / (4.0 ** j - 1.0))
+        out.append(table[-1][-1])
+    return out
+
+
+def _rowwise(fn: Callable) -> Callable:
+    """``fn`` of one point, evaluated row by row over an ``(M, dim)`` array."""
+    return lambda nodes: np.array([np.asarray(fn(x), dtype=float) for x in nodes])
 
 
 def derive(fn: Callable, point, multi_index: Sequence[int],
-           scheme: Optional[DiffScheme] = None, domain=None, centre=None):
+           scheme: Optional[DiffScheme] = None, domain=None):
     """Mixed partial derivative of ``fn`` at ``point`` by central differences.
 
-    ``multi_index`` lists 0-based coordinate indices, one entry per
-    differentiation (e.g. ``(0, 0)`` for a second derivative along the first
-    coordinate).  ``fn`` may return a scalar or an ndarray; the stencil is
-    applied componentwise.  ``domain`` is an optional ``contains``-style
-    object or predicate; stencil nodes outside it raise
-    ``StencilOutOfDomain``.  ``centre``, when given, is ``fn(point)``: the
-    stencil node at ``point`` itself (a pure second derivative has one)
-    takes it instead of calling ``fn`` again.
+    ``multi_index`` lists 1 to 3 coordinate indices, as in ``stencil``.
+    ``fn`` takes one point and may return a scalar or an ndarray; the
+    stencil is applied componentwise.  Nodes outside ``domain`` raise
+    ``StencilOutOfDomain``.
     """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    idx = tuple(int(i) for i in multi_index)
+    idx = tuple(multi_index)
     if not 1 <= len(idx) <= 3:
         raise ValueError("multi_index must contain 1 to 3 entries")
-    if any(i < 0 or i >= point.size for i in idx):
-        raise ValueError(f"coordinate index out of range for point of size {point.size}")
-    if scheme is None:
-        scheme = DiffScheme(order=len(idx))
-
-    counts = Counter(idx)
-    coords = sorted(counts)
-    steps = {i: scheme.step * max(1.0, abs(point[i])) for i in coords}
-
-    def estimate(shrink: float):
-        total = None
-        stencil_axes = [_STENCILS[counts[i]] for i in coords]
-        for combo in product(*stencil_axes):
-            x = point.copy()
-            coeff = 1.0
-            for i, (offset, c) in zip(coords, combo):
-                x[i] += offset * (steps[i] * shrink)
-                coeff *= c
-            if not _in_domain(domain, x):
-                raise StencilOutOfDomain(
-                    f"stencil node {x.tolist()} leaves the declared domain")
-            at_centre = centre is not None and not any(o for o, _ in combo)
-            val = np.asarray(centre if at_centre else fn(x), dtype=float)
-            if not np.all(np.isfinite(val)):
-                raise NonFinite(f"fn returned a non-finite value at {x.tolist()}")
-            total = coeff * val if total is None else total + coeff * val
-        return total / math.prod((steps[i] * shrink) ** counts[i] for i in coords)
-
-    levels = scheme.richardson_levels
-    table = [[estimate(0.5 ** i)] for i in range(levels + 1)]
-    for i in range(1, levels + 1):
-        for j in range(1, i + 1):
-            table[i].append(
-                (4.0 ** j * table[i][j - 1] - table[i - 1][j - 1]) / (4.0 ** j - 1.0))
-    result = table[levels][levels]
+    result = stencil(_rowwise(fn), point, [(idx, scheme)], domain)[0]
     if result.ndim == 0:
         return float(result)
     return result
@@ -148,27 +247,19 @@ def derive(fn: Callable, point, multi_index: Sequence[int],
 
 def gradient(fn: Callable, point, scheme: Optional[DiffScheme] = None,
              domain=None) -> np.ndarray:
-    """``D[a] = d_a fn`` at ``point``, one ``derive`` per coordinate a."""
+    """``D[a] = d_a fn`` at ``point`` for a pointwise ``fn``, from one stencil."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    return np.array([derive(fn, point, (a,), scheme, domain)
-                     for a in range(point.size)])
+    return np.array(stencil(_rowwise(fn), point, partials(point.size, 1, scheme),
+                            domain))
 
 
 def hessian(fn: Callable, point, scheme: Optional[DiffScheme] = None,
-            domain=None, centre=None) -> np.ndarray:
-    """``D[a, b] = d_a d_b fn`` at ``point``: one ``derive`` per pair a <= b,
-    taken in row-major order and mirrored into (b, a).  ``centre`` is
-    ``fn(point)`` when the caller has it; every diagonal entry reuses it."""
+            domain=None) -> np.ndarray:
+    """``D[a, b] = d_a d_b fn`` at ``point`` for a pointwise ``fn``, from one
+    stencil over the pairs a <= b, mirrored into (b, a)."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
     n = point.size
-    D = None
-    for a in range(n):
-        for b in range(a, n):
-            value = derive(fn, point, (a, b), scheme, domain, centre)
-            if D is None:
-                D = np.empty((n, n) + np.shape(value))
-            D[a, b] = D[b, a] = value
-    return D
+    return symmetric(stencil(_rowwise(fn), point, partials(n, 2, scheme), domain), n)
 
 
 @dataclass(frozen=True)
@@ -368,7 +459,8 @@ class PointMemo:
     """Bounded memo of pointwise results, keyed by parameter bytes.
 
     ``get(key, compute)`` returns the stored value or stores ``compute()``;
-    an exception from ``compute`` propagates and stores nothing.  A full
+    an exception from ``compute`` propagates and stores nothing.  ``put``
+    stores a value computed elsewhere (several points at once).  A full
     memo is cleared before the next store, so it never holds more than
     ``MEMO_SIZE`` entries.  Stored arrays, and the array fields of stored
     dataclasses, are made read-only because every hit shares them.
@@ -388,8 +480,10 @@ class PointMemo:
         try:
             return self._store[key]
         except KeyError:
-            pass
-        value = compute()
+            return self.put(key, compute())
+
+    def put(self, key, value):
+        """Store ``value`` under ``key``, as ``get`` does, and return it."""
         fields = (value,) if isinstance(value, np.ndarray) else \
             getattr(value, "__dict__", {}).values()
         for a in fields:

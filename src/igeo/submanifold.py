@@ -142,11 +142,15 @@ def autoparallel_check(emb: SubmanifoldEmbedding, conn: ConnectionField,
 
 
 def composed_model(emb: SubmanifoldEmbedding) -> StatisticalModel:
-    """The ambient family restricted to the embedded parameters."""
+    """The ambient family restricted to the embedded parameters; a batch of
+    u rows is mapped row by row and handed to the ambient log-density as
+    one batch of theta rows."""
 
     def ll(x, u):
-        th = emb.ambient.check_theta(emb.theta(u))
-        return emb.ambient.log_density(x, th)
+        u = np.asarray(u, dtype=float)
+        th = np.array([emb.ambient.check_theta(emb.theta(r))
+                       for r in u.reshape(-1, emb.dim)])
+        return emb.ambient.log_density(x, th.reshape(u.shape[:-1] + (-1,)))
 
     return StatisticalModel(space=emb.ambient.space, dim=emb.dim,
                             domain=emb.domain, log_density=ll,

@@ -354,6 +354,9 @@ class TestMain:
         "surface-u": "u[2] is out of range: u has 2 component",
         "transversal-u": "u[2] is out of range: u has 2 component",
         "embedding-u": "u[1] is out of range: u has 1 component",
+        "classify-not-a-mapping": "expect classify must map flag names to booleans, "
+                                  "got True",
+        "classify-flag": "expect classify names unknown flag 'blaschk'",
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_SPEC_MESSAGES))
@@ -382,6 +385,10 @@ class TestMain:
             doc["subject"] = {"family": {"stats": ["x[0]"], "base": "0*x[2]",
                                          "space": bernoulli["space"],
                                          "domain": bernoulli["domain"]}}
+        elif case.startswith("classify-"):
+            flags = True if case == "classify-not-a-mapping" else {"blaschk": True}
+            doc = {"subject": {"surface": "sphere"}, "checks": ["classify"],
+                   "expect": {"classify": flags}}
         elif case in ("surface-u", "transversal-u"):
             key = "chart" if case == "surface-u" else "transversal"
             surface[key] = ["u[0]", "u[1]", "u[0]*u[2]"]
@@ -531,25 +538,25 @@ class TestSubjectMemo:
         assert len(evaluations) == count
 
     def test_alphas_and_metric_share_one_jet(self, mc_location):
-        # 2*dim score nodes, the second-derivative nodes other than theta
-        # itself, and the log-density at theta once: for p and for the
-        # centre node of every diagonal second derivative; Monte Carlo is a
-        # node rule like the others
-        for base, theta, count in (
+        # one log-density call on one batch of theta rows: 2*dim score
+        # nodes, the second-derivative nodes other than theta itself, and
+        # theta once, for p and for the centre node of every diagonal
+        # second derivative; Monte Carlo is a node rule like the others
+        for base, theta, rows in (
                 (models.normal_natural(), [-0.5, 0.1], 4 + 8 + 1),
                 (models.bernoulli_natural(), [0.3], 2 + 2 + 1),
                 (mc_location(), [0.2], 2 + 2 + 1)):
-            evaluations = []
+            batches = []
 
-            def log_density(x, th, base=base, evaluations=evaluations):
-                evaluations.append(1)
+            def log_density(x, th, base=base, batches=batches):
+                batches.append(np.shape(th))
                 return base.log_density(x, th)
 
             model = dataclasses.replace(base, log_density=log_density)
             for alpha in (1.0, -1.0, 0.5):
                 infogeo.alpha_connection(model, np.array(theta), alpha)
             infogeo.fisher_metric(model, np.array(theta))
-            assert len(evaluations) == count, base.label
+            assert batches == [(rows, base.dim)], base.label
 
     def test_errors_are_raised_and_never_stored(self):
         model = models.bernoulli_natural()

@@ -138,6 +138,24 @@ class TestGeodesic:
         want = th0 + np.outer(path.t, v0)
         assert np.abs(path.theta - want).max() < 1e-8
 
+    def test_one_log_density_call_per_stage(self):
+        """Every RK4 stage of an e-geodesic takes the connection from one
+        jet: one call of the family model's log-density, on the 13 theta
+        rows of a 2-d stencil batch."""
+        family = FAMILIES["normal-natural"]()
+        base = family_model(family)
+        batches = []
+
+        def log_density(x, th):
+            batches.append(np.shape(th))
+            return base.log_density(x, th)
+
+        model = dataclasses.replace(base, log_density=log_density)
+        path = geodesic(infogeo.alpha_field(model, 1.0), (-0.5, 0.0), (0.05, 0.2),
+                        0.5, 10, domain=family.domain)
+        assert len(path.t) == 11
+        assert batches == [(13, 2)] * (4 * 10)
+
     def test_m_geodesic_straight_in_dual_chart(self, normal_natural_family):
         model = family_model(normal_natural_family)
         conn = infogeo.alpha_field(model, -1.0)

@@ -72,6 +72,9 @@ def test_subscripts_within_declared_sizes():
         compile_expression("theta[1]", {"x": 2, "theta": 1})
     with pytest.raises(SchemaError, match=r"x\[2\] is out of range"):
         compile_expression("x[2]", {"x": 2, "theta": 1})
+    # a boolean is no index, though bool is a subclass of int
+    with pytest.raises(SchemaError, match=r"x\[True\]: subscripts must be integer"):
+        compile_expression("x[True]", {"x": 2})
     # None leaves a variable unbounded, as the default does for x and theta
     assert compile_expression("x[5]", {"x": None})({"x": np.arange(6.0)}) == 5.0
     with pytest.raises(SchemaError, match=r"u\[1\] is out of range"):

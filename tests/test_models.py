@@ -3,14 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from igeo import models
+from igeo import dualflat, models, submanifold
 from igeo.errors import OutOfDomain, SchemaError
 from igeo.models import (CATALOG, Box, SampleSpace, StatisticalModel,
                          load_model, log_density, reference_grid,
                          validate_model)
-from igeo.numerics import ExpectationRule, expect
+from igeo.numerics import ExpectationRule, expect, node_quadrature
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+GH_NORMAL = {
+    "name": "gh-normal", "dim": 2,
+    "space": {"kind": "real-line",
+              "quadrature": {"kind": "gauss-hermite", "nodes": 40, "scale": 2.0}},
+    "domain": {"lo": [-1.0, 0.5], "hi": [1.0, 2.0]},
+    "log_density": "-(x[0] - theta[0])^2/(2*theta[1]^2) - log(theta[1])"
+                   " - 0.9189385332046727",
+}
+
+
+def _contract_models(mc_location):
+    out = [factory() for factory in CATALOG.values()]
+    out += [dualflat.family_model(factory()) for factory in dualflat.FAMILIES.values()]
+    out += [load_model(GH_NORMAL), mc_location()]
+    out.append(submanifold.composed_model(submanifold.load_embedding(
+        {"ambient": "normal-natural", "map": ["-0.5 + 0.2*u[0]^2", "u[0]"],
+         "domain": {"lo": [-1.0], "hi": [1.0]}})))
+    return out
+
+
+class TestBatchContract:
+    """log_density maps theta (..., dim) to (..., N), row for row."""
+
+    def test_rows_equal_single_points(self, mc_location):
+        rng = np.random.default_rng(8)
+        for model in _contract_models(mc_location):
+            xs = node_quadrature(model.space)[0]
+            lo, hi = np.array(model.domain.lo), np.array(model.domain.hi)
+            TH = lo + (hi - lo) * rng.uniform(0.05, 0.95, (7, model.dim))
+            batch = model.log_density(xs, TH)
+            assert batch.shape == (7, len(xs)), model.label
+            for r in range(7):
+                assert np.array_equal(batch[r], model.log_density(xs, TH[r])), \
+                    (model.label, r)
+
+    def test_pointwise_log_density_is_refused(self):
+        """A log-density that ignores the batch axis gives a ValueError that
+        names the contract, not a wrong derivative."""
+        pointwise = StatisticalModel(
+            space=SampleSpace.finite([[0.0], [1.0], [2.0]]), dim=1,
+            domain=Box((-1.0,), (1.0,)),
+            log_density=lambda x, th: x[..., 0] * th[0], label="pointwise")
+        contract = r"theta \(\.\.\., dim\) -> \(\.\.\., N\)"
+        with pytest.raises(ValueError, match=contract):
+            models.score_matrix(pointwise, (0.2,), pointwise.space.points)
+        with pytest.raises(ValueError, match=contract):
+            models.second_log_derivs(pointwise, (0.2,), pointwise.space.points)
 
 
 class TestLogDensity:
@@ -71,7 +119,7 @@ class TestValidateModel:
         bad = StatisticalModel(
             space=SampleSpace.real_line(rule), dim=1,
             domain=Box((-1.0,), (1.0,)),
-            log_density=lambda x, th: -(x[..., 0] - th[0]) ** 2,
+            log_density=lambda x, th: -(x[..., 0] - th[..., 0, None]) ** 2,
             label="unnormalized")
         rep = validate_model(bad, [(0.0,)])
         assert not rep.passed
@@ -86,7 +134,7 @@ class TestValidateModel:
         def ll(x, th):
             if x.shape == probe.shape and np.array_equal(x, probe):
                 raise RuntimeError("probe rejected")
-            return -0.5 * (x[..., 0] - th[0]) ** 2 - 0.5 * math.log(2 * math.pi)
+            return -0.5 * (x[..., 0] - th[..., 0, None]) ** 2 - 0.5 * math.log(2 * math.pi)
 
         model = StatisticalModel(space=space, dim=1, domain=Box((-1.0,), (1.0,)),
                                  log_density=ll, label="probe-raises")

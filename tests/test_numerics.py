@@ -1,4 +1,7 @@
+import ast
 import math
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +12,83 @@ from igeo import numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
 from igeo.numerics import (DiffScheme, ExpectationRule, derive, expect,
-                           gradient, hessian, solve_frame)
+                           gradient, hessian, partials, solve_frame, stencil,
+                           symmetric)
+
+# The per-node central-difference loop that numerics.stencil replaced, kept
+# as the reference: one fn call and one domain test per stencil node, in
+# the order the terms are summed, divided once per Richardson level.
+_REF_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
+
+
+def reference_derive(fn, point, multi_index, scheme=None, domain=None):
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    idx = tuple(int(i) for i in multi_index)
+    if scheme is None:
+        scheme = DiffScheme(order=len(idx))
+    counts = Counter(idx)
+    coords = sorted(counts)
+    steps = {i: scheme.step * max(1.0, abs(point[i])) for i in coords}
+
+    def estimate(shrink):
+        total = None
+        for combo in product(*(_REF_STENCILS[counts[i]] for i in coords)):
+            x = point.copy()
+            coeff = 1.0
+            for i, (offset, c) in zip(coords, combo):
+                x[i] += offset * (steps[i] * shrink)
+                coeff *= c
+            if domain is not None and not domain.contains(x):
+                raise StencilOutOfDomain(
+                    f"stencil node {x.tolist()} leaves the declared domain")
+            val = np.asarray(fn(x), dtype=float)
+            if not np.all(np.isfinite(val)):
+                raise NonFinite(f"fn returned a non-finite value at {x.tolist()}")
+            total = coeff * val if total is None else total + coeff * val
+        return total / math.prod((steps[i] * shrink) ** counts[i] for i in coords)
+
+    levels = scheme.richardson_levels
+    table = [[estimate(0.5 ** i)] for i in range(levels + 1)]
+    for i in range(1, levels + 1):
+        for j in range(1, i + 1):
+            table[i].append(
+                (4.0 ** j * table[i][j - 1] - table[i - 1][j - 1]) / (4.0 ** j - 1.0))
+    result = table[levels][levels]
+    return float(result) if result.ndim == 0 else result
+
+
+def _polynomial(terms):
+    """sum of c * prod_i x_i^e_i over ``terms`` = [(c, exponents)], by
+    products alone, so one point (dim,) and rows (M, dim) round alike."""
+
+    def p(x):
+        total = np.zeros(np.shape(x)[:-1])
+        for c, exps in terms:
+            term = c
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = term * x[..., i]
+            total = total + term
+        return total
+
+    return p
+
+
+@st.composite
+def _polynomial_cases(draw):
+    dim = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.floats(-4, 4),
+                                    st.tuples(*[st.integers(0, 4)] * dim)),
+                          min_size=1, max_size=4))
+    point = draw(st.tuples(*[st.floats(-3, 3)] * dim))
+    order = draw(st.integers(1, 3))
+    index = draw(st.tuples(*[st.integers(0, dim - 1)] * order))
+    levels = draw(st.integers(0, 2))
+    return _polynomial(terms), np.array(point), index, levels
 
 
 class TestDerive:
@@ -123,24 +202,28 @@ class TestGradientHessian:
 
     @pytest.mark.parametrize("fn", [_scalar_fn, _array_fn])
     @pytest.mark.parametrize("levels", [0, 1])
-    def test_hessian_reuses_a_given_centre(self, fn, levels):
-        """fn(point), when the caller passes it, serves the centre node of
-        every diagonal entry at every Richardson level, bit for bit."""
+    def test_hessian_evaluates_each_distinct_node_once(self, fn, levels):
+        """The centre node that every diagonal entry shares at every
+        Richardson level is evaluated once, like every other node: on 3
+        coordinates, 3 pairs of 4 nodes and 3 diagonals of 2 nodes off the
+        centre per level, plus the centre."""
         scheme = DiffScheme(order=2, base_step=2.0**-8, richardson_levels=levels)
-        calls = []
+        nodes, batches = [], []
 
         def counted(x):
-            calls.append(1)
+            nodes.append(np.asarray(x).tobytes())
             return fn(x)
 
+        def batched(X):
+            batches.append(len(X))
+            return np.array([fn(x) for x in X])
+
         want = hessian(counted, self.POINT, scheme)
-        evaluated = len(calls)
-        calls.clear()
-        centre = fn(np.array(self.POINT))
-        assert np.array_equal(hessian(counted, self.POINT, scheme, centre=centre), want)
-        assert len(calls) == evaluated - 3 * (levels + 1)
-        with pytest.raises(NonFinite):
-            hessian(fn, self.POINT, scheme, centre=np.nan * np.asarray(centre))
+        distinct = (3 * 4 + 3 * 2) * (levels + 1) + 1
+        assert len(nodes) == len(set(nodes)) == distinct
+        got = symmetric(stencil(batched, self.POINT, partials(3, 2, scheme)), 3)
+        assert batches == [distinct]
+        assert np.array_equal(got, want)
 
     def test_one_coordinate(self):
         assert np.array_equal(gradient(lambda x: x[0] ** 2, 1.5),
@@ -155,6 +238,78 @@ class TestGradientHessian:
         # only the stencils along the second coordinate meet the NaN
         with pytest.raises(NonFinite):
             stack(lambda x: x[0] if x[1] == 0.5 else np.nan, (0.5, 0.5))
+
+
+def _node_in(message: str) -> np.ndarray:
+    """The stencil node an error message names."""
+    return np.array(ast.literal_eval(message[message.index("["):message.index("]") + 1]))
+
+
+class TestAgainstReference:
+    """derive, gradient, hessian and the batched stencil equal the per-node
+    reference loop bit for bit, and name the same node when they fail."""
+
+    BOX = Box((-10.0,) * 3, (10.0,) * 3)
+
+    @given(_polynomial_cases())
+    @example((_polynomial([(1.5, (3, 1))]), np.array([-0.0, 0.5]), (0, 0), 2))
+    @settings(max_examples=150, deadline=None)
+    def test_polynomials(self, case):
+        poly, point, index, levels = case
+        dim = point.size
+        box = Box(self.BOX.lo[:dim], self.BOX.hi[:dim])
+        scheme = DiffScheme(order=len(index), richardson_levels=levels)
+        want = reference_derive(poly, point, index, scheme, box)
+        assert np.array_equal(derive(poly, point, index, scheme, box), want)
+        for order, stack in ((1, gradient), (2, hessian)):
+            s = DiffScheme(order=order, richardson_levels=levels)
+            got = stack(poly, point, s, box)
+            for entry in product(range(dim), repeat=order):
+                ref = reference_derive(poly, point, sorted(entry), s, box)
+                assert np.array_equal(got[entry], ref)
+        # the batched core, with every entry in one batch and the value
+        entries = partials(dim, 1, None) + [(index, scheme), ((), None)] \
+            + partials(dim, 2, DiffScheme(order=2, richardson_levels=levels))
+        got = stencil(poly, point, entries, box)
+        assert len(got) == len(entries)
+        for value, (idx, s) in zip(got, entries):
+            ref = reference_derive(poly, point, idx, s, box) if idx else poly(point)
+            assert np.array_equal(value, ref)
+
+    @pytest.mark.parametrize("stack", [gradient, hessian])
+    def test_out_of_domain_names_a_node_outside(self, stack):
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        point = (0.5, 1.0 - 1e-6)
+        fn = lambda x: x[0] * x[1]
+        with pytest.raises(StencilOutOfDomain) as got:
+            stack(fn, point, domain=box)
+        order = 2 if stack is hessian else 1
+        with pytest.raises(StencilOutOfDomain) as want:
+            for idx, _ in partials(2, order):
+                reference_derive(fn, point, idx, domain=box)
+        node = _node_in(str(got.value))
+        assert not box.contains(node)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_names_the_node(self):
+        point = np.array([0.25, -0.5])
+        fn = lambda x: np.nan if x[1] > point[1] else x[0] * x[1]
+        with pytest.raises(NonFinite) as got:
+            hessian(fn, point)
+        node = _node_in(str(got.value))
+        assert node[1] > point[1] and not np.isfinite(fn(node))
+        with pytest.raises(NonFinite) as want:
+            reference_derive(fn, point, (0, 1))
+        assert str(got.value) == str(want.value)
+        batched = lambda X: np.where(X[:, 1] > point[1], np.nan, X[:, 0])
+        with pytest.raises(NonFinite) as core:
+            stencil(batched, point, [((1,), None)])
+        assert _node_in(str(core.value))[1] > point[1]
+
+    def test_batch_axis_is_required(self):
+        """A batched fn that drops the node axis is refused, not combined."""
+        with pytest.raises(ValueError, match="must map nodes"):
+            stencil(lambda X: X[0], (0.5, 0.5), partials(2, 1))
 
 
 class TestExpect:
