@@ -60,7 +60,8 @@ class TestFisherMetric:
         bad = models.StatisticalModel(
             space=base.space, dim=2,
             domain=models.Box((-1.0, -1.0), (1.0, 1.0)),
-            log_density=lambda x, th: -0.5 * (x[..., 0] - th[..., 0, None] - th[..., 1, None]) ** 2
+            log_density=lambda x, th: -0.5 * (x[..., 0] - th[..., 0, None]
+                                              - th[..., 1, None]) ** 2
             - 0.5 * np.log(2 * np.pi),
             label="degenerate")
         with pytest.raises(SingularMetric):
