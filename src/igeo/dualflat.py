@@ -30,7 +30,7 @@ from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, domain_from_doc, space_from_doc)
-from .numerics import (PointMemo, expect, node_quadrature, partials, stencil,
+from .numerics import (PointMemo, integrate, node_quadrature, partials, stencil,
                        symmetric)
 
 
@@ -56,11 +56,7 @@ class PotentialFamily:
         return len(self.stats)
 
     def check_theta(self, theta) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.size != self.dim or not self.domain.contains(th):
-            raise OutOfDomain(f"theta {np.asarray(theta).tolist()} outside "
-                              f"domain of family {self.label or '?'}")
-        return th
+        return self.domain.check(theta, f"family {self.label or '?'}")
 
     def exponent(self, x, theta) -> np.ndarray:
         """sum_i theta_i F_i(x) + D(x), before normalization: shape (N,) for
@@ -136,9 +132,10 @@ def _potentials(family: PotentialFamily, TH) -> np.ndarray:
             expo = family.exponent(xs, new)
             values = _logsumexp(expo if w is None else expo + np.log(w))
         else:
-            values = [float(np.log(expect(
-                family.space, lambda x, th=th: np.exp(family.exponent(x, th)),
-                lambda x: np.ones(len(x))))) for th in new]
+            # adaptive quadrature, one point x at a time: every missed row
+            # is one component of a single vector integral
+            values = np.log(integrate(
+                family.space, lambda x, _: np.exp(family.exponent(x, new)).sum(axis=-1)))
         for r, value in zip(misses, values):
             out[r] = family.memo.put(keys[r], float(value))
     return out.reshape(TH.shape[:-1])

@@ -17,11 +17,12 @@ log-density l (Amari & Nagaoka 2000, sec. 2.3):
     Gamma^a_{ij,k} = A_{ijk} + (1-a)/2 T_{ijk},
     A = E[d_i d_j l d_k l],  T = E[d_i l d_j l d_k l].
 
-Under a node rule (exact sum, Gauss-Hermite or Monte Carlo), A, T and the
-Fisher metric g = E[d_i l d_j l] are taken from one log-density jet per
-point and stored on the model's memo, so any number of alphas cost one jet.
-A jet is one ``numerics.stencil`` batch: one log-density call on the theta
-rows of every score and second-derivative node and theta itself.
+A, T and the Fisher metric g = E[d_i l d_j l] are one integral of the
+log-density jet per point (``numerics.integrate``, under any rule), stored
+on the model's memo, so any number of alphas cost one integral.  A jet is
+one ``numerics.stencil`` batch: one log-density call on the theta rows of
+every score and second-derivative node and theta itself, over all the
+nodes of a node rule or one point of adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .models import (HESSIAN_SCHEME, SCORE_SCHEME, StatisticalModel,
-                     log_density_jet, log_density_rows, score_matrix)
-from .numerics import DiffScheme, expect, gradient, node_quadrature, partials, stencil
+from .models import SCORE_SCHEME, StatisticalModel, log_density_jet, log_density_rows
+from .numerics import DiffScheme, gradient, integrate, partials, stencil
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -125,36 +125,30 @@ def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
 def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
     """Fisher information g_ij = E[score_i * score_j] at theta.
 
-    Memoized per model and point; the returned array is read-only.
+    Memoized per model and point; the returned array is read-only.  Only a
+    miss tests theta against the domain: only tested points are stored.
     """
-    th = model.check_theta(theta)
-    return model.memo.get(("fisher", th.tobytes()), lambda: _fisher_metric(model, th))
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    return model.memo.get(("fisher", th.tobytes()),
+                          lambda: _fisher_metric(model, model.check_theta(th)))
 
 
 def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
-    nodes = node_quadrature(model.space)
-    if nodes is not None:
-        # the moments, when stored, hold the same einsum over the same scores;
-        # otherwise only the scores are taken, never the wider Hessian stencil
-        moments = model.memo.peek(("moments", th.tobytes()))
-        if moments is not None:
-            g = moments.g
-        else:
-            xs, w = nodes
-            n = model.dim
-            jet = stencil(log_density_rows(model, xs), th,
-                          partials(n, 1, SCORE_SCHEME) + [((), None)], model.domain)
-            g = _score_gram(np.array(jet[:n]), _node_weights(jet[-1], w))
+    # the moments, when stored, hold the same Gram over the same scores;
+    # otherwise only the scores are taken, never the wider Hessian stencil
+    moments = model.memo.peek(("moments", th.tobytes()))
+    if moments is not None:
+        g = moments.g
     else:
         n = model.dim
-        g = np.empty((n, n))
-        weight = model.density(th)
-        for i in range(n):
-            for j in range(i, n):
-                def integrand(x, i=i, j=j):
-                    s = score_matrix(model, th, x)
-                    return s[i] * s[j]
-                g[i, j] = g[j, i] = expect(model.space, weight, integrand)
+
+        def gram(xs, w):
+            jet = stencil(log_density_rows(model, xs), th,
+                          partials(n, 1, SCORE_SCHEME) + [((), None)], model.domain)
+            s = np.array(jet[:n])
+            return np.einsum("in,jn,n->ij", s, s, _node_weights(jet[-1], w))
+
+        g = _symmetrised(integrate(model.space, gram))
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > _METRIC_CONDITION_CAP:
         raise SingularMetric(f"Fisher metric condition {cond:.3e} exceeds cap")
@@ -167,8 +161,7 @@ def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
     return p if w is None else p * w
 
 
-def _score_gram(s: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    g = np.einsum("in,jn,n->ij", s, s, pw)
+def _symmetrised(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
@@ -182,19 +175,24 @@ class _Moments:
 
 
 def _moments(model: StatisticalModel, th: np.ndarray) -> _Moments:
-    """Node-rule moments at th, memoized per model and point.  The jet
-    (scores, second log-derivatives, p * w) comes from one log-density call
-    on one stencil batch, and is dropped once the moments are taken; th
-    itself is one row of the batch, for p and for the centre node of every
-    diagonal second derivative."""
+    """Moments at th, memoized per model and point: g, A and T packed into
+    one integrated array.  Each call of the integrand takes the jet
+    (scores, second log-derivatives, p * w) from one log-density call on
+    one stencil batch; th itself is one row of the batch, for p and for the
+    centre node of every diagonal second derivative."""
+    n = model.dim
 
-    def compute():
-        xs, w = node_quadrature(model.space)
+    def products(xs, w):
         log_p, s, dd = log_density_jet(model, th, xs)
         pw = _node_weights(log_p, w)
-        return _Moments(g=_score_gram(s, pw),
-                        A=np.einsum("ijn,kn,n->ijk", dd, s, pw),
-                        T=np.einsum("in,jn,kn,n->ijk", s, s, s, pw))
+        return np.concatenate([np.einsum("in,jn,n->ij", s, s, pw).ravel(),
+                               np.einsum("ijn,kn,n->ijk", dd, s, pw).ravel(),
+                               np.einsum("in,jn,kn,n->ijk", s, s, s, pw).ravel()])
+
+    def compute():
+        g, A, T = np.split(integrate(model.space, products), [n * n, n * n + n ** 3])
+        return _Moments(g=_symmetrised(g.reshape(n, n)), A=A.reshape(n, n, n),
+                        T=T.reshape(n, n, n))
 
     return model.memo.get(("moments", th.tobytes()), compute)
 
@@ -210,35 +208,18 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
     Gamma^a_{ij,k} = E[(d_i d_j l + (1-a)/2 d_i l d_j l) d_k l]
                    = A_{ijk} + (1-a)/2 T_{ijk},
     with A = E[d_i d_j l d_k l] and the skewness T = E[d_i l d_j l d_k l];
-    symmetric in (i, j) by construction of the central stencils.  Under a
-    node rule A and T are taken once per point and serve every alpha.
-    Memoized per model, point and alpha; the returned array is read-only.
+    symmetric in (i, j) by construction of the central stencils.  A and T
+    are taken once per point and serve every alpha.  Memoized per model,
+    point and alpha; the returned array is read-only.  Only a miss tests
+    theta against the domain.
     """
-    th = model.check_theta(theta)
-    return model.memo.get(("alpha", th.tobytes(), float(alpha)),
-                          lambda: _alpha_connection(model, th, alpha))
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
 
+    def compute():
+        moments = _moments(model, model.check_theta(th))
+        return moments.A + (1.0 - alpha) / 2.0 * moments.T
 
-def _alpha_connection(model: StatisticalModel, th: np.ndarray,
-                      alpha: float) -> np.ndarray:
-    c = (1.0 - alpha) / 2.0
-    if node_quadrature(model.space) is not None:
-        moments = _moments(model, th)
-        return moments.A + c * moments.T
-    n = model.dim
-    low = np.empty((n, n, n))
-    weight = model.density(th)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                def integrand(x, i=i, j=j, k=k):
-                    jet = stencil(log_density_rows(model, x), th,
-                                  partials(n, 1, SCORE_SCHEME)
-                                  + [((i, j), HESSIAN_SCHEME)], model.domain)
-                    s, dd = jet[:n], jet[n]
-                    return (dd + c * s[i] * s[j]) * s[k]
-                low[i, j, k] = low[j, i, k] = expect(model.space, weight, integrand)
-    return low
+    return model.memo.get(("alpha", th.tobytes(), float(alpha)), compute)
 
 
 def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:

@@ -11,8 +11,9 @@ vectorised callables over the sample space return shape ``(N,)``.  A
 log-density is also batched over parameters: theta of shape ``(..., dim)``
 gives shape ``(..., N)``, so one call evaluates a whole stencil of theta
 rows (``numerics.stencil``); ``log_density_rows`` holds a model to that.
-Expectations over a space go through its rule: ``numerics.node_quadrature``
-gives the nodes of every rule but adaptive quadrature.
+Integrals over a space go through its rule, one path for every rule:
+``numerics.integrate`` sums over the nodes of ``numerics.node_quadrature``
+or runs adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
 from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
-                       partials, stencil, symmetric)
+                       partials, stencil, symmetric, tensor_grid)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -56,9 +57,8 @@ def default_quad_nodes(fallback: int) -> int:
 def grid(lo, hi, counts) -> list:
     """Row-major tensor grid from ``lo`` to ``hi`` with ``counts`` points per
     coordinate; ``lo`` may equal ``hi`` along any axis."""
-    axes = [np.linspace(float(a), float(b), int(c)) for a, b, c in zip(lo, hi, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+    return list(tensor_grid([np.linspace(float(a), float(b), int(c))
+                             for a, b, c in zip(lo, hi, counts)]))
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,15 @@ class Box:
         """Boolean ``contains`` of every row of ``points``, shape (..., dim)."""
         p = np.asarray(points, dtype=float)
         return np.all(p > self._lo, axis=-1) & np.all(p < self._hi, axis=-1)
+
+    def check(self, theta, label: str) -> np.ndarray:
+        """theta as a float vector; OutOfDomain, naming ``label``, unless it
+        is a point of the box."""
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        if not self.contains(th):
+            raise OutOfDomain(
+                f"theta {np.asarray(theta).tolist()} outside domain of {label}")
+        return th
 
     def center(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
@@ -167,11 +176,7 @@ class StatisticalModel:
             raise ValueError("domain dimension does not match model dimension")
 
     def check_theta(self, theta) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.size != self.dim or not self.domain.contains(th):
-            raise OutOfDomain(
-                f"theta {np.asarray(theta).tolist()} outside domain of {self.label or 'model'}")
-        return th
+        return self.domain.check(theta, self.label or "model")
 
     def density(self, theta) -> Callable:
         """Weight function x -> p(x; theta) for expectation calls."""
@@ -261,8 +266,7 @@ def quadrature_sample(space: SampleSpace) -> np.ndarray:
     if space.rule.kind in ("exact-finite-sum", "gauss-hermite"):
         return numerics.node_quadrature(space)[0]
     qs = normal_quantiles(space.rule, np.linspace(0.02, 0.98, 25))
-    grids = np.meshgrid(*([qs] * space.xdim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return tensor_grid([qs] * space.xdim)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +547,7 @@ def _rule_from_doc(doc: dict) -> ExpectationRule:
             nodes=number("nodes", int, None) if "nodes" in doc else default_quad_nodes(64),
             loc=number("loc", float, 0.0), scale=number("scale", float, 1.0))
     if kind == "adaptive-quadrature":
-        return ExpectationRule.adaptive(tol=number("tol", float, 1e-10))
+        return ExpectationRule.adaptive(tol=number("tol", float, ExpectationRule.tol))
     if kind == "monte-carlo":
         if "seed" not in doc:
             raise SchemaError("monte-carlo quadrature requires a seed")

@@ -12,10 +12,13 @@ built from three primitives:
                      pointwise wrappers: they evaluate a one-point ``fn`` row
                      by row over the same batch, so they return the same
                      bits as a per-node loop.
-* ``expect``      -- expectations against an explicit weight over a sample
-                     space: a sum over the nodes of ``node_quadrature``
-                     (exact sum, Gauss-Hermite, Monte Carlo) or adaptive
-                     quadrature, which loads ``scipy.integrate`` on first use.
+* ``integrate``   -- integrals over a sample space under its rule, of a
+                     ``fn(points, weights)`` that returns a weighted sum over
+                     its points: one call on the nodes of ``node_quadrature``
+                     (exact sum, Gauss-Hermite, Monte Carlo), or adaptive
+                     quadrature of its value at single points, componentwise,
+                     which loads ``scipy.integrate`` on first use.  ``expect``
+                     is its scalar case, against an explicit weight.
 * ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
 
 All functions here are pure.  Two kinds of cache exist, and neither
@@ -271,12 +274,14 @@ class ExpectationRule:
     Node weights are for integration against the flat measure, so the
     weight function is always an explicit factor.  Gauss-Hermite nodes are
     affinely mapped (``loc`` + sqrt(2)*``scale``*t); Monte Carlo nodes are
-    draws from N(``loc``, ``scale``^2) and need a seed.
+    draws from N(``loc``, ``scale``^2) and need a seed.  ``tol`` (absolute
+    and relative) of adaptive quadrature defaults to 1e-8, above the
+    finite-difference floor of connection integrands (about 1e-9).
     """
 
     kind: str
     nodes: int = 64
-    tol: float = 1e-10
+    tol: float = 1e-8
     seed: Optional[int] = None
     loc: float = 0.0
     scale: float = 1.0
@@ -304,13 +309,20 @@ class ExpectationRule:
         return cls(kind="gauss-hermite", nodes=nodes, loc=loc, scale=scale)
 
     @classmethod
-    def adaptive(cls, tol: float = 1e-10) -> "ExpectationRule":
-        return cls(kind="adaptive-quadrature", tol=tol)
+    def adaptive(cls, tol: Optional[float] = None) -> "ExpectationRule":
+        return cls(kind="adaptive-quadrature", tol=cls.tol if tol is None else tol)
 
     @classmethod
     def monte_carlo(cls, nodes: int, seed: int, loc: float = 0.0,
                     scale: float = 1.0) -> "ExpectationRule":
         return cls(kind="monte-carlo", nodes=nodes, seed=seed, loc=loc, scale=scale)
+
+
+def tensor_grid(axes: Sequence) -> np.ndarray:
+    """Row-major tensor product of 1-d ``axes``, shape (prod of lengths,
+    len(axes)): the last coordinate varies fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -331,12 +343,8 @@ def quadrature_nodes(n: int, loc: float, scale: float, xdim: int):
     Returns read-only ``(points, weights)``, points of shape ``(n**xdim, xdim)``.
     """
     x1, w1 = _gh_nodes_1d(n, loc, scale)
-    if xdim == 1:
-        return x1.reshape(-1, 1), w1
-    grids = np.meshgrid(*([x1] * xdim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w1] * xdim), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    pts = tensor_grid([x1] * xdim)
+    weights = np.prod(tensor_grid([w1] * xdim), axis=-1)
     pts.flags.writeable = weights.flags.writeable = False
     return pts, weights
 
@@ -380,51 +388,62 @@ def _masked_products(weight_vals, integrand_vals):
     return contrib
 
 
-def expect(space, weight: Callable, integrand: Callable) -> float:
-    """Expectation of ``integrand`` against ``weight`` over ``space``.
+def integrate(space, fn: Callable):
+    """The integral over ``space``, under its rule, of a pointwise quantity.
 
-    ``space`` provides its ``rule``, ``xdim`` and, if finite, ``points``.
-    Both callables are evaluated on arrays of shape ``(N, xdim)`` and must
-    return shape ``(N,)``.  Every rule but the adaptive one sums over the
-    nodes of ``node_quadrature``; the counting measure uses compensated
-    summation, invariant under permutations of the point list.
+    ``fn(points, weights)`` returns an array that is the weighted sum of the
+    quantity over ``points`` (N, xdim); ``weights`` of None mean the
+    counting measure.  A node rule calls ``fn`` once, on the nodes of
+    ``node_quadrature``.  Adaptive quadrature integrates ``fn(x[None],
+    None)``, the quantity at a single point x, componentwise over R^xdim by
+    nested ``scipy.integrate.quad_vec`` (imported on first use) with at most
+    200 subintervals per level; a non-finite value raises ``NonFinite`` and
+    a level that misses the rule's tolerance ``Divergent``.
     """
     nodes = node_quadrature(space)
     if nodes is not None:
-        pts, qweights = nodes
-        contrib = _masked_products(weight(pts), integrand(pts))
-        if qweights is None:
-            return math.fsum(contrib.tolist())
-        return float(np.dot(qweights, contrib))
+        return fn(*nodes)
 
-    # adaptive quadrature, the one rule without fixed nodes
-    from scipy import integrate
-    rule = space.rule
+    from scipy.integrate import quad_vec
+    tol = space.rule.tol
 
-    def g(*coords):
-        x = np.array([coords], dtype=float)
-        w = float(np.asarray(weight(x)).reshape(()))
-        if w < 0:
-            raise ValueError("weight must be nonnegative on all evaluated nodes")
-        if w == 0.0:
-            return 0.0
-        val = w * float(np.asarray(integrand(x)).reshape(()))
-        if not math.isfinite(val):
-            raise NonFinite("non-finite integrand*weight during adaptive quadrature")
+    def over(prefix: list):  # the integral over the coordinates after prefix
+        def inner(t):
+            if len(prefix) + 1 < space.xdim:
+                return over(prefix + [t])
+            x = np.array([prefix + [t]], dtype=float)
+            val = np.asarray(fn(x, None), dtype=float)
+            if not np.isfinite(val).all():
+                raise NonFinite(f"non-finite integrand at x = {x[0].tolist()} "
+                                "during adaptive quadrature")
+            return val
+
+        val, _, info = quad_vec(inner, -np.inf, np.inf, epsabs=tol, epsrel=tol,
+                                limit=200, full_output=True)
+        if not info.success:
+            raise Divergent(f"adaptive quadrature did not converge: {info.message}")
         return val
 
-    if space.xdim == 1:
-        out = integrate.quad(g, -np.inf, np.inf, epsabs=rule.tol,
-                             epsrel=rule.tol, limit=200, full_output=1)
-        if len(out) > 3:
-            raise Divergent(f"adaptive quadrature did not converge: {out[3]}")
-        return float(out[0])
-    ranges = [(-np.inf, np.inf)] * space.xdim
-    val, abserr = integrate.nquad(g, ranges,
-                                  opts={"epsabs": rule.tol, "epsrel": rule.tol})
-    if not math.isfinite(val) or abserr > max(rule.tol * 100, rule.tol * abs(val) * 100):
-        raise Divergent(f"adaptive quadrature error estimate {abserr:.2e} too large")
-    return float(val)
+    return over([])
+
+
+def expect(space, weight: Callable, integrand: Callable) -> float:
+    """Expectation of ``integrand`` against ``weight`` over ``space``: the
+    scalar case of ``integrate``.
+
+    ``space`` provides its ``rule``, ``xdim`` and, if finite, ``points``.
+    Both callables are evaluated on arrays of shape ``(N, xdim)`` and must
+    return shape ``(N,)``.  The counting measure uses compensated
+    summation, invariant under permutations of the point list.
+    """
+
+    def total(pts, weights):
+        contrib = _masked_products(weight(pts), integrand(pts))
+        if weights is None:
+            return math.fsum(contrib.tolist())
+        return float(np.dot(weights, contrib))
+
+    return float(integrate(space, total))
 
 
 def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):

@@ -27,7 +27,7 @@ from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
                      load_model, normal_quantiles, second_log_derivs)
-from .numerics import gradient, hessian
+from .numerics import gradient, hessian, tensor_grid
 
 _RANK_TOL = 1e-8
 
@@ -167,14 +167,9 @@ def probe_points(space: SampleSpace, count: int = 8) -> np.ndarray:
     ``models.normal_quantiles``), full support (up to truncation) for discrete."""
     if space.points is not None:
         return space.points
-    if space.xdim == 1:
-        qs = np.linspace(0.05, 0.95, max(count, 8))
-        return normal_quantiles(space.rule, qs).reshape(-1, 1)
     per_dim = int(np.ceil(max(count, 8) ** (1.0 / space.xdim)))
-    qs = np.linspace(0.05, 0.95, per_dim)
-    x1 = normal_quantiles(space.rule, qs)
-    grids = np.meshgrid(*([x1] * space.xdim), indexing="ij")
-    return np.stack([gg.ravel() for gg in grids], axis=-1)
+    x1 = normal_quantiles(space.rule, np.linspace(0.05, 0.95, per_dim))
+    return tensor_grid([x1] * space.xdim)
 
 
 @dataclass(frozen=True)

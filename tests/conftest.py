@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from igeo import dualflat, models
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+ADAPTIVE_SPEC = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "adaptive_verify.json"
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +44,13 @@ MC_LOCATION = {
 def mc_location():
     """Factory of new ``MC_LOCATION`` models, each with its own memo."""
     return lambda: models.load_model(MC_LOCATION)
+
+
+@pytest.fixture(scope="session")
+def adaptive_runs():
+    """The runs of the adaptive spec: an inline normal-natural model and the
+    normal family, both on adaptive quadrature at the default tolerance."""
+    return json.loads(ADAPTIVE_SPEC.read_text())["runs"]
 
 
 @pytest.fixture(scope="session")

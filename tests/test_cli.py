@@ -131,6 +131,17 @@ class TestRun:
             "tolerances": tols}))
         assert report.all_passed, report.to_dict()["results"]
 
+    def test_adaptive_default_tolerance_serves_the_connections(self, adaptive_runs):
+        """The adaptive spec's model, without a tol, at one grid point: the
+        default tolerance sits above the finite-difference floor of the jet
+        integrand, so every connection check passes."""
+        run = {**adaptive_runs[0], "grid": {"lo": [-0.5, 0.0], "hi": [-0.5, 0.0],
+                                            "counts": [1, 1]},
+               "checks": ["flatness", "alpha-duality", "codazzi", "cubic-symmetry"]}
+        assert "tol" not in run["subject"]["model"]["space"]["quadrature"]
+        report = cli.run(RunSpec.from_dict(run))
+        assert report.all_passed, report.to_dict()["results"]
+
     def test_geodesic_requires_block(self):
         with pytest.raises(SchemaError):
             RunSpec.from_dict({"subject": {"family": "normal-natural"},

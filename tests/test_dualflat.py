@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from igeo import immersion, infogeo, models, numerics
+from igeo import dualflat, immersion, infogeo, models, numerics
 from igeo.dualflat import (FAMILIES, GeodesicPath, PotentialFamily,
-                           centro_affine_lift, dual_coords, dual_potential,
+                           _potentials, centro_affine_lift, dual_coords, dual_potential,
                            family_model, geodesic, graph_realization,
                            hessian_metric, legendre_inverse, load_family,
                            potential)
@@ -80,6 +80,27 @@ class TestPotential:
         assert potential(doubled, theta) == pytest.approx(
             potential(fam, theta) + math.log(2.0), abs=1e-12)
         assert evaluations == [1]
+
+
+class TestAdaptivePotential:
+    def test_matches_the_closed_form(self, adaptive_runs, nn_grid, monkeypatch):
+        """K of the adaptive spec's family within 1e-12 of the closed form;
+        the rows a batch misses share one vector integral."""
+        fam = load_family(adaptive_runs[1]["subject"]["family"])
+        calls = []
+        real = dualflat.integrate
+
+        def counted(space, fn):
+            calls.append(1)
+            return real(space, fn)
+
+        monkeypatch.setattr(dualflat, "integrate", counted)
+        K = _potentials(fam, np.array(nn_grid))
+        assert len(calls) == 1
+        for theta, value in zip(nn_grid, K):
+            assert abs(value - models.normal_natural_potential(theta)) < 1e-12, theta
+            assert potential(fam, theta) == value
+        assert len(calls) == 1
 
 
 class TestLegendre:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,43 @@ class TestSharedMoments:
                     scale = np.einsum("ijn,kn,n->ijk", np.abs(core), np.abs(s), pw).max()
                     assert np.abs(got - expected).max() <= 1e-12 * scale
             assert np.array_equal(fisher_metric(model, theta), g)
+
+
+class TestAdaptiveQuadrature:
+    """The inline normal-natural model of the adaptive spec (default
+    tolerance 1e-8) integrates g, A and T as one vector per point."""
+
+    THETAS = [(-0.6, -0.4), (-0.5, 0.0), (-0.4, 0.2)]
+
+    def test_matches_the_gauss_hermite_builtin(self, adaptive_runs, monkeypatch):
+        """g and the alpha = 1, -1, 0 connections within 1e-8 of the builtin;
+        the alphas after the first, and g, make no log-density call."""
+        # at 96 nodes the builtin's T is off by 5e-7 at (-0.6, -0.4); at 160
+        # both rules are within 2e-9 of the exact moments there
+        monkeypatch.setenv("IGEO_QUAD_NODES", "160")
+        reference = models.normal_natural()
+        inline = models.load_model(adaptive_runs[0]["subject"]["model"])
+        assert inline.space.rule.tol == 1e-8
+        calls = []
+
+        def counted(x, th):
+            calls.append(len(x))
+            return inline.log_density(x, th)
+
+        model = dataclasses.replace(inline, log_density=counted)
+        for theta in self.THETAS:
+            got = {1.0: alpha_connection(model, theta, 1.0)}
+            jet_calls = len(calls)
+            assert jet_calls > 0 and set(calls) == {1}  # one sample point per call
+            for alpha in (-1.0, 0.0):
+                got[alpha] = alpha_connection(model, theta, alpha)
+            g = fisher_metric(model, theta)
+            assert len(calls) == jet_calls
+            calls.clear()
+            assert np.abs(g - fisher_metric(reference, theta)).max() < 1e-8
+            for alpha, low in got.items():
+                want = alpha_connection(reference, theta, alpha)
+                assert np.abs(low - want).max() < 1e-8, (theta, alpha)
 
 
 class TestRaiseLower:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from igeo import dualflat, models, submanifold
+from igeo import dualflat, infogeo, models, submanifold
 from igeo.errors import OutOfDomain, SchemaError
 from igeo.models import (CATALOG, Box, SampleSpace, StatisticalModel,
                          load_model, log_density, reference_grid,
@@ -279,6 +279,38 @@ class TestLoadModel:
                                   "points": [[0.0], [1.0]]},
                         "domain": {"lo": [0.0], "hi": [1.0]},
                         "log_density": "x[0]*theta[0]"})
+
+
+class TestCheckTheta:
+    @pytest.mark.parametrize("subject, name", [
+        (models.normal_natural, "normal-natural"),
+        (dualflat.normal_natural_family, "family normal-natural")])
+    def test_model_and_family_share_the_box_check(self, subject, name):
+        subject = subject()
+        assert np.array_equal(subject.check_theta((-0.5, 0.1)), [-0.5, 0.1])
+        for theta in ((0.5, 0.0), (-0.5,), (-0.5, 0.0, 1.0)):
+            with pytest.raises(OutOfDomain, match=f"outside domain of {name}$"):
+                subject.check_theta(theta)
+
+    def test_memo_hit_makes_no_domain_test(self, monkeypatch):
+        model = models.normal_natural()
+        theta = (-0.5, 0.1)
+        g = infogeo.fisher_metric(model, theta)
+        low = infogeo.alpha_connection(model, theta, 1.0)
+        tests = []
+        real = Box.contains
+        monkeypatch.setattr(Box, "contains",
+                            lambda self, *a, **k: tests.append(1) or real(self, *a, **k))
+        assert infogeo.fisher_metric(model, theta) is g
+        assert infogeo.alpha_connection(model, theta, 1.0) is low
+        assert tests == []
+        infogeo.alpha_connection(model, theta, -1.0)  # a miss tests theta
+        assert tests == [1]
+        for bad in ((0.5, 0.0), (-0.5,)):
+            with pytest.raises(OutOfDomain):
+                infogeo.fisher_metric(model, bad)
+            with pytest.raises(OutOfDomain):
+                infogeo.alpha_connection(model, bad, 1.0)
 
 
 class TestSampleSpace:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igeo import numerics
+from igeo import models, numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
 from igeo.numerics import (DiffScheme, ExpectationRule, derive, expect,
-                           gradient, hessian, partials, solve_frame, stencil,
-                           symmetric)
+                           gradient, hessian, integrate, partials, solve_frame,
+                           stencil, symmetric)
 
 # The per-node central-difference loop that numerics.stencil replaced, kept
 # as the reference: one fn call and one domain test per stencil node, in
@@ -420,6 +420,61 @@ class TestExpect:
             ExpectationRule(kind="gauss-hermite", nodes=0)
         with pytest.raises(ValueError):
             ExpectationRule(kind="adaptive-quadrature", tol=0.0)
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("space", [
+        SampleSpace.finite([[0.0], [1.0], [2.0]]),
+        SampleSpace.real(2, ExpectationRule.gauss_hermite(6)),
+        SampleSpace.real_line(ExpectationRule.monte_carlo(100, seed=2))])
+    def test_node_rules_call_fn_once_on_their_nodes(self, space):
+        calls = []
+        value = integrate(space, lambda pts, w: calls.append((pts, w)) or np.zeros(3))
+        assert np.array_equal(value, np.zeros(3))
+        [(pts, w)] = calls
+        nodes = numerics.node_quadrature(space)
+        assert pts is nodes[0] and w is nodes[1]
+
+    def test_adaptive_nests_over_two_coordinates(self):
+        """E[x0^2 x1^2] = 1 under N(0, I), the integrand seen one point at a
+        time and without weights.  A loose tolerance keeps the nested
+        evaluations near their floor (about 180 per level)."""
+        space = SampleSpace.real(2, ExpectationRule.adaptive(1e-4))
+        shapes = set()
+
+        def fn(pts, w):
+            shapes.add((pts.shape, w))
+            pdf = np.exp(-0.5 * np.sum(pts ** 2, axis=-1)) / (2 * math.pi)
+            return np.sum(pdf * pts[:, 0] ** 2 * pts[:, 1] ** 2)
+
+        assert float(integrate(space, fn)) == pytest.approx(1.0, abs=1e-6)
+        assert shapes == {((1, 2), None)}
+
+    def test_adaptive_is_componentwise(self):
+        space = SampleSpace.real_line(ExpectationRule.adaptive())
+        pdf = lambda x: np.exp(-0.5 * x[:, 0] ** 2) / math.sqrt(2 * math.pi)
+        moments = integrate(space, lambda x, w: (pdf(x) * x[:, 0] ** np.arange(5)[:, None])
+                            .sum(axis=-1))
+        assert moments == pytest.approx([1.0, 0.0, 1.0, 0.0, 3.0], abs=1e-8)
+
+    def test_unreachable_tolerance_fails_within_the_budget(self):
+        """200 subintervals of 15 nodes per split, not quad_vec's 10,000."""
+        space = SampleSpace.real_line(ExpectationRule.adaptive(1e-12))
+        calls = []
+        with pytest.raises(Divergent):
+            integrate(space, lambda x, w: calls.append(1) or np.abs(x[:, 0]).sum())
+        assert len(calls) <= 200 * 2 * 15
+
+    def test_non_finite_value(self):
+        space = SampleSpace.real_line(ExpectationRule.adaptive())
+        with pytest.raises(NonFinite):
+            integrate(space, lambda x, w: np.where(x[:, 0] > 0.5, np.inf, 1.0).sum())
+
+    def test_default_tolerance_lives_on_the_rule(self):
+        assert ExpectationRule.adaptive().tol == ExpectationRule.tol == 1e-8
+        space = models.space_from_doc(
+            {"kind": "real-line", "quadrature": {"kind": "adaptive-quadrature"}})
+        assert space.rule == ExpectationRule.adaptive()
 
 
 class TestQuadratureNodes:
