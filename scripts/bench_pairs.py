@@ -7,10 +7,13 @@ Extracts the committed files of both revisions into temporary directories
 (``git archive``, so uncommitted edits and ignored outputs take no part),
 then runs ``perfbench/run.py --trace 0`` once per side and seed, alternating
 which side runs first from one pair to the next.  Each run's final JSON line
-is stored under its workload, seed and side.  The output file is extended,
-not replaced, so workloads can be added by separate invocations; a summary
-per workload gives each side's median and quartiles of every metric and the
-pairs the change won (lower is better for every benchmark metric).
+is stored under its workload, seed and side, with the environment line
+before it under ``env``.  The output file is extended, not replaced, so
+workloads can be added by separate invocations; a summary per workload
+gives each side's median and quartiles of every metric and the pairs the
+change won (lower is better for every benchmark metric), and each side's
+median ``pace_s`` and unscaled times, which show when a change moves the
+pace mix that scales the timings rather than the program.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            "--trace", "0"], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree.name} {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, env, result = proc.stdout.strip().splitlines()
+    return {**json.loads(result), "env": json.loads(env)["env"]}
 
 
 def seed_list(text: str) -> list:
@@ -74,6 +78,11 @@ def summarize(runs: dict) -> dict:
             q = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
             row[side] = {"median": statistics.median(vals), "q1": q[0], "q3": q[2]}
         out[name] = row
+    out["env"] = {side: {"pace_s": statistics.median(p[side]["env"]["pace_s"] for p in pairs),
+                         "unscaled": {key: statistics.median(p[side]["env"]["unscaled"][key]
+                                                             for p in pairs)
+                                      for key in ("setup_s", "wall_s")}}
+                  for side in ("parent", "change")}
     return out
 
 
@@ -103,6 +112,7 @@ def main() -> int:
             for side in order:
                 pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
                 print(f"{args.workload} seed {seed} {side}: "
+                      f"pace_s {pair[side]['env']['pace_s']:.4f} "
                       f"{json.dumps(pair[side]['metrics'])}", flush=True)
             runs[str(seed)] = pair
             record.setdefault("summary", {})[args.workload] = summarize(runs)

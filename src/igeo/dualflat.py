@@ -102,12 +102,13 @@ def potential(family: PotentialFamily, theta) -> float:
     return float(_potentials(family, family.check_theta(th)[None])[0])
 
 
-def _potentials(family: PotentialFamily, TH) -> np.ndarray:
+def _potentials(family: PotentialFamily, TH, known=None) -> np.ndarray:
     """K on every parameter row of TH (..., dim), shape (...).
 
     Each row is looked up in the family memo; the misses are checked
     against the domain at once, share one ``exponent`` call and one
     row-wise log-sum-exp, and are stored.  Only checked points are stored.
+    ``known`` = (x, exponent(x, TH)) serves the misses when x are the nodes.
     """
     TH = np.asarray(TH, dtype=float)
     rows = TH.reshape(-1, family.dim)
@@ -129,7 +130,10 @@ def _potentials(family: PotentialFamily, TH) -> np.ndarray:
         nodes = node_quadrature(family.space)
         if nodes is not None:
             xs, w = nodes
-            expo = family.exponent(xs, new)
+            if known is not None and known[0] is xs:
+                expo = known[1].reshape(-1, len(xs))[misses]
+            else:
+                expo = family.exponent(xs, new)
             values = _logsumexp(expo if w is None else expo + np.log(w))
         else:
             # adaptive quadrature, one point x at a time: every missed row
@@ -149,7 +153,8 @@ def family_model(family: PotentialFamily) -> StatisticalModel:
     """
 
     def ll(x, th):
-        return family.exponent(x, th) - _potentials(family, th)[..., None]
+        expo = family.exponent(x, th)
+        return expo - _potentials(family, th, (x, expo))[..., None]
 
     return StatisticalModel(space=family.space, dim=family.dim,
                             domain=family.domain, log_density=ll,

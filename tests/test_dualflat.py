@@ -177,6 +177,38 @@ class TestGeodesic:
         assert len(path.t) == 11
         assert batches == [(13, 2)] * (4 * 10)
 
+    def test_one_exponent_call_per_missed_batch(self, monkeypatch):
+        """A stencil batch that misses the K memo evaluates the exponent
+        once: K of the missed rows comes from the log-density's own array,
+        bit for bit the K of a fresh family."""
+        family = FAMILIES["normal-natural"]()
+        calls = []
+        real = PotentialFamily.exponent
+
+        def exponent(self, x, th):
+            calls.append(np.shape(th))
+            return real(self, x, th)
+
+        monkeypatch.setattr(PotentialFamily, "exponent", exponent)
+        base = family_model(family)
+        missed, batches = [], []
+
+        def log_density(x, th):
+            stored = len(family.memo)
+            out = base.log_density(x, th)
+            missed.append(len(family.memo) > stored)
+            batches.append(th)
+            return out
+
+        model = dataclasses.replace(base, log_density=log_density)
+        geodesic(infogeo.alpha_field(model, 1.0), (-0.5, 0.0), (0.05, 0.2),
+                 0.5, 10, domain=family.domain)
+        assert len(missed) == 4 * 10 and all(missed)
+        assert calls == [(13, 2)] * len(missed)
+        fresh = FAMILIES["normal-natural"]()
+        for th in batches:
+            assert np.array_equal(_potentials(family, th), _potentials(fresh, th))
+
     def test_m_geodesic_straight_in_dual_chart(self, normal_natural_family):
         model = family_model(normal_natural_family)
         conn = infogeo.alpha_field(model, -1.0)

@@ -102,6 +102,70 @@ class TestLogDensity:
         assert s[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
+def reference_ll(log_q, k):
+    """The location log-density evaluated at every node: log q of each
+    coordinate's offsets, summed over the axes in order."""
+
+    def ll(x, th):
+        total = log_q(x[..., 0] - th[..., 0, None])
+        for i in range(1, k):
+            total += log_q(x[..., i] - th[..., i, None])
+        return total
+
+    return ll
+
+
+class TestLocationFamily:
+    """log q runs once per distinct coordinate value and is gathered back
+    onto the nodes, bit for bit the per-node formula."""
+
+    @staticmethod
+    def samples(model, rng):
+        k = model.space.xdim
+        nodes = node_quadrature(model.space)[0]
+        repeated = rng.choice([-1.25, -0.5, 0.0, 0.3, 2.0], size=(300, k))
+        distinct = rng.normal(0.0, 2.0, (300, k))
+        zeros = np.array([[0.0] * k, [-0.0] * k, [0.0, -0.0][:k], [-0.0, 0.0][:k],
+                          [0.7] * k, [-0.0] * k])
+        return {"nodes": nodes, "repeated": repeated, "distinct": distinct,
+                "zeros": zeros}
+
+    @pytest.mark.parametrize("q", ["logistic", "gaussian"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_the_per_node_formula(self, q, k):
+        rng = np.random.default_rng(10)
+        model = models.location_family(q, k)
+        log_q = models._log_q_logistic if q == "logistic" else models._log_q_gaussian
+        reference = reference_ll(log_q, k)
+        rows = np.concatenate([rng.uniform(-1.4, 1.4, (11, k)),
+                               np.zeros((1, k)), np.full((1, k), -0.0)])
+        assert len(np.unique(rows, axis=0)) == 12
+        for name, x in self.samples(model, rng).items():
+            for th in [rows, rows[0], rows[-1]]:
+                got, want = model.log_density(x, th), reference(x, th)
+                assert got.shape == want.shape == th.shape[:-1] + (len(x),)
+                assert np.array_equal(got, want), (name, th.shape)
+                assert got.tobytes() == want.tobytes(), (name, th.shape)
+
+    def test_a_jet_evaluates_distinct_coordinates_only(self, monkeypatch):
+        """One logistic-location-2 jet (13 theta rows on the 64^2
+        Gauss-Hermite nodes) calls log q on 13 x 64 values per axis, not
+        13 x 4096."""
+        sizes = []
+        real = models._log_q_logistic
+
+        def log_q(y):
+            sizes.append(y.shape)
+            return real(y)
+
+        monkeypatch.setattr(models, "_log_q_logistic", log_q)
+        model = models.location_family("logistic", 2)
+        xs = node_quadrature(model.space)[0]
+        assert xs.shape == (4096, 2)
+        models.log_density_jet(model, np.array([0.2, -0.3]), xs)
+        assert sizes == [(13, 64), (13, 64)]
+
+
 class TestValidateModel:
     def test_normal_passes(self, normal_model):
         rep = validate_model(normal_model, [(0.0, 1.0), (1.0, 2.0)])

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -42,3 +44,62 @@ class TestReportDiff:
     def test_int_and_float_are_told_apart(self, tmp_path):
         proc = report_diff(tmp_path, {"n": 1}, {"n": 1.0})
         assert proc.returncode == 1
+
+
+# perfbench/run.py stand-in: the environment line, then the result line,
+# with a wall time proportional to the seed and a fixed pace per revision
+RUN_STUB = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed, pace, wall = int(args["--seed"]), PACE, WALL * int(args["--seed"])
+print("sample log line")
+print(json.dumps({"env": {"workload": args["--workload"], "seed": seed, "pace_s": pace,
+                          "unscaled": {"setup_s": 0.4, "wall_s": wall}}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"wall_s": {"value": wall * 0.02 / pace, "unit": "s"}}}))
+"""
+
+
+class TestBenchPairs:
+    """The BENCH file keeps each run's environment line and summarises each
+    side's pace and unscaled times, so a moved pace mix shows."""
+
+    @staticmethod
+    def git(tree, *args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                        "-C", str(tree), *args], check=True, capture_output=True)
+
+    def commit_stub(self, tree, pace, wall):
+        (tree / "perfbench" / "run.py").write_text(
+            RUN_STUB.replace("PACE", repr(pace)).replace("WALL", repr(wall)))
+        self.git(tree, "add", "-A")
+        self.git(tree, "commit", "-q", "-m", f"pace {pace}")
+
+    def test_env_lines_and_their_medians_are_kept(self, tmp_path):
+        tree = tmp_path / "repo"
+        (tree / "scripts").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "scripts" / "bench_pairs.py").write_text(
+            (SCRIPTS / "bench_pairs.py").read_text())
+        self.git(tree, "init", "-q")
+        self.commit_stub(tree, 0.02, 1.0)
+        self.commit_stub(tree, 0.03, 0.9)
+        out = tmp_path / "BENCH.json"
+        proc = subprocess.run([sys.executable, str(tree / "scripts" / "bench_pairs.py"),
+                               "--parent", "HEAD~1", "--workload", "w", "--seeds", "1-3",
+                               "--seconds", "1", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(out.read_text())
+        runs = record["workloads"]["w"]
+        assert [runs[s]["first"] for s in ("1", "2", "3")] == ["parent", "change", "parent"]
+        for seed in (1, 2, 3):
+            pair = runs[str(seed)]
+            assert pair["parent"]["env"] == {"workload": "w", "seed": seed, "pace_s": 0.02,
+                                             "unscaled": {"setup_s": 0.4, "wall_s": 1.0 * seed}}
+            assert pair["change"]["env"]["pace_s"] == 0.03
+            assert pair["change"]["metrics"]["wall_s"]["value"] == pytest.approx(0.6 * seed)
+        summary = record["summary"]["w"]
+        assert summary["wall_s"]["change_wins"] == 3
+        assert summary["env"] == {
+            "parent": {"pace_s": 0.02, "unscaled": {"setup_s": 0.4, "wall_s": 2.0}},
+            "change": {"pace_s": 0.03, "unscaled": {"setup_s": 0.4, "wall_s": 1.8}}}
