@@ -29,7 +29,7 @@ from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
-                     StatisticalModel, domain_from_doc, space_from_doc)
+                     StatisticalModel, _rowwise, domain_from_doc, space_from_doc)
 from .numerics import (PointMemo, integrate, node_quadrature, partials, stencil,
                        symmetric)
 
@@ -298,14 +298,14 @@ def graph_realization(family: PotentialFamily) -> Hypersurface:
     improper-hypersphere witness of the dually flat structure.
     """
     n = family.dim
-    e_last = np.zeros(n + 1)
-    e_last[n] = 1.0
+    e_last = np.eye(n + 1)[n]
 
-    def chart(th):
+    def chart(th):  # K row by row: an adaptive K of a batch depends on the batch
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        return np.append(th, potential(family, th))
+        return np.concatenate([th, _rowwise(lambda r: potential(family, r), th)], axis=-1)
 
-    return Hypersurface(chart=chart, transversal=lambda th: e_last,
+    return Hypersurface(chart=chart,
+                        transversal=lambda t: np.broadcast_to(e_last, np.shape(t)[:-1] + (n + 1,)),
                         domain=family.domain, dim=n,
                         label=f"graph[{family.label}]")
 
@@ -326,11 +326,12 @@ def centro_affine_lift(family: PotentialFamily,
 
     def chart(th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        value = float(psi(th))
-        if not value > 0:
-            raise OutOfDomain(f"psi must stay positive, got {value} at "
-                              f"{th.tolist()}")
-        return np.append(th, 1.0) / value
+        value = _rowwise(lambda r: float(psi(r)), th)
+        if not (value > 0).all():
+            bad = ~(value[..., 0] > 0)
+            raise OutOfDomain(f"psi must stay positive, got {value[bad][0, 0]} at "
+                              f"{th[bad][0].tolist()}")
+        return np.concatenate([th, np.ones_like(value)], axis=-1) / value
 
     return Hypersurface.centro_affine(
         chart, family.domain, n,

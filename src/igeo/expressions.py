@@ -98,12 +98,12 @@ def compile_expression(text: str,
 
 
 def compile_chart(texts: Sequence[str], dim: int) -> Callable:
-    """Compile one expression over ``u`` (``dim`` components) per component
-    into ``u -> ndarray``."""
+    """Compile one expression over ``u`` (``dim`` components) per component into
+    ``u (..., dim) -> (..., len(texts))``, constant components broadcast."""
     comp = [compile_expression(t, {"u": dim}) for t in texts]
 
     def chart(u):
         env = {"u": np.asarray(u, dtype=float)}
-        return np.array([float(c(env)) for c in comp])
+        return np.stack([np.broadcast_to(c(env), env["u"].shape[:-1]) for c in comp], axis=-1)
 
     return chart

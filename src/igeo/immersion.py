@@ -24,12 +24,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateH, SchemaError
+from .errors import DegenerateH, OutOfDomain, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
 from .models import Box, domain_from_doc, number_from_doc
-from .numerics import DiffScheme, PointMemo, gradient, hessian, solve_frame
+from .numerics import (DiffScheme, PointMemo, gradient, partials, solve_frame,
+                       stencil, symmetric)
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
 # decomposition error to ~1e-10; the field scheme differentiates decomposed
@@ -48,8 +49,8 @@ class Hypersurface:
     ``induced_derivative``); ``dataclasses.replace`` starts a new one.
     """
 
-    chart: Callable       # u (n,) -> (n+1,)
-    transversal: Callable
+    chart: Callable       # u (..., n) -> (..., n+1)
+    transversal: Callable  # u (..., n) -> (..., n+1)
     domain: Box
     dim: int
     label: str = ""
@@ -102,23 +103,17 @@ def decompose(surface: Hypersurface, u) -> ImmersionData:
 
 
 def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
+    # one stencil of (f, xi): the value, first and second partials
     n = surface.dim
-    df = gradient(surface.chart, u, CHART_SCHEME_1, surface.domain)
-    xi = np.asarray(surface.transversal(u), dtype=float)
-    frame = np.column_stack([*df, xi])
-
-    d2f = hessian(surface.chart, u, CHART_SCHEME_2, surface.domain)
-    gamma = np.empty((n, n, n))
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            coeff = solve_frame(frame, d2f[i, j])
-            gamma[i, j, :] = gamma[j, i, :] = coeff[:n]
-            h[i, j] = h[j, i] = coeff[n]
-
-    dxi = gradient(surface.transversal, u, CHART_SCHEME_1, surface.domain)
-    coeffs = np.column_stack([solve_frame(frame, rhs) for rhs in dxi])
-    S, alpha = -coeffs[:n], coeffs[n]
+    V = stencil(lambda U: np.stack([surface.chart(U), surface.transversal(U)], axis=1), u,
+                [((), None)] + partials(n, 1, CHART_SCHEME_1) + partials(n, 2, CHART_SCHEME_2),
+                surface.domain)
+    d1, d2 = np.array(V[1:n + 1]), np.array(V[n + 1:])
+    frame = np.column_stack([*d1[:, 0], V[0][1]])
+    coeffs = solve_frame(frame, np.concatenate([d2[:, 0], d1[:, 1]]).T)
+    G = symmetric(coeffs[:, :len(d2)].T, n)
+    gamma, h = G[..., :n], G[..., n]
+    S, alpha = -coeffs[:n, len(d2):], coeffs[n, len(d2):]
 
     return ImmersionData(gamma=gamma, h=h, shape_operator=S,
                          alpha_form=alpha, volume=float(np.linalg.det(frame)))
@@ -382,7 +377,11 @@ def scaled_sphere(c: float, extent: float = 0.8) -> Hypersurface:
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        return c * np.array([u[0], u[1], math.sqrt(1.0 - float(u @ u))])
+        r = 1.0 - _dot(u)
+        if (r < 0).any():
+            raise OutOfDomain("sphere chart is defined on the unit disk only, "
+                              f"got u = {u[r < 0][0].tolist()}")
+        return c * np.stack([u[..., 0], u[..., 1], np.sqrt(r)], axis=-1)
 
     return Hypersurface.centro_affine(chart, Box((-extent, -extent), (extent, extent)),
                                       dim=2, label=f"sphere-scaled-{c}")
@@ -393,15 +392,20 @@ def unit_sphere(extent: float = 0.8) -> Hypersurface:
     return replace(scaled_sphere(1.0, extent), label="sphere")
 
 
+def _dot(u):  # u @ u per row of (..., n), with the bits of the one-point product
+    return (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+
+
 def _paraboloid_chart(u):
     u = np.asarray(u, dtype=float)
-    return np.array([u[0], u[1], 0.5 * float(u @ u)])
+    return np.stack([u[..., 0], u[..., 1], 0.5 * _dot(u)], axis=-1)
 
 
 def paraboloid(extent: float = 2.0) -> Hypersurface:
     """Elliptic paraboloid x3 = (x1^2 + x2^2)/2 with constant transversal e3."""
     return Hypersurface(chart=_paraboloid_chart,
-                        transversal=lambda u: np.array([0.0, 0.0, 1.0]),
+                        transversal=lambda u: np.broadcast_to([0.0, 0.0, 1.0],
+                                                              np.shape(u)[:-1] + (3,)),
                         domain=Box((-extent, -extent), (extent, extent)),
                         dim=2, label="paraboloid")
 
@@ -411,7 +415,7 @@ def tilted_paraboloid(slope: float = 0.3, extent: float = 2.0) -> Hypersurface:
 
     def xi(u):
         u = np.asarray(u, dtype=float)
-        return np.array([slope * u[0], 0.0, 1.0])
+        return np.stack([slope * u[..., 0], np.zeros(u.shape[:-1]), np.ones(u.shape[:-1])], -1)
 
     return Hypersurface(chart=_paraboloid_chart, transversal=xi,
                         domain=Box((-extent, -extent), (extent, extent)),
@@ -423,7 +427,7 @@ def plane(height: float = 1.0, extent: float = 2.0) -> Hypersurface:
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        return np.array([u[0], u[1], height])
+        return np.stack([u[..., 0], u[..., 1], np.full(u.shape[:-1], height)], axis=-1)
 
     return Hypersurface.centro_affine(chart, Box((-extent, -extent), (extent, extent)),
                                       dim=2, label="plane")

@@ -19,7 +19,8 @@ built from three primitives:
                      quadrature of its value at single points, componentwise,
                      which loads ``scipy.integrate`` on first use.  ``expect``
                      is its scalar case, against an explicit weight.
-* ``solve_frame`` -- inversion of a tangent-plus-transversal frame.
+* ``solve_frame`` -- inversion of a tangent-plus-transversal frame, tested
+                     once and solved per right-hand side (k single solves).
 
 All functions here are pure.  Two kinds of cache exist, and neither
 changes a result: the Gauss-Hermite and Monte Carlo node caches keyed by
@@ -450,9 +451,9 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     """Coefficients of ``rhs`` in the basis given by ``columns``.
 
     ``columns`` is a sequence of vectors (or an already column-stacked
-    square matrix).  Raises ``SingularFrame`` when the frame's condition
-    number exceeds ``condition_cap``, which downstream signals a
-    non-transversal field.
+    square matrix), ``rhs`` one vector or the columns of ``(m, k)``.  Raises
+    ``SingularFrame`` when the frame's condition number exceeds
+    ``condition_cap``, which downstream signals a non-transversal field.
     """
     if isinstance(columns, np.ndarray) and columns.ndim == 2:
         A = np.asarray(columns, dtype=float)
@@ -463,7 +464,10 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > condition_cap:
         raise SingularFrame(f"frame condition {cond:.3e} exceeds cap {condition_cap:.1e}")
-    return np.linalg.solve(A, np.asarray(rhs, dtype=float))
+    R = np.asarray(rhs, dtype=float)
+    cols = R.reshape(len(A), -1).T[..., None]  # one solve each: the bits of single solves
+    X = np.linalg.solve(np.broadcast_to(A, (len(cols),) + A.shape), cols)
+    return X[..., 0].T.reshape(R.shape)
 
 
 # Entries one PointMemo holds before it starts over: three times what the

@@ -55,6 +55,16 @@ class TestRun:
         assert abs(res.residuals["lambda"] - 1.0) < 1e-6
         assert rep.runs[0].results["structural"].status == "pass"
 
+    def test_sphere_grid_outside_unit_disk(self):
+        # corners of the sphere's declared box lie outside its chart
+        doc = {"label": "sphere-corners", "subject": {"surface": "sphere"},
+               "grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "counts": [2, 2]},
+               "checks": ["structural"]}
+        res = run_document(doc).runs[0].results["structural"]
+        assert res.status == "error"
+        assert res.detail == ("sphere chart is defined on the unit disk only, "
+                              "got u = [-0.75, -0.75]")
+
     def test_cubic_symmetry_covers_every_grid_point(self, monkeypatch):
         seen = []
         real = cli.infogeo.cubic_tensor

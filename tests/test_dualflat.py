@@ -341,6 +341,27 @@ class TestCentroAffineLift:
             immersion.decompose(surf, (-1.0,))
 
 
+class TestBatchedFamilyCharts:
+    def test_charts_keep_per_row_potential(self, adaptive_runs, nn_grid):
+        """Both realization charts on a batch equal their rows built from
+        ``potential`` one point at a time, bit for bit: under adaptive
+        quadrature K of a whole batch would depend on the batch."""
+        TH = np.array(nn_grid[::4])
+        for fresh in (dualflat.normal_natural_family,
+                      lambda: load_family(adaptive_runs[1]["subject"]["family"])):
+            assert np.array_equal(graph_realization(fresh()).chart(TH)[:, -1],
+                                  [potential(fresh(), th) for th in TH])
+            rows = [np.append(th, 1.0) / math.exp(potential(fresh(), th)) for th in TH]
+            assert np.array_equal(centro_affine_lift(fresh()).chart(TH), rows)
+            lift = centro_affine_lift(fresh())
+            assert np.array_equal(lift.transversal(TH), -lift.chart(TH))
+
+    def test_psi_must_stay_positive_on_batches(self, bernoulli_family):
+        surf = centro_affine_lift(bernoulli_family, psi=lambda th: float(th[0]))
+        with pytest.raises(OutOfDomain, match=r"got -0.5 at \[-0.5\]"):
+            surf.chart(np.array([[0.5], [-0.5], [-1.0]]))
+
+
 class TestFamilyModel:
     def test_matches_catalog_log_density(self, normal_natural_family,
                                          normal_natural_model):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igeo.errors import SchemaError, UnknownSymbol
 from igeo.expressions import compile_chart, compile_expression
@@ -79,3 +81,16 @@ def test_subscripts_within_declared_sizes():
     assert compile_expression("x[5]", {"x": None})({"x": np.arange(6.0)}) == 5.0
     with pytest.raises(SchemaError, match=r"u\[1\] is out of range"):
         compile_chart(["u[0]", "u[1]"], 1)
+
+
+@given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1,
+                max_size=8).map(np.array))
+@settings(max_examples=50, deadline=None)
+def test_chart_batches_equal_rows(U):
+    # constant components broadcast over the batch
+    chart = compile_chart(["u[0]*u[1]", "1", "-2.5", "exp(u[0]) - sqrt(1 + u[1]^2)"], 2)
+    batch = chart(U)
+    assert batch.shape == (len(U), 4)
+    assert np.array_equal(batch, np.array([chart(u) for u in U]))
+    assert chart(U[0]).shape == (4,)
+    assert (batch[:, 1] == 1.0).all() and (batch[:, 2] == -2.5).all()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeo import immersion
-from igeo.errors import DegenerateH, SchemaError, SingularFrame
+from igeo.errors import DegenerateH, OutOfDomain, SchemaError, SingularFrame
 from igeo.immersion import (Hypersurface, classify, decompose, gamma_field,
                             h_field, induced_volume_check, load_surface,
                             paraboloid, plane, scaled_sphere,
@@ -76,11 +76,102 @@ class TestDecompose:
     def test_transversality_failure(self):
         # transversal chosen inside the tangent plane
         surf = Hypersurface(
-            chart=lambda u: np.array([u[0], u[1], 0.0]),
-            transversal=lambda u: np.array([1.0, 0.0, 0.0]),
+            chart=lambda u: np.stack([u[..., 0], u[..., 1], 0.0 * u[..., 0]], axis=-1),
+            transversal=lambda u: np.broadcast_to([1.0, 0.0, 0.0], u.shape[:-1] + (3,)),
             domain=Box((-1.0, -1.0), (1.0, 1.0)), dim=2, label="bad")
         with pytest.raises(SingularFrame):
             decompose(surf, (0.0, 0.0))
+
+    def test_matches_per_partial_reference(self):
+        """One stencil and one factorization give the bits of the pointwise
+        chart and transversal derivatives solved one right-hand side at a time."""
+        from igeo.numerics import gradient, hessian
+        for surf in (unit_sphere(), tilted_paraboloid(), load_surface(INLINE)):
+            for u in GRID[::2]:
+                df = gradient(surf.chart, u, immersion.CHART_SCHEME_1, surf.domain)
+                frame = np.column_stack([*df, surf.transversal(u)])
+                d2f = hessian(surf.chart, u, immersion.CHART_SCHEME_2, surf.domain)
+                dxi = gradient(surf.transversal, u, immersion.CHART_SCHEME_1, surf.domain)
+                coeff = np.array([[np.linalg.solve(frame, d2f[i, j]) for j in range(2)]
+                                  for i in range(2)])
+                shape = np.column_stack([np.linalg.solve(frame, r) for r in dxi])
+                data = decompose(surf, u)
+                assert np.array_equal(data.gamma, coeff[..., :2])
+                assert np.array_equal(data.h, coeff[..., 2])
+                assert np.array_equal(data.shape_operator, -shape[:2])
+                assert np.array_equal(data.alpha_form, shape[2])
+                assert data.volume == float(np.linalg.det(frame))
+
+    def test_one_stencil_and_one_condition_per_point(self, monkeypatch):
+        calls = {"stencil": 0, "cond": 0}
+        real_stencil, real_cond = immersion.stencil, np.linalg.cond
+
+        def stencil(*args, **kwargs):
+            calls["stencil"] += 1
+            return real_stencil(*args, **kwargs)
+
+        def cond(*args, **kwargs):
+            calls["cond"] += 1
+            return real_cond(*args, **kwargs)
+
+        monkeypatch.setattr(immersion, "stencil", stencil)
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        for make in (unit_sphere, tilted_paraboloid):
+            surf = make()
+            for u in GRID[:4]:
+                decompose(surf, u)
+        assert calls == {"stencil": 8, "cond": 8}
+
+    def test_sphere_outside_unit_disk(self):
+        # the declared box (-0.8, 0.8)^2 reaches past the unit disk
+        with pytest.raises(OutOfDomain, match=r"unit disk only, got u = \[0.75, 0.75\]"):
+            decompose(unit_sphere(), (0.75, 0.75))
+        with pytest.raises(OutOfDomain, match=r"got u = \[-0.75, 0.75\]"):
+            unit_sphere().chart(np.array([-0.75, 0.75]))
+        batch = np.array([[0.1, 0.2], [0.7, -0.75], [0.75, 0.75]])
+        with pytest.raises(OutOfDomain, match=r"got u = \[0.7, -0.75\]"):
+            unit_sphere().chart(batch)
+
+
+def _box_points(box, size):
+    """Up to ``size`` points drawn inside ``box``, as an (M, dim) array."""
+    point = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(box.lo, box.hi)))
+    return st.lists(point, min_size=1, max_size=size).map(np.array)
+
+
+DISK_POINTS = _box_points(Box((-0.8, -0.8), (0.8, 0.8)), 6).filter(
+    lambda U: bool(((U * U).sum(axis=1) < 1.0).all()))
+
+INLINE = {"name": "inline", "dim": 2,
+          "chart": ["u[0]", "1", "exp(u[0]) * u[1] - sqrt(2 + u[1]^2)"],
+          "transversal": ["u[1]", "-1", "1 + u[0]*u[1]"],
+          "domain": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}}
+
+
+class TestBatchedCharts:
+    """Every chart and transversal maps a batch (M, n) to the rows of its
+    one-point values, bit for bit."""
+
+    @staticmethod
+    def assert_rowwise(surf, U):
+        for fn in (surf.chart, surf.transversal):
+            batch = fn(U)
+            assert batch.shape == (len(U), surf.dim + 1)
+            assert np.array_equal(batch, np.array([fn(u) for u in U]))
+
+    @given(DISK_POINTS)
+    @settings(max_examples=30, deadline=None)
+    def test_spheres(self, U):
+        for surf in (unit_sphere(), scaled_sphere(2.5)):
+            self.assert_rowwise(surf, U)
+
+    @given(_box_points(Box((-2.0, -2.0), (2.0, 2.0)), 6))
+    @settings(max_examples=30, deadline=None)
+    def test_builtins_and_inline(self, U):
+        inline_ca = load_surface({**INLINE, "transversal": "centro-affine"})
+        for surf in (paraboloid(), tilted_paraboloid(), plane(),
+                     load_surface(INLINE), inline_ca):
+            self.assert_rowwise(surf, U)
 
 
 class TestStructural:

@@ -540,6 +540,25 @@ class TestSolveFrame:
         with pytest.raises(SingularFrame):
             solve_frame(cols, np.array([1.0, 1.0]), condition_cap=1e8)
 
+    def test_singular_frame_many_columns(self):
+        with pytest.raises(SingularFrame):
+            solve_frame([np.array([1.0, 0.0]), np.array([2.0, 0.0])], np.ones((2, 3)))
+
+    @given(st.lists(st.floats(-3, 3), min_size=9, max_size=9),
+           st.lists(st.floats(-2, 2), min_size=15, max_size=15))
+    @settings(max_examples=50, deadline=None)
+    def test_columns_equal_single_solves(self, flat, rhs):
+        # k right-hand sides at once give the bits of k single solves
+        A = np.eye(3) + 0.25 * np.array(flat).reshape(3, 3)
+        if np.linalg.cond(A) > 1e6:
+            return
+        R = np.array(rhs).reshape(3, 5)
+        X = solve_frame(A, R)
+        assert X.shape == R.shape
+        for j in range(5):
+            assert np.array_equal(X[:, j], solve_frame(A, R[:, j]))
+            assert np.array_equal(X[:, j], np.linalg.solve(A, R[:, j]))
+
     @given(st.lists(st.floats(-3, 3), min_size=9, max_size=9),
            st.lists(st.floats(-2, 2), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)
