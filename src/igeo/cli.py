@@ -809,15 +809,16 @@ def main(argv=None) -> int:
 
         if args.command in ("compute", "geodesic"):
             csv_dir = Path(args.csv_dir or ".")
+            # geodesic: one path CSV per run with a geodesic block and a model
+            paths = [r for r in report.runs if r.spec.geodesic is not None and r.model is not None]
+            if args.command == "geodesic" and not paths:
+                raise SchemaError("geodesic command needs a model or "
+                                  "family spec with a geodesic block")
             csv_dir.mkdir(parents=True, exist_ok=True)
-            for run_ in report.runs:
+            for run_ in paths if args.command == "geodesic" else report.runs:
                 spec = run_.spec
                 if args.command == "geodesic":
-                    if spec.geodesic is None or run_.model is None:
-                        raise SchemaError("geodesic command needs a model or "
-                                          "family spec with a geodesic block")
-                    dump_geodesic_csv(spec, run_.model,
-                                      csv_dir / f"geodesic_{spec.label}.csv")
+                    dump_geodesic_csv(spec, run_.model, csv_dir / f"geodesic_{spec.label}.csv")
                 elif run_.model is not None:
                     dump_model_tensors(spec, run_.model, run_.grid, csv_dir)
                 elif spec.kind == "surface":

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (LeftDomain, NonConvergent, OutOfDomain, OutOfDualDomain,
-                     SchemaError)
+                     SchemaError, StencilOutOfDomain)
 from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
@@ -70,11 +70,12 @@ class PotentialFamily:
         return total
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) of every row of a 2-d array, each row shifted by its
-    largest entry, which leaves the sum as log1p of the others (as
-    scipy.special.logsumexp does); a row whose largest entry is not finite
-    gives that entry."""
+def _logsumexp(a: np.ndarray, w=None) -> np.ndarray:
+    """log(sum(w * exp(a))) of every row of a 2-d array (w of None: no
+    weights), each row shifted by its largest entry, which leaves the sum as
+    log1p of the others (as scipy.special.logsumexp does); a row whose
+    largest entry is not finite gives that entry."""
+    a = a if w is None else a + np.log(w)
     rows = np.arange(len(a))
     i = np.argmax(a, axis=1)
     top = a[rows, i]
@@ -102,13 +103,12 @@ def potential(family: PotentialFamily, theta) -> float:
     return float(_potentials(family, family.check_theta(th)[None])[0])
 
 
-def _potentials(family: PotentialFamily, TH, known=None) -> np.ndarray:
+def _potentials(family: PotentialFamily, TH) -> np.ndarray:
     """K on every parameter row of TH (..., dim), shape (...).
 
     Each row is looked up in the family memo; the misses are checked
     against the domain at once, share one ``exponent`` call and one
     row-wise log-sum-exp, and are stored.  Only checked points are stored.
-    ``known`` = (x, exponent(x, TH)) serves the misses when x are the nodes.
     """
     TH = np.asarray(TH, dtype=float)
     rows = TH.reshape(-1, family.dim)
@@ -124,17 +124,10 @@ def _potentials(family: PotentialFamily, TH, known=None) -> np.ndarray:
             out[r] = hit
     if misses:
         new = rows[misses]
-        inside = family.domain.inside(new)
-        if not inside.all():
-            family.check_theta(new[int(np.argmin(inside))])
+        _check_rows(family, new)
         nodes = node_quadrature(family.space)
         if nodes is not None:
-            xs, w = nodes
-            if known is not None and known[0] is xs:
-                expo = known[1].reshape(-1, len(xs))[misses]
-            else:
-                expo = family.exponent(xs, new)
-            values = _logsumexp(expo if w is None else expo + np.log(w))
+            values = _logsumexp(family.exponent(nodes[0], new), nodes[1])
         else:
             # adaptive quadrature, one point x at a time: every missed row
             # is one component of a single vector integral
@@ -145,16 +138,31 @@ def _potentials(family: PotentialFamily, TH, known=None) -> np.ndarray:
     return out.reshape(TH.shape[:-1])
 
 
+def _check_rows(family: PotentialFamily, rows: np.ndarray) -> None:
+    """One domain test of rows (M, dim); OutOfDomain names the first outside."""
+    inside = family.domain.inside(rows)
+    if not inside.all():
+        family.check_theta(rows[int(np.argmin(inside))])
+
+
 def family_model(family: PotentialFamily) -> StatisticalModel:
     """The family as a StatisticalModel, batched like every log-density.
 
-    Each call builds a new model with its own memo; K comes from the
-    family's memo, which every such model shares.
+    Each call builds a new model with its own memo.  On the nodes of a node
+    rule, K of each theta row is the log-sum-exp of its own exponent row,
+    after one domain test of the batch, with no family-memo lookup or store.
+    At any other x (adaptive quadrature included) K comes through
+    ``_potentials``: an adaptive K of a batch depends on the rows it holds.
     """
 
     def ll(x, th):
         expo = family.exponent(x, th)
-        return expo - _potentials(family, th, (x, expo))[..., None]
+        nodes = node_quadrature(family.space)
+        if nodes is None or x is not nodes[0]:
+            return expo - _potentials(family, th)[..., None]
+        _check_rows(family, np.reshape(th, (-1, family.dim)))
+        K = _logsumexp(expo.reshape(-1, len(x)), nodes[1])
+        return expo - K.reshape(expo.shape[:-1] + (1,))
 
     return StatisticalModel(space=family.space, dim=family.dim,
                             domain=family.domain, log_density=ll,
@@ -242,7 +250,8 @@ def geodesic(conn: ConnectionField, theta0, v0, t_final: float,
 
     d2 theta^k/dt^2 + Gamma^k_{ij} d theta^i d theta^j = 0.  Integration
     aborts with LeftDomain (carrying the partial path) as soon as a stage
-    point leaves ``domain``.
+    point leaves ``domain``, tested once per point: when it is ``conn.domain``
+    the error ``conn.up`` raises outside it is the test, step ends included.
     """
     th = np.atleast_1d(np.asarray(theta0, dtype=float))
     v = np.atleast_1d(np.asarray(v0, dtype=float))
@@ -260,13 +269,17 @@ def geodesic(conn: ConnectionField, theta0, v0, t_final: float,
         return GeodesicPath(t=ts[:k + 1].copy(), theta=thetas[:k + 1].copy(),
                             velocity=vels[:k + 1].copy())
 
-    def rhs(state, t_now, k_done):
+    own = domain is None or domain is conn.domain
+
+    def rhs(state, t_now, k_done, tested=False):
         p, w = state[:n], state[n:]
-        if domain is not None and not domain.contains(p):
+        if not (own or tested or domain.contains(p)):
             raise LeftDomain(t_now, partial(k_done))
         try:
             G = conn.up(p)
-        except OutOfDomain:
+        except (OutOfDomain, StencilOutOfDomain) as exc:
+            if isinstance(exc, StencilOutOfDomain) and (domain is None or domain.contains(p)):
+                raise  # a stencil node left the domain, not p
             raise LeftDomain(t_now, partial(k_done)) from None
         acc = -np.einsum("ijk,i,j->k", G, w, w)
         return np.concatenate([w, acc])
@@ -274,7 +287,7 @@ def geodesic(conn: ConnectionField, theta0, v0, t_final: float,
     state = np.concatenate([th, v])
     for k in range(steps):
         t_now = k * dt
-        k1 = rhs(state, t_now, k)
+        k1 = rhs(state, t_now, k, tested=k > 0)
         k2 = rhs(state + 0.5 * dt * k1, t_now + 0.5 * dt, k)
         k3 = rhs(state + 0.5 * dt * k2, t_now + 0.5 * dt, k)
         k4 = rhs(state + dt * k3, t_now + dt, k)
@@ -282,7 +295,8 @@ def geodesic(conn: ConnectionField, theta0, v0, t_final: float,
         ts[k + 1] = (k + 1) * dt
         thetas[k + 1] = state[:n]
         vels[k + 1] = state[n:]
-        if domain is not None and not domain.contains(state[:n]):
+        if domain is not None and (not own or k + 1 == steps) \
+                and not domain.contains(state[:n]):
             raise LeftDomain(ts[k + 1], partial(k + 1))
     return GeodesicPath(t=ts, theta=thetas, velocity=vels)
 

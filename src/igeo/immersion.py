@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,8 +61,12 @@ class Hypersurface:
     def centro_affine(cls, chart: Callable, domain: Box, dim: int,
                       label: str = "") -> "Hypersurface":
         """Position-transversal surface with the standard xi = -f."""
-        return cls(chart=chart, transversal=lambda u: -np.asarray(chart(u), float),
-                   domain=domain, dim=dim, label=label)
+        return cls(chart=chart, transversal=partial(_negated, chart), domain=domain,
+                   dim=dim, label=label)
+
+
+def _negated(chart: Callable, u) -> np.ndarray:
+    return -np.asarray(chart(u), float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +110,14 @@ def decompose(surface: Hypersurface, u) -> ImmersionData:
 def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
     # one stencil of (f, xi): the value, first and second partials
     n = surface.dim
-    V = stencil(lambda U: np.stack([surface.chart(U), surface.transversal(U)], axis=1), u,
+    xi = surface.transversal
+    negated = getattr(xi, "func", None) is _negated and xi.args[0] is surface.chart
+
+    def f_xi(U):  # a centro-affine xi = -f negates the chart values, no second call
+        f = surface.chart(U)
+        return np.stack([f, -np.asarray(f, float) if negated else xi(U)], axis=1)
+
+    V = stencil(f_xi, u,
                 [((), None)] + partials(n, 1, CHART_SCHEME_1) + partials(n, 2, CHART_SCHEME_2),
                 surface.domain)
     d1, d2 = np.array(V[1:n + 1]), np.array(V[n + 1:])

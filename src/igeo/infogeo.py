@@ -101,16 +101,17 @@ class ConnectionField:
                    provenance="flat")
 
 
-def _metric_inverse(g: np.ndarray) -> np.ndarray:
+def _conditioned(g: np.ndarray, name: str = "metric") -> np.ndarray:
+    """g after one condition test (an SVD); SingularMetric names ``name``."""
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > _METRIC_CONDITION_CAP:
-        raise SingularMetric(f"metric condition {cond:.3e} exceeds cap")
-    return np.linalg.inv(g)
+        raise SingularMetric(f"{name} condition {cond:.3e} exceeds cap")
+    return g
 
 
-def raise_connection(low: np.ndarray, g: np.ndarray) -> np.ndarray:
+def raise_connection(low: np.ndarray, g: np.ndarray, name: str = "metric") -> np.ndarray:
     """Gamma^k_{ij} from Gamma_{ij,k}: contract the last index with g^{-1}."""
-    return np.einsum("ijm,mk->ijk", low, _metric_inverse(g))
+    return np.einsum("ijm,mk->ijk", low, np.linalg.inv(_conditioned(g, name)))
 
 
 def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -149,10 +150,7 @@ def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
             return np.einsum("in,jn,n->ij", s, s, _node_weights(jet[-1], w))
 
         g = _symmetrised(integrate(model.space, gram))
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > _METRIC_CONDITION_CAP:
-        raise SingularMetric(f"Fisher metric condition {cond:.3e} exceeds cap")
-    return g
+    return _conditioned(g, "Fisher metric")
 
 
 def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
@@ -223,9 +221,18 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
 
 
 def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
+    """The alpha-connection as a field.  ``up`` raises A + (1-a)/2 T of the
+    moments with their g after one condition test (the Fisher one): the
+    operations of ``raise_connection(alpha_connection, fisher_metric)``,
+    storing no more than the moments."""
+
+    def up(th):  # only a miss tests th: only tested points are stored
+        m = model.memo.peek(("moments", th.tobytes())) or _moments(model, model.check_theta(th))
+        return raise_connection(m.A + (1.0 - alpha) / 2.0 * m.T, m.g, "Fisher metric")
+
     return ConnectionField(dim=model.dim,
                            low_fn=lambda th: alpha_connection(model, th, alpha),
-                           metric=fisher_field(model),
+                           up_fn=up, metric=fisher_field(model),
                            provenance=f"alpha={alpha}", domain=model.domain)
 
 

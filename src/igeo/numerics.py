@@ -473,8 +473,8 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
 # Entries one PointMemo holds before it starts over: three times what the
 # grid checks of one 3x3-grid run store (at most 324: the Fisher metric,
 # the jet moments and two alpha-connections at each of 81 points), and
-# about 1.2 MB when full of 2-d immersion data.  Geodesics stream new
-# points through.
+# about 1.2 MB when full of 2-d immersion data.  Geodesic stage points
+# stream through, each storing at most its moments.
 MEMO_SIZE = 1024
 
 

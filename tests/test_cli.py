@@ -247,6 +247,30 @@ class TestMain:
         assert lines[0] == "step,t,theta_0,theta_1,v_0,v_1"
         assert len(lines) == 52  # header + 51 samples
 
+    def test_geodesic_on_a_multi_run_spec(self, tmp_path):
+        """One path CSV per run with a geodesic block and a model; runs
+        without one are skipped, and a spec where no run has one exits 2."""
+        geo = {"theta0": [-0.5, 0.0], "v0": [0.05, 0.1], "t_final": 1.0, "steps": 10}
+        runs = [{"label": "flat", "subject": {"model": "normal-natural"},
+                 "checks": ["flatness"], "grid": {"lo": [-0.6, -0.2], "hi": [-0.4, 0.2],
+                                                  "counts": [2, 2]}},
+                {"label": "e", "subject": {"family": "normal-natural"},
+                 "checks": ["geodesic"], "geodesic": dict(geo, alpha=1.0)},
+                {"label": "sphere", "subject": {"surface": "sphere"}, "checks": ["classify"]},
+                {"label": "m", "subject": {"model": "normal-natural"},
+                 "checks": ["geodesic"], "geodesic": dict(geo, alpha=-1.0)}]
+        csv_dir = tmp_path / "paths"
+        code = cli.main(["geodesic", "--spec", str(self._write_spec(tmp_path, {"runs": runs})),
+                         "--out", str(tmp_path / "r.json"), "--csv-dir", str(csv_dir)])
+        assert code == 0
+        assert sorted(f.name for f in csv_dir.iterdir()) == ["geodesic_e.csv", "geodesic_m.csv"]
+        assert len((csv_dir / "geodesic_m.csv").read_text().splitlines()) == 12
+        empty = tmp_path / "none"
+        code = cli.main(["geodesic", "--spec",
+                         str(self._write_spec(tmp_path, {"runs": [runs[0], runs[2]]})),
+                         "--out", str(tmp_path / "r.json"), "--csv-dir", str(empty)])
+        assert code == 2 and not empty.exists()
+
     def test_compute_reuses_the_run(self, tmp_path, monkeypatch):
         """The CSV dumps read the tensors the checks computed, and equal
         dumps from a freshly loaded subject byte for byte."""

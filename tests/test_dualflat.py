@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from igeo import dualflat, immersion, infogeo, models, numerics
@@ -178,9 +180,9 @@ class TestGeodesic:
         assert batches == [(13, 2)] * (4 * 10)
 
     def test_one_exponent_call_per_missed_batch(self, monkeypatch):
-        """A stencil batch that misses the K memo evaluates the exponent
-        once: K of the missed rows comes from the log-density's own array,
-        bit for bit the K of a fresh family."""
+        """Every stencil batch of a geodesic evaluates the exponent once and
+        takes K from its own rows, bit for bit the K of a fresh family; the
+        family memo is neither read nor grown."""
         family = FAMILIES["normal-natural"]()
         calls = []
         real = PotentialFamily.exponent
@@ -191,23 +193,80 @@ class TestGeodesic:
 
         monkeypatch.setattr(PotentialFamily, "exponent", exponent)
         base = family_model(family)
-        missed, batches = [], []
+        batches = []
 
         def log_density(x, th):
-            stored = len(family.memo)
             out = base.log_density(x, th)
-            missed.append(len(family.memo) > stored)
-            batches.append(th)
+            batches.append((th, out))
             return out
 
         model = dataclasses.replace(base, log_density=log_density)
+        stored = len(family.memo)
         geodesic(infogeo.alpha_field(model, 1.0), (-0.5, 0.0), (0.05, 0.2),
                  0.5, 10, domain=family.domain)
-        assert len(missed) == 4 * 10 and all(missed)
-        assert calls == [(13, 2)] * len(missed)
+        assert len(family.memo) == stored
+        assert calls == [(13, 2)] * len(batches) and len(batches) == 4 * 10
         fresh = FAMILIES["normal-natural"]()
-        for th in batches:
-            assert np.array_equal(_potentials(family, th), _potentials(fresh, th))
+        xs, _ = numerics.node_quadrature(fresh.space)
+        for th, out in batches:
+            want = real(fresh, xs, th) - _potentials(fresh, th)[:, None]
+            assert np.array_equal(out, want)
+
+    def test_one_domain_test_per_visited_point(self, monkeypatch):
+        """Each visit of a 10-step geodesic (the start, three inner stages
+        and the end of every step) tests its point against the domain
+        once, whether the connection tests it (alpha field on its own
+        domain) or the integrator does; each stage stores only its moments."""
+        family = FAMILIES["normal-natural"]()
+        tested = []
+        real = models.Box.contains
+        monkeypatch.setattr(models.Box, "contains", lambda self, p, *a, **k:
+                            tested.append(tuple(np.atleast_1d(p))) or real(self, p, *a, **k))
+        model = family_model(family)
+        for conn in (infogeo.alpha_field(model, 0.0), infogeo.ConnectionField.zero(2)):
+            tested.clear()
+            path = geodesic(conn, (-0.5, 0.0), (0.05, 0.2), 0.5, 10, domain=family.domain)
+            assert len(tested) == 1 + 4 * 10
+            assert {tuple(th) for th in path.theta} <= set(tested)
+            if conn.domain is not None:  # every stage but the final step end
+                stages = tested[:-1]
+                assert len(set(tested)) == len(tested)
+        assert len(model.memo) == len(stages) and len(family.memo) == 0
+        assert all(model.memo.peek(("moments", np.array(p).tobytes())) is not None
+                   for p in stages)
+
+    def test_left_domain_at_a_step_end(self):
+        """A step end outside the domain after inner stages inside it ends
+        the path there, whether the integrator tests it or, as the first
+        stage of the next step, the connection does."""
+        box = models.Box((-1.0,), (0.7,))
+
+        def bump(th):  # the stages stay at or below 0.5, the step end reaches 0.79
+            box.check(th, "bump")
+            return np.array([[[math.exp(-((th[0] - 0.5) / 0.1) ** 2)]]])
+
+        for steps in (1, 2):
+            for own in (box, None):
+                conn = infogeo.ConnectionField(dim=1, up_fn=bump, domain=own)
+                with pytest.raises(LeftDomain) as err:
+                    geodesic(conn, (0.0,), (1.0,), float(steps), steps, domain=box)
+                assert err.value.t_exit == 1.0
+                assert len(err.value.partial_path.t) == 2
+
+    def test_left_domain_from_a_stencil_connection(self, normal_natural_family):
+        """A connection whose ``up`` raises StencilOutOfDomain at points
+        outside its domain (Levi-Civita of the Fisher metric) ends the path
+        with LeftDomain on its own domain too, where the integrator leaves
+        the test to the connection."""
+        copy = models.Box(normal_natural_family.domain.lo, normal_natural_family.domain.hi)
+        exits = []
+        for domain in (normal_natural_family.domain, copy):
+            model = family_model(normal_natural_family)
+            conn = infogeo.levi_civita_field(infogeo.fisher_field(model))
+            with pytest.raises(LeftDomain) as err:
+                geodesic(conn, (-0.5, 0.0), (0.0, 4.7), 1.0, 20, domain=domain)
+            exits.append((err.value.t_exit, len(err.value.partial_path.t)))
+        assert exits == [(0.225, 5)] * 2
 
     def test_m_geodesic_straight_in_dual_chart(self, normal_natural_family):
         model = family_model(normal_natural_family)
@@ -371,6 +430,56 @@ class TestFamilyModel:
             got = model.log_density(xs, np.asarray(theta))
             want = normal_natural_model.log_density(xs, np.asarray(theta))
             assert np.abs(got - want).max() < 1e-8
+
+
+def _theta_rows(box, size=13):
+    """Up to ``size`` parameter rows strictly inside ``box``, shape (M, dim)."""
+    point = st.tuples(*(st.floats(lo, hi, exclude_min=True, exclude_max=True)
+                        for lo, hi in zip(box.lo, box.hi)))
+    return st.lists(point, min_size=1, max_size=size).map(np.array)
+
+
+class TestNodeRows:
+    """On the nodes of its rule the family log-density takes K from its own
+    exponent rows, without the family memo."""
+
+    @pytest.mark.parametrize("name", ["normal-natural", "bernoulli-natural"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_match_the_potentials_path(self, name, data):
+        family = FAMILIES[name]()
+        TH = data.draw(_theta_rows(family.domain))
+        xs, _ = numerics.node_quadrature(family.space)
+        got = family_model(family).log_density(xs, TH)
+        want = family.exponent(xs, TH) - _potentials(FAMILIES[name](), TH)[:, None]
+        assert np.array_equal(got, want)
+        assert np.array_equal(family_model(family).log_density(xs, TH[0]), want[0])
+        assert len(family.memo) == 0
+
+    def test_row_outside_the_domain_raises(self):
+        family = FAMILIES["normal-natural"]()
+        xs, _ = numerics.node_quadrature(family.space)
+        ll = family_model(family).log_density
+        with pytest.raises(OutOfDomain, match=r"theta \[0.5, 0.0\] outside domain"):
+            ll(xs, np.array([[-0.5, 0.0], [0.5, 0.0], [0.6, 0.0]]))
+        with pytest.raises(OutOfDomain):
+            ll(xs, np.array([-0.5, 3.0]))
+
+    def test_other_points_take_potentials(self, adaptive_runs, monkeypatch):
+        """Adaptive quadrature, and points other than a rule's nodes, take K
+        through ``_potentials``: an adaptive K depends on the rows it holds."""
+        calls = []
+        real = dualflat._potentials
+        monkeypatch.setattr(dualflat, "_potentials",
+                            lambda family, TH: calls.append(np.shape(TH)) or real(family, TH))
+        TH = np.array([[-0.5, 0.0], [-0.4, 0.1]])
+        x = np.array([[0.3], [-1.0]])
+        for family in (load_family(adaptive_runs[1]["subject"]["family"]),
+                       FAMILIES["normal-natural"]()):
+            calls.clear()
+            got = family_model(family).log_density(x, TH)
+            assert calls == [(2, 2)]
+            assert np.array_equal(got, family.exponent(x, TH) - real(family, TH)[:, None])
 
 
 class TestLoadFamily:

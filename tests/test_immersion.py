@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,41 @@ class TestDecompose:
             for u in GRID[:4]:
                 decompose(surf, u)
         assert calls == {"stencil": 8, "cond": 8}
+
+    def test_centro_affine_takes_one_chart_call(self):
+        """xi = -f comes from the chart values of the same batch: one chart
+        call per decomposition, with the bits of a separate transversal."""
+        sphere = unit_sphere()
+        calls = []
+
+        def chart(U):
+            calls.append(np.shape(U))
+            return sphere.chart(U)
+
+        surf = Hypersurface.centro_affine(chart, sphere.domain, 2)
+        separate = Hypersurface(chart=sphere.chart,
+                                transversal=lambda U: -np.asarray(sphere.chart(U), float),
+                                domain=sphere.domain, dim=2)
+        for u in GRID[:3]:
+            data, want = decompose(surf, u), decompose(separate, u)
+            for name in ("gamma", "h", "shape_operator", "alpha_form", "volume"):
+                assert np.array_equal(getattr(data, name), getattr(want, name))
+        assert len(calls) == 3
+        # a transversal left over from another chart is still called
+        moved = dataclasses.replace(sphere, chart=scaled_sphere(2.0).chart)
+        other = Hypersurface(chart=scaled_sphere(2.0).chart, transversal=separate.transversal,
+                             domain=sphere.domain, dim=2)
+        assert np.array_equal(decompose(moved, GRID[1]).h, decompose(other, GRID[1]).h)
+
+    def test_centro_affine_lift_potential_calls(self, monkeypatch):
+        from igeo import dualflat
+        calls = []
+        real = dualflat.potential
+        monkeypatch.setattr(dualflat, "potential",
+                            lambda family, th: calls.append(1) or real(family, th))
+        lift = dualflat.centro_affine_lift(dualflat.bernoulli_natural_family())
+        decompose(lift, (0.2,))
+        assert len(calls) == 5
 
     def test_sphere_outside_unit_disk(self):
         # the declared box (-0.8, 0.8)^2 reaches past the unit disk

@@ -137,6 +137,35 @@ class TestSharedMoments:
             assert np.array_equal(fisher_metric(model, theta), g)
 
 
+class TestAlphaFieldUp:
+    """``alpha_field(...).up`` raises the connection with one condition test
+    and stores nothing beyond the moments."""
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0])
+    def test_matches_raise_connection(self, alpha, monkeypatch):
+        conds = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda g: conds.append(1) or real(g))
+        for theta in models.reference_grid("normal-natural")[::3]:
+            model, reference = models.normal_natural(), models.normal_natural()
+            conds.clear()
+            got = alpha_field(model, alpha).up(theta)
+            assert len(conds) == 1 and len(model.memo) == 1
+            want = raise_connection(alpha_connection(reference, theta, alpha),
+                                    fisher_metric(reference, theta))
+            assert np.array_equal(got, want)
+
+    def test_singular_metric(self):
+        base = models.normal_mean_sigma()
+        bad = models.StatisticalModel(
+            space=base.space, dim=2, domain=models.Box((-1.0, -1.0), (1.0, 1.0)),
+            log_density=lambda x, th: -0.5 * (x[..., 0] - th[..., 0, None]
+                                              - th[..., 1, None]) ** 2,
+            label="degenerate")
+        with pytest.raises(SingularMetric, match="^Fisher metric condition"):
+            alpha_field(bad, 1.0).up((0.0, 0.0))
+
+
 class TestAdaptiveQuadrature:
     """The inline normal-natural model of the adaptive spec (default
     tolerance 1e-8) integrates g, A and T as one vector per point."""
