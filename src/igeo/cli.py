@@ -231,6 +231,7 @@ class CheckResult:
     tolerance: object = None
     provenance: str = ""
     detail: str = ""
+    path: object = None          # the geodesic check's path, for the CSV; not reported
 
 
 def _expected_flag(spec: RunSpec, check: str, default=True, alpha=None):
@@ -283,13 +284,12 @@ def _check_flatness(spec, subject, grid, model):
 def _check_alpha_duality(spec, subject, grid, model):
     tol = spec.tol("alpha-duality")
     gf = infogeo.fisher_field(model)
+    rows = np.asarray(grid)
     worst = 0.0
     for alpha in spec.alphas:
-        conn = infogeo.alpha_field(model, alpha)
-        for theta in grid:
-            conj = infogeo.conjugate_connection(gf, conn, theta)
-            direct = infogeo.alpha_connection(model, theta, -alpha)
-            worst = max(worst, float(np.abs(conj - direct).max()))
+        conj = infogeo.conjugate_connection(gf, infogeo.alpha_field(model, alpha), rows)
+        direct = infogeo.alpha_connection(model, rows, -alpha)
+        worst = max(worst, float(np.abs(conj - direct).max()))
     return CheckResult(status=_assert_status(worst < tol),
                        residuals={"max_difference": worst}, tolerance=tol,
                        provenance="conjugate via dg identity vs direct "
@@ -303,7 +303,7 @@ def _check_codazzi(spec, subject, grid, model):
     worst = 0.0
     for alpha in spec.alphas:
         conn = infogeo.alpha_field(model, alpha)
-        r = max(infogeo.codazzi_check(gf, conn, theta) for theta in grid)
+        r = float(infogeo.codazzi_check(gf, conn, np.asarray(grid)).max())
         residuals[f"alpha={alpha:g}"] = r
         worst = max(worst, r)
     return CheckResult(status=_assert_status(worst < tol),
@@ -318,17 +318,15 @@ def _check_cubic_symmetry(spec, subject, grid, model):
               if a != 0.0 and -a not in spec.alphas[:i]] or [1.0]
     worst_sym = 0.0
     worst_spread = 0.0
-    for theta in grid:
-        base = None
-        for alpha in alphas:
-            C = infogeo.cubic_tensor(model, theta, alpha)
-            for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-                worst_sym = max(worst_sym,
-                                float(np.abs(C - np.transpose(C, perm)).max()))
-            if base is None:
-                base = C
-            else:
-                worst_spread = max(worst_spread, float(np.abs(C - base).max()))
+    base = None
+    for alpha in alphas:
+        C = infogeo.cubic_tensor(model, np.asarray(grid), alpha)
+        for axes in ((-3, -2), (-2, -1), (-3, -1)):
+            worst_sym = max(worst_sym, float(np.abs(C - np.swapaxes(C, *axes)).max()))
+        if base is None:
+            base = C
+        else:
+            worst_spread = max(worst_spread, float(np.abs(C - base).max()))
     ok = worst_sym < tol and worst_spread < tol
     return CheckResult(status=_assert_status(ok),
                        residuals={"max_asymmetry": worst_sym,
@@ -542,7 +540,7 @@ def _check_geodesic(spec, subject, grid, model):
                                   "speed_drift": drift},
                        tolerance=spec.tol("geodesic"),
                        provenance="fixed-step RK4; g-speed sampled along path",
-                       detail=f"steps={len(path.t) - 1}")
+                       detail=f"steps={len(path.t) - 1}", path=path)
 
 
 CHECKS = {
@@ -696,24 +694,15 @@ def write_tensor_csv(path, header, rows):
 
 
 def dump_model_tensors(spec: RunSpec, model, grid, out_dir: Path):
-    rows_g = []
-    rows_c = []
-    for p, theta in enumerate(grid):
-        g = infogeo.fisher_metric(model, theta)
-        for i in range(model.dim):
-            for j in range(model.dim):
-                rows_g.append([p, i, j, repr(float(g[i, j]))])
-        for alpha in spec.alphas:
-            low = infogeo.alpha_connection(model, theta, alpha)
-            for i in range(model.dim):
-                for j in range(model.dim):
-                    for k in range(model.dim):
-                        rows_c.append([p, alpha, i, j, k,
-                                       repr(float(low[i, j, k]))])
-    write_tensor_csv(out_dir / "fisher.csv", ["point", "i", "j", "value"], rows_g)
-    write_tensor_csv(out_dir / "connection.csv",
+    g = infogeo.fisher_metric(model, np.asarray(grid))
+    low = [infogeo.alpha_connection(model, np.asarray(grid), alpha) for alpha in spec.alphas]
+    rows_g = [[p, i, j, repr(float(g[p, i, j]))] for p, i, j in np.ndindex(g.shape)]
+    rows_c = [[p, alpha, i, j, k, repr(float(c[p, i, j, k]))] for p in range(len(grid))
+              for alpha, c in zip(spec.alphas, low) for i, j, k in np.ndindex(c.shape[1:])]
+    write_tensor_csv(out_dir / f"fisher_{spec.label}.csv", ["point", "i", "j", "value"], rows_g)
+    write_tensor_csv(out_dir / f"connection_{spec.label}.csv",
                      ["point", "alpha", "i", "j", "k", "value"], rows_c)
-    write_tensor_csv(out_dir / "grid.csv",
+    write_tensor_csv(out_dir / f"grid_{spec.label}.csv",
                      ["point"] + [f"theta_{i}" for i in range(model.dim)],
                      [[p] + [repr(float(v)) for v in np.atleast_1d(theta)]
                       for p, theta in enumerate(grid)])
@@ -733,12 +722,14 @@ def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
         for i in range(n):
             rows.append([p, "alpha", i, "", "", repr(float(d.alpha_form[i]))])
         rows.append([p, "eta", "", "", "", repr(float(d.volume))])
-    write_tensor_csv(out_dir / "immersion.csv",
+    write_tensor_csv(out_dir / f"immersion_{spec.label}.csv",
                      ["point", "tensor", "i", "j", "k", "value"], rows)
 
 
-def dump_geodesic_csv(spec: RunSpec, model, out_path: Path):
-    path = _integrate_geodesic(spec, model)
+def dump_geodesic_csv(run_: RunReport, out_path: Path):
+    """The path of the run's geodesic check, integrated anew only without one."""
+    path = getattr(run_.results.get("geodesic"), "path", None) \
+        or _integrate_geodesic(run_.spec, run_.model)
     n = path.theta.shape[1]
     header = (["step", "t"] + [f"theta_{i}" for i in range(n)]
               + [f"v_{i}" for i in range(n)])
@@ -809,19 +800,31 @@ def main(argv=None) -> int:
 
         if args.command in ("compute", "geodesic"):
             csv_dir = Path(args.csv_dir or ".")
-            # geodesic: one path CSV per run with a geodesic block and a model
-            paths = [r for r in report.runs if r.spec.geodesic is not None and r.model is not None]
-            if args.command == "geodesic" and not paths:
+            # files are named by run label: geodesic writes one path per run
+            # with a geodesic block and a model, compute one set of tensors
+            # per model, family and surface run
+            geodesic = args.command == "geodesic"
+            if geodesic:
+                writers = [r for r in report.runs
+                           if r.model is not None and r.spec.geodesic is not None]
+            else:
+                writers = [r for r in report.runs
+                           if r.model is not None or r.spec.kind == "surface"]
+            if geodesic and not writers:
                 raise SchemaError("geodesic command needs a model or "
                                   "family spec with a geodesic block")
+            labels = [r.spec.label for r in writers]
+            if len(set(labels)) < len(labels):
+                raise SchemaError("runs that write CSV files share a label: "
+                                  f"{sorted({x for x in labels if labels.count(x) > 1})}")
             csv_dir.mkdir(parents=True, exist_ok=True)
-            for run_ in paths if args.command == "geodesic" else report.runs:
+            for run_ in writers:
                 spec = run_.spec
-                if args.command == "geodesic":
-                    dump_geodesic_csv(spec, run_.model, csv_dir / f"geodesic_{spec.label}.csv")
+                if geodesic:
+                    dump_geodesic_csv(run_, csv_dir / f"geodesic_{spec.label}.csv")
                 elif run_.model is not None:
                     dump_model_tensors(spec, run_.model, run_.grid, csv_dir)
-                elif spec.kind == "surface":
+                else:
                     dump_surface_tensors(spec, run_.subject, run_.grid, csv_dir)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,6 +78,8 @@ class ImmersionData:
     shape_operator: np.ndarray   # S[k,i] = S^k_i, columns act on basis vectors
     alpha_form: np.ndarray   # alpha[i]
     volume: float            # eta = det[d_1 f ... d_n f xi]
+    f: Optional[np.ndarray] = None   # the chart value f(u), from the stencil's value row
+    xi: Optional[np.ndarray] = None  # the transversal xi(u), likewise
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
     gamma, h = G[..., :n], G[..., n]
     S, alpha = -coeffs[:n, len(d2):], coeffs[n, len(d2):]
 
-    return ImmersionData(gamma=gamma, h=h, shape_operator=S,
-                         alpha_form=alpha, volume=float(np.linalg.det(frame)))
+    return ImmersionData(gamma=gamma, h=h, shape_operator=S, alpha_form=alpha,
+                         volume=float(np.linalg.det(frame)), f=V[0][0], xi=V[0][1])
 
 
 def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
@@ -158,16 +160,22 @@ def _induced_derivative(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
                          shape_operator=S.reshape(n, n, n), alpha_form=alpha, volume=eta[:, 0])
 
 
+def _decomposed(surface: Hypersurface, name: str, u) -> np.ndarray:
+    """The induced field ``name`` at u (n,) or at the rows of u (..., n)."""
+    u = np.asarray(u, dtype=float)
+    values = [getattr(decompose(surface, r), name) for r in u.reshape(-1, surface.dim)]
+    return np.reshape(values, u.shape[:-1] + values[0].shape)
+
+
 def gamma_field(surface: Hypersurface) -> ConnectionField:
     """Induced connection as an infogeo-compatible field."""
-    return ConnectionField(dim=surface.dim,
-                           up_fn=lambda u: decompose(surface, u).gamma,
+    return ConnectionField(dim=surface.dim, up_fn=partial(_decomposed, surface, "gamma"),
                            provenance="induced", domain=surface.domain)
 
 
 def h_field(surface: Hypersurface) -> MetricField:
     """Affine fundamental form as a (possibly degenerate) metric field."""
-    return MetricField(dim=surface.dim, fn=lambda u: decompose(surface, u).h,
+    return MetricField(dim=surface.dim, fn=partial(_decomposed, surface, "h"),
                        label=f"h[{surface.label}]", domain=surface.domain)
 
 
@@ -296,8 +304,7 @@ def classify(surface: Hypersurface, grid: Sequence,
     for u in grid:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         data = decompose(surface, u)
-        f = np.asarray(surface.chart(u), dtype=float)
-        xi = np.asarray(surface.transversal(u), dtype=float)
+        f, xi = data.f, data.xi
         denom = float(f @ f)
         if denom > 0:
             c = float(xi @ f) / denom

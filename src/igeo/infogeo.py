@@ -8,8 +8,10 @@ Index conventions, fixed across the toolkit (all arrays are numpy):
 * ``Ric[j, k]``     = trace of X -> R(X, e_j) e_k = sum_m R[m, j, k, m]
 
 All formulas are coordinate expressions in a frame with vanishing brackets,
-so no explicit commutator terms appear.  Tensor fields are represented as
-plain callables of the parameter point wrapped in small dataclasses.
+so no explicit commutator terms appear.  Tensor fields are callables in
+small dataclasses, batched like log-densities: theta rows (..., n) give one
+tensor per row, with the bits of a one-point call, so a grid sweep takes
+one batch per layer (one field stencil, one stacked condition test).
 
 Every alpha-connection splits into two alpha-independent moments of the
 log-density l (Amari & Nagaoka 2000, sec. 2.3):
@@ -21,20 +23,22 @@ A, T and the Fisher metric g = E[d_i l d_j l] are one integral of the
 log-density jet per point (``numerics.integrate``, under any rule), stored
 on the model's memo, so any number of alphas cost one integral.  A jet is
 one ``numerics.stencil`` batch: one log-density call on the theta rows of
-every score and second-derivative node and theta itself, over all the
-nodes of a node rule or one point of adaptive quadrature.
+every score and second-derivative node and the point itself, for a chunk
+of points under a node rule, or one point of adaptive quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import SingularMetric
 from .models import SCORE_SCHEME, StatisticalModel, log_density_jet, log_density_rows
-from .numerics import DiffScheme, gradient, integrate, partials, stencil
+from .numerics import (DiffScheme, gradient, integrate, node_quadrature, partials,
+                       stencil)
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -43,10 +47,16 @@ FIELD_SCHEME = DiffScheme(order=1, base_step=2.0**-7, richardson_levels=1)
 
 _METRIC_CONDITION_CAP = 1e12
 
+# Points times quadrature nodes in one batched jet of a node rule, set on
+# model-grid: a 4096-node point (logistic-location-2) takes a jet of its
+# own, as larger batches ran slower, and 96-node models take 21 points, as
+# 42 raised the peak RSS by about 1 MB.
+ROW_BUDGET = 2**11
+
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """A parameter-dependent symmetric bilinear form."""
+    """A parameter-dependent symmetric bilinear form, theta (..., n) -> (..., n, n)."""
 
     dim: int
     fn: Callable
@@ -59,14 +69,16 @@ class MetricField:
     @classmethod
     def constant(cls, matrix, label: str = "constant") -> "MetricField":
         g = np.asarray(matrix, dtype=float)
-        return cls(dim=g.shape[0], fn=lambda th: g, label=label)
+        return cls(dim=g.shape[0], fn=lambda th: np.broadcast_to(g, th.shape[:-1] + g.shape),
+                   label=label)
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
     """Connection coefficients as a field, in lowered and/or raised form.
 
-    Whichever form is missing is produced through the attached metric.
+    Whichever form is missing is produced through the attached metric; both
+    map theta (..., n) to (..., n, n, n).
     ``provenance`` records how the field was built ("alpha=1", "induced",
     "levi-civita", "custom", ...).
     """
@@ -97,60 +109,97 @@ class ConnectionField:
     @classmethod
     def zero(cls, dim: int) -> "ConnectionField":
         z = np.zeros((dim, dim, dim))
-        return cls(dim=dim, up_fn=lambda th: z, low_fn=lambda th: z,
-                   provenance="flat")
+        zero = lambda th: np.broadcast_to(z, th.shape[:-1] + z.shape)
+        return cls(dim=dim, up_fn=zero, low_fn=zero, provenance="flat")
 
 
 def _conditioned(g: np.ndarray, name: str = "metric") -> np.ndarray:
-    """g after one condition test (an SVD); SingularMetric names ``name``."""
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > _METRIC_CONDITION_CAP:
-        raise SingularMetric(f"{name} condition {cond:.3e} exceeds cap")
+    """g (..., n, n) after one stacked condition test (SVDs); SingularMetric
+    names ``name`` and the first failing condition."""
+    cond = np.ravel(np.linalg.cond(g))
+    if not (cond <= _METRIC_CONDITION_CAP).all():
+        bad = cond[np.argmin(cond <= _METRIC_CONDITION_CAP)]
+        raise SingularMetric(f"{name} condition {bad:.3e} exceeds cap")
     return g
 
 
 def raise_connection(low: np.ndarray, g: np.ndarray, name: str = "metric") -> np.ndarray:
     """Gamma^k_{ij} from Gamma_{ij,k}: contract the last index with g^{-1}."""
-    return np.einsum("ijm,mk->ijk", low, np.linalg.inv(_conditioned(g, name)))
+    return np.einsum("...ijm,...mk->...ijk", low, np.linalg.inv(_conditioned(g, name)))
 
 
 def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gamma_{ij,k} from Gamma^k_{ij}: contract the last index with g."""
-    return np.einsum("ijm,mk->ijk", up, np.asarray(g, float))
+    return np.einsum("...ijm,...mk->...ijk", up, np.asarray(g, float))
 
 
 # ---------------------------------------------------------------------------
 # Fisher metric and alpha-connections
 # ---------------------------------------------------------------------------
 
-def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
-    """Fisher information g_ij = E[score_i * score_j] at theta.
-
-    Memoized per model and point; the returned array is read-only.  Only a
-    miss tests theta against the domain: only tested points are stored.
-    """
+def _pointwise(model: StatisticalModel, theta, key: Callable, compute: Callable):
+    """The memo's array under ``key(point bytes)`` at theta (n,), or stacked
+    at every row of theta (..., n); missed points, each once, are tested
+    against the domain at once and computed together by ``compute(rows)``."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return model.memo.get(("fisher", th.tobytes()),
-                          lambda: _fisher_metric(model, model.check_theta(th)))
+    if th.shape[-1] != model.dim:
+        model.check_theta(theta)
+    raw, width = th.tobytes(), 8 * model.dim
+    keys = [key(raw[i:i + width]) for i in range(0, len(raw), width)]
+    values = list(map(model.memo.peek, keys))
+    missed = {}
+    for i, v in enumerate(values):
+        if v is None:
+            missed.setdefault(keys[i], i)
+    if missed:
+        rows = th.reshape(-1, model.dim)
+        rows = model.check_theta(rows if len(missed) == len(rows) else rows[list(missed.values())])
+        for k, v in zip(missed, compute(rows)):
+            missed[k] = model.memo.put(k, v)
+        values = [missed[k] if v is None else v for k, v in zip(keys, values)]
+    return values[0] if th.ndim == 1 else np.stack(values).reshape(th.shape[:-1] + values[0].shape)
 
 
-def _fisher_metric(model: StatisticalModel, th: np.ndarray) -> np.ndarray:
+def _integrated(model: StatisticalModel, rows: np.ndarray, products: Callable):
+    """Integrals (P, K) of ``products(rows, xs, w)``, every row's weighted
+    sums row after row: one per chunk of rows within ``ROW_BUDGET``, one
+    per row under adaptive quadrature (a joint one subdivides otherwise)."""
+    nodes = node_quadrature(model.space)
+    size = 1 if nodes is None else max(1, ROW_BUDGET // len(nodes[0]))
+    chunks = [rows[i:i + size] for i in range(0, len(rows), size)]
+    parts = [integrate(model.space, partial(products, c)).reshape(len(c), -1) for c in chunks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
+    """Fisher information g_ij = E[score_i * score_j] at theta (n,) or its rows (..., n).
+
+    Memoized per model and point; the array of one point is read-only.
+    Only missed points are tested against the domain.
+    """
+    return _pointwise(model, theta, lambda b: ("fisher", b),
+                      lambda rows: _fisher_metric(model, rows))
+
+
+def _fisher_metric(model: StatisticalModel, rows: np.ndarray) -> np.ndarray:
     # the moments, when stored, hold the same Gram over the same scores;
     # otherwise only the scores are taken, never the wider Hessian stencil
-    moments = model.memo.peek(("moments", th.tobytes()))
-    if moments is not None:
-        g = moments.g
-    else:
-        n = model.dim
+    n = model.dim
+    stored = [model.memo.peek(("moments", r.tobytes())) for r in rows]
+    todo = [i for i, m in enumerate(stored) if m is None]
+    scores = partials(n, 1, SCORE_SCHEME) + [((), None)]
 
-        def gram(xs, w):
-            jet = stencil(log_density_rows(model, xs), th,
-                          partials(n, 1, SCORE_SCHEME) + [((), None)], model.domain)
-            s = np.array(jet[:n])
-            return np.einsum("in,jn,n->ij", s, s, _node_weights(jet[-1], w))
+    def gram(chunk, xs, w):
+        jet = stencil(log_density_rows(model, xs), chunk, scores, model.domain)
+        s, pw = np.stack(jet[:n], axis=1), _node_weights(jet[-1], w)
+        return np.concatenate([np.einsum("in,jn,n->ij", sp, sp, pwp).ravel()
+                               for sp, pwp in zip(s, pw)])
 
-        g = _symmetrised(integrate(model.space, gram))
-    return _conditioned(g, "Fisher metric")
+    G = np.array([np.zeros(n * n) if m is None else m[:n * n] for m in stored])
+    if todo:
+        G[todo] = _integrated(model, rows[todo], gram)
+    # stored rows are symmetric already, and symmetrising them is exact
+    return _conditioned(_symmetrised(G.reshape(-1, n, n)), "Fisher metric")
 
 
 def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
@@ -160,39 +209,33 @@ def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
 
 
 def _symmetrised(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-@dataclass(frozen=True, eq=False)
-class _Moments:
-    """The alpha-independent moments of the log-density jet at one point."""
-
-    g: np.ndarray  # E[s_i s_j], symmetrised
-    A: np.ndarray  # E[d_i d_j l * s_k]
-    T: np.ndarray  # E[s_i s_j s_k]
-
-
-def _moments(model: StatisticalModel, th: np.ndarray) -> _Moments:
-    """Moments at th, memoized per model and point: g, A and T packed into
-    one integrated array.  Each call of the integrand takes the jet
-    (scores, second log-derivatives, p * w) from one log-density call on
-    one stencil batch; th itself is one row of the batch, for p and for the
-    centre node of every diagonal second derivative."""
+def _moments(model: StatisticalModel, theta):
+    """g, A and T at theta (n,) or at every row of theta (..., n), views of
+    one array [g (symmetrised), A, T] memoized per model and point.  The
+    integrand takes the jets of its rows (scores, second log-derivatives,
+    p * w) from one log-density call; products are taken point by point."""
     n = model.dim
 
-    def products(xs, w):
-        log_p, s, dd = log_density_jet(model, th, xs)
+    def products(rows, xs, w):
+        log_p, s, dd = log_density_jet(model, rows, xs)
         pw = _node_weights(log_p, w)
-        return np.concatenate([np.einsum("in,jn,n->ij", s, s, pw).ravel(),
-                               np.einsum("ijn,kn,n->ijk", dd, s, pw).ravel(),
-                               np.einsum("in,jn,kn,n->ijk", s, s, s, pw).ravel()])
+        return np.concatenate([a.ravel() for sp, ddp, pwp in zip(s, dd, pw) for a in (
+            np.einsum("in,jn,n->ij", sp, sp, pwp), np.einsum("ijn,kn,n->ijk", ddp, sp, pwp),
+            np.einsum("in,jn,kn,n->ijk", sp, sp, sp, pwp))])
 
-    def compute():
-        g, A, T = np.split(integrate(model.space, products), [n * n, n * n + n ** 3])
-        return _Moments(g=_symmetrised(g.reshape(n, n)), A=A.reshape(n, n, n),
-                        T=T.reshape(n, n, n))
+    def compute(rows):
+        packed = _integrated(model, rows, products)
+        g = packed[:, :n * n].reshape(-1, n, n)
+        g[...] = _symmetrised(g)
+        return packed
 
-    return model.memo.get(("moments", th.tobytes()), compute)
+    packed = _pointwise(model, theta, lambda b: ("moments", b), compute)
+    lead, k = packed.shape[:-1], n * n + n ** 3
+    return (packed[..., :n * n].reshape(lead + (n, n)),
+            packed[..., n * n:k].reshape(lead + (n, n, n)), packed[..., k:].reshape(lead + (n, n, n)))
 
 
 def fisher_field(model: StatisticalModel) -> MetricField:
@@ -201,23 +244,21 @@ def fisher_field(model: StatisticalModel) -> MetricField:
 
 
 def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray:
-    """Lowered alpha-connection coefficients.
+    """Lowered alpha-connection coefficients at theta (n,) or its rows (..., n).
 
     Gamma^a_{ij,k} = E[(d_i d_j l + (1-a)/2 d_i l d_j l) d_k l]
                    = A_{ijk} + (1-a)/2 T_{ijk},
     with A = E[d_i d_j l d_k l] and the skewness T = E[d_i l d_j l d_k l];
     symmetric in (i, j) by construction of the central stencils.  A and T
     are taken once per point and serve every alpha.  Memoized per model,
-    point and alpha; the returned array is read-only.  Only a miss tests
-    theta against the domain.
+    point and alpha; the array of one point is read-only.  Only missed
+    points are tested against the domain.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    def compute(rows):
+        _, A, T = _moments(model, rows)
+        return A + (1.0 - alpha) / 2.0 * T
 
-    def compute():
-        moments = _moments(model, model.check_theta(th))
-        return moments.A + (1.0 - alpha) / 2.0 * moments.T
-
-    return model.memo.get(("alpha", th.tobytes(), float(alpha)), compute)
+    return _pointwise(model, theta, lambda b: ("alpha", b, float(alpha)), compute)
 
 
 def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
@@ -226,9 +267,9 @@ def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
     operations of ``raise_connection(alpha_connection, fisher_metric)``,
     storing no more than the moments."""
 
-    def up(th):  # only a miss tests th: only tested points are stored
-        m = model.memo.peek(("moments", th.tobytes())) or _moments(model, model.check_theta(th))
-        return raise_connection(m.A + (1.0 - alpha) / 2.0 * m.T, m.g, "Fisher metric")
+    def up(th):
+        g, A, T = _moments(model, th)
+        return raise_connection(A + (1.0 - alpha) / 2.0 * T, g, "Fisher metric")
 
     return ConnectionField(dim=model.dim,
                            low_fn=lambda th: alpha_connection(model, th, alpha),
@@ -253,10 +294,18 @@ def cubic_tensor(model: StatisticalModel, theta, alpha: float = 1.0) -> np.ndarr
 # Derived fields: metric derivative, Levi-Civita
 # ---------------------------------------------------------------------------
 
+
+def _field_gradient(field: Callable, theta, scheme: DiffScheme, domain) -> np.ndarray:
+    """d_a field at theta (n,), or at the rows of theta (P, n) by one stencil."""
+    th = np.atleast_1d(np.asarray(theta, float))
+    return np.stack(stencil(field, th, partials(th.shape[-1], 1, scheme), domain),
+                    axis=th.ndim - 1)
+
+
 def metric_derivative(metric_field: MetricField, theta,
                       scheme: DiffScheme = FIELD_SCHEME) -> np.ndarray:
-    """dg[a, j, k] = d_a g_jk by finite differences of the field."""
-    return gradient(metric_field, theta, scheme, metric_field.domain)
+    """dg[..., a, j, k] = d_a g_jk by finite differences of the field."""
+    return _field_gradient(metric_field, theta, scheme, metric_field.domain)
 
 
 def levi_civita(metric_field: MetricField, theta,
@@ -264,7 +313,7 @@ def levi_civita(metric_field: MetricField, theta,
     """Lowered Levi-Civita coefficients of the metric field."""
     dg = metric_derivative(metric_field, theta, scheme)
     # low[i,j,k] = (d_i g_jk + d_j g_ik - d_k g_ij)/2
-    low = 0.5 * (dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0)))
+    low = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
     return low
 
 
@@ -283,7 +332,7 @@ def levi_civita_field(metric_field: MetricField,
 @dataclass(frozen=True, eq=False)
 class CurvaturePack:
     """Curvature, torsion, Ricci and (optionally) the metric's covariant
-    derivative at one point."""
+    derivative at one point, or at P points with a leading axis P."""
 
     R: np.ndarray        # R[i,j,k,l] = R^l_{ijk}
     torsion: np.ndarray  # T[i,j,k] = T^k_{ij}
@@ -302,27 +351,29 @@ class CurvaturePack:
 def covariant_metric_derivative(up0: np.ndarray, g0: np.ndarray,
                                 dg: np.ndarray) -> np.ndarray:
     """(nabla_i h)_{jk} = d_i g_jk - Gamma^m_{ij} g_mk - Gamma^m_{ik} g_jm."""
-    return dg - np.einsum("ijm,mk->ijk", up0, g0) - np.einsum("ikm,jm->ijk", up0, g0)
+    return dg - np.einsum("...ijm,...mk->...ijk", up0, g0) \
+        - np.einsum("...ikm,...jm->...ijk", up0, g0)
 
 
 def riemann(DG: np.ndarray, up0: np.ndarray) -> np.ndarray:
     """R[i,j,k,l] = R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}, given
     DG[a,b,c,d] = d_a Gamma^d_{bc} and up0 = Gamma."""
-    quad = np.einsum("iml,jkm->ijkl", up0, up0)
-    return DG - np.swapaxes(DG, 0, 1) + quad - np.swapaxes(quad, 0, 1)
+    quad = np.einsum("...iml,...jkm->...ijkl", up0, up0)
+    return DG - np.swapaxes(DG, -4, -3) + quad - np.swapaxes(quad, -4, -3)
 
 
 def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
               metric_field: Optional[MetricField] = None) -> CurvaturePack:
     """Coordinate curvature (``riemann``) of the connection field at theta,
-    plus torsion, Ricci trace, and nabla h when a metric field is supplied."""
+    plus torsion, Ricci trace, and nabla h when a metric field is supplied;
+    at every row of theta (P, n) from one stencil of the field."""
     th = np.atleast_1d(np.asarray(theta, float))
-    DG = gradient(conn.up, th, scheme, conn.domain)  # DG[a,b,c,d] = d_a Gamma^d_{bc}
+    DG = _field_gradient(conn.up, th, scheme, conn.domain)  # d_a Gamma^d_{bc}
     up0 = conn.up(th)
     R = riemann(DG, up0)
-    torsion = up0 - np.transpose(up0, (1, 0, 2))
-    ricci = np.einsum("mjkm->jk", R)
+    torsion = up0 - np.swapaxes(up0, -3, -2)
+    ricci = np.einsum("...mjkm->...jk", R)
     nabla_h = None
     if metric_field is not None:
         g0 = metric_field(th)
@@ -344,23 +395,21 @@ class FlatnessReport:
 def flatness_check(model: StatisticalModel, grid: Sequence, alpha: float,
                    tol: float = 1e-3,
                    scheme: DiffScheme = FIELD_SCHEME) -> FlatnessReport:
-    """Grid sweep of curvature residuals of the alpha-connection.
+    """Curvature residuals of the alpha-connection over a grid, from one
+    ``curvature`` of the whole grid.
 
     Strict threshold, no hysteresis; the residuals are reported alongside
     the flag so borderline calls can be judged by the caller.
     """
-    conn = alpha_field(model, alpha)
-    per_point = []
-    max_R = max_T = 0.0
-    for theta in grid:
-        pack = curvature(conn, theta, scheme=scheme)
-        per_point.append((tuple(np.atleast_1d(theta).tolist()),
-                          pack.max_R, pack.max_torsion))
-        max_R = max(max_R, pack.max_R)
-        max_T = max(max_T, pack.max_torsion)
+    pack = curvature(alpha_field(model, alpha), np.reshape(grid, (len(grid), -1)),
+                     scheme=scheme)
+    R, T = (np.abs(a).reshape(len(grid), -1).max(axis=1).tolist()
+            for a in (pack.R, pack.torsion))
+    max_R, max_T = max([0.0] + R), max([0.0] + T)
     return FlatnessReport(flat=bool(max_R < tol and max_T < tol),
-                          max_R=max_R, max_torsion=max_T, tolerance=tol,
-                          alpha=alpha, per_point=tuple(per_point))
+                          max_R=max_R, max_torsion=max_T, tolerance=tol, alpha=alpha,
+                          per_point=tuple((tuple(np.atleast_1d(theta).tolist()), r, t)
+                                          for theta, r, t in zip(grid, R, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +420,12 @@ def conjugate_connection(metric_field: MetricField, conn: ConnectionField,
                          theta, scheme: DiffScheme = FIELD_SCHEME) -> np.ndarray:
     """Lowered conjugate connection via X h(Y,Z) = h(D_X Y, Z) + h(Y, D*_X Z).
 
-    In coordinates: conj_{ij,k} = d_i g_{kj} - Gamma_{ik,j}.
+    In coordinates: conj_{ij,k} = d_i g_{kj} - Gamma_{ik,j}; at every row
+    of theta (P, n) from one stencil of the metric field.
     """
     dg = metric_derivative(metric_field, theta, scheme)
     low0 = conn.low(theta)
-    return np.transpose(dg, (0, 2, 1)) - np.transpose(low0, (0, 2, 1))
+    return np.swapaxes(dg, -2, -1) - np.swapaxes(low0, -2, -1)
 
 
 def conjugate_field(metric_field: MetricField, conn: ConnectionField,
@@ -388,8 +438,10 @@ def conjugate_field(metric_field: MetricField, conn: ConnectionField,
 
 
 def codazzi_check(metric_field: MetricField, conn: ConnectionField, theta,
-                  scheme: DiffScheme = FIELD_SCHEME) -> float:
-    """Residual of (nabla_X h)(Y,Z) = (nabla_Z h)(Y,X) at theta.
+                  scheme: DiffScheme = FIELD_SCHEME):
+    """Residual of (nabla_X h)(Y,Z) = (nabla_Z h)(Y,X) at theta, a float;
+    at every row of theta (P, n) an array (P,), from one stencil of the
+    metric field.
 
     Zero residual (to tolerance) is the statistical-manifold property: the
     conjugate connection is then torsion free.
@@ -399,7 +451,8 @@ def codazzi_check(metric_field: MetricField, conn: ConnectionField, theta,
     dg = metric_derivative(metric_field, th, scheme)
     up0 = conn.up(th)
     nh = covariant_metric_derivative(up0, g0, dg)
-    return float(np.abs(nh - np.transpose(nh, (2, 1, 0))).max())
+    res = np.abs(nh - np.swapaxes(nh, -3, -1)).max(axis=(-3, -2, -1))
+    return float(res) if th.ndim == 1 else res
 
 
 def conformal_transform(metric_field: MetricField, conn: ConnectionField,
@@ -410,7 +463,9 @@ def conformal_transform(metric_field: MetricField, conn: ConnectionField,
     h~ = e^phi h, and the new connection satisfies
     h~(D~_X Y, Z) = h(D_X Y, Z) - (1+alpha)/2 dphi(Z) h(X,Y)
                     + (1-alpha)/2 {dphi(X) h~(Y,Z) + dphi(Y) h~(X,Z)}.
-    The returned lowered coefficients are taken against h~.
+    The returned lowered coefficients are taken against h~.  ``phi`` is a
+    function of one point, and so are the returned fields: they take one
+    theta at a time.
     """
     dscheme = scheme or DiffScheme(order=1)
 

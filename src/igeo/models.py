@@ -31,7 +31,7 @@ from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
 from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
-                       partials, stencil, symmetric, tensor_grid)
+                       partials, stacked, stencil, symmetric, tensor_grid)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -82,22 +82,23 @@ class Box:
 
     def contains(self, point, margin: float = 0.0) -> bool:
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.size != self.dim:
+        if p.shape[-1] != self.dim:
             return False
-        return bool(np.all(p > self._lo + margin) and np.all(p < self._hi - margin))
+        return bool(((p > self._lo + margin) & (p < self._hi - margin)).all())
 
     def inside(self, points) -> np.ndarray:
         """Boolean ``contains`` of every row of ``points``, shape (..., dim)."""
         p = np.asarray(points, dtype=float)
-        return np.all(p > self._lo, axis=-1) & np.all(p < self._hi, axis=-1)
+        return ((p > self._lo) & (p < self._hi)).all(axis=-1)
 
     def check(self, theta, label: str) -> np.ndarray:
-        """theta as a float vector; OutOfDomain, naming ``label``, unless it
-        is a point of the box."""
+        """theta (a point or rows (..., dim)) as floats; OutOfDomain, naming
+        ``label`` and theta or its first row outside, unless all lie inside."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if not self.contains(th):
-            raise OutOfDomain(
-                f"theta {np.asarray(theta).tolist()} outside domain of {label}")
+            bad = np.asarray(theta) if th.ndim == 1 or th.shape[-1] != self.dim else \
+                th.reshape(-1, self.dim)[np.argmin(self.inside(th).ravel())]
+            raise OutOfDomain(f"theta {bad.tolist()} outside domain of {label}")
         return th
 
     def center(self) -> np.ndarray:
@@ -239,20 +240,23 @@ def score_matrix(model: StatisticalModel, theta, xs,
 
 def second_log_derivs(model: StatisticalModel, theta, xs,
                       scheme: DiffScheme = HESSIAN_SCHEME) -> np.ndarray:
-    """Second parameter derivatives of the log-density, shape (dim, dim, N)."""
+    """Second parameter derivatives of the log-density, shape (dim, dim, N),
+    or (P, dim, dim, N) at the rows of theta (P, dim), from one stencil."""
     th = model.check_theta(theta)
     return symmetric(stencil(log_density_rows(model, xs), th,
-                             partials(model.dim, 2, scheme), model.domain), model.dim)
+                             partials(model.dim, 2, scheme), model.domain),
+                     model.dim, th.ndim - 1)
 
 
 def log_density_jet(model: StatisticalModel, th: np.ndarray, xs):
     """l, the scores (dim, N) and the second derivatives (dim, dim, N) at a
-    checked point th over sample points xs, from one log-density call."""
-    n = model.dim
+    checked point th over sample points xs, from one log-density call; at
+    the rows of th (P, dim) each gains a leading axis, rows contiguous."""
+    n, lead = model.dim, np.ndim(th) - 1
     jet = stencil(log_density_rows(model, xs), th,
                   partials(n, 1, SCORE_SCHEME) + partials(n, 2, HESSIAN_SCHEME)
                   + [((), None)], model.domain)
-    return jet[-1], np.array(jet[:n]), symmetric(jet[n:-1], n)
+    return jet[-1], stacked(jet[:n], lead), symmetric(jet[n:-1], n, lead)
 
 
 def normal_quantiles(rule: ExpectationRule, q) -> np.ndarray:

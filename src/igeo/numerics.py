@@ -5,10 +5,12 @@ built from three primitives:
 
 * ``stencil``     -- central finite differences for mixed partials up to
                      order three, with optional Richardson extrapolation,
-                     for any set of partials at one point: their nodes form
-                     one ``(M, dim)`` batch, without repeats, that is tested
-                     against the domain once and handed to a batched ``fn``
-                     once.  ``derive``, ``gradient`` and ``hessian`` are its
+                     for any set of partials at one point or at P points
+                     (a whole grid): their nodes form one ``(M, dim)``
+                     batch, without repeats, that is tested against the
+                     domain once and handed to a batched ``fn`` once; each
+                     point keeps the bits of its own call.  ``derive``,
+                     ``gradient`` and ``hessian`` are its
                      pointwise wrappers: they evaluate a one-point ``fn`` row
                      by row over the same batch, so they return the same
                      bits as a per-node loop.
@@ -71,6 +73,12 @@ class DiffScheme:
             raise ValueError("base_step must be positive")
         if self.richardson_levels < 0:
             raise ValueError("richardson_levels must be >= 0")
+        # hashed once: every stencil call looks its entries up in a cache
+        object.__setattr__(self, "_hash", hash((self.order, self.base_step,
+                                                 self.richardson_levels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def step(self) -> float:
@@ -95,9 +103,9 @@ def _layout(entries: tuple, dim: int):
     """The node rows of ``entries`` at any point with ``dim`` coordinates:
     per row its offsets, the coordinates it moves and its step factor (base
     step times Richardson shrink).  Per entry None for the value itself,
-    else its coordinates, their counts, base step, coefficients in summation
-    order and the shrink of each Richardson level."""
-    node_rows, plans = [], []
+    else its coefficients in summation order and number of levels; per entry
+    and level the base step, shrink and (coordinate, count) of h**count."""
+    node_rows, plans, divisors = [], [], []
     for idx, scheme in entries:
         idx = tuple(int(i) for i in idx)
         if len(idx) > 3:
@@ -119,13 +127,13 @@ def _layout(entries: tuple, dim: int):
                 offset = np.zeros(dim)
                 offset[list(coords)] = [o for o, _ in combo]
                 node_rows.append((offset, moved, scheme.step * shrink))
-        plans.append((coords, tuple(counts[i] for i in coords), scheme.step,
-                      tuple(math.prod(c for _, c in combo) for combo in combos), levels))
+            divisors.append((scheme.step, shrink, tuple((i, counts[i]) for i in coords)))
+        plans.append((tuple(math.prod(c for _, c in combo) for combo in combos), len(levels)))
     offsets, moved, factors = (np.array(a) for a in zip(*node_rows))
     factors = factors[:, None]
     for a in (offsets, moved, factors):
         a.flags.writeable = False
-    return offsets, moved, factors, tuple(plans)
+    return offsets, moved, factors, tuple(plans), tuple(divisors)
 
 
 def partials(dim: int, order: int, scheme: Optional[DiffScheme] = None) -> list:
@@ -136,53 +144,61 @@ def partials(dim: int, order: int, scheme: Optional[DiffScheme] = None) -> list:
     return [((a, b), scheme) for a in range(dim) for b in range(a, dim)]
 
 
-def symmetric(values: Sequence, dim: int) -> np.ndarray:
-    """``D[a, b] = D[b, a]`` from the second partials of ``partials(dim, 2)``."""
+def symmetric(values: Sequence, dim: int, axis: int = 0) -> np.ndarray:
+    """``D[a, b] = D[b, a]`` from the second partials of ``partials(dim, 2)``,
+    with the pair axes (a, b) after the first ``axis`` axes of the values."""
     D = np.empty((dim, dim) + np.shape(values[0]))
     k = 0
     for a in range(dim):
         for b in range(a, dim):
             D[a, b] = D[b, a] = values[k]
             k += 1
-    return D
+    return stacked(D, axis, 2)
 
 
-def stencil(fn: Callable, point, entries: Sequence, domain=None) -> list:
-    """Values of several partial derivatives of ``fn`` at ``point`` from one
-    batched evaluation.
+def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
+    """The first ``width`` axes of the array ``values`` moved after the
+    ``axis`` axes that follow them, C-contiguous."""
+    D = np.asarray(values)
+    order = list(range(D.ndim))
+    return np.ascontiguousarray(D.transpose(order[width:width + axis] + order[:width]
+                                            + order[width + axis:]))
+
+
+def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
+    """Values of several partial derivatives of ``fn`` at one point, or at
+    every row of ``points`` (P, dim), from one batched evaluation.
 
     ``entries`` are ``(multi_index, scheme)`` pairs: a tuple of 0-based coordinates,
     one per differentiation (e.g. ``(0, 0)`` for a second derivative along
     the first coordinate), and a ``DiffScheme`` or None for the default of
     that order; the empty multi-index asks for ``fn(point)`` itself.  The
-    nodes of every entry at every Richardson level are stacked into one
-    ``(M, dim)`` array, duplicate nodes dropped; the array is tested against
-    ``domain`` (a ``Box`` or None) once, ``fn`` is called once on it and
-    must return shape ``(M, ...)``, and the values are tested for
-    finiteness once.  Nodes outside the domain raise ``StencilOutOfDomain``
-    and non-finite values ``NonFinite``, each naming the first such node.
-    Returns one value per entry, in order.
+    nodes of every entry at every Richardson level, point after point, are
+    stacked into one ``(M, dim)`` array, duplicate nodes dropped; the array
+    is tested against ``domain`` (a ``Box`` or None) once, ``fn`` is called
+    once on it and must return shape ``(M, ...)``, and the values are tested
+    for finiteness once.  Nodes outside the domain raise
+    ``StencilOutOfDomain`` and non-finite values ``NonFinite``, each naming
+    the first such node, the one a loop over the points would name.
+    Returns one value per entry, in order, with a leading axis P for rows
+    of points, each with the bits of a one-point call.
     """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    dim = point.size
-    offsets, moved, factors, plans = _layout(tuple(entries), dim)
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    dim = pts.shape[-1]
+    offsets, moved, factors, plans, divisors = _layout(tuple(entries), dim)
+    rows_in = pts.reshape(-1, 1, dim)
     # node = x + offset * (step * shrink * max(1, |x|)) along each moved
     # coordinate, x itself along the others
-    X = np.where(moved, point + offsets * (factors * np.fmax(1.0, np.abs(point))),
-                 point)
+    X = np.where(moved, rows_in + offsets * (factors * np.fmax(1.0, np.abs(rows_in))),
+                 rows_in)
 
-    # first occurrence of every distinct node, in stacking order
+    # the distinct nodes in stacking order, and the one each node row is
     width = 8 * dim
     raw = X.tobytes()
-    seen, first, rows = {}, [], []
-    for r in range(len(X)):
-        key = raw[r * width:(r + 1) * width]
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(first)
-            first.append(r)
-        rows.append(j)
-    U = X[first]
+    seen = {}
+    rows = [seen.setdefault(raw[i:i + width], len(seen))
+            for i in range(0, len(raw), width)]
+    U = np.frombuffer(b"".join(seen), dtype=float).reshape(-1, dim).copy()
 
     if domain is not None:
         inside = domain.inside(U)
@@ -199,24 +215,42 @@ def stencil(fn: Callable, point, entries: Sequence, domain=None) -> list:
         bad = U[int(np.argmin(finite))]
         raise NonFinite(f"fn returned a non-finite value at {bad.tolist()}")
 
-    x = point.tolist()
+    # W[at[r]] holds node row r of every point, a view of V at one point (no
+    # copy of large rows), a gathered row at several; a 1-d point has no
+    # point axis
+    lead = pts.shape[:-1]
+    if len(rows_in) == 1:
+        W, at = V.reshape((len(V),) + lead + V.shape[1:]), rows
+    else:
+        W = V[np.array(rows).reshape(X.shape[:2]).T.reshape(X.shape[1:2] + lead)]
+        at = range(len(W))
+    # per point h**count of every entry and level, in the operations of
+    # math.prod over (step * max(1, |x_i|) * shrink) ** count
+    div = []
+    for x in rows_in[:, 0].tolist():
+        m = [max(1.0, abs(v)) for v in x]
+        for step, shrink, ic in divisors:
+            d = 1
+            for i, c in ic:
+                d = d * (step * m[i] * shrink) ** c
+            div.append(d)
+    div = iter(np.reshape(div, (len(rows_in), len(divisors))).T.reshape(
+        (len(divisors),) + lead + (1,) * (V.ndim - 1)))
     out, r = [], 0
     for plan in plans:
         if plan is None:
-            out.append(V[rows[r]])
+            out.append(W[at[r]])
             r += 1
             continue
-        coords, counts, step, coeffs, levels = plan
-        h = [step * max(1.0, abs(x[i])) for i in coords]
+        coeffs, levels = plan
         table = []
-        for shrink in levels:
-            total = coeffs[0] * V[rows[r]]
+        for _ in range(levels):
+            total = coeffs[0] * W[at[r]]
             for k in range(1, len(coeffs)):
-                total = total + coeffs[k] * V[rows[r + k]]
+                total += coeffs[k] * W[at[r + k]]
             r += len(coeffs)
             # the weighted values are summed first and divided by h**count once
-            table.append([total / math.prod((hi * shrink) ** c
-                                            for hi, c in zip(h, counts))])
+            table.append([total / next(div)])
         # Richardson extrapolation (error orders h^2, h^4, ...)
         for i in range(1, len(table)):
             for j in range(1, i + 1):
@@ -470,9 +504,10 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     return X[..., 0].T.reshape(R.shape)
 
 
-# Entries one PointMemo holds before it starts over: three times what the
-# grid checks of one 3x3-grid run store (at most 324: the Fisher metric,
-# the jet moments and two alpha-connections at each of 81 points), and
+# Entries one PointMemo holds before it starts over: over five times what
+# the grid checks of one 3x3-grid run store (at most 180: the Fisher metric
+# and the jet moments at each of 81 points, two alpha-connections at each
+# of the 9 grid points; a batched sweep stores its misses together), and
 # about 1.2 MB when full of 2-d immersion data.  Geodesic stage points
 # stream through, each storing at most its moments.
 MEMO_SIZE = 1024

@@ -190,18 +190,20 @@ def exponential_form_check(model: StatisticalModel, grid: Sequence,
 
     For a family in natural exponential form they equal the negative
     potential Hessian at every sample point, so the probe-to-probe
-    variation certifies the given coordinates as natural parameters.
+    variation certifies the given coordinates as natural parameters.  The
+    second derivatives at every grid point come from one stencil, or one
+    per point under adaptive quadrature, where a family's K depends on the
+    rows one integral holds.
     """
     if probes is None:
         probes = probe_points(model.space)
     # discrete supports smaller than 8 are probed in full
     if len(probes) < 8 and model.space.points is None:
         raise ValueError("need at least 8 probe points on a continuous space")
-    worst = 0.0
-    for u in grid:
-        dd = second_log_derivs(model, u, probes)
-        variation = float((dd.max(axis=-1) - dd.min(axis=-1)).max())
-        worst = max(worst, variation)
+    rows = np.reshape(grid, (len(grid), -1))
+    batches = rows[:, None] if model.space.rule.kind == "adaptive-quadrature" else [rows]
+    worst = max(float((dd.max(axis=-1) - dd.min(axis=-1)).max())
+                for dd in (second_log_derivs(model, b, probes) for b in batches))
     return ExponentialFormReport(is_exponential_form=bool(worst < tol),
                                  max_variation=worst, tolerance=tol)
 

@@ -70,7 +70,7 @@ class TestRun:
         real = cli.infogeo.cubic_tensor
 
         def counting(model, theta, alpha=1.0):
-            seen.append((tuple(np.atleast_1d(theta)), alpha))
+            seen.extend((tuple(row), alpha) for row in np.reshape(theta, (-1, model.dim)))
             return real(model, theta, alpha)
 
         monkeypatch.setattr(cli.infogeo, "cubic_tensor", counting)
@@ -79,8 +79,8 @@ class TestRun:
                             "checks": ["cubic-symmetry"],
                             "alpha": [1.0, -1.0, 0.5]})
         assert rep.runs[0].results["cubic-symmetry"].status == "pass"
-        # C(-1) is C(1) bit for bit, so alpha = -1 is skipped
-        assert seen == [((t,), a) for t in (-0.5, 0.0, 0.5) for a in (1.0, 0.5)]
+        # C(-1) is C(1) bit for bit, so alpha = -1 is skipped; one batch per alpha
+        assert seen == [((t,), a) for a in (1.0, 0.5) for t in (-0.5, 0.0, 0.5)]
 
     def test_unknown_check_rejected_before_execution(self):
         with pytest.raises(SchemaError):
@@ -178,6 +178,58 @@ class TestMain:
         path.write_text(json.dumps(doc))
         return path
 
+    @pytest.mark.parametrize("command", ["compute", "geodesic"])
+    def test_shared_labels_exit_two_before_writing(self, tmp_path, command):
+        """Two runs that would write the same CSV names (the label defaults
+        to the subject kind) stop the command before it writes anything."""
+        run = {"subject": {"family": "bernoulli-natural"}, "checks": ["validate"],
+               "grid": {"lo": [0.0], "hi": [0.5], "counts": [2]},
+               "geodesic": {"theta0": [0.0], "v0": [0.1], "t_final": 1.0, "steps": 4}}
+        spec = self._write_spec(tmp_path, {"runs": [run, dict(run, label="b"), run]})
+        csv_dir, out = tmp_path / "csv", tmp_path / "r.json"
+        code = cli.main([command, "--spec", str(spec), "--csv-dir", str(csv_dir),
+                         "--out", str(out)])
+        assert code == 2 and not csv_dir.exists() and not out.exists()
+
+    def test_geodesic_csv_reuses_the_checked_path(self, tmp_path, monkeypatch):
+        """One integration per geodesic run: the CSV is the checked path."""
+        calls = []
+        real = cli.dualflat.geodesic
+        monkeypatch.setattr(cli.dualflat, "geodesic",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        geo = {"theta0": [-0.5, 0.0], "v0": [0.05, 0.1], "t_final": 1.0, "steps": 10}
+        runs = [{"label": label, "subject": {"family": "normal-natural"},
+                 "checks": ["geodesic"], "geodesic": dict(geo, alpha=alpha)}
+                for label, alpha in (("e", 1.0), ("m", -1.0))]
+        csv_dir = tmp_path / "paths"
+        code = cli.main(["geodesic", "--spec", str(self._write_spec(tmp_path, {"runs": runs})),
+                         "--out", str(tmp_path / "r.json"), "--csv-dir", str(csv_dir)])
+        assert code == 0 and len(calls) == 2
+        report = json.loads((tmp_path / "r.json").read_text())
+        final = report["runs"][1]["results"]["geodesic"]["residuals"]["final_theta"]
+        last = (csv_dir / "geodesic_m.csv").read_text().splitlines()[-1].split(",")
+        assert [float(v) for v in last[2:4]] == final
+
+    def test_grid_at_the_domain_edge_keeps_its_details(self):
+        """Grids on and just inside the domain edge fail each check with the
+        message a point-by-point sweep gave: the first point and node."""
+        checks = ["validate", "flatness", "alpha-duality", "codazzi", "cubic-symmetry",
+                  "exponential-form"]
+        theta = "theta [-0.78, -2.0] outside domain of normal-natural"
+        want = {
+            (-0.78, -2.0): dict(zip(checks, [
+                theta, "stencil node [-0.7878125, -2.0] leaves the declared domain",
+                "stencil node [-0.7878125, -2.0] leaves the declared domain",
+                theta, theta, theta])),
+            (-0.7799, -1.9999): dict(zip(checks, [
+                ""] + ["stencil node [-0.7877125, -1.9999] leaves the declared domain"] * 3
+                + ["stencil node [-0.780144140625, -1.9999] leaves the declared domain"] * 2))}
+        for lo, details in want.items():
+            rep = run_document({"subject": {"model": "normal-natural"}, "checks": checks,
+                                "alpha": [1.0, -1.0],
+                                "grid": {"lo": list(lo), "hi": [-0.5, 0.0], "counts": [2, 2]}})
+            assert {k: r.detail for k, r in rep.runs[0].results.items()} == details
+
     def test_verify_exit_zero_and_report(self, tmp_path, flatness_spec):
         spec = self._write_spec(tmp_path, flatness_spec)
         out = tmp_path / "report.json"
@@ -223,10 +275,13 @@ class TestMain:
                          "--out", str(tmp_path / "r.json"),
                          "--csv-dir", str(csv_dir)])
         assert code == 0
-        fisher = (csv_dir / "fisher.csv").read_text().splitlines()
+        # one set of files per run, named by its label
+        assert sorted(f.name for f in csv_dir.iterdir()) == [
+            "connection_nn.csv", "fisher_nn.csv", "grid_nn.csv"]
+        fisher = (csv_dir / "fisher_nn.csv").read_text().splitlines()
         assert fisher[0] == "point,i,j,value"
         assert len(fisher) == 1 + 4 * 4  # 4 grid points, 2x2 metric
-        conn = (csv_dir / "connection.csv").read_text().splitlines()
+        conn = (csv_dir / "connection_nn.csv").read_text().splitlines()
         assert conn[0] == "point,alpha,i,j,k,value"
 
     def test_geodesic_writes_path(self, tmp_path):
@@ -281,9 +336,9 @@ class TestMain:
         computed = []
         real = infogeo._fisher_metric
 
-        def counting(model, th):
-            computed.append(th.tobytes())
-            return real(model, th)
+        def counting(model, rows):
+            computed.extend(r.tobytes() for r in rows)
+            return real(model, rows)
 
         monkeypatch.setattr(infogeo, "_fisher_metric", counting)
         csv_dir = tmp_path / "csv"
@@ -300,7 +355,8 @@ class TestMain:
         surface = cli._load_subject(surface_spec)
         cli.dump_surface_tensors(surface_spec, surface,
                                  cli._grid_points(surface_spec, surface), fresh)
-        for name in ("fisher.csv", "connection.csv", "grid.csv", "immersion.csv"):
+        for name in ("fisher_nn.csv", "connection_nn.csv", "grid_nn.csv",
+                     "immersion_tilted.csv"):
             assert (csv_dir / name).read_bytes() == (fresh / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["verify", "geodesic"])

@@ -221,7 +221,7 @@ class TestGeodesic:
         tested = []
         real = models.Box.contains
         monkeypatch.setattr(models.Box, "contains", lambda self, p, *a, **k:
-                            tested.append(tuple(np.atleast_1d(p))) or real(self, p, *a, **k))
+                            tested.append(tuple(np.ravel(p))) or real(self, p, *a, **k))
         model = family_model(family)
         path = geodesic(infogeo.alpha_field(model, 0.0), (-0.5, 0.0), (0.05, 0.2), 0.5, 10,
                         domain=family.domain)

@@ -345,6 +345,35 @@ class TestClassify:
         assert base.lambda_mean == pytest.approx(perm.lambda_mean, abs=1e-12)
 
 
+class TestClassifyReadsTheStencil:
+    """classify takes f and xi from the value row of each point's
+    decomposition stencil: one chart and one transversal call per point."""
+
+    GRAPH = {"name": "graph", "dim": 2,
+             "chart": ["u[0]", "u[1]", "0.5*log(-3.141592653589793/u[0]) - u[1]^2/(4*u[0])"],
+             "transversal": ["0", "0", "1"],
+             "domain": {"lo": [-0.78, -2.0], "hi": [-0.1, 2.0]}}
+
+    def test_one_chart_call_per_point(self):
+        base = load_surface(self.GRAPH)
+        calls = {"chart": 0, "transversal": 0}
+
+        def counted(name):
+            fn = getattr(base, name)
+            return lambda U: calls.__setitem__(name, calls[name] + 1) or fn(U)
+
+        surf = dataclasses.replace(base, chart=counted("chart"),
+                                   transversal=counted("transversal"))
+        grid = Box((-0.6, -1.0), (-0.3, 1.0)).grid([3, 3])
+        rep = classify(surf, grid)
+        assert calls == {"chart": 9, "transversal": 9}
+        assert rep.flags.improper_hypersphere
+        for u in grid:
+            data = decompose(surf, u)
+            assert data.f.tobytes() == np.asarray(base.chart(u), float).tobytes()
+            assert data.xi.tobytes() == np.asarray(base.transversal(u), float).tobytes()
+
+
 class TestRescaling:
     @given(st.sampled_from([0.5, 2.0, -1.0, 3.0, 0.25]))
     @settings(max_examples=5, deadline=None)

@@ -203,6 +203,80 @@ class TestAdaptiveQuadrature:
                 assert np.abs(low - want).max() < 1e-8, (theta, alpha)
 
 
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestGridBatches:
+    """One call over a grid equals a loop of one-point calls on a fresh
+    model bit for bit, under every builtin's node rule and under adaptive
+    quadrature."""
+
+    @staticmethod
+    def assert_batch_equals_loop(factory, grid, alpha):
+        grid = np.asarray(grid, dtype=float)
+        batch = factory()
+        gf, conn = fisher_field(batch), alpha_field(batch, alpha)
+        got = {"moments": infogeo._moments(batch, grid),
+               "flatness": flatness_check(batch, grid, alpha).per_point,
+               "conjugate": conjugate_connection(gf, conn, grid),
+               "codazzi": codazzi_check(gf, conn, grid)}
+        for p, theta in enumerate(grid):
+            single = factory()
+            gf, conn = fisher_field(single), alpha_field(single, alpha)
+            for a, b in zip(got["moments"], infogeo._moments(single, theta)):
+                assert _bits(a[p]) == _bits(b)
+            assert got["flatness"][p] == flatness_check(single, [theta], alpha).per_point[0]
+            assert _bits(got["conjugate"][p]) == _bits(conjugate_connection(gf, conn, theta))
+            assert got["codazzi"][p] == codazzi_check(gf, conn, theta)
+
+    @pytest.mark.parametrize("name", sorted(models.CATALOG))
+    def test_builtins_under_their_node_rules(self, name):
+        self.assert_batch_equals_loop(models.CATALOG[name], models.reference_grid(name), -1.0)
+
+    def test_adaptive_quadrature(self, adaptive_runs):
+        doc = adaptive_runs[0]["subject"]["model"]
+        self.assert_batch_equals_loop(lambda: models.load_model(doc),
+                                      [(-0.6, -0.4), (-0.4, 0.2)], 1.0)
+
+    def test_adaptive_exponential_form_keeps_points_apart(self, adaptive_runs):
+        """On an adaptive family K of a stencil batch depends on its rows, so
+        the exponential-form sweep takes one stencil per point there."""
+        from igeo import dualflat, submanifold
+        doc = adaptive_runs[1]["subject"]["family"]
+        grid = models.grid(*(adaptive_runs[1]["grid"][k] for k in ("lo", "hi", "counts")))
+        got = submanifold.exponential_form_check(
+            dualflat.family_model(dualflat.load_family(doc)), grid).max_variation
+        assert got == max(submanifold.exponential_form_check(
+            dualflat.family_model(dualflat.load_family(doc)), [theta]).max_variation
+            for theta in grid)
+
+    def test_chunks_split_the_rows(self, monkeypatch):
+        """Three points in chunks of two: two jets, the bits of one each."""
+        monkeypatch.setattr(infogeo, "ROW_BUDGET", 2 * 96)
+        jets = []
+        real = infogeo.log_density_jet
+        monkeypatch.setattr(infogeo, "log_density_jet",
+                            lambda m, th, xs: jets.append(len(th)) or real(m, th, xs))
+        grid = np.array(models.reference_grid("normal-natural")[:3])
+        batch = infogeo._moments(models.normal_natural(), grid)
+        assert jets == [2, 1]
+        for p, theta in enumerate(grid):
+            for a, b in zip(batch, infogeo._moments(models.normal_natural(), theta)):
+                assert _bits(a[p]) == _bits(b)
+
+    def test_every_missed_point_is_integrated_once(self, monkeypatch):
+        rows = []
+        real = infogeo.log_density_jet
+        monkeypatch.setattr(infogeo, "log_density_jet",
+                            lambda m, th, xs: rows.extend(map(bytes, th)) or real(m, th, xs))
+        model = models.normal_natural()
+        grid = np.array(models.reference_grid("normal-natural"))
+        infogeo._moments(model, grid[[0, 1, 0, 2, 1]])
+        infogeo._moments(model, grid)
+        assert rows == [bytes(t) for t in grid]  # 0, 1, 2 once, then the other six
+
+
 class TestRaiseLower:
     def test_identity_metric(self):
         low = np.arange(8.0).reshape(2, 2, 2)

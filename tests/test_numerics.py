@@ -312,6 +312,74 @@ class TestAgainstReference:
             stencil(lambda X: X[0], (0.5, 0.5), partials(2, 1))
 
 
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def _point_batches(draw):
+    """P points (some repeated, so points share nodes) of dim 1 to 3 and
+    entries of orders 0 to 3, mixed partials and Richardson levels, with
+    repeats among them (a gradient beside the Hessian shares its nodes)."""
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(-3, 3, allow_subnormal=False)
+    points = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=7))
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    entries = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, dim - 1), min_size=0, max_size=3).map(tuple),
+        st.integers(0, 2)), min_size=1, max_size=5))
+    entries = [(idx, DiffScheme(order=len(idx), richardson_levels=levels) if idx else None)
+               for idx, levels in entries]
+    entries += draw(st.sampled_from([[], partials(dim, 1), partials(dim, 2)]))
+    return np.array(points), entries
+
+
+def _field(X):
+    """A row-wise batched fn with a (2,) value per node."""
+    return np.stack([X[:, 0] ** 3 * X[:, -1] + np.sin(X).sum(axis=1), np.exp(0.3 * X[:, 0])],
+                    axis=1)
+
+
+class TestPointsFirstStencil:
+    """A stencil over points (P, dim) is one batch whose every point keeps
+    the bits, and the errors, of its own one-point call."""
+
+    @given(_point_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_per_point_stencil(self, case):
+        points, entries = case
+        calls = []
+        got = stencil(lambda X: calls.append(len(X)) or _field(X), points, entries)
+        assert len(calls) == 1 and len(got) == len(entries)
+        for p, point in enumerate(points):
+            want = stencil(_field, point, entries)
+            for value, ref in zip(got, want):
+                assert value.shape == (len(points),) + ref.shape
+                assert _bits(value[p]) == _bits(ref)
+
+    @given(_point_batches(), st.floats(-2.5, 2.5))
+    @settings(max_examples=80, deadline=None)
+    def test_errors_name_the_node_of_the_per_point_loop(self, case, edge):
+        points, entries = case
+        box = Box((edge,) + (-10.0,) * (points.shape[1] - 1), (10.0,) * points.shape[1])
+        nan_beyond = lambda X: np.where(X[:, :1] > edge, np.nan, _field(X))
+        for fn, domain, error in ((_field, box, StencilOutOfDomain),
+                                  (nan_beyond, None, NonFinite)):
+            want = None
+            for point in points:
+                try:
+                    stencil(fn, point, entries, domain)
+                except error as exc:
+                    want = str(exc)
+                    break
+            if want is None:
+                stencil(fn, points, entries, domain)
+            else:
+                with pytest.raises(error) as got:
+                    stencil(fn, points, entries, domain)
+                assert str(got.value) == want
+
+
 class TestExpect:
     def test_bernoulli_mean(self):
         space = SampleSpace.finite([[0.0], [1.0]])
