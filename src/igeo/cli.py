@@ -347,11 +347,9 @@ def _check_exponential_form(spec, subject, grid, model):
 
 def _check_structural(spec, subject, grid, model):
     tol = spec.tol("structural")
-    worst = dict.fromkeys(("gauss", "codazzi_h", "codazzi_s", "ricci"), 0.0)
-    for u in grid:
-        r = immersion.structural_check(subject, u)
-        for key in worst:
-            worst[key] = max(worst[key], getattr(r, key))
+    r = immersion.structural_check(subject, np.asarray(grid))
+    worst = {key: immersion.grid_max(getattr(r, key)) for key in ("gauss", "codazzi_h", "codazzi_s",
+                                                         "ricci")}
     ok = max(worst.values()) < tol
     return CheckResult(status=_assert_status(ok), residuals=worst,
                        tolerance=tol,
@@ -377,24 +375,20 @@ def _check_classify(spec, subject, grid, model):
 
 def _check_volume_transport(spec, subject, grid, model):
     tol = spec.tol("volume-transport")
-    worst_transport = 0.0
-    worst_gap = 0.0
-    testable = True
-    for u in grid:
-        try:
-            v = immersion.induced_volume_check(subject, u)
-            worst_transport = max(worst_transport, v.transport_residual)
-            worst_gap = max(worst_gap, v.blaschke_gap)
-        except DegenerateH:
-            testable = False
-    if not testable:
+    try:
+        v = immersion.induced_volume_check(subject, np.asarray(grid))
+    except DegenerateH as exc:
+        # the transport residual over the points where h is nondegenerate
+        v = exc.partial
         return CheckResult(status="untestable",
-                           residuals={"max_transport_residual": worst_transport},
+                           residuals={"max_transport_residual": immersion.grid_max(
+                               v.transport_residual[~np.isnan(v.blaschke_gap)])},
                            tolerance=tol,
                            detail="h degenerate somewhere on the grid")
+    worst_transport = immersion.grid_max(v.transport_residual)
     return CheckResult(status=_assert_status(worst_transport < tol),
                        residuals={"max_transport_residual": worst_transport,
-                                  "max_blaschke_gap": worst_gap},
+                                  "max_blaschke_gap": immersion.grid_max(v.blaschke_gap)},
                        tolerance=tol,
                        provenance="volume transport nabla eta = alpha eta")
 
@@ -442,15 +436,12 @@ def _check_graph_realization(spec, subject, grid, model):
     tol_h = spec.tol("graph-realization")
     tol_zero = 1e-6
     surf = dualflat.graph_realization(subject)
-    worst_h = worst_zero = 0.0
-    for theta in grid:
-        data = immersion.decompose(surf, theta)
-        H = dualflat.hessian_metric(subject, theta)
-        worst_h = max(worst_h, float(np.abs(data.h - H).max()))
-        worst_zero = max(worst_zero,
-                         float(np.abs(data.gamma).max()),
-                         float(np.abs(data.shape_operator).max()),
-                         float(np.abs(data.alpha_form).max()))
+    data = immersion.decompose(surf, np.asarray(grid))
+    # Hess K per point: an adaptive K of a batch depends on the rows it holds
+    H = np.array([dualflat.hessian_metric(subject, theta) for theta in grid])
+    worst_h = immersion.grid_max(np.abs(data.h - H).max(axis=(-2, -1)))
+    worst_zero = immersion.grid_max([np.abs(a).reshape(len(grid), -1).max(axis=1) for a in (
+        data.gamma, data.shape_operator, data.alpha_form)])
     ok = worst_h < tol_h and worst_zero < tol_zero
     return CheckResult(status=_assert_status(ok),
                        residuals={"max_h_minus_hessK": worst_h,
@@ -462,23 +453,16 @@ def _check_graph_realization(spec, subject, grid, model):
 def _check_centro_affine_lift(spec, subject, grid, model):
     tol = spec.tol("centro-affine-lift")
     surf = dualflat.centro_affine_lift(subject)
-    n = subject.dim
-    worst_rho = 0.0
-    equivalent = True
     try:
-        for theta in grid:
-            data = immersion.decompose(surf, theta)
-            pr = infogeo.projective_equivalence(np.zeros((n, n, n)), data.gamma,
-                                                tol=tol)
-            # default psi = exp K, so -d log psi = -grad K
-            rho_expected = -dualflat.dual_coords(subject, theta)
-            worst_rho = max(worst_rho,
-                            float(np.abs(pr.rho - rho_expected).max()),
-                            pr.residual)
-            equivalent = equivalent and pr.equivalent
+        data = immersion.decompose(surf, np.asarray(grid))
     except SingularFrame as exc:
         return CheckResult(status="untestable", tolerance=tol, detail=str(exc),
                            provenance="lift transversality is a local property")
+    pr = infogeo.projective_equivalence(np.zeros_like(data.gamma), data.gamma, tol=tol)
+    # default psi = exp K, so -d log psi = -grad K; grad K per point, as Hess K
+    rho_expected = -np.array([dualflat.dual_coords(subject, theta) for theta in grid])
+    equivalent = bool(np.all(pr.equivalent))
+    worst_rho = immersion.grid_max([np.abs(pr.rho - rho_expected).max(axis=-1), pr.residual])
     ok = equivalent and worst_rho < tol
     return CheckResult(status=_assert_status(ok),
                        residuals={"projectively_flat": equivalent,
@@ -711,17 +695,17 @@ def dump_model_tensors(spec: RunSpec, model, grid, out_dir: Path):
 def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
     rows = []
     n = subject.dim
-    for p, u in enumerate(grid):
-        d = immersion.decompose(subject, u)
+    d = immersion.decompose(subject, np.asarray(grid))
+    for p in range(len(grid)):
         for i in range(n):
             for j in range(n):
-                rows.append([p, "h", i, j, "", repr(float(d.h[i, j]))])
-                rows.append([p, "S", i, j, "", repr(float(d.shape_operator[i, j]))])
+                rows.append([p, "h", i, j, "", repr(float(d.h[p, i, j]))])
+                rows.append([p, "S", i, j, "", repr(float(d.shape_operator[p, i, j]))])
                 for k in range(n):
-                    rows.append([p, "gamma", i, j, k, repr(float(d.gamma[i, j, k]))])
+                    rows.append([p, "gamma", i, j, k, repr(float(d.gamma[p, i, j, k]))])
         for i in range(n):
-            rows.append([p, "alpha", i, "", "", repr(float(d.alpha_form[i]))])
-        rows.append([p, "eta", "", "", "", repr(float(d.volume))])
+            rows.append([p, "alpha", i, "", "", repr(float(d.alpha_form[p, i]))])
+        rows.append([p, "eta", "", "", "", repr(float(d.volume[p]))])
     write_tensor_csv(out_dir / f"immersion_{spec.label}.csv",
                      ["point", "tensor", "i", "j", "k", "value"], rows)
 

@@ -38,7 +38,15 @@ class UnknownSymbol(SchemaError):
 
 
 class DegenerateH(IgeoError):
-    """Affine fundamental form is degenerate where nondegeneracy is required."""
+    """Affine fundamental form is degenerate where nondegeneracy is required.
+
+    May carry ``partial``, what was computed over the whole grid anyway
+    (see ``immersion.induced_volume_check``).
+    """
+
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class NonConvergent(IgeoError):

@@ -12,13 +12,18 @@ form alpha (the induced volume is eta = det[d_1 f ... d_n f xi]):
 Sign convention: for position-transversal surfaces the toolkit standardises
 xi = -f (pointing toward the origin), which gives alpha = 0 and S = I.
 
-Every check that differentiates this data (Gauss, Codazzi, Ricci, volume
-transport, statistical structure) reads ``induced_derivative``.
+Every function takes a point u (n,) or rows of points (..., n), a point
+being a batch of one: a grid is decomposed by one stencil of (f, xi), one
+stacked frame-condition test and one stacked solve, and each point keeps
+the bits of its own decomposition.  Every check that differentiates this
+data (Gauss, Codazzi, Ricci, volume transport, statistical structure)
+reads ``induced_derivative``, one field stencil over the grid whose nodes
+are decomposed in one batch; the residuals are taken per point and their
+maximum over the grid at the end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -30,7 +35,7 @@ from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
 from .models import Box, domain_from_doc, number_from_doc
-from .numerics import (DiffScheme, PointMemo, gradient, partials, solve_frame,
+from .numerics import (DiffScheme, PointMemo, partials, solve_frame,
                        stencil, symmetric)
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
@@ -71,8 +76,12 @@ def _negated(chart: Callable, u) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ImmersionData:
-    """Induced data at one chart point (or its d_a, see ``induced_derivative``)."""
+    """Induced data at one chart point, or at rows of points with their
+    leading axes (or its d_a, see ``induced_derivative``).  Every field is
+    a view of ``packed``, one array [Gamma, h, S, alpha, eta, f, xi] per
+    point; a derivative packs no f and xi."""
 
+    packed: np.ndarray
     gamma: np.ndarray        # gamma[i,j,k] = Gamma^k_{ij}
     h: np.ndarray            # affine fundamental form
     shape_operator: np.ndarray   # S[k,i] = S^k_i, columns act on basis vectors
@@ -80,6 +89,19 @@ class ImmersionData:
     volume: float            # eta = det[d_1 f ... d_n f xi]
     f: Optional[np.ndarray] = None   # the chart value f(u), from the stencil's value row
     xi: Optional[np.ndarray] = None  # the transversal xi(u), likewise
+
+
+def _unpacked(packed: np.ndarray, n: int) -> ImmersionData:
+    lead = packed.shape[:-1]
+    at = np.cumsum([0, n**3, n * n, n * n, n, 1, n + 1, n + 1]).tolist()
+
+    def part(i, shape):
+        return packed[..., at[i]:at[i + 1]].reshape(lead + shape) \
+            if packed.shape[-1] > at[i] else None
+
+    return ImmersionData(packed=packed, gamma=part(0, (n, n, n)), h=part(1, (n, n)),
+                         shape_operator=part(2, (n, n)), alpha_form=part(3, (n,)),
+                         volume=packed[..., at[4]], f=part(5, (n + 1,)), xi=part(6, (n + 1,)))
 
 
 @dataclass(frozen=True)
@@ -99,84 +121,111 @@ class ImmersionFlags:
             raise ValueError("proper and improper hypersphere are exclusive")
 
 
-def decompose(surface: Hypersurface, u) -> ImmersionData:
-    """Frame-solve the second derivatives of the chart and the transversal.
-
-    Memoized per surface and point; the returned arrays are read-only.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return surface.memo.get(("decompose", u.tobytes()),
-                            lambda: _decompose(surface, u))
-
-
-def _decompose(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
-    # one stencil of (f, xi): the value, first and second partials
+def _memoized(surface: Hypersurface, u, name: str, compute: Callable) -> ImmersionData:
+    """The data ``compute(surface, rows)`` packs at u (n,) or at its rows
+    (..., n), stored on the surface's memo per point under ``name``."""
     n = surface.dim
+    return surface.memo.rows(
+        u, lambda b: (name, b),
+        lambda rows: [_unpacked(p, n) for p in compute(surface, rows)],
+        lambda values, lead: _unpacked(np.stack([v.packed for v in values]).reshape(
+            lead + values[0].packed.shape), n))
+
+
+def decompose(surface: Hypersurface, u) -> ImmersionData:
+    """Frame-solve the second derivatives of the chart and the transversal
+    at u (n,) or at every row of u (..., n).
+
+    Memoized per surface and point; the data of one point is read-only.
+    """
+    return _memoized(surface, u, "decompose", _decompose)
+
+
+def _decompose(surface: Hypersurface, U: np.ndarray) -> np.ndarray:
+    """Packed [Gamma, h, S, alpha, eta, f, xi] (P, K) at the rows U (P, n)."""
+    # one stencil of (f, xi) over every point: the value, first and second partials
+    n, P = surface.dim, len(U)
     xi = surface.transversal
     negated = getattr(xi, "func", None) is _negated and xi.args[0] is surface.chart
 
-    def f_xi(U):  # a centro-affine xi = -f negates the chart values, no second call
-        f = surface.chart(U)
-        return np.stack([f, -np.asarray(f, float) if negated else xi(U)], axis=1)
+    def f_xi(X):  # a centro-affine xi = -f negates the chart values, no second call
+        f = surface.chart(X)
+        return np.stack([f, -np.asarray(f, float) if negated else xi(X)], axis=1)
 
-    V = stencil(f_xi, u,
+    V = stencil(f_xi, U,
                 [((), None)] + partials(n, 1, CHART_SCHEME_1) + partials(n, 2, CHART_SCHEME_2),
                 surface.domain)
-    d1, d2 = np.array(V[1:n + 1]), np.array(V[n + 1:])
-    frame = np.column_stack([*d1[:, 0], V[0][1]])
-    coeffs = solve_frame(frame, np.concatenate([d2[:, 0], d1[:, 1]]).T)
-    G = symmetric(coeffs[:, :len(d2)].T, n)
-    gamma, h = G[..., :n], G[..., n]
-    S, alpha = -coeffs[:n, len(d2):], coeffs[n, len(d2):]
-
-    return ImmersionData(gamma=gamma, h=h, shape_operator=S, alpha_form=alpha,
-                         volume=float(np.linalg.det(frame)), f=V[0][0], xi=V[0][1])
+    d1, d2 = np.stack(V[1:n + 1], axis=1), np.stack(V[n + 1:], axis=1)
+    # frame columns d_a f and xi; right-hand sides d_a d_b f and d_a xi
+    frame = np.swapaxes(np.concatenate([d1[:, :, 0], V[0][:, 1:]], axis=1), 1, 2)
+    m = d2.shape[1]
+    coeffs = solve_frame(frame, np.swapaxes(np.concatenate([d2[:, :, 0], d1[:, :, 1]], axis=1),
+                                            1, 2))
+    G = symmetric(np.moveaxis(coeffs[..., :m], -1, 0), n, axis=1)
+    S, alpha = -coeffs[:, :n, m:], coeffs[:, n, m:]
+    return np.concatenate([G[..., :n].reshape(P, -1), G[..., n].reshape(P, -1),
+                           S.reshape(P, -1), alpha, np.linalg.det(frame)[:, None],
+                           V[0][:, 0], V[0][:, 1]], axis=1)
 
 
 def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
-    """d_a of every induced field at u, from one stencil over the packed data.
+    """d_a of every induced field at u (n,) or at every row of u (..., n),
+    from one stencil over the packed data.
 
-    Each field gains a leading axis a, e.g. ``gamma[a, i, j, k] = d_a
-    Gamma^k_{ij}`` and ``volume[a] = d_a eta``; the stencil acts
-    componentwise, so each entry equals its field's own derivative.
-    Memoized per surface and point; the returned arrays are read-only.
+    Each field gains an axis a after the point's, e.g. ``gamma[a, i, j, k]
+    = d_a Gamma^k_{ij}`` and ``volume[a] = d_a eta``; the stencil acts
+    componentwise, so each entry equals its field's own derivative, and
+    its nodes are decomposed in one batch (and not stored).  Memoized per
+    surface and point; the data of one point is read-only.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return surface.memo.get(("induced_derivative", u.tobytes()),
-                            lambda: _induced_derivative(surface, u))
+    return _memoized(surface, u, "induced_derivative", _induced_derivative)
 
 
-def _induced_derivative(surface: Hypersurface, u: np.ndarray) -> ImmersionData:
+def _induced_derivative(surface: Hypersurface, U: np.ndarray) -> np.ndarray:
     n = surface.dim
-
-    def packed(v):
-        d = decompose(surface, v)
-        return np.concatenate([d.gamma.ravel(), d.h.ravel(),
-                               d.shape_operator.ravel(), d.alpha_form, [d.volume]])
-
-    D = gradient(packed, u, SURFACE_FIELD_SCHEME, surface.domain)
-    gamma, h, S, alpha, eta = np.split(D, np.cumsum([n**3, n * n, n * n, n]), axis=1)
-    return ImmersionData(gamma=gamma.reshape(n, n, n, n), h=h.reshape(n, n, n),
-                         shape_operator=S.reshape(n, n, n), alpha_form=alpha, volume=eta[:, 0])
-
-
-def _decomposed(surface: Hypersurface, name: str, u) -> np.ndarray:
-    """The induced field ``name`` at u (n,) or at the rows of u (..., n)."""
-    u = np.asarray(u, dtype=float)
-    values = [getattr(decompose(surface, r), name) for r in u.reshape(-1, surface.dim)]
-    return np.reshape(values, u.shape[:-1] + values[0].shape)
+    width = n**3 + 2 * n * n + n + 1  # Gamma, h, S, alpha, eta
+    D = stencil(lambda X: _decompose(surface, X)[:, :width], U,
+                partials(n, 1, SURFACE_FIELD_SCHEME), surface.domain)
+    return np.stack(D, axis=1)
 
 
 def gamma_field(surface: Hypersurface) -> ConnectionField:
     """Induced connection as an infogeo-compatible field."""
-    return ConnectionField(dim=surface.dim, up_fn=partial(_decomposed, surface, "gamma"),
+    return ConnectionField(dim=surface.dim, up_fn=lambda u: decompose(surface, u).gamma,
                            provenance="induced", domain=surface.domain)
 
 
 def h_field(surface: Hypersurface) -> MetricField:
     """Affine fundamental form as a (possibly degenerate) metric field."""
-    return MetricField(dim=surface.dim, fn=partial(_decomposed, surface, "h"),
+    return MetricField(dim=surface.dim, fn=lambda u: decompose(surface, u).h,
                        label=f"h[{surface.label}]", domain=surface.domain)
+
+
+def _grid_rows(surface: Hypersurface, grid: Sequence) -> np.ndarray:
+    return np.asarray(grid, dtype=float).reshape(len(grid), surface.dim)
+
+
+def grid_max(values) -> float:
+    """max(0, values...) of per-point residuals, as a running maximum over
+    the grid takes it."""
+    return max([0.0] + np.ravel(values).tolist())
+
+
+def _max_entry(a: np.ndarray, axes: int):
+    """max |a| over its last ``axes`` axes: a float at one point, else per point."""
+    m = np.abs(a).max(axis=tuple(range(-axes, 0)))
+    return float(m) if m.ndim == 0 else m
+
+
+def _require_nondegenerate(det_h, u, why: str = "", carried=None) -> None:
+    """DegenerateH naming the first point of u (n,) or (P, n) where |det h|
+    falls below ``DEGENERATE_DET_H``, carrying ``carried`` as its partial."""
+    small = np.ravel(np.abs(det_h) < DEGENERATE_DET_H)
+    if small.any():
+        i = int(np.argmax(small))
+        point = np.reshape(np.asarray(u, dtype=float), (len(small), -1))[i]
+        raise DegenerateH(f"det h = {np.ravel(det_h)[i]:.3e} at u={point.tolist()}{why}",
+                          carried)
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +245,35 @@ class StructuralResiduals:
 
 
 def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
-    """Max-entry residuals of the four structural identities at u.
+    """Max-entry residuals of the four structural identities at u (n,), or
+    per point (arrays (P,)) at the rows of u (P, n).
 
     (1) R(X,Y)Z = h(Y,Z)SX - h(X,Z)SY
     (2) (nabla_X h)(Y,Z) + alpha(X) h(Y,Z) symmetric in X,Y
     (3) (nabla_X S)(Y) - alpha(X) SY symmetric in X,Y
     (4) h(X,SY) - h(SX,Y) = d alpha(X,Y)
-    Every derivative comes from one ``induced_derivative`` at u.
+    Every derivative comes from one ``induced_derivative`` of u.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     data = decompose(surface, u)
     d = induced_derivative(surface, u)
     G, h, S, al = data.gamma, data.h, data.shape_operator, data.alpha_form
 
     R = riemann(d.gamma, G)
-    gauss_rhs = np.einsum("jk,li->ijkl", h, S) - np.einsum("ik,lj->ijkl", h, S)
-    gauss = float(np.abs(R - gauss_rhs).max())
+    gauss_rhs = np.einsum("...jk,...li->...ijkl", h, S) - np.einsum("...ik,...lj->...ijkl", h, S)
+    gauss = _max_entry(R - gauss_rhs, 4)
 
-    lhs_h = covariant_metric_derivative(G, h, d.h) + np.einsum("i,jk->ijk", al, h)
-    codazzi_h = float(np.abs(lhs_h - np.transpose(lhs_h, (1, 0, 2))).max())
+    lhs_h = covariant_metric_derivative(G, h, d.h) + np.einsum("...i,...jk->...ijk", al, h)
+    codazzi_h = _max_entry(lhs_h - np.swapaxes(lhs_h, -3, -2), 3)
 
     # (nabla_i S)^k_j = d_i S^k_j + Gamma^k_{im} S^m_j - Gamma^m_{ij} S^k_m
-    nabla_S = (d.shape_operator + np.einsum("imk,mj->ikj", G, S)
-               - np.einsum("ijm,km->ikj", G, S))
-    lhs_s = nabla_S - np.einsum("i,kj->ikj", al, S)
-    codazzi_s = float(np.abs(lhs_s - np.transpose(lhs_s, (2, 1, 0))).max())
+    nabla_S = (d.shape_operator + np.einsum("...imk,...mj->...ikj", G, S)
+               - np.einsum("...ijm,...km->...ikj", G, S))
+    lhs_s = nabla_S - np.einsum("...i,...kj->...ikj", al, S)
+    codazzi_s = _max_entry(lhs_s - np.swapaxes(lhs_s, -3, -1), 3)
 
-    ricci_lhs = h @ S - (h @ S).T
-    ricci = float(np.abs(ricci_lhs - (d.alpha_form - d.alpha_form.T)).max())
+    hS = h @ S
+    ricci = _max_entry(hS - np.swapaxes(hS, -2, -1)
+                       - (d.alpha_form - np.swapaxes(d.alpha_form, -2, -1)), 2)
 
     return StructuralResiduals(gauss=gauss, codazzi_h=codazzi_h,
                                codazzi_s=codazzi_s, ricci=ricci)
@@ -236,31 +286,36 @@ def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
 @dataclass(frozen=True)
 class VolumeCheck:
     transport_residual: float   # | d_i eta - Gamma^m_{mi} eta - alpha_i eta |
-    blaschke_gap: float         # | |eta| - sqrt|det h| |
+    blaschke_gap: float         # | |eta| - sqrt|det h| |, NaN where h is degenerate
 
 
-def _blaschke_gap(data: ImmersionData, u: np.ndarray) -> float:
-    det_h = float(np.linalg.det(data.h))
-    if abs(det_h) < DEGENERATE_DET_H:
-        raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}; "
-                          "volume comparison needs nondegenerate h")
-    return float(abs(abs(data.volume) - math.sqrt(abs(det_h))))
+def _blaschke_gaps(data: ImmersionData):
+    """det h and the Blaschke gap per point, the gap NaN where h is degenerate."""
+    det_h = np.linalg.det(data.h)
+    gap = np.abs(np.abs(data.volume) - np.sqrt(np.abs(det_h)))
+    return det_h, np.where(np.abs(det_h) < DEGENERATE_DET_H, np.nan, gap)
 
 
 def induced_volume_check(surface: Hypersurface, u) -> VolumeCheck:
-    """Volume transport identity and the Blaschke gap at u.
+    """Volume transport identity and the Blaschke gap at u (n,) (floats),
+    or per point (arrays (P,)) at the rows of u (P, n).
 
     The covariant derivative of the induced volume must equal alpha x eta;
     in coordinates d_i eta - Gamma^m_{im} eta = alpha_i eta.  The gap
-    compares |eta| against the volume of h and needs h nondegenerate.
+    compares |eta| against the volume of h and needs h nondegenerate:
+    DegenerateH names the first point where it is not, and carries the
+    check of every point as ``partial`` (a NaN gap at degenerate points).
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     data = decompose(surface, u)
     deta = induced_derivative(surface, u).volume
-    trace_term = np.einsum("imm->i", data.gamma) * data.volume
-    residual = float(np.abs(deta - trace_term - data.alpha_form * data.volume).max())
-    return VolumeCheck(transport_residual=residual,
-                       blaschke_gap=_blaschke_gap(data, u))
+    eta = data.volume[..., None]
+    trace_term = np.einsum("...imm->...i", data.gamma) * eta
+    residual = _max_entry(deta - trace_term - data.alpha_form * eta, 1)
+    det_h, gap = _blaschke_gaps(data)
+    check = VolumeCheck(transport_residual=residual,
+                        blaschke_gap=float(gap) if gap.ndim == 0 else gap)
+    _require_nondegenerate(det_h, u, "; volume comparison needs nondegenerate h", check)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +348,23 @@ def classify(surface: Hypersurface, grid: Sequence,
                    trace(S)/n with the max deviation reported.
     """
     n = surface.dim
-    centro_res = 0.0
-    max_alpha = 0.0
-    min_det = float("inf")
-    max_gap = 0.0
-    max_S = 0.0
-    shapes = []
-    lam_dev = 0.0
-    gap_testable = True
-    for u in grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        data = decompose(surface, u)
-        f, xi = data.f, data.xi
-        denom = float(f @ f)
-        if denom > 0:
-            c = float(xi @ f) / denom
-            res = float(np.linalg.norm(xi - c * f))
-            scale = max(float(np.linalg.norm(xi)), 1e-300)
-            centro_res = max(centro_res, res / scale if c < 0 else float("inf"))
-        else:
-            centro_res = float("inf")
-        max_alpha = max(max_alpha, float(np.abs(data.alpha_form).max()))
-        det_h = float(np.linalg.det(data.h))
-        min_det = min(min_det, abs(det_h))
-        max_S = max(max_S, float(np.abs(data.shape_operator).max()))
-        shapes.append(data.shape_operator)
-        try:
-            max_gap = max(max_gap, _blaschke_gap(data, u))
-        except DegenerateH:
-            gap_testable = False
+    data = decompose(surface, _grid_rows(surface, grid))
+    f, xi, S = data.f, data.xi, data.shape_operator
+    denom = _dot(f)
+    c = _inner(xi, f) / np.where(denom > 0, denom, 1.0)
+    res = np.sqrt(_dot(xi - c[:, None] * f))
+    scale = np.fmax(np.sqrt(_dot(xi)), 1e-300)
+    centro = np.where((denom > 0) & (c < 0), res / scale, np.inf)
+    centro_res = grid_max(centro)
+    max_alpha = grid_max(np.abs(data.alpha_form).max(axis=-1))
+    det_h, gaps = _blaschke_gaps(data)
+    min_det = min([float("inf")] + np.abs(det_h).tolist())
+    max_S = grid_max(np.abs(S).max(axis=(-2, -1)))
+    gap_testable = not np.isnan(gaps).any()
+    max_gap = grid_max(gaps[~np.isnan(gaps)])
 
-    lam = float(np.mean([float(np.trace(S)) / n for S in shapes])) if shapes else None
-    for S in shapes:
-        lam_dev = max(lam_dev, float(np.abs(S - lam * np.eye(n)).max()))
+    lam = float(np.mean(np.trace(S, axis1=-2, axis2=-1) / n))
+    lam_dev = grid_max(np.abs(S - lam * np.eye(n)).max(axis=(-2, -1)))
 
     centro = bool(centro_res < tol)
     equi = bool(max_alpha < tol)
@@ -335,8 +374,7 @@ def classify(surface: Hypersurface, grid: Sequence,
     # sanity requirements); the volume normalization is reported separately
     # through the blaschke flag
     improper = bool(equi and nondeg and max_S < tol)
-    proper = bool(equi and nondeg and not improper and lam is not None
-                  and lam_dev < tol and abs(lam) > tol)
+    proper = bool(equi and nondeg and not improper and lam_dev < tol and abs(lam) > tol)
     flags = ImmersionFlags(centro_affine=centro, equiaffine=equi,
                            nondegenerate=nondeg, blaschke=blaschke,
                            improper_hypersphere=improper,
@@ -368,19 +406,15 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
 
     The pair is a statistical structure precisely when the residual
     vanishes; a non-equiaffine transversal shows up as a residual of the
-    size of alpha.  Raises DegenerateH when h is singular on the grid.
+    size of alpha.  Raises DegenerateH, naming the first grid point where
+    h is singular.
     """
-    residual = 0.0
-    for u in grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        data = decompose(surface, u)
-        det_h = float(np.linalg.det(data.h))
-        if abs(det_h) < DEGENERATE_DET_H:
-            raise DegenerateH(f"det h = {det_h:.3e} at u={u.tolist()}")
-        nabla_h = covariant_metric_derivative(data.gamma, data.h,
-                                              induced_derivative(surface, u).h)
-        residual = max(residual,
-                       float(np.abs(nabla_h - np.transpose(nabla_h, (2, 1, 0))).max()))
+    rows = _grid_rows(surface, grid)
+    data = decompose(surface, rows)
+    _require_nondegenerate(np.linalg.det(data.h), rows)
+    nabla_h = covariant_metric_derivative(data.gamma, data.h,
+                                          induced_derivative(surface, rows).h)
+    residual = grid_max(_max_entry(nabla_h - np.swapaxes(nabla_h, -3, -1), 3))
     return StatisticalStructure(gamma=gamma_field(surface), h=h_field(surface),
                                 codazzi_residual=residual,
                                 is_statistical=bool(residual < tol),
@@ -411,8 +445,12 @@ def unit_sphere(extent: float = 0.8) -> Hypersurface:
     return replace(scaled_sphere(1.0, extent), label="sphere")
 
 
-def _dot(u):  # u @ u per row of (..., n), with the bits of the one-point product
-    return (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+def _inner(u, v):  # u @ v per row of (..., n), with the bits of the one-point product
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _dot(u):
+    return _inner(u, u)
 
 
 def _paraboloid_chart(u):

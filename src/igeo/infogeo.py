@@ -30,7 +30,6 @@ of points under a node rule, or one point of adaptive quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -138,26 +137,12 @@ def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pointwise(model: StatisticalModel, theta, key: Callable, compute: Callable):
-    """The memo's array under ``key(point bytes)`` at theta (n,), or stacked
-    at every row of theta (..., n); missed points, each once, are tested
-    against the domain at once and computed together by ``compute(rows)``."""
+    """``model.memo.rows`` at theta (n,) or its rows (..., n): only the
+    missed rows are tested against the domain, at once, and computed."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape[-1] != model.dim:
         model.check_theta(theta)
-    raw, width = th.tobytes(), 8 * model.dim
-    keys = [key(raw[i:i + width]) for i in range(0, len(raw), width)]
-    values = list(map(model.memo.peek, keys))
-    missed = {}
-    for i, v in enumerate(values):
-        if v is None:
-            missed.setdefault(keys[i], i)
-    if missed:
-        rows = th.reshape(-1, model.dim)
-        rows = model.check_theta(rows if len(missed) == len(rows) else rows[list(missed.values())])
-        for k, v in zip(missed, compute(rows)):
-            missed[k] = model.memo.put(k, v)
-        values = [missed[k] if v is None else v for k, v in zip(keys, values)]
-    return values[0] if th.ndim == 1 else np.stack(values).reshape(th.shape[:-1] + values[0].shape)
+    return model.memo.rows(th, key, lambda rows: compute(model.check_theta(rows)))
 
 
 def _integrated(model: StatisticalModel, rows: np.ndarray, products: Callable):
@@ -166,9 +151,10 @@ def _integrated(model: StatisticalModel, rows: np.ndarray, products: Callable):
     per row under adaptive quadrature (a joint one subdivides otherwise)."""
     nodes = node_quadrature(model.space)
     size = 1 if nodes is None else max(1, ROW_BUDGET // len(nodes[0]))
-    chunks = [rows[i:i + size] for i in range(0, len(rows), size)]
-    parts = [integrate(model.space, partial(products, c)).reshape(len(c), -1) for c in chunks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(rows) <= size:
+        return integrate(model.space, lambda xs, w: products(rows, xs, w)).reshape(len(rows), -1)
+    return np.concatenate([_integrated(model, rows[i:i + size], products)
+                           for i in range(0, len(rows), size)])
 
 
 def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
@@ -495,7 +481,7 @@ def conformal_transform(metric_field: MetricField, conn: ConnectionField,
 
 @dataclass(frozen=True)
 class ProjectiveResult:
-    equivalent: bool
+    equivalent: bool        # per point (arrays) for stacked coefficients
     rho: np.ndarray
     residual: float
     tolerance: float
@@ -503,20 +489,23 @@ class ProjectiveResult:
 
 def projective_equivalence(gamma_a, gamma_b, theta=None,
                            tol: float = 1e-8) -> ProjectiveResult:
-    """Test D = Gamma' - Gamma for the form rho(X)Y + rho(Y)X.
+    """Test D = Gamma' - Gamma for the form rho(X)Y + rho(Y)X, at one point
+    (n, n, n), or per point at stacked coefficients (..., n, n, n).
 
     The candidate covector is the trace rho_i = D^m_{im} / (n+1); the
     residual is the largest entry of D minus the reconstructed tensor.
     """
     A = gamma_a(theta) if callable(gamma_a) else np.asarray(gamma_a, float)
     B = gamma_b(theta) if callable(gamma_b) else np.asarray(gamma_b, float)
-    n = A.shape[0]
+    n = A.shape[-1]
     # n = 1 is allowed: equivalence is then automatic and the recovered rho
     # is the informative part
     D = B - A
-    rho = np.einsum("imm->i", D) / (n + 1.0)
+    rho = np.einsum("...imm->...i", D) / (n + 1.0)
     eye = np.eye(n)
-    model = np.einsum("i,jk->ijk", rho, eye) + np.einsum("j,ik->ijk", rho, eye)
-    residual = float(np.abs(D - model).max())
-    return ProjectiveResult(equivalent=bool(residual < tol), rho=rho,
-                            residual=residual, tolerance=tol)
+    model = np.einsum("...i,jk->...ijk", rho, eye) + np.einsum("...j,ik->...ijk", rho, eye)
+    residual = np.abs(D - model).max(axis=(-3, -2, -1))
+    equivalent = residual < tol
+    if residual.ndim == 0:
+        residual, equivalent = float(residual), bool(equivalent)
+    return ProjectiveResult(equivalent=equivalent, rho=rho, residual=residual, tolerance=tol)

@@ -10,10 +10,12 @@ built from three primitives:
                      batch, without repeats, that is tested against the
                      domain once and handed to a batched ``fn`` once; each
                      point keeps the bits of its own call.  ``derive``,
-                     ``gradient`` and ``hessian`` are its
-                     pointwise wrappers: they evaluate a one-point ``fn`` row
-                     by row over the same batch, so they return the same
-                     bits as a per-node loop.
+                     ``gradient`` and ``hessian`` are its pointwise
+                     wrappers: they evaluate a one-point ``fn`` row by row
+                     over the same batch, so they return the same bits as
+                     a per-node loop.  Of the pipeline only conformal
+                     factors still take ``gradient``; immersion data is
+                     differentiated by batched stencils of the grid.
 * ``integrate``   -- integrals over a sample space under its rule, of a
                      ``fn(points, weights)`` that returns a weighted sum over
                      its points: one call on the nodes of ``node_quadrature``
@@ -21,8 +23,9 @@ built from three primitives:
                      quadrature of its value at single points, componentwise,
                      which loads ``scipy.integrate`` on first use.  ``expect``
                      is its scalar case, against an explicit weight.
-* ``solve_frame`` -- inversion of a tangent-plus-transversal frame, tested
-                     once and solved per right-hand side (k single solves).
+* ``solve_frame`` -- inversion of tangent-plus-transversal frames, one or a
+                     stack: one stacked condition test, every right-hand
+                     side of every frame solved on its own.
 
 All functions here are pure.  Two kinds of cache exist, and neither
 changes a result: the Gauss-Hermite and Monte Carlo node caches keyed by
@@ -484,41 +487,55 @@ def expect(space, weight: Callable, integrand: Callable) -> float:
 def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     """Coefficients of ``rhs`` in the basis given by ``columns``.
 
-    ``columns`` is a sequence of vectors (or an already column-stacked
-    square matrix), ``rhs`` one vector or the columns of ``(m, k)``.  Raises
-    ``SingularFrame`` when the frame's condition number exceeds
-    ``condition_cap``, which downstream signals a non-transversal field.
+    ``columns`` is a sequence of vectors, an already column-stacked square
+    matrix, or a stack of them ``(..., m, m)``; ``rhs`` is one vector or
+    the columns of ``(m, k)`` per frame, ``(..., m)`` or ``(..., m, k)``.
+    Every condition number is taken in one stacked call, and each column
+    of each frame is solved on its own, so every result has the bits of a
+    single solve.  Raises ``SingularFrame``, naming the first frame whose
+    condition number exceeds ``condition_cap``, which downstream signals a
+    non-transversal field.
     """
-    if isinstance(columns, np.ndarray) and columns.ndim == 2:
+    if isinstance(columns, np.ndarray) and columns.ndim >= 2:
         A = np.asarray(columns, dtype=float)
     else:
         A = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"frame matrix must be square, got {A.shape}")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise SingularFrame(f"frame condition {cond:.3e} exceeds cap {condition_cap:.1e}")
+    m = A.shape[-1]
+    if A.shape[-2] != m:
+        raise ValueError(f"frame matrix must be square, got {A.shape[-2:]}")
+    cond = np.ravel(np.linalg.cond(A))
+    if not (cond <= condition_cap).all():
+        bad = cond[np.argmin(cond <= condition_cap)]
+        raise SingularFrame(f"frame condition {bad:.3e} exceeds cap {condition_cap:.1e}")
     R = np.asarray(rhs, dtype=float)
-    cols = R.reshape(len(A), -1).T[..., None]  # one solve each: the bits of single solves
-    X = np.linalg.solve(np.broadcast_to(A, (len(cols),) + A.shape), cols)
-    return X[..., 0].T.reshape(R.shape)
+    lead = A.shape[:-2]
+    cols = np.swapaxes(R.reshape(lead + (m, -1)), -1, -2)[..., None]
+    X = np.linalg.solve(np.broadcast_to(A[..., None, :, :], cols.shape[:-1] + (m,)), cols)
+    return np.swapaxes(X[..., 0], -1, -2).reshape(R.shape)
 
 
 # Entries one PointMemo holds before it starts over: over five times what
 # the grid checks of one 3x3-grid run store (at most 180: the Fisher metric
 # and the jet moments at each of 81 points, two alpha-connections at each
-# of the 9 grid points; a batched sweep stores its misses together), and
-# about 1.2 MB when full of 2-d immersion data.  Geodesic stage points
-# stream through, each storing at most its moments.
+# of the 9 grid points; a batched sweep stores its misses together).  A
+# surface stores its decomposition and induced derivative per grid point
+# only (18 entries on a 3x3 grid), never per stencil node; full of 2-d
+# immersion data a memo holds about 1.8 MB (tracemalloc).  Geodesic stage
+# points stream through, each storing at most its moments.
 MEMO_SIZE = 1024
+
+
+def _stacked(values: list, lead: tuple) -> np.ndarray:
+    return np.stack(values).reshape(lead + np.shape(values[0]))
 
 
 class PointMemo:
     """Bounded memo of pointwise results, keyed by parameter bytes.
 
     ``get(key, compute)`` returns the stored value or stores ``compute()``;
-    an exception from ``compute`` propagates and stores nothing.  ``put``
-    stores a value computed elsewhere (several points at once).  A full
+    an exception from ``compute`` propagates and stores nothing.  ``rows``
+    does the same for every row of a batch of points, and ``put`` stores a
+    value computed elsewhere.  A full
     memo is cleared before the next store, so it never holds more than
     ``MEMO_SIZE`` entries.  Stored arrays, and the array fields of stored
     dataclasses, are made read-only because every hit shares them.
@@ -539,6 +556,33 @@ class PointMemo:
             return self._store[key]
         except KeyError:
             return self.put(key, compute())
+
+    def rows(self, points, key: Callable, compute: Callable, stack: Callable = _stacked):
+        """The value stored under ``key(point bytes)`` at a point (n,), or
+        the values at every row of points (..., n) joined by ``stack(values,
+        lead shape)`` (default: one array, the lead shape before each
+        value's shape).  Missed rows, each once, are computed together by
+        ``compute(rows)`` (rows (P, n) in, one value per row out) and stored
+        one by one; a point is a batch of one row."""
+        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        if pts.ndim == 1:
+            k = key(pts.tobytes())
+            value = self._store.get(k)
+            return self.put(k, compute(pts[None])[0]) if value is None else value
+        flat = pts.reshape(-1, pts.shape[-1])
+        raw, width = flat.tobytes(), flat.itemsize * flat.shape[1]
+        keys = [key(raw[i:i + width]) for i in range(0, len(raw), width)]
+        values = [self._store.get(k) for k in keys]
+        missed = {}
+        for i, v in enumerate(values):
+            if v is None:
+                missed.setdefault(keys[i], i)
+        if missed:
+            at = list(missed.values())
+            for k, v in zip(missed, compute(flat if len(at) == len(flat) else flat[at])):
+                missed[k] = self.put(k, v)
+            values = [missed[k] if v is None else v for k, v in zip(keys, values)]
+        return stack(values, pts.shape[:-1])
 
     def put(self, key, value):
         """Store ``value`` under ``key``, as ``get`` does, and return it."""

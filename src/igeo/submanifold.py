@@ -27,7 +27,7 @@ from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
                      load_model, normal_quantiles, second_log_derivs)
-from .numerics import gradient, hessian, tensor_grid
+from .numerics import _rowwise, partials, stencil, symmetric, tensor_grid
 
 _RANK_TOL = 1e-8
 
@@ -53,13 +53,24 @@ class SubmanifoldEmbedding:
             np.asarray(u, dtype=float))), dtype=float))
 
 
+def _chart_jet(emb: SubmanifoldEmbedding, u: np.ndarray):
+    """theta(u), the Jacobian B[:, a] = d theta / d u_a and V[a, b] = d_a d_b
+    theta from one stencil of the chart, evaluated once per distinct node
+    (the first partials' nodes lead, as when they were a stencil of their
+    own); raises RankDeficientB."""
+    m = emb.dim
+    V = stencil(_rowwise(emb.chart), u,
+                partials(m, 1, CHART_SCHEME_1) + [((), None)] + partials(m, 2, CHART_SCHEME_2),
+                emb.domain)
+    B = np.array(V[:m]).reshape(m, -1).T
+    if np.linalg.matrix_rank(B, tol=_RANK_TOL) < m:
+        raise RankDeficientB(f"Jacobian columns dependent at u={u.tolist()}")
+    return np.atleast_1d(V[m]), B, symmetric(V[m + 1:], m).reshape(m, m, -1)
+
+
 def tangent_basis(emb: SubmanifoldEmbedding, u) -> np.ndarray:
     """Jacobian columns B[:, a] = d theta / d u_a; raises RankDeficientB."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    B = gradient(emb.chart, u, CHART_SCHEME_1, emb.domain).reshape(emb.dim, -1).T
-    if np.linalg.matrix_rank(B, tol=_RANK_TOL) < emb.dim:
-        raise RankDeficientB(f"Jacobian columns dependent at u={u.tolist()}")
-    return B
+    return _chart_jet(emb, np.atleast_1d(np.asarray(u, dtype=float)))[1]
 
 
 def normal_frame(g: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -108,13 +119,11 @@ def embedding_curvature(emb: SubmanifoldEmbedding, conn: ConnectionField,
     """Second fundamental data of the embedding at u for the connection."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     m = emb.dim
-    th = emb.theta(u)
-    B = tangent_basis(emb, u)
+    th, B, V = _chart_jet(emb, u)
     g = metric(th)
     up = conn.up(th)
 
     N = normal_frame(g, B)
-    V = hessian(emb.chart, u, CHART_SCHEME_2, emb.domain).reshape(m, m, -1)
     for a in range(m):
         for b in range(a, m):
             V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])

@@ -8,7 +8,7 @@ import pytest
 
 from igeo import cli, immersion, infogeo, models, numerics
 from igeo.cli import RunSpec, run_document
-from igeo.errors import OutOfDomain, SchemaError
+from igeo.errors import DegenerateH, OutOfDomain, SchemaError, SingularFrame
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -675,3 +675,80 @@ class TestSubjectMemo:
             with pytest.raises(ValueError):
                 memo.get("k", failing)
         assert len(attempts) == 2 and len(memo) == 0
+
+
+class TestSurfaceGridBatch:
+    """The surface checks take the grid as one batch and report what a
+    loop over its points reported."""
+
+    # h degenerates on u0 = 0, where the transport residuals are the largest
+    CUBIC = {"name": "cubic", "dim": 2,
+             "chart": ["u[0]", "u[1]", "u[0]^3/6*exp(u[1]) + exp(3*u[1])"],
+             "transversal": ["0.3*u[1]", "0", "exp(u[0]*u[1])"],
+             "domain": {"lo": [-1, -1], "hi": [1, 1]}}
+
+    @pytest.mark.parametrize("lo, hi, node", [
+        ([-2.0, -2.0], [0.0, 0.0], "[-2.0, -2.0]"),          # the first point on the edge
+        ([0.0, 0.0], [2.0, 2.0], "[0.0, 2.0]"),              # the second point on the edge
+        ([-1.99, -1.0], [1.0, 1.0], "[-2.005546875, -1.0]"),  # a field-stencil node past it
+    ])
+    def test_domain_edge_detail(self, lo, hi, node):
+        rep = run_document({"subject": {"surface": "paraboloid"},
+                            "grid": {"lo": lo, "hi": hi, "counts": [2, 2]},
+                            "checks": SURFACE_CHECKS})
+        detail = f"stencil node {node} leaves the declared domain"
+        for name, result in rep.runs[0].results.items():
+            if name == "classify" and lo[0] == -1.99:
+                assert result.status == "pass"  # the decomposition stencils stay inside
+                continue
+            assert (result.status, result.detail) == ("error", detail), name
+
+    def test_volume_transport_untestable_keeps_the_nondegenerate_residuals(self):
+        grid = {"lo": [0.0, -0.9], "hi": [0.5, 0.9], "counts": [2, 3]}
+        spec = {"subject": {"surface": self.CUBIC}, "grid": grid,
+                "checks": ["volume-transport", "statistical-structure"]}
+        results = run_document(spec).runs[0].results
+        surf = immersion.load_surface(self.CUBIC)
+        worst, left_out = 0.0, []
+        for u in models.grid(grid["lo"], grid["hi"], grid["counts"]):
+            try:
+                worst = max(worst, immersion.induced_volume_check(surf, u).transport_residual)
+            except DegenerateH as exc:
+                left_out.append(exc.partial.transport_residual)
+        assert left_out and max(left_out) > worst  # as a loop left them out
+        volume = results["volume-transport"]
+        assert volume.status == "untestable"
+        assert volume.residuals == {"max_transport_residual": worst} and worst > 0.0
+        assert volume.detail == "h degenerate somewhere on the grid"
+        stat = results["statistical-structure"]
+        assert stat.status == "untestable" and stat.detail.endswith("at u=[0.0, -0.9]")
+
+    def test_non_transversal_lift_detail(self, monkeypatch):
+        """xi falls into the tangent line for theta > 0.1: the check names
+        the first such grid point's frame condition, as a loop did."""
+
+        def lift(family):
+            def xi(th):
+                t = np.asarray(th, float)[..., 0]
+                return np.stack([np.where(t > 0.1, 1.0, 0.3),
+                                 np.where(t > 0.1, 3e-13 * t, -1.0)], axis=-1)
+
+            return immersion.Hypersurface(
+                chart=lambda th: np.concatenate([th, np.ones_like(th)], axis=-1),
+                transversal=xi, domain=family.domain, dim=1)
+
+        monkeypatch.setattr(cli.dualflat, "centro_affine_lift", lift)
+        grid = {"lo": [-1.0], "hi": [1.0], "counts": [5]}
+        rep = run_document({"subject": {"family": "bernoulli-natural"}, "grid": grid,
+                            "checks": ["centro-affine-lift"]})
+        result = rep.runs[0].results["centro-affine-lift"]
+        surf = lift(cli.dualflat.bernoulli_natural_family())
+        errors = []
+        for theta in models.grid(grid["lo"], grid["hi"], grid["counts"]):
+            try:
+                immersion.decompose(surf, theta)
+            except SingularFrame as exc:
+                errors.append(str(exc))
+        assert len(errors) == 2
+        assert (result.status, result.detail) == ("untestable", errors[0])
+        assert result.detail.startswith("frame condition ")

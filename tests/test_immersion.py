@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from igeo import immersion
 from igeo.errors import DegenerateH, OutOfDomain, SchemaError, SingularFrame
 from igeo.immersion import (Hypersurface, classify, decompose, gamma_field,
-                            h_field, induced_volume_check, load_surface,
+                            h_field, induced_derivative, induced_volume_check, load_surface,
                             paraboloid, plane, scaled_sphere,
                             statistical_structure, structural_check,
                             tilted_paraboloid, unit_sphere)
@@ -211,6 +211,116 @@ class TestBatchedCharts:
             self.assert_rowwise(surf, U)
 
 
+# h = diag(u0, e^u1) degenerates on u0 = 0; the transversal is not constant
+CUBIC = {"name": "cubic", "dim": 2, "chart": ["u[0]", "u[1]", "u[0]^3/6 + exp(u[1])"],
+         "transversal": ["0.2*u[1]", "0", "1"], "domain": {"lo": [-1, -1], "hi": [1, 1]}}
+
+
+def _middle_grid(surf) -> np.ndarray:
+    """3 points per axis over the middle half of the surface's box."""
+    lo, hi = np.asarray(surf.domain.lo), np.asarray(surf.domain.hi)
+    return np.array(Box(tuple(lo + (hi - lo) / 4), tuple(hi - (hi - lo) / 4)).grid([3] * surf.dim))
+
+
+def _batch_surfaces() -> list:
+    """Every builtin surface, inline charts (one centro-affine, two with a
+    non-constant transversal) and both realizations of both builtin families."""
+    from igeo import dualflat
+    out = [make() for make in immersion.SURFACES.values()]
+    out += [load_surface(INLINE), load_surface({**INLINE, "transversal": "centro-affine"}),
+            load_surface(CUBIC)]
+    for family in (dualflat.normal_natural_family(), dualflat.bernoulli_natural_family()):
+        out += [dualflat.graph_realization(family), dualflat.centro_affine_lift(family)]
+    return out
+
+
+class TestBatchedGrid:
+    """A grid is one batch, decomposed by one stencil of (f, xi) and one
+    stacked solve; every point keeps the bits of a one-point call."""
+
+    @pytest.mark.parametrize("surf", _batch_surfaces(), ids=lambda s: s.label)
+    def test_equal_one_point_calls(self, surf):
+        rows = _middle_grid(surf)
+        batch, deriv = decompose(surf, rows), induced_derivative(surf, rows)
+        assert batch.gamma.shape == (len(rows),) + (surf.dim,) * 3
+        assert deriv.gamma.shape == (len(rows),) + (surf.dim,) * 4
+        single = dataclasses.replace(surf)  # an empty memo
+        for p, u in enumerate(rows):
+            assert batch.packed[p].tobytes() == decompose(single, u).packed.tobytes()
+            assert deriv.packed[p].tobytes() == induced_derivative(single, u).packed.tobytes()
+        for name in ("gamma", "h", "shape_operator", "alpha_form", "volume", "f", "xi"):
+            assert getattr(batch, name).tobytes() == np.array(
+                [getattr(decompose(single, u), name) for u in rows]).tobytes()
+
+    @pytest.mark.parametrize("surf", _batch_surfaces()[4:7], ids=lambda s: s.label)
+    def test_derivative_is_the_gradient_of_one_point_data(self, surf):
+        """The field stencil over the grid, its nodes decomposed in one
+        batch, gives the bits of the pointwise route: ``gradient`` of the
+        packed data of one point, node by node."""
+        from igeo.numerics import gradient
+        n = surf.dim
+        width = n**3 + 2 * n * n + n + 1
+        rows = _middle_grid(surf)
+        deriv = induced_derivative(surf, rows)
+        for p, u in enumerate(rows):
+            ref = gradient(lambda v: decompose(dataclasses.replace(surf), v).packed[:width], u,
+                           immersion.SURFACE_FIELD_SCHEME, surf.domain)
+            assert deriv.packed[p].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("surf", _batch_surfaces(), ids=lambda s: s.label)
+    def test_residuals_equal_one_point_calls(self, surf):
+        def volume(surf, u):  # with a NaN gap where h is degenerate
+            try:
+                return induced_volume_check(surf, u)
+            except DegenerateH as exc:
+                return exc.partial
+
+        rows = _middle_grid(surf)
+        r, v = structural_check(surf, rows), volume(surf, rows)
+        single = dataclasses.replace(surf)
+        for p, u in enumerate(rows):
+            one = structural_check(single, u)
+            for name in ("gauss", "codazzi_h", "codazzi_s", "ricci"):
+                assert getattr(r, name)[p] == getattr(one, name), name
+            w = volume(single, u)
+            assert v.transport_residual[p] == w.transport_residual
+            assert np.float64(v.blaschke_gap[p]).tobytes() == np.float64(w.blaschke_gap).tobytes()
+        if not np.isnan(v.blaschke_gap).any():
+            assert statistical_structure(surf, rows).codazzi_residual == max(
+                statistical_structure(single, [u]).codazzi_residual for u in rows)
+
+    def test_memo_holds_the_grid_points_only(self):
+        surf, rows = tilted_paraboloid(), GRID
+        structural_check(surf, np.array(rows))
+        induced_volume_check(surf, np.array(rows))
+        statistical_structure(surf, rows)
+        classify(surf, rows)
+        keys = {(name, u.tobytes()) for u in rows
+                for name in ("decompose", "induced_derivative")}
+        assert len(surf.memo) == len(keys)
+        assert all(surf.memo.peek(k) is not None for k in keys)
+
+    def test_first_degenerate_point_is_named(self):
+        surf = load_surface(CUBIC)
+        rows = _middle_grid(surf)
+        with pytest.raises(DegenerateH, match=r"at u=\[0.0, -0.5\]$") as batch:
+            statistical_structure(surf, rows)
+        single = dataclasses.replace(surf)
+        first = None
+        for u in rows:
+            try:
+                statistical_structure(single, [u])
+            except DegenerateH as exc:
+                first = first or str(exc)
+        assert str(batch.value) == first
+        # the volume check names the same point and carries every point's check
+        with pytest.raises(DegenerateH, match=r"at u=\[0.0, -0.5\]; volume") as vol:
+            induced_volume_check(surf, rows)
+        gaps = vol.value.partial.blaschke_gap
+        assert np.isnan(gaps).tolist() == [u[0] == 0.0 for u in rows]
+        assert vol.value.partial.transport_residual.shape == (len(rows),)
+
+
 class TestStructural:
     def test_sphere_residuals(self):
         surf = unit_sphere()
@@ -266,17 +376,19 @@ class TestInducedDerivative:
                 codazzi_check(h_field(surf), gamma_field(surf), u, scheme=scheme)
 
     def test_structural_check_decomposes_each_stencil_node_once(self, monkeypatch):
-        seen = []
-        real = immersion.decompose
+        batches = []
+        real = immersion._decompose
 
-        def counting(surface, u):
-            seen.append(tuple(np.atleast_1d(u)))
-            return real(surface, u)
+        def counting(surface, U):
+            batches.append([tuple(u) for u in U])
+            return real(surface, U)
 
-        monkeypatch.setattr(immersion, "decompose", counting)
+        monkeypatch.setattr(immersion, "_decompose", counting)
         structural_check(unit_sphere(), (0.2, 0.3))
-        # the point itself plus 2 nodes x 2 Richardson levels per coordinate
-        assert len(seen) == 1 + 4 * 2
+        # the point itself, then its 2 nodes x 2 Richardson levels per
+        # coordinate in one batch
+        assert [len(b) for b in batches] == [1, 4 * 2]
+        seen = [u for b in batches for u in b]
         assert len(set(seen)) == len(seen)
 
 
@@ -347,7 +459,7 @@ class TestClassify:
 
 class TestClassifyReadsTheStencil:
     """classify takes f and xi from the value row of each point's
-    decomposition stencil: one chart and one transversal call per point."""
+    decomposition stencil: one chart and one transversal call per grid."""
 
     GRAPH = {"name": "graph", "dim": 2,
              "chart": ["u[0]", "u[1]", "0.5*log(-3.141592653589793/u[0]) - u[1]^2/(4*u[0])"],
@@ -366,7 +478,7 @@ class TestClassifyReadsTheStencil:
                                    transversal=counted("transversal"))
         grid = Box((-0.6, -1.0), (-0.3, 1.0)).grid([3, 3])
         rep = classify(surf, grid)
-        assert calls == {"chart": 9, "transversal": 9}
+        assert calls == {"chart": 1, "transversal": 1}
         assert rep.flags.improper_hypersphere
         for u in grid:
             data = decompose(surf, u)

@@ -627,6 +627,31 @@ class TestSolveFrame:
             assert np.array_equal(X[:, j], solve_frame(A, R[:, j]))
             assert np.array_equal(X[:, j], np.linalg.solve(A, R[:, j]))
 
+    @given(st.lists(st.floats(-3, 3), min_size=36, max_size=36),
+           st.lists(st.floats(-2, 2), min_size=24, max_size=24))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_frames_equal_single_solves(self, flat, rhs):
+        # four frames at once give the bits of each frame's own solve
+        A = np.eye(3) + 0.25 * np.array(flat).reshape(4, 3, 3)
+        if np.linalg.cond(A).max() > 1e6:
+            return
+        R = np.array(rhs).reshape(4, 3, 2)
+        X = solve_frame(A, R)
+        assert X.shape == R.shape
+        for p in range(4):
+            assert np.array_equal(X[p], solve_frame(A[p], R[p]))
+            assert np.array_equal(X[p, :, 0], solve_frame(A[p], R[p, :, 0]))
+        assert np.array_equal(solve_frame(A, R[..., 0]), X[..., 0])
+
+    def test_stacked_singular_frame_names_the_first(self):
+        good = np.eye(2)
+        bad = [np.array([[1.0, 1.0], [0.0, t]]) for t in (1e-13, 1e-14)]
+        with pytest.raises(SingularFrame) as first:
+            solve_frame(bad[0], np.ones(2))
+        with pytest.raises(SingularFrame) as stacked:
+            solve_frame(np.array([good, bad[0], good, bad[1]]), np.ones((4, 2)))
+        assert str(stacked.value) == str(first.value)
+
     @given(st.lists(st.floats(-3, 3), min_size=9, max_size=9),
            st.lists(st.floats(-2, 2), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from igeo.models import Box
 from igeo.submanifold import (SubmanifoldEmbedding, autoparallel_check,
                               composed_model, coordinate_slice,
                               embedding_curvature, exponential_form_check,
-                              load_embedding, probe_points, tangent_basis)
+                              load_embedding, normal_frame, probe_points,
+                              tangent_basis)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,63 @@ class TestEmbeddingCurvature:
         gf = infogeo.fisher_field(normal_model)
         ec = embedding_curvature(diag_curve, conn, gf, (1.2,))
         assert np.abs(ec.H - np.transpose(ec.H, (1, 0, 2))).max() < 1e-12
+
+
+class TestOneChartStencil:
+    """theta(u), B and d_a d_b theta come from one stencil of the embedding
+    chart, each distinct node evaluated once."""
+
+    SURFACE = {"ambient": "normal-natural",
+               "map": ["-0.5 + 0.1*u[0]*u[1]", "u[1] + u[0]^2"],
+               "domain": {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}}
+    CURVE = {"ambient": "normal-natural", "map": ["-0.5 + 0.1*u[0]^2", "u[0]"],
+             "domain": {"lo": [-1.0], "hi": [1.0]}}
+
+    @staticmethod
+    def separate_stencils(emb, conn, metric, u):
+        """H by one stencil per derivative order plus theta(u)."""
+        from igeo.immersion import CHART_SCHEME_1, CHART_SCHEME_2
+        from igeo.numerics import gradient, hessian
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        m = emb.dim
+        th = emb.theta(u)
+        B = gradient(emb.chart, u, CHART_SCHEME_1, emb.domain).reshape(m, -1).T
+        g, up = metric(th), conn.up(th)
+        N = normal_frame(g, B)
+        V = hessian(emb.chart, u, CHART_SCHEME_2, emb.domain).reshape(m, m, -1)
+        for a in range(m):
+            for b in range(a, m):
+                V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
+        return B, np.einsum("abi,ij,jk->abk", V, g, N)
+
+    def test_one_chart_call_per_distinct_node(self):
+        emb = load_embedding(self.SURFACE)
+        seen = []
+
+        def chart(u):
+            seen.append(tuple(u))
+            return emb.chart(u)
+
+        counted = dataclasses.replace(emb, chart=chart)
+        ambient = emb.ambient
+        embedding_curvature(counted, infogeo.alpha_field(ambient, 1.0),
+                            infogeo.fisher_field(ambient), (0.1, 0.2))
+        # the point, 2 x 2 first-partial nodes per coordinate and the 8
+        # mixed-partial nodes: the second-partial diagonals add none
+        assert len(seen) == 17 and len(set(seen)) == 17
+
+    def test_h_equals_separate_stencils(self, nn_setup, diag_curve, normal_model):
+        sl = coordinate_slice(nn_setup["family"], [1], [0.2]).embedding
+        cases = [(load_embedding(self.CURVE), ((-0.4,), (0.3,))),
+                 (load_embedding(self.SURFACE), ((0.1, 0.2),)),
+                 (sl, ((-0.5,), (-0.3,))), (diag_curve, ((1.0,), (1.4,)))]
+        for emb, points in cases:
+            conn = infogeo.alpha_field(emb.ambient, 0.0)
+            metric = infogeo.fisher_field(emb.ambient)
+            for u in points:
+                B, H = self.separate_stencils(emb, conn, metric, u)
+                assert embedding_curvature(emb, conn, metric, u).H.tobytes() == H.tobytes()
+                assert tangent_basis(emb, u).tobytes() == B.tobytes()
 
 
 class TestAutoparallel:
