@@ -348,8 +348,8 @@ def _check_exponential_form(spec, subject, grid, model):
 def _check_structural(spec, subject, grid, model):
     tol = spec.tol("structural")
     r = immersion.structural_check(subject, np.asarray(grid))
-    worst = {key: immersion.grid_max(getattr(r, key)) for key in ("gauss", "codazzi_h", "codazzi_s",
-                                                         "ricci")}
+    worst = {key: immersion.grid_max(getattr(r, key))
+             for key in ("gauss", "codazzi_h", "codazzi_s", "ricci")}
     ok = max(worst.values()) < tol
     return CheckResult(status=_assert_status(ok), residuals=worst,
                        tolerance=tol,

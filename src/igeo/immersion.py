@@ -202,6 +202,8 @@ def h_field(surface: Hypersurface) -> MetricField:
 
 
 def _grid_rows(surface: Hypersurface, grid: Sequence) -> np.ndarray:
+    if not len(grid):
+        raise ValueError("the grid holds no point")
     return np.asarray(grid, dtype=float).reshape(len(grid), surface.dim)
 
 
@@ -234,14 +236,17 @@ def _require_nondegenerate(det_h, u, why: str = "", carried=None) -> None:
 
 @dataclass(frozen=True)
 class StructuralResiduals:
+    """Residuals at one point (floats), or per point (arrays (P,))."""
+
     gauss: float
     codazzi_h: float
     codazzi_s: float
     ricci: float
 
     @property
-    def max(self) -> float:
-        return max(self.gauss, self.codazzi_h, self.codazzi_s, self.ricci)
+    def max(self):
+        m = np.max([self.gauss, self.codazzi_h, self.codazzi_s, self.ricci], axis=0)
+        return float(m) if m.ndim == 0 else m
 
 
 def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
@@ -285,6 +290,8 @@ def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
 
 @dataclass(frozen=True)
 class VolumeCheck:
+    """Residuals at one point (floats), or per point (arrays (P,))."""
+
     transport_residual: float   # | d_i eta - Gamma^m_{mi} eta - alpha_i eta |
     blaschke_gap: float         # | |eta| - sqrt|det h| |, NaN where h is degenerate
 

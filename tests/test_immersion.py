@@ -252,7 +252,8 @@ class TestBatchedGrid:
             assert getattr(batch, name).tobytes() == np.array(
                 [getattr(decompose(single, u), name) for u in rows]).tobytes()
 
-    @pytest.mark.parametrize("surf", _batch_surfaces()[4:7], ids=lambda s: s.label)
+    @pytest.mark.parametrize("surf", [unit_sphere(), load_surface(INLINE), load_surface(CUBIC)],
+                             ids=lambda s: s.label)
     def test_derivative_is_the_gradient_of_one_point_data(self, surf):
         """The field stencil over the grid, its nodes decomposed in one
         batch, gives the bits of the pointwise route: ``gradient`` of the
@@ -299,6 +300,11 @@ class TestBatchedGrid:
                 for name in ("decompose", "induced_derivative")}
         assert len(surf.memo) == len(keys)
         assert all(surf.memo.peek(k) is not None for k in keys)
+
+    def test_empty_grid_is_refused(self):
+        for check in (classify, statistical_structure):
+            with pytest.raises(ValueError, match="the grid holds no point"):
+                check(unit_sphere(), [])
 
     def test_first_degenerate_point_is_named(self):
         surf = load_surface(CUBIC)
