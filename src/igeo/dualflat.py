@@ -30,8 +30,8 @@ from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, _rowwise, domain_from_doc, space_from_doc)
-from .numerics import (PointMemo, integrate, node_quadrature, partials, stencil,
-                       symmetric)
+from .numerics import (PointMemo, integrate, node_quadrature, own_nodes, partials,
+                       stencil, symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +157,11 @@ def family_model(family: PotentialFamily) -> StatisticalModel:
 
     def ll(x, th):
         expo = family.exponent(x, th)
-        nodes = node_quadrature(family.space)
-        if nodes is None or x is not nodes[0]:
+        own = own_nodes(family.space, x)
+        if own is None:
             return expo - _potentials(family, th)[..., None]
         _check_rows(family, np.reshape(th, (-1, family.dim)))
-        K = _logsumexp(expo.reshape(-1, len(x)), nodes[1])
+        K = _logsumexp(expo.reshape(-1, len(x)), own[1])
         return expo - K.reshape(expo.shape[:-1] + (1,))
 
     return StatisticalModel(space=family.space, dim=family.dim,

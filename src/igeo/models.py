@@ -31,7 +31,8 @@ from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
 from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
-                       partials, stacked, stencil, symmetric, tensor_grid)
+                       gauss_hermite_1d, own_nodes, partials, stacked, stencil,
+                       symmetric, tensor_grid)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
@@ -436,10 +437,10 @@ def poisson_natural() -> StatisticalModel:
                             log_density=ll, label="poisson-natural")
 
 
-# log q(y) of a location family, written over the temporary y: (M, U) for
-# M parameter rows and the U distinct values of one sample coordinate, run
-# once per value and gathered onto the nodes, bit-identical to a run per
-# node.  Each extra temporary costs M*U floats; in-place steps round exactly.
+# log q(y) of a location family, written over the temporary y of offsets
+# x - mu of one coordinate: (..., n) on the n axis nodes of its own
+# Gauss-Hermite rule, or (..., N) at N other samples.  Each extra temporary
+# costs one float per offset; in-place steps round exactly.
 
 def _log_q_logistic(y):
     """-y - 2 log(1 + e^-y)"""
@@ -460,27 +461,33 @@ def _log_q_gaussian(y):
 def location_family(q: str = "logistic", k: int = 1) -> StatisticalModel:
     """Location family p(x; mu) = prod_i q(x_i - mu_i) for k <= 2.
 
-    log q runs once per distinct value of each coordinate of x (64, not
-    4096, per axis on the 64^2 Gauss-Hermite nodes), then is gathered back:
-    the same subtraction, log q and sum per entry, so bit-identical."""
+    On its own n^k tensor Gauss-Hermite nodes, log q runs on the n axis
+    nodes of each coordinate (64, not 4096, per axis at k = 2) and the axes
+    are summed by one broadcast add onto the tensor grid.  At any other x
+    it runs per entry and the axes are summed in order.  Both do the same
+    subtraction, log q and sum per entry, so they agree bit for bit."""
     if q not in ("logistic", "gaussian"):
         raise ValueError(f"unknown location density {q!r}")
     if k not in (1, 2):
         raise ValueError("location families support k in {1, 2}")
     log_q = _log_q_logistic if q == "logistic" else _log_q_gaussian
     rule = ExpectationRule.gauss_hermite(default_quad_nodes(64), loc=0.0, scale=1.0)
-
-    def axis(x, th, i):
-        u, inv = np.unique(x[..., i], return_inverse=True)
-        return log_q(u - th[..., i, None])[..., inv]
+    space = SampleSpace.real(k, rule)
+    axis, _ = gauss_hermite_1d(rule.nodes, rule.loc, rule.scale)
 
     def ll(x, th):
-        total = axis(x, th, 0)
-        for i in range(1, k):
-            total += axis(x, th, i)
-        return total
+        if own_nodes(space, x) is None:
+            total = log_q(x[..., 0] - th[..., 0, None])
+            for i in range(1, k):
+                total += log_q(x[..., i] - th[..., i, None])
+            return total
+        lq0 = log_q(axis - th[..., 0, None])
+        if k == 1:
+            return lq0
+        lq1 = log_q(axis - th[..., 1, None])
+        return (lq0[..., :, None] + lq1[..., None, :]).reshape(lq0.shape[:-1] + (-1,))
 
-    return StatisticalModel(space=SampleSpace.real(k, rule), dim=k,
+    return StatisticalModel(space=space, dim=k,
                             domain=Box((-1.5,) * k, (1.5,) * k),
                             log_density=ll, label=f"{q}-location-{k}")
 

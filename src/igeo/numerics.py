@@ -364,7 +364,9 @@ def tensor_grid(axes: Sequence) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _gh_nodes_1d(n: int, loc: float, scale: float):
+def gauss_hermite_1d(n: int, loc: float, scale: float):
+    """Read-only ``(x, weights)`` of the n-node mapped Gauss-Hermite rule on
+    one axis; ``quadrature_nodes`` is their tensor product."""
     t, w = np.polynomial.hermite.hermgauss(n)
     x = loc + math.sqrt(2.0) * scale * t
     # effective weights for the flat measure; computed in log space so large
@@ -380,7 +382,7 @@ def quadrature_nodes(n: int, loc: float, scale: float, xdim: int):
 
     Returns read-only ``(points, weights)``, points of shape ``(n**xdim, xdim)``.
     """
-    x1, w1 = _gh_nodes_1d(n, loc, scale)
+    x1, w1 = gauss_hermite_1d(n, loc, scale)
     pts = tensor_grid([x1] * xdim)
     weights = np.prod(tensor_grid([w1] * xdim), axis=-1)
     pts.flags.writeable = weights.flags.writeable = False
@@ -413,6 +415,14 @@ def node_quadrature(space):
         return monte_carlo_nodes(rule.nodes, rule.seed, rule.loc, rule.scale,
                                  space.xdim)
     return None
+
+
+def own_nodes(space, x):
+    """``node_quadrature(space)`` when ``x`` is its node array itself, else
+    None: an identity test, so a copy of the nodes, adaptive points and any
+    other samples all give None."""
+    nodes = node_quadrature(space)
+    return nodes if nodes is not None and x is nodes[0] else None
 
 
 def _masked_products(weight_vals, integrand_vals):

@@ -116,8 +116,9 @@ def reference_ll(log_q, k):
 
 
 class TestLocationFamily:
-    """log q runs once per distinct coordinate value and is gathered back
-    onto the nodes, bit for bit the per-node formula."""
+    """On its own Gauss-Hermite nodes log q runs on the axis nodes of each
+    coordinate and the axes meet in one broadcast sum; anywhere else it runs
+    per entry.  Both are bit for bit the per-node formula."""
 
     @staticmethod
     def samples(model, rng):
@@ -164,6 +165,58 @@ class TestLocationFamily:
         assert xs.shape == (4096, 2)
         models.log_density_jet(model, np.array([0.2, -0.3]), xs)
         assert sizes == [(13, 64), (13, 64)]
+
+    @pytest.mark.parametrize("nodes", ["33", "48"])
+    @pytest.mark.parametrize("q", ["logistic", "gaussian"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_own_nodes_equal_the_per_node_formula(self, monkeypatch, nodes, q, k):
+        """33 nodes put one at 0; theta as a point, as rows and as rows
+        with an extra leading axis."""
+        monkeypatch.setenv("IGEO_QUAD_NODES", nodes)
+        model = models.location_family(q, k)
+        log_q = models._log_q_logistic if q == "logistic" else models._log_q_gaussian
+        reference = reference_ll(log_q, k)
+        x = node_quadrature(model.space)[0]
+        n = int(nodes)
+        assert x.shape == (n ** k, k)
+        assert (0.0 in x) == (n % 2 == 1)
+        rng = np.random.default_rng(15)
+        rows = np.concatenate([rng.uniform(-1.4, 1.4, (12, k)), np.zeros((1, k))])
+        for th in [rows[0], rows, rows[:12].reshape(3, 4, k)]:
+            got, want = model.log_density(x, th), reference(x, th)
+            assert got.shape == want.shape == th.shape[:-1] + (len(x),)
+            assert got.tobytes() == want.tobytes(), th.shape
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_copy_of_the_nodes_takes_the_per_entry_path(self, monkeypatch, k):
+        sizes = []
+        real = models._log_q_logistic
+
+        def log_q(y):
+            sizes.append(y.shape)
+            return real(y)
+
+        monkeypatch.setattr(models, "_log_q_logistic", log_q)
+        model = models.location_family("logistic", k)
+        nodes = node_quadrature(model.space)[0]
+        th = np.random.default_rng(3).uniform(-1.4, 1.4, (13, k))
+        own = model.log_density(nodes, th)
+        assert sizes == [(13, 64)] * k
+        copy = model.log_density(nodes.copy(), th)
+        assert sizes[k:] == [(13, 64 ** k)] * k
+        assert copy.tobytes() == own.tobytes()
+
+    def test_no_unique_in_a_jet_or_validation(self, monkeypatch):
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", unique)
+        model = models.location_family("logistic", 2)
+        models.log_density_jet(model, np.array([0.2, -0.3]),
+                               node_quadrature(model.space)[0])
+        rep = validate_model(model, reference_grid("logistic-location-2"))
+        assert rep.passed
+        assert all(e.smooth and not e.reason for e in rep.entries)
 
 
 class TestValidateModel:

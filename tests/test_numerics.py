@@ -549,7 +549,7 @@ class TestQuadratureNodes:
     @pytest.mark.parametrize("xdim", [1, 2])
     def test_cached_arrays_are_read_only(self, xdim):
         pts, weights = numerics.quadrature_nodes(8, 0.0, 1.0, xdim)
-        x1, w1 = numerics._gh_nodes_1d(8, 0.0, 1.0)
+        x1, w1 = numerics.gauss_hermite_1d(8, 0.0, 1.0)
         for arr in (pts, weights, x1, w1):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -575,6 +575,25 @@ class TestNodeQuadrature:
         assert numerics.node_quadrature(gh) is numerics.quadrature_nodes(8, 0.0, 1.0, 2)
         adaptive = SampleSpace.real_line(ExpectationRule.adaptive())
         assert numerics.node_quadrature(adaptive) is None
+
+    def test_own_nodes_is_an_identity_test(self):
+        finite = SampleSpace.finite([[0.0], [1.0]])
+        pts, weights = numerics.own_nodes(finite, finite.points)
+        assert pts is finite.points and weights is None
+        for space in [SampleSpace.real(2, ExpectationRule.gauss_hermite(8)),
+                      SampleSpace.real_line(ExpectationRule.monte_carlo(50, seed=1))]:
+            nodes = numerics.node_quadrature(space)
+            assert numerics.own_nodes(space, nodes[0]) is nodes
+            assert numerics.own_nodes(space, nodes[0].copy()) is None
+        adaptive = SampleSpace.real_line(ExpectationRule.adaptive())
+        assert numerics.own_nodes(adaptive, np.zeros((1, 1))) is None
+
+    @pytest.mark.parametrize("xdim", [1, 2])
+    def test_the_gauss_hermite_axis_spans_the_nodes(self, xdim):
+        rule = ExpectationRule.gauss_hermite(9, loc=0.5, scale=2.0)
+        axis, _ = numerics.gauss_hermite_1d(rule.nodes, rule.loc, rule.scale)
+        pts, _ = numerics.node_quadrature(SampleSpace.real(xdim, rule))
+        assert numerics.tensor_grid([axis] * xdim).tobytes() == pts.tobytes()
 
 
 class TestSolveFrame:
