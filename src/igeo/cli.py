@@ -409,12 +409,11 @@ def _check_statistical_structure(spec, subject, grid, model):
 
 def _check_legendre(spec, subject, grid, model):
     tol = spec.tol("legendre-roundtrip")
+    rows = np.asarray(grid, float)
     worst = 0.0
-    for theta in grid:
-        eta = dualflat.dual_coords(subject, theta)
-        back = dualflat.legendre_inverse(subject, eta,
-                                         theta0=np.asarray(theta, float))
-        worst = max(worst, float(np.abs(back - np.asarray(theta, float)).max()))
+    for theta, eta in zip(rows, dualflat.dual_coords(subject, rows)):
+        back = dualflat.legendre_inverse(subject, eta, theta0=theta)
+        worst = max(worst, float(np.abs(back - theta).max()))
     return CheckResult(status=_assert_status(worst < tol),
                        residuals={"max_roundtrip_error": worst}, tolerance=tol,
                        provenance="theta -> grad K -> Newton inverse")
@@ -422,11 +421,9 @@ def _check_legendre(spec, subject, grid, model):
 
 def _check_hessian_vs_fisher(spec, subject, grid, model):
     tol = spec.tol("hessian-vs-fisher")
-    worst = 0.0
-    for theta in grid:
-        H = dualflat.hessian_metric(subject, theta)
-        g = infogeo.fisher_metric(model, theta)
-        worst = max(worst, float(np.abs(H - g).max()))
+    rows = np.asarray(grid, float)
+    H = dualflat.hessian_metric(subject, rows)
+    worst = float(np.abs(H - infogeo.fisher_metric(model, rows)).max())
     return CheckResult(status=_assert_status(worst < tol),
                        residuals={"max_difference": worst}, tolerance=tol,
                        provenance="Hess K vs score covariance")
@@ -437,8 +434,7 @@ def _check_graph_realization(spec, subject, grid, model):
     tol_zero = 1e-6
     surf = dualflat.graph_realization(subject)
     data = immersion.decompose(surf, np.asarray(grid))
-    # Hess K per point: an adaptive K of a batch depends on the rows it holds
-    H = np.array([dualflat.hessian_metric(subject, theta) for theta in grid])
+    H = dualflat.hessian_metric(subject, np.asarray(grid))
     worst_h = immersion.grid_max(np.abs(data.h - H).max(axis=(-2, -1)))
     worst_zero = immersion.grid_max([np.abs(a).reshape(len(grid), -1).max(axis=1) for a in (
         data.gamma, data.shape_operator, data.alpha_form)])
@@ -459,8 +455,8 @@ def _check_centro_affine_lift(spec, subject, grid, model):
         return CheckResult(status="untestable", tolerance=tol, detail=str(exc),
                            provenance="lift transversality is a local property")
     pr = infogeo.projective_equivalence(np.zeros_like(data.gamma), data.gamma, tol=tol)
-    # default psi = exp K, so -d log psi = -grad K; grad K per point, as Hess K
-    rho_expected = -np.array([dualflat.dual_coords(subject, theta) for theta in grid])
+    # default psi = exp K, so -d log psi = -grad K
+    rho_expected = -dualflat.dual_coords(subject, np.asarray(grid))
     equivalent = bool(np.all(pr.equivalent))
     worst_rho = immersion.grid_max([np.abs(pr.rho - rho_expected).max(axis=-1), pr.residual])
     ok = equivalent and worst_rho < tol

@@ -29,9 +29,9 @@ from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
-                     StatisticalModel, _rowwise, domain_from_doc, space_from_doc)
-from .numerics import (PointMemo, integrate, node_quadrature, own_nodes, partials,
-                       stencil, symmetric)
+                     StatisticalModel, domain_from_doc, space_from_doc)
+from .numerics import (PointMemo, batches, integrate, node_quadrature, own_nodes,
+                       partials, stacked, stencil, symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,19 +169,36 @@ def family_model(family: PotentialFamily) -> StatisticalModel:
                             label=family.label or "potential-family")
 
 
+def _batched_potentials(family: PotentialFamily, TH) -> np.ndarray:
+    """K on the rows of TH (..., dim), shape (...), one ``_potentials`` call
+    per batch of ``batches``."""
+    rows = np.reshape(TH, (-1, family.dim))
+    return np.concatenate([_potentials(family, b) for b in batches(family.space, rows)]
+                          ).reshape(np.shape(TH)[:-1])
+
+
+def _potential_partials(family: PotentialFamily, th: np.ndarray, entries: list) -> list:
+    """The ``entries`` of K at checked theta (dim,) or rows (..., dim), one
+    stencil per batch of ``batches``: under adaptive quadrature one point's
+    nodes form one vector integral."""
+    parts = [stencil(lambda T: _potentials(family, T), b, entries, family.domain)
+             for b in batches(family.space, th.reshape(-1, family.dim))]
+    return [np.concatenate(p).reshape(th.shape[:-1]) for p in zip(*parts)]
+
+
 def dual_coords(family: PotentialFamily, theta) -> np.ndarray:
-    """Dual (expectation) coordinates eta = grad K(theta)."""
+    """Dual (expectation) coordinates eta = grad K at theta (dim,) or its rows."""
     th = family.check_theta(theta)
-    return np.array(stencil(lambda T: _potentials(family, T), th,
-                            partials(family.dim, 1, SCORE_SCHEME), family.domain))
+    return stacked(_potential_partials(family, th, partials(family.dim, 1, SCORE_SCHEME)),
+                   th.ndim - 1)
 
 
 def hessian_metric(family: PotentialFamily, theta) -> np.ndarray:
-    """Hessian of the potential: the dually flat metric in theta coordinates."""
+    """Hessian of the potential, the dually flat metric in theta
+    coordinates, at theta (dim,) or its rows (..., dim)."""
     th = family.check_theta(theta)
-    return symmetric(stencil(lambda T: _potentials(family, T), th,
-                             partials(family.dim, 2, HESSIAN_SCHEME), family.domain),
-                     family.dim)
+    return symmetric(_potential_partials(family, th, partials(family.dim, 2, HESSIAN_SCHEME)),
+                     family.dim, th.ndim - 1)
 
 
 def legendre_inverse(family: PotentialFamily, eta, theta0=None,
@@ -314,9 +331,9 @@ def graph_realization(family: PotentialFamily) -> Hypersurface:
     n = family.dim
     e_last = np.eye(n + 1)[n]
 
-    def chart(th):  # K row by row: an adaptive K of a batch depends on the batch
+    def chart(th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        return np.concatenate([th, _rowwise(lambda r: potential(family, r), th)], axis=-1)
+        return np.concatenate([th, _batched_potentials(family, th)[..., None]], axis=-1)
 
     return Hypersurface(chart=chart,
                         transversal=lambda t: np.broadcast_to(e_last, np.shape(t)[:-1] + (n + 1,)),
@@ -329,23 +346,24 @@ def centro_affine_lift(family: PotentialFamily,
                        label: Optional[str] = None) -> Hypersurface:
     """Centro-affine realization (theta, 1)/psi(theta) with xi = -f.
 
-    Any positive psi is accepted; the default is exp(K).  The induced
+    ``psi`` maps theta rows (..., n) to (...); any positive psi is
+    accepted, and the default is exp(K).  The induced
     connection is projectively equivalent to the flat one with
     rho = -d log psi, and h_ij = (d_i d_j psi)/psi, so projective flatness
     is the invariant, not a particular h.
     """
     if psi is None:
-        psi = lambda th: math.exp(potential(family, th))
+        psi = lambda th: np.exp(_batched_potentials(family, th))
     n = family.dim
 
     def chart(th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
-        value = _rowwise(lambda r: float(psi(r)), th)
+        value = np.asarray(psi(th), dtype=float)
         if not (value > 0).all():
-            bad = ~(value[..., 0] > 0)
-            raise OutOfDomain(f"psi must stay positive, got {value[bad][0, 0]} at "
+            bad = ~(value > 0)
+            raise OutOfDomain(f"psi must stay positive, got {value[bad][0]} at "
                               f"{th[bad][0].tolist()}")
-        return np.concatenate([th, np.ones_like(value)], axis=-1) / value
+        return np.concatenate([th, np.ones(th.shape[:-1] + (1,))], axis=-1) / value[..., None]
 
     return Hypersurface.centro_affine(
         chart, family.domain, n,

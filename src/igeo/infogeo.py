@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import SingularMetric
 from .models import SCORE_SCHEME, StatisticalModel, log_density_jet, log_density_rows
-from .numerics import (DiffScheme, gradient, integrate, node_quadrature, partials,
-                       stencil)
+from .numerics import DiffScheme, integrate, node_quadrature, partials, stencil
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -449,28 +448,27 @@ def conformal_transform(metric_field: MetricField, conn: ConnectionField,
     h~ = e^phi h, and the new connection satisfies
     h~(D~_X Y, Z) = h(D_X Y, Z) - (1+alpha)/2 dphi(Z) h(X,Y)
                     + (1-alpha)/2 {dphi(X) h~(Y,Z) + dphi(Y) h~(X,Z)}.
-    The returned lowered coefficients are taken against h~.  ``phi`` is a
-    function of one point, and so are the returned fields: they take one
-    theta at a time.
+    The returned lowered coefficients are taken against h~.  ``phi`` maps
+    theta rows (..., n) to (...), and the returned fields take rows like
+    every other field; dphi at a grid is one stencil of phi.
     """
     dscheme = scheme or DiffScheme(order=1)
 
     def new_metric(th):
-        return float(np.exp(phi(th))) * metric_field(th)
+        return np.exp(np.asarray(phi(th), float))[..., None, None] * metric_field(th)
 
     tilde = MetricField(dim=metric_field.dim, fn=new_metric,
                         label=f"conformal[{metric_field.label}]",
                         domain=metric_field.domain)
 
     def new_low(th):
-        th = np.atleast_1d(np.asarray(th, float))
         g0 = metric_field(th)
         gt = new_metric(th)
         low0 = conn.low(th)
-        dphi = gradient(phi, th, dscheme, metric_field.domain)
-        term_z = -(1.0 + alpha) / 2.0 * np.einsum("k,ij->ijk", dphi, g0)
-        term_x = (1.0 - alpha) / 2.0 * (np.einsum("i,jk->ijk", dphi, gt)
-                                        + np.einsum("j,ik->ijk", dphi, gt))
+        dphi = _field_gradient(phi, th, dscheme, metric_field.domain)
+        term_z = -(1.0 + alpha) / 2.0 * np.einsum("...k,...ij->...ijk", dphi, g0)
+        term_x = (1.0 - alpha) / 2.0 * (np.einsum("...i,...jk->...ijk", dphi, gt)
+                                        + np.einsum("...j,...ik->...ijk", dphi, gt))
         return low0 + term_z + term_x
 
     new_conn = ConnectionField(dim=conn.dim, low_fn=new_low, metric=tilde,

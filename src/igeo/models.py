@@ -344,14 +344,6 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _rowwise(scalar: Callable, th: np.ndarray) -> np.ndarray:
-    """``scalar(row)`` for every parameter row of ``th`` (..., dim), shaped
-    (..., 1) to broadcast against sample points; keeps the builtins' scalar
-    ``math`` calls on batches."""
-    rows = th.reshape(-1, th.shape[-1])
-    return np.array([scalar(r) for r in rows]).reshape(th.shape[:-1] + (1,))
-
-
 def normal_mean_sigma() -> StatisticalModel:
     """Normal family in (mu, sigma) coordinates."""
     rule = ExpectationRule.gauss_hermite(default_quad_nodes(96), loc=0.0, scale=2.5)
@@ -366,10 +358,11 @@ def normal_mean_sigma() -> StatisticalModel:
                             log_density=ll, label="normal")
 
 
-def normal_natural_potential(theta) -> float:
-    """Closed-form normalizer of the natural-coordinate normal family."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    return 0.5 * math.log(-math.pi / t1) - t2 * t2 / (4.0 * t1)
+def normal_natural_potential(theta):
+    """Closed-form normalizer of the natural-coordinate normal family, theta (..., 2) -> (...)."""
+    th = np.asarray(theta, dtype=float)
+    t1, t2 = th[..., 0], th[..., 1]
+    return 0.5 * np.log(-math.pi / t1) - t2 * t2 / (4.0 * t1)
 
 
 def normal_natural() -> StatisticalModel:
@@ -379,7 +372,7 @@ def normal_natural() -> StatisticalModel:
     def ll(x, th):
         x0 = x[..., 0]
         return th[..., 0, None] * x0 * x0 + th[..., 1, None] * x0 \
-            - _rowwise(normal_natural_potential, th)
+            - normal_natural_potential(th)[..., None]
 
     # theta1 lower bound keeps the density wide enough for the fixed rule
     return StatisticalModel(space=SampleSpace.real_line(rule), dim=2,
@@ -429,8 +422,7 @@ def poisson_natural() -> StatisticalModel:
 
     def ll(x, th):
         xv = x[..., 0]
-        return xv * th[..., 0, None] - _rowwise(lambda t: math.exp(t[0]), th) \
-            - gammaln(xv + 1.0)
+        return xv * th[..., 0, None] - np.exp(th[..., 0, None]) - gammaln(xv + 1.0)
 
     return StatisticalModel(space=SampleSpace.finite(points), dim=1,
                             domain=Box((-2.5,), (hi,)),

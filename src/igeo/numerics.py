@@ -8,14 +8,11 @@ built from three primitives:
                      for any set of partials at one point or at P points
                      (a whole grid): their nodes form one ``(M, dim)``
                      batch, without repeats, that is tested against the
-                     domain once and handed to a batched ``fn`` once; each
-                     point keeps the bits of its own call.  ``derive``,
-                     ``gradient`` and ``hessian`` are its pointwise
-                     wrappers: they evaluate a one-point ``fn`` row by row
-                     over the same batch, so they return the same bits as
-                     a per-node loop.  Of the pipeline only conformal
-                     factors still take ``gradient``; immersion data is
-                     differentiated by batched stencils of the grid.
+                     domain once and handed to ``fn`` once; each point
+                     keeps the bits of its own call.  Every function
+                     differentiated here maps rows ``(..., n)`` to
+                     ``(..., k)``; ``derive`` is the one wrapper left for a
+                     function of a single point.
 * ``integrate``   -- integrals over a sample space under its rule, of a
                      ``fn(points, weights)`` that returns a weighted sum over
                      its points: one call on the nodes of ``node_quadrature``
@@ -263,44 +260,23 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     return out
 
 
-def _rowwise(fn: Callable) -> Callable:
-    """``fn`` of one point, evaluated row by row over an ``(M, dim)`` array."""
-    return lambda nodes: np.array([np.asarray(fn(x), dtype=float) for x in nodes])
-
-
 def derive(fn: Callable, point, multi_index: Sequence[int],
            scheme: Optional[DiffScheme] = None, domain=None):
     """Mixed partial derivative of ``fn`` at ``point`` by central differences.
 
     ``multi_index`` lists 1 to 3 coordinate indices, as in ``stencil``.
-    ``fn`` takes one point and may return a scalar or an ndarray; the
-    stencil is applied componentwise.  Nodes outside ``domain`` raise
-    ``StencilOutOfDomain``.
+    ``fn`` takes one point and may return a scalar or an ndarray; it is
+    evaluated node by node and the stencil is applied componentwise.  Nodes
+    outside ``domain`` raise ``StencilOutOfDomain``.
     """
     idx = tuple(multi_index)
     if not 1 <= len(idx) <= 3:
         raise ValueError("multi_index must contain 1 to 3 entries")
-    result = stencil(_rowwise(fn), point, [(idx, scheme)], domain)[0]
+    nodewise = lambda nodes: np.array([np.asarray(fn(x), dtype=float) for x in nodes])
+    result = stencil(nodewise, point, [(idx, scheme)], domain)[0]
     if result.ndim == 0:
         return float(result)
     return result
-
-
-def gradient(fn: Callable, point, scheme: Optional[DiffScheme] = None,
-             domain=None) -> np.ndarray:
-    """``D[a] = d_a fn`` at ``point`` for a pointwise ``fn``, from one stencil."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    return np.array(stencil(_rowwise(fn), point, partials(point.size, 1, scheme),
-                            domain))
-
-
-def hessian(fn: Callable, point, scheme: Optional[DiffScheme] = None,
-            domain=None) -> np.ndarray:
-    """``D[a, b] = d_a d_b fn`` at ``point`` for a pointwise ``fn``, from one
-    stencil over the pairs a <= b, mirrored into (b, a)."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    n = point.size
-    return symmetric(stencil(_rowwise(fn), point, partials(n, 2, scheme), domain), n)
 
 
 @dataclass(frozen=True)
@@ -434,6 +410,14 @@ def _masked_products(weight_vals, integrand_vals):
     if not np.all(np.isfinite(contrib)):
         raise NonFinite("non-finite integrand*weight at a node with positive weight")
     return contrib
+
+
+def batches(space, rows):
+    """Rows (P, n) as the batches that may share integrals over ``space``:
+    one batch under a node rule, one row per batch under adaptive quadrature,
+    where an integral over several rows moves each row's value."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[:, None] if space.rule.kind == "adaptive-quadrature" else [rows]
 
 
 def integrate(space, fn: Callable):

@@ -27,7 +27,7 @@ from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
                      load_model, normal_quantiles, second_log_derivs)
-from .numerics import _rowwise, partials, stencil, symmetric, tensor_grid
+from .numerics import batches, partials, stencil, symmetric, tensor_grid
 
 _RANK_TOL = 1e-8
 
@@ -37,7 +37,7 @@ class SubmanifoldEmbedding:
     """Parameter map u -> theta(u) into an ambient statistical model."""
 
     ambient: StatisticalModel
-    chart: Callable          # u (m,) -> theta (n,)
+    chart: Callable          # u rows (..., m) -> theta rows (..., n)
     domain: Box              # of u
     dim: int                 # m <= ambient.dim
     label: str = ""
@@ -59,7 +59,7 @@ def _chart_jet(emb: SubmanifoldEmbedding, u: np.ndarray):
     (the first partials' nodes lead, as when they were a stencil of their
     own); raises RankDeficientB."""
     m = emb.dim
-    V = stencil(_rowwise(emb.chart), u,
+    V = stencil(emb.chart, u,
                 partials(m, 1, CHART_SCHEME_1) + [((), None)] + partials(m, 2, CHART_SCHEME_2),
                 emb.domain)
     B = np.array(V[:m]).reshape(m, -1).T
@@ -151,15 +151,12 @@ def autoparallel_check(emb: SubmanifoldEmbedding, conn: ConnectionField,
 
 
 def composed_model(emb: SubmanifoldEmbedding) -> StatisticalModel:
-    """The ambient family restricted to the embedded parameters; a batch of
-    u rows is mapped row by row and handed to the ambient log-density as
-    one batch of theta rows."""
+    """The ambient family restricted to the embedded parameters: a batch of
+    u rows takes one chart call and one domain test (OutOfDomain names the
+    first theta row outside) and one ambient log-density call."""
 
     def ll(x, u):
-        u = np.asarray(u, dtype=float)
-        th = np.array([emb.ambient.check_theta(emb.theta(r))
-                       for r in u.reshape(-1, emb.dim)])
-        return emb.ambient.log_density(x, th.reshape(u.shape[:-1] + (-1,)))
+        return emb.ambient.log_density(x, emb.ambient.check_theta(emb.theta(u)))
 
     return StatisticalModel(space=emb.ambient.space, dim=emb.dim,
                             domain=emb.domain, log_density=ll,
@@ -210,9 +207,8 @@ def exponential_form_check(model: StatisticalModel, grid: Sequence,
     if len(probes) < 8 and model.space.points is None:
         raise ValueError("need at least 8 probe points on a continuous space")
     rows = np.reshape(grid, (len(grid), -1))
-    batches = rows[:, None] if model.space.rule.kind == "adaptive-quadrature" else [rows]
-    worst = max(float((dd.max(axis=-1) - dd.min(axis=-1)).max())
-                for dd in (second_log_derivs(model, b, probes) for b in batches))
+    worst = max(float((dd.max(axis=-1) - dd.min(axis=-1)).max()) for dd in (
+        second_log_derivs(model, b, probes) for b in batches(model.space, rows)))
     return ExponentialFormReport(is_exponential_form=bool(worst < tol),
                                  max_variation=worst, tolerance=tol)
 
@@ -258,9 +254,9 @@ def coordinate_slice(family: PotentialFamily, fixed_indices: Sequence[int],
 
     def chart(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        th = np.empty(n)
-        th[list(free)] = u
-        th[list(fixed)] = consts
+        th = np.empty(u.shape[:-1] + (n,))
+        th[..., list(free)] = u
+        th[..., list(fixed)] = consts
         return th
 
     sub_box = Box(tuple(family.domain.lo[i] for i in free),

@@ -194,7 +194,7 @@ def test_c10_autoparallel_suite(normal_natural_family, normal_model):
         all_exponential = all_exponential and ef.is_exponential_form
 
     curve = submanifold.SubmanifoldEmbedding(
-        ambient=normal_model, chart=lambda u: np.array([u[0], u[0]]),
+        ambient=normal_model, chart=lambda u: np.stack([u[..., 0], u[..., 0]], axis=-1),
         domain=models.Box((0.85,), (2.1,)), dim=1, label="diag")
     e_nm = infogeo.alpha_field(normal_model, 1.0)
     g_nm = infogeo.fisher_field(normal_model)

@@ -152,6 +152,40 @@ class TestHessianMetric:
             assert np.abs(H - g).max() < 1e-4, theta
 
 
+class TestPotentialRows:
+    """dual_coords and hessian_metric on rows (P, n) equal one call per point,
+    bit for bit: one stencil over the whole grid under a node rule, one per
+    point under adaptive quadrature, where one point's nodes form one
+    vector integral."""
+
+    @staticmethod
+    def assert_rows_equal_points(fresh, TH, stencils_per_call, monkeypatch):
+        calls = []
+        real = dualflat.stencil
+        monkeypatch.setattr(dualflat, "stencil",
+                            lambda *args: calls.append(1) or real(*args))
+        for fn in (dual_coords, hessian_metric):
+            del calls[:]
+            got = fn(fresh(), TH)
+            assert len(calls) == stencils_per_call
+            single = fresh()
+            want = np.array([fn(single, th) for th in TH])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert fn(fresh(), TH[0]).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["normal-natural", "bernoulli-natural"])
+    def test_node_rules(self, name, monkeypatch):
+        fam = FAMILIES[name]()
+        lo, hi = np.asarray(fam.domain.lo), np.asarray(fam.domain.hi)
+        TH = np.array(models.grid(lo + (hi - lo) / 4, hi - (hi - lo) / 4, [3] * fam.dim))
+        self.assert_rows_equal_points(FAMILIES[name], TH, 1, monkeypatch)
+
+    def test_adaptive_quadrature(self, adaptive_runs, nn_grid, monkeypatch):
+        TH = np.array(nn_grid[::4])
+        fresh = lambda: load_family(adaptive_runs[1]["subject"]["family"])
+        self.assert_rows_equal_points(fresh, TH, len(TH), monkeypatch)
+
+
 class TestGeodesic:
     def test_e_geodesic_is_straight(self, normal_natural_family):
         conn = infogeo.ConnectionField.zero(2)
@@ -352,7 +386,7 @@ class TestGraphRealization:
 
 class TestCentroAffineLift:
     def test_constant_lift_is_degenerate_plane(self, bernoulli_family):
-        surf = centro_affine_lift(bernoulli_family, psi=lambda th: 1.0)
+        surf = centro_affine_lift(bernoulli_family, psi=lambda th: np.ones(th.shape[:-1]))
         data = immersion.decompose(surf, (0.0,))
         assert np.abs(data.h).max() < 1e-10
         grid = [np.array([v]) for v in (-1.0, 0.0, 1.0)]
@@ -396,7 +430,7 @@ class TestCentroAffineLift:
 
     def test_psi_must_stay_positive(self, bernoulli_family):
         surf = centro_affine_lift(bernoulli_family,
-                                  psi=lambda th: float(th[0]))
+                                  psi=lambda th: th[..., 0])
         with pytest.raises(OutOfDomain):
             immersion.decompose(surf, (-1.0,))
 
@@ -411,13 +445,13 @@ class TestBatchedFamilyCharts:
                       lambda: load_family(adaptive_runs[1]["subject"]["family"])):
             assert np.array_equal(graph_realization(fresh()).chart(TH)[:, -1],
                                   [potential(fresh(), th) for th in TH])
-            rows = [np.append(th, 1.0) / math.exp(potential(fresh(), th)) for th in TH]
+            rows = [np.append(th, 1.0) / np.exp(potential(fresh(), th)) for th in TH]
             assert np.array_equal(centro_affine_lift(fresh()).chart(TH), rows)
             lift = centro_affine_lift(fresh())
             assert np.array_equal(lift.transversal(TH), -lift.chart(TH))
 
     def test_psi_must_stay_positive_on_batches(self, bernoulli_family):
-        surf = centro_affine_lift(bernoulli_family, psi=lambda th: float(th[0]))
+        surf = centro_affine_lift(bernoulli_family, psi=lambda th: th[..., 0])
         with pytest.raises(OutOfDomain, match=r"got -0.5 at \[-0.5\]"):
             surf.chart(np.array([[0.5], [-0.5], [-1.0]]))
 

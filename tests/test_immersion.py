@@ -85,15 +85,17 @@ class TestDecompose:
             decompose(surf, (0.0, 0.0))
 
     def test_matches_per_partial_reference(self):
-        """One stencil and one factorization give the bits of the pointwise
-        chart and transversal derivatives solved one right-hand side at a time."""
-        from igeo.numerics import gradient, hessian
+        """One stencil and one factorization give the bits of the chart and
+        transversal derivatives, each order its own stencil, solved one
+        right-hand side at a time."""
+        from igeo.numerics import partials, stencil, symmetric
+        s1, s2 = partials(2, 1, immersion.CHART_SCHEME_1), partials(2, 2, immersion.CHART_SCHEME_2)
         for surf in (unit_sphere(), tilted_paraboloid(), load_surface(INLINE)):
             for u in GRID[::2]:
-                df = gradient(surf.chart, u, immersion.CHART_SCHEME_1, surf.domain)
+                df = np.array(stencil(surf.chart, u, s1, surf.domain))
                 frame = np.column_stack([*df, surf.transversal(u)])
-                d2f = hessian(surf.chart, u, immersion.CHART_SCHEME_2, surf.domain)
-                dxi = gradient(surf.transversal, u, immersion.CHART_SCHEME_1, surf.domain)
+                d2f = symmetric(stencil(surf.chart, u, s2, surf.domain), 2)
+                dxi = np.array(stencil(surf.transversal, u, s1, surf.domain))
                 coeff = np.array([[np.linalg.solve(frame, d2f[i, j]) for j in range(2)]
                                   for i in range(2)])
                 shape = np.column_stack([np.linalg.solve(frame, r) for r in dxi])
@@ -151,13 +153,15 @@ class TestDecompose:
 
     def test_centro_affine_lift_potential_calls(self, monkeypatch):
         from igeo import dualflat
+        """One chart call per stencil, and under a node rule one
+        ``_potentials`` call per chart call, for all its nodes."""
         calls = []
-        real = dualflat.potential
-        monkeypatch.setattr(dualflat, "potential",
-                            lambda family, th: calls.append(1) or real(family, th))
+        real = dualflat._potentials
+        monkeypatch.setattr(dualflat, "_potentials",
+                            lambda family, th: calls.append(len(th)) or real(family, th))
         lift = dualflat.centro_affine_lift(dualflat.bernoulli_natural_family())
         decompose(lift, (0.2,))
-        assert len(calls) == 5
+        assert calls == [5]
 
     def test_sphere_outside_unit_disk(self):
         # the declared box (-0.8, 0.8)^2 reaches past the unit disk
@@ -256,16 +260,18 @@ class TestBatchedGrid:
                              ids=lambda s: s.label)
     def test_derivative_is_the_gradient_of_one_point_data(self, surf):
         """The field stencil over the grid, its nodes decomposed in one
-        batch, gives the bits of the pointwise route: ``gradient`` of the
-        packed data of one point, node by node."""
-        from igeo.numerics import gradient
+        batch, gives the bits of the pointwise route: the stencil of the
+        first partials at one point, its nodes decomposed one by one."""
+        from igeo.numerics import partials, stencil
         n = surf.dim
         width = n**3 + 2 * n * n + n + 1
         rows = _middle_grid(surf)
         deriv = induced_derivative(surf, rows)
+        nodewise = lambda V: np.array([decompose(dataclasses.replace(surf), v).packed[:width]
+                                       for v in V])
         for p, u in enumerate(rows):
-            ref = gradient(lambda v: decompose(dataclasses.replace(surf), v).packed[:width], u,
-                           immersion.SURFACE_FIELD_SCHEME, surf.domain)
+            ref = np.array(stencil(nodewise, u, partials(n, 1, immersion.SURFACE_FIELD_SCHEME),
+                                   surf.domain))
             assert deriv.packed[p].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("surf", _batch_surfaces(), ids=lambda s: s.label)

@@ -455,7 +455,7 @@ class TestConformal:
     def test_phi_zero_is_identity(self, normal_model):
         gf = fisher_field(normal_model)
         conn = alpha_field(normal_model, 0.5)
-        gt, ct = conformal_transform(gf, conn, lambda th: 0.0, 0.5)
+        gt, ct = conformal_transform(gf, conn, lambda th: np.zeros(th.shape[:-1]), 0.5)
         theta = (0.1, 1.2)
         assert np.allclose(gt(theta), gf(theta))
         assert np.abs(ct.low(theta) - conn.low(theta)).max() < 1e-12
@@ -463,7 +463,7 @@ class TestConformal:
     def test_metric_scales_exactly(self, normal_model):
         gf = fisher_field(normal_model)
         conn = alpha_field(normal_model, 0.0)
-        phi = lambda th: 0.3 * th[0] + 0.1
+        phi = lambda th: 0.3 * th[..., 0] + 0.1
         gt, _ = conformal_transform(gf, conn, phi, 0.0)
         theta = (0.4, 1.1)
         assert np.allclose(gt(theta), np.exp(phi(np.asarray(theta))) * gf(theta))
@@ -474,13 +474,30 @@ class TestConformal:
         gf = MetricField.constant(np.diag([1.0, 2.0]))
         flat = ConnectionField.zero(2)
         slope = np.array([0.25, -0.5])
-        phi = lambda th: float(slope @ np.asarray(th, float))
+        phi = lambda th: np.asarray(th, float) @ slope
         gt, ct = conformal_transform(gf, flat, phi, -1.0)
         theta = (0.3, -0.2)
         up = raise_connection(ct.low(theta), gt(theta))
         res = projective_equivalence(np.zeros((2, 2, 2)), up, tol=1e-8)
         assert res.equivalent
         assert np.abs(res.rho - slope).max() < 1e-8
+
+    def test_fields_on_rows_equal_one_point_calls(self, normal_model, normal_grid,
+                                                  monkeypatch):
+        """Both fields take theta rows, like every other field, and dphi of
+        a grid is one stencil of phi."""
+        calls = []
+        phi = lambda th: calls.append(th.shape) or 0.3 * th[..., 0] * th[..., 1] - 0.2
+        gf = fisher_field(normal_model)
+        gt, ct = conformal_transform(gf, alpha_field(normal_model, 0.5), phi, 0.5)
+        rows = np.array(normal_grid)
+        got_g, got_low = gt(rows), ct.low(rows)
+        assert got_g.shape == (len(rows), 2, 2) and got_low.shape == (len(rows), 2, 2, 2)
+        # phi on the rows for each h~, and one stencil: 2 nodes per coordinate
+        assert calls == [rows.shape, rows.shape, (4 * len(rows), 2)]
+        for p, th in enumerate(rows):
+            assert got_g[p].tobytes() == gt(th).tobytes()
+            assert got_low[p].tobytes() == ct.low(th).tobytes()
 
 
 class TestProjectiveEquivalence:

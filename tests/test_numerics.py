@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from igeo import models, numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
-from igeo.numerics import (DiffScheme, ExpectationRule, derive, expect,
-                           gradient, hessian, integrate, partials, solve_frame,
-                           stencil, symmetric)
+from igeo.numerics import (DiffScheme, ExpectationRule, batches, derive, expect,
+                           integrate, partials, solve_frame, stencil, symmetric)
 
 # The per-node central-difference loop that numerics.stencil replaced, kept
 # as the reference: one fn call and one domain test per stencil node, in
@@ -172,8 +171,30 @@ def _array_fn(x):
     return np.array([[x[0] * x[1], math.cos(x[2])], [x[1] ** 2, x[0] * x[2]]])
 
 
+def _nodewise(fn):
+    """A function of one point as a map of stencil nodes (M, dim), one call
+    per node."""
+    return lambda X: np.array([np.asarray(fn(x), dtype=float) for x in X])
+
+
+def gradient(fn, point, scheme=None, domain=None):
+    """``D[a] = d_a fn`` of a one-point ``fn``, from one stencil of every
+    first partial."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    return np.array(stencil(_nodewise(fn), point, partials(point.size, 1, scheme), domain))
+
+
+def hessian(fn, point, scheme=None, domain=None):
+    """``D[a, b] = d_a d_b fn`` of a one-point ``fn``, from one stencil of
+    the pairs a <= b, mirrored by ``symmetric``."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    return symmetric(stencil(_nodewise(fn), point, partials(point.size, 2, scheme), domain),
+                     point.size)
+
+
 class TestGradientHessian:
-    """The stacked primitives equal one derive call per index, bit for bit."""
+    """One stencil of every first (second) partial equals one derive call
+    per index, bit for bit."""
 
     POINT = (0.3, -0.7, 1.1)
 
@@ -246,8 +267,9 @@ def _node_in(message: str) -> np.ndarray:
 
 
 class TestAgainstReference:
-    """derive, gradient, hessian and the batched stencil equal the per-node
-    reference loop bit for bit, and name the same node when they fail."""
+    """derive, the stencils of every first or second partial and the batched
+    stencil equal the per-node reference loop bit for bit, and name the same
+    node when they fail."""
 
     BOX = Box((-10.0,) * 3, (10.0,) * 3)
 
@@ -543,6 +565,24 @@ class TestIntegrate:
         space = models.space_from_doc(
             {"kind": "real-line", "quadrature": {"kind": "adaptive-quadrature"}})
         assert space.rule == ExpectationRule.adaptive()
+
+
+class TestBatches:
+    ROWS = np.array([[0.1, -0.2], [0.3, 0.4], [0.1, -0.2]])
+
+    @pytest.mark.parametrize("space", [
+        SampleSpace.finite([[0.0], [1.0]]),
+        SampleSpace.real_line(ExpectationRule.gauss_hermite(8)),
+        SampleSpace.real_line(ExpectationRule.monte_carlo(10, seed=1))])
+    def test_node_rules_take_all_rows_in_one_batch(self, space):
+        [batch] = batches(space, self.ROWS)
+        assert batch.tobytes() == self.ROWS.tobytes() and batch.shape == (3, 2)
+
+    def test_adaptive_quadrature_takes_one_row_per_batch(self):
+        space = SampleSpace.real_line(ExpectationRule.adaptive())
+        got = list(batches(space, self.ROWS))
+        assert [b.shape for b in got] == [(1, 2)] * 3
+        assert np.concatenate(got).tobytes() == self.ROWS.tobytes()
 
 
 class TestQuadratureNodes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from igeo import dualflat, infogeo, models
 from igeo.errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
-                         RankDeficientB, SchemaError)
+                         OutOfDomain, RankDeficientB, SchemaError)
 from igeo.models import Box
 from igeo.submanifold import (SubmanifoldEmbedding, autoparallel_check,
                               composed_model, coordinate_slice,
@@ -33,7 +33,7 @@ def nn_setup(normal_natural_family):
 def diag_curve(normal_model):
     # (mu, sigma) = (u, u): not autoparallel for the exponential connection
     return SubmanifoldEmbedding(ambient=normal_model,
-                                chart=lambda u: np.array([u[0], u[0]]),
+                                chart=lambda u: np.stack([u[..., 0], u[..., 0]], axis=-1),
                                 domain=Box((0.85,), (2.1,)), dim=1,
                                 label="diag-curve")
 
@@ -57,7 +57,7 @@ class TestEmbeddingCurvature:
 
     def test_identity_embedding_vacuous(self, normal_model):
         emb = SubmanifoldEmbedding(ambient=normal_model,
-                                   chart=lambda u: np.array([u[0], u[1]]),
+                                   chart=lambda u: np.stack([u[..., 0], u[..., 1]], axis=-1),
                                    domain=normal_model.domain, dim=2)
         conn = infogeo.alpha_field(normal_model, 1.0)
         gf = infogeo.fisher_field(normal_model)
@@ -67,7 +67,8 @@ class TestEmbeddingCurvature:
 
     def test_rank_deficient_jacobian(self, normal_model):
         emb = SubmanifoldEmbedding(ambient=normal_model,
-                                   chart=lambda u: np.array([0.0, 1.0 + 0 * u[0]]),
+                                   chart=lambda u: np.stack([0 * u[..., 0], 1.0 + 0 * u[..., 0]],
+                                                            axis=-1),
                                    domain=Box((-1.0,), (1.0,)), dim=1)
         with pytest.raises(RankDeficientB):
             tangent_basis(emb, (0.0,))
@@ -93,14 +94,16 @@ class TestOneChartStencil:
     def separate_stencils(emb, conn, metric, u):
         """H by one stencil per derivative order plus theta(u)."""
         from igeo.immersion import CHART_SCHEME_1, CHART_SCHEME_2
-        from igeo.numerics import gradient, hessian
+        from igeo.numerics import partials, stencil, symmetric
         u = np.atleast_1d(np.asarray(u, dtype=float))
         m = emb.dim
         th = emb.theta(u)
-        B = gradient(emb.chart, u, CHART_SCHEME_1, emb.domain).reshape(m, -1).T
+        B = np.array(stencil(emb.chart, u, partials(m, 1, CHART_SCHEME_1), emb.domain)
+                     ).reshape(m, -1).T
         g, up = metric(th), conn.up(th)
         N = normal_frame(g, B)
-        V = hessian(emb.chart, u, CHART_SCHEME_2, emb.domain).reshape(m, m, -1)
+        V = symmetric(stencil(emb.chart, u, partials(m, 2, CHART_SCHEME_2), emb.domain),
+                      m).reshape(m, m, -1)
         for a in range(m):
             for b in range(a, m):
                 V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
@@ -110,9 +113,9 @@ class TestOneChartStencil:
         emb = load_embedding(self.SURFACE)
         seen = []
 
-        def chart(u):
-            seen.append(tuple(u))
-            return emb.chart(u)
+        def chart(U):
+            seen.extend(map(tuple, U))
+            return emb.chart(U)
 
         counted = dataclasses.replace(emb, chart=chart)
         ambient = emb.ambient
@@ -121,6 +124,21 @@ class TestOneChartStencil:
         # the point, 2 x 2 first-partial nodes per coordinate and the 8
         # mixed-partial nodes: the second-partial diagonals add none
         assert len(seen) == 17 and len(set(seen)) == 17
+
+    def test_one_chart_call_per_stencil(self, nn_setup):
+        """The chart maps all the stencil's u rows in one call."""
+        calls = []
+        for emb, u in ((load_embedding(self.SURFACE), (0.1, 0.2)),
+                       (load_embedding(self.CURVE), (0.3,)),
+                       (coordinate_slice(nn_setup["family"], [1], [0.2]).embedding, (-0.4,))):
+            counted = dataclasses.replace(
+                emb, chart=lambda U, chart=emb.chart: calls.append(np.shape(U)) or chart(U))
+            del calls[:]
+            tangent_basis(counted, u)
+            m = emb.dim
+            # the point, 2 nodes per first partial and 4 per pair a < b, at
+            # 2 Richardson levels; the diagonals share the first partials' nodes
+            assert calls == [(1 + 4 * m + 4 * m * (m - 1), m)]
 
     def test_h_equals_separate_stencils(self, nn_setup, diag_curve, normal_model):
         sl = coordinate_slice(nn_setup["family"], [1], [0.2]).embedding
@@ -134,6 +152,29 @@ class TestOneChartStencil:
                 B, H = self.separate_stencils(emb, conn, metric, u)
                 assert embedding_curvature(emb, conn, metric, u).H.tobytes() == H.tobytes()
                 assert tangent_basis(emb, u).tobytes() == B.tobytes()
+
+
+class TestComposedModel:
+    def test_one_chart_call_per_batch(self, nn_setup):
+        sl = coordinate_slice(nn_setup["family"], [1], [0.2]).embedding
+        calls = []
+        counted = dataclasses.replace(
+            sl, chart=lambda U: calls.append(np.shape(U)) or sl.chart(U))
+        U = np.array([[-0.5], [-0.4], [-0.3]])
+        xs = np.array([[-1.0], [0.5]])
+        got = composed_model(counted).log_density(xs, U)
+        assert calls == [(3, 1)]
+        want = [nn_setup["model"].log_density(xs, sl.theta(u)) for u in U]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_names_the_first_theta_row_outside(self, nn_setup):
+        emb = SubmanifoldEmbedding(
+            ambient=nn_setup["model"],
+            chart=lambda u: np.stack([u[..., 0], 0.0 * u[..., 0]], axis=-1),
+            domain=Box((-1.0,), (1.0,)), dim=1)
+        xs = np.array([[0.0]])
+        with pytest.raises(OutOfDomain, match=r"theta \[0.5, 0.0\] outside"):
+            composed_model(emb).log_density(xs, np.array([[-0.5], [0.5], [0.7]]))
 
 
 class TestAutoparallel:
@@ -157,7 +198,7 @@ class TestAutoparallel:
 
     def test_full_manifold_trivially_autoparallel(self, normal_model):
         emb = SubmanifoldEmbedding(ambient=normal_model,
-                                   chart=lambda u: np.array([u[0], u[1]]),
+                                   chart=lambda u: np.stack([u[..., 0], u[..., 1]], axis=-1),
                                    domain=normal_model.domain, dim=2)
         conn = infogeo.alpha_field(normal_model, 0.0)
         gf = infogeo.fisher_field(normal_model)
@@ -170,7 +211,7 @@ class TestAutoparallel:
         base = coordinate_slice(nn_setup["family"], [0], [-0.5]).embedding
         rescaled = SubmanifoldEmbedding(
             ambient=base.ambient,
-            chart=lambda u: base.chart(np.array([a * u[0]])),
+            chart=lambda u: base.chart(a * u),
             domain=Box((-0.35 / abs(a),), (0.35 / abs(a),)), dim=1)
         grid_b = [np.array([v]) for v in (-0.3, 0.0, 0.3)]
         grid_r = [np.array([v / a]) for v in (-0.3, 0.0, 0.3)]
@@ -274,7 +315,7 @@ class TestTheoremSuite:
             base = np.array([-0.45, 0.0])
             emb = SubmanifoldEmbedding(
                 ambient=nn_setup["model"],
-                chart=lambda u, d=direction: base + u[0] * d,
+                chart=lambda u, d=direction: base + u[..., 0, None] * d,
                 domain=Box((-0.2,), (0.2,)), dim=1)
             comp = composed_model(emb)
             grid = [np.array([0.0]), np.array([0.1])]
@@ -287,7 +328,7 @@ class TestTheoremSuite:
     def test_non_affine_curve_fails_both(self, nn_setup):
         emb = SubmanifoldEmbedding(
             ambient=nn_setup["model"],
-            chart=lambda u: np.array([-0.5 + 0.2 * u[0] ** 2, u[0]]),
+            chart=lambda u: np.stack([-0.5 + 0.2 * u[..., 0] ** 2, u[..., 0]], axis=-1),
             domain=Box((-0.5,), (0.5,)), dim=1, label="bent")
         grid = [np.array([0.2])]
         ap = autoparallel_check(emb, nn_setup["e_conn"],
