@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, dualflat, immersion, infogeo, models, submanifold
-from .errors import DegenerateH, IgeoError, SchemaError, SingularFrame
+from .errors import DegenerateH, IgeoError, LeftDomain, SchemaError, SingularFrame
 
 DEFAULT_TOLERANCES = {
     "validate": None,              # model's own profile
@@ -166,6 +166,9 @@ class RunSpec:
             elif isinstance(flag, dict):
                 for key in flag:
                     models.number_from_doc(float, key, f"expect {name} alpha")
+            for value in flag.values() if isinstance(flag, dict) else (flag,):
+                if not isinstance(value, bool):
+                    raise SchemaError(f"expect {name} takes booleans, got {value!r}")
         seed = doc.get("seed")
         if seed_override is not None:
             seed = seed_override
@@ -234,16 +237,14 @@ class CheckResult:
     path: object = None          # the geodesic check's path, for the CSV; not reported
 
 
-def _expected_flag(spec: RunSpec, check: str, default=True, alpha=None):
-    raw = spec.expect.get(check, default)
-    if isinstance(raw, dict):
-        if alpha is None:
-            return default
-        for key, val in raw.items():
-            if abs(float(key) - alpha) < 1e-12:
-                return bool(val)
-        return default
-    return bool(raw)
+def _expected_flag(spec: RunSpec, check: str, alpha=None) -> bool:
+    """The spec's expected outcome of ``check`` (at ``alpha``); True unless
+    ``expect`` says otherwise."""
+    raw = spec.expect.get(check, True)
+    if not isinstance(raw, dict):
+        return raw
+    return next((val for key, val in raw.items()
+                 if alpha is not None and abs(float(key) - alpha) < 1e-12), True)
 
 
 def _assert_status(ok: bool) -> str:
@@ -275,7 +276,7 @@ def _check_flatness(spec, subject, grid, model):
         rep = infogeo.flatness_check(model, grid, alpha, tol=tol)
         residuals[f"alpha={alpha:g}"] = {"flat": rep.flat, "max_R": rep.max_R,
                                          "max_torsion": rep.max_torsion}
-        ok = ok and (rep.flat == _expected_flag(spec, "flatness", True, alpha))
+        ok = ok and (rep.flat == _expected_flag(spec, "flatness", alpha))
     return CheckResult(status=_assert_status(ok), residuals=residuals,
                        tolerance=tol,
                        provenance="curvature of the alpha-connection field")
@@ -338,7 +339,7 @@ def _check_cubic_symmetry(spec, subject, grid, model):
 def _check_exponential_form(spec, subject, grid, model):
     tol = spec.tol("exponential-form")
     rep = submanifold.exponential_form_check(model, grid, tol=tol)
-    expected = _expected_flag(spec, "exponential-form", True)
+    expected = _expected_flag(spec, "exponential-form")
     return CheckResult(status=_assert_status(rep.is_exponential_form == expected),
                        residuals={"is_exponential_form": rep.is_exponential_form,
                                   "max_variation": rep.max_variation},
@@ -362,7 +363,7 @@ def _check_classify(spec, subject, grid, model):
     rep = immersion.classify(subject, grid, tol=tol)
     flags = {k: getattr(rep.flags, k) for k in CLASSIFY_FLAGS}
     expected = spec.expect.get("classify", {})
-    ok = all(flags[k] == bool(v) for k, v in expected.items())
+    ok = all(flags[k] == v for k, v in expected.items())
     residuals = dict(flags)
     residuals.update({"lambda": rep.lambda_mean,
                       "lambda_deviation": rep.lambda_deviation,
@@ -399,7 +400,7 @@ def _check_statistical_structure(spec, subject, grid, model):
         rep = immersion.statistical_structure(subject, grid, tol=tol)
     except DegenerateH as exc:
         return CheckResult(status="untestable", tolerance=tol, detail=str(exc))
-    expected = _expected_flag(spec, "statistical-structure", True)
+    expected = _expected_flag(spec, "statistical-structure")
     return CheckResult(status=_assert_status(rep.is_statistical == expected),
                        residuals={"codazzi_residual": rep.codazzi_residual,
                                   "is_statistical": rep.is_statistical},
@@ -476,7 +477,7 @@ def _embedding_sweep(spec, subject, grid, check):
     rep = submanifold.autoparallel_check(
         subject, infogeo.alpha_field(subject.ambient, alpha),
         infogeo.fisher_field(subject.ambient), grid, tol=tol)
-    expected = _expected_flag(spec, check, True, alpha)
+    expected = _expected_flag(spec, check, alpha)
     return rep, alpha, tol, _assert_status(rep.autoparallel == expected)
 
 
@@ -500,22 +501,20 @@ def _check_embedding_curvature(spec, subject, grid, model):
                        provenance="largest embedding curvature over the grid")
 
 
-def _integrate_geodesic(spec: RunSpec, model) -> dualflat.GeodesicPath:
-    geo = spec.geodesic
-    return dualflat.geodesic(infogeo.alpha_field(model, geo.alpha), geo.theta0,
-                             geo.v0, geo.t_final, geo.steps, domain=model.domain)
-
-
 def _check_geodesic(spec, subject, grid, model):
-    alpha = spec.geodesic.alpha
-    path = _integrate_geodesic(spec, model)
-    gf = infogeo.fisher_field(model)
-    speeds = [float(v @ gf(th) @ v) for th, v in
-              zip(path.theta[::max(1, len(path.theta) // 20)],
-                  path.velocity[::max(1, len(path.velocity) // 20)])]
+    geo = spec.geodesic
+    try:
+        path = dualflat.geodesic(infogeo.alpha_field(model, geo.alpha), geo.theta0,
+                                 geo.v0, geo.t_final, geo.steps, domain=model.domain)
+    except LeftDomain as exc:
+        # the error result ``run`` records, with the path up to the exit
+        return CheckResult(status="error", detail=str(exc), path=exc.partial_path)
+    every = max(1, len(path.t) // 20)
+    G = infogeo.fisher_metric(model, path.theta[::every])
+    speeds = [float(v @ g @ v) for g, v in zip(G, path.velocity[::every])]
     drift = max(abs(s - speeds[0]) for s in speeds)
     return CheckResult(status="pass",
-                       residuals={"alpha": alpha,
+                       residuals={"alpha": geo.alpha,
                                   "final_theta": [float(v) for v in path.final_theta],
                                   "speed_drift": drift},
                        tolerance=spec.tol("geodesic"),
@@ -633,16 +632,18 @@ def run(spec: RunSpec) -> RunReport:
     if spec.kind == "family":
         model = dualflat.family_model(subject)
     grid = _grid_points(spec, subject)
-    results = {}
-    for name in spec.checks:
-        try:
-            results[name] = CHECKS[name].runner(spec, subject, grid, model)
-        except IgeoError as exc:
-            results[name] = CheckResult(status="error", detail=str(exc))
-        except Exception as exc:  # never abort sibling checks
-            results[name] = CheckResult(
-                status="error", detail=f"{type(exc).__name__}: {exc}")
+    results = {name: _run_check(name, spec, subject, grid, model) for name in spec.checks}
     return RunReport(spec, results, subject, model, grid)
+
+
+def _run_check(name: str, spec: RunSpec, subject, grid, model) -> CheckResult:
+    """One check's result; an exception becomes an ``error`` result."""
+    try:
+        return CHECKS[name].runner(spec, subject, grid, model)
+    except IgeoError as exc:
+        return CheckResult(status="error", detail=str(exc))
+    except Exception as exc:  # never abort sibling checks
+        return CheckResult(status="error", detail=f"{type(exc).__name__}: {exc}")
 
 
 def run_document(doc: dict, seed_override=None, tol_overrides=None) -> Report:
@@ -706,19 +707,20 @@ def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
                      ["point", "tensor", "i", "j", "k", "value"], rows)
 
 
-def dump_geodesic_csv(run_: RunReport, out_path: Path):
-    """The path of the run's geodesic check, integrated anew only without one."""
-    path = getattr(run_.results.get("geodesic"), "path", None) \
-        or _integrate_geodesic(run_.spec, run_.model)
-    n = path.theta.shape[1]
-    header = (["step", "t"] + [f"theta_{i}" for i in range(n)]
-              + [f"v_{i}" for i in range(n)])
-    rows = []
-    for k in range(len(path.t)):
-        rows.append([k, repr(float(path.t[k]))]
-                    + [repr(float(v)) for v in path.theta[k]]
-                    + [repr(float(v)) for v in path.velocity[k]])
-    write_tensor_csv(out_path, header, rows)
+def dump_geodesic_csv(run_: RunReport, out_path: Path) -> Optional[str]:
+    """Write the path of the run's geodesic check, run here only when the
+    spec lists no such check; a path that left the domain is written up to
+    its exit.  Returns the detail of the check's error, or None."""
+    result = run_.results.get("geodesic") or _run_check(
+        "geodesic", run_.spec, run_.subject, run_.grid, run_.model)
+    path = result.path
+    if path is not None:
+        n = path.theta.shape[1]
+        header = ["step", "t"] + [f"theta_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
+        rows = [[k, repr(float(t))] + [repr(float(v)) for v in (*th, *vel)]
+                for k, (t, th, vel) in enumerate(zip(path.t, path.theta, path.velocity))]
+        write_tensor_csv(out_path, header, rows)
+    return result.detail if result.status == "error" else None
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +770,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 
+    failed = False  # a geodesic path the geodesic command could not finish
     try:
         overrides = _parse_tol_overrides(args.tol_override)
         if args.command == "classify":
@@ -801,7 +804,10 @@ def main(argv=None) -> int:
             for run_ in writers:
                 spec = run_.spec
                 if geodesic:
-                    dump_geodesic_csv(run_, csv_dir / f"geodesic_{spec.label}.csv")
+                    error = dump_geodesic_csv(run_, csv_dir / f"geodesic_{spec.label}.csv")
+                    if error is not None:
+                        print(f"error: {spec.label}: {error}", file=sys.stderr)
+                        failed = True
                 elif run_.model is not None:
                     dump_model_tensors(spec, run_.model, run_.grid, csv_dir)
                 else:
@@ -822,7 +828,7 @@ def main(argv=None) -> int:
         print(f"{summary}: "
               f"{sum(r.status == 'pass' for run_ in report.runs for r in run_.results.values())}"
               f"/{sum(len(run_.results) for run_ in report.runs)} checks passed")
-    return 0 if report.all_passed else 1
+    return 0 if report.all_passed and not failed else 1
 
 
 if __name__ == "__main__":

@@ -90,52 +90,33 @@ def _logsumexp(a: np.ndarray, w=None) -> np.ndarray:
 
 
 def potential(family: PotentialFamily, theta) -> float:
-    """Normalizer K(theta), by exact sum or quadrature (log-sum-exp).
+    """Normalizer K(theta), by exact sum or quadrature (log-sum-exp):
+    ``_potentials`` at one point."""
+    return float(_potentials(family, theta))
 
-    Memoized per family and point, through ``_potentials``.  A hit skips
-    ``check_theta``, which would cost the family's log-density more than
-    the lookup.
+
+def _potentials(family: PotentialFamily, TH):
+    """K at theta (dim,), a scalar, or on every row of TH (..., dim), shape
+    (...), through the family memo: a hit makes no domain test.  The missed
+    rows, each once, are tested against the domain at once and share one
+    ``exponent`` call and one row-wise log-sum-exp (under adaptive
+    quadrature one vector integral), so only checked rows are stored.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    hit = family.memo.peek(th.tobytes())
-    if hit is not None:
-        return hit
-    return float(_potentials(family, family.check_theta(th)[None])[0])
+    TH = np.atleast_1d(np.asarray(TH, dtype=float))
+    if TH.shape[-1] != family.dim:
+        family.check_theta(TH)
 
-
-def _potentials(family: PotentialFamily, TH) -> np.ndarray:
-    """K on every parameter row of TH (..., dim), shape (...).
-
-    Each row is looked up in the family memo; the misses are checked
-    against the domain at once, share one ``exponent`` call and one
-    row-wise log-sum-exp, and are stored.  Only checked points are stored.
-    """
-    TH = np.asarray(TH, dtype=float)
-    rows = TH.reshape(-1, family.dim)
-    raw, width = rows.tobytes(), 8 * family.dim
-    keys = [raw[r * width:(r + 1) * width] for r in range(len(rows))]
-    out = np.empty(len(rows))
-    misses = []
-    for r, key in enumerate(keys):
-        hit = family.memo.peek(key)
-        if hit is None:
-            misses.append(r)
-        else:
-            out[r] = hit
-    if misses:
-        new = rows[misses]
-        _check_rows(family, new)
+    def compute(rows):
+        _check_rows(family, rows)
         nodes = node_quadrature(family.space)
         if nodes is not None:
-            values = _logsumexp(family.exponent(nodes[0], new), nodes[1])
-        else:
-            # adaptive quadrature, one point x at a time: every missed row
-            # is one component of a single vector integral
-            values = np.log(integrate(
-                family.space, lambda x, _: np.exp(family.exponent(x, new)).sum(axis=-1)))
-        for r, value in zip(misses, values):
-            out[r] = family.memo.put(keys[r], float(value))
-    return out.reshape(TH.shape[:-1])
+            return _logsumexp(family.exponent(nodes[0], rows), nodes[1])
+        # adaptive quadrature, one point x at a time: every missed row is
+        # one component of a single vector integral
+        return np.log(integrate(
+            family.space, lambda x, _: np.exp(family.exponent(x, rows)).sum(axis=-1)))
+
+    return family.memo.rows(TH, lambda b: b, compute)
 
 
 def _check_rows(family: PotentialFamily, rows: np.ndarray) -> None:

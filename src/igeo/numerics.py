@@ -11,8 +11,7 @@ built from three primitives:
                      domain once and handed to ``fn`` once; each point
                      keeps the bits of its own call.  Every function
                      differentiated here maps rows ``(..., n)`` to
-                     ``(..., k)``; ``derive`` is the one wrapper left for a
-                     function of a single point.
+                     ``(..., k)``.
 * ``integrate``   -- integrals over a sample space under its rule, of a
                      ``fn(points, weights)`` that returns a weighted sum over
                      its points: one call on the nodes of ``node_quadrature``
@@ -258,25 +257,6 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
                                 / (4.0 ** j - 1.0))
         out.append(table[-1][-1])
     return out
-
-
-def derive(fn: Callable, point, multi_index: Sequence[int],
-           scheme: Optional[DiffScheme] = None, domain=None):
-    """Mixed partial derivative of ``fn`` at ``point`` by central differences.
-
-    ``multi_index`` lists 1 to 3 coordinate indices, as in ``stencil``.
-    ``fn`` takes one point and may return a scalar or an ndarray; it is
-    evaluated node by node and the stencil is applied componentwise.  Nodes
-    outside ``domain`` raise ``StencilOutOfDomain``.
-    """
-    idx = tuple(multi_index)
-    if not 1 <= len(idx) <= 3:
-        raise ValueError("multi_index must contain 1 to 3 entries")
-    nodewise = lambda nodes: np.array([np.asarray(fn(x), dtype=float) for x in nodes])
-    result = stencil(nodewise, point, [(idx, scheme)], domain)[0]
-    if result.ndim == 0:
-        return float(result)
-    return result
 
 
 @dataclass(frozen=True)
@@ -526,11 +506,11 @@ def _stacked(values: list, lead: tuple) -> np.ndarray:
 class PointMemo:
     """Bounded memo of pointwise results, keyed by parameter bytes.
 
-    ``get(key, compute)`` returns the stored value or stores ``compute()``;
-    an exception from ``compute`` propagates and stores nothing.  ``rows``
-    does the same for every row of a batch of points, and ``put`` stores a
-    value computed elsewhere.  A full
-    memo is cleared before the next store, so it never holds more than
+    ``rows(points, key, compute)`` returns the value stored for each point
+    and computes and stores the missed ones; an exception from ``compute``
+    propagates and stores nothing.  ``peek`` looks a key up without
+    computing, and ``put`` stores a value computed elsewhere.  A full memo
+    is cleared before the next store, so it never holds more than
     ``MEMO_SIZE`` entries.  Stored arrays, and the array fields of stored
     dataclasses, are made read-only because every hit shares them.
     """
@@ -544,12 +524,6 @@ class PointMemo:
     def peek(self, key):
         """The stored value, or None; never computes or stores."""
         return self._store.get(key)
-
-    def get(self, key, compute: Callable):
-        try:
-            return self._store[key]
-        except KeyError:
-            return self.put(key, compute())
 
     def rows(self, points, key: Callable, compute: Callable, stack: Callable = _stacked):
         """The value stored under ``key(point bytes)`` at a point (n,), or
@@ -579,7 +553,7 @@ class PointMemo:
         return stack(values, pts.shape[:-1])
 
     def put(self, key, value):
-        """Store ``value`` under ``key``, as ``get`` does, and return it."""
+        """Store ``value`` under ``key``, as ``rows`` does, and return it."""
         fields = (value,) if isinstance(value, np.ndarray) else \
             getattr(value, "__dict__", {}).values()
         for a in fields:

@@ -54,23 +54,20 @@ class SubmanifoldEmbedding:
 
 
 def _chart_jet(emb: SubmanifoldEmbedding, u: np.ndarray):
-    """theta(u), the Jacobian B[:, a] = d theta / d u_a and V[a, b] = d_a d_b
-    theta from one stencil of the chart, evaluated once per distinct node
-    (the first partials' nodes lead, as when they were a stencil of their
-    own); raises RankDeficientB."""
+    """theta, the Jacobian B (..., n, m) of columns d theta / d u_a and
+    V[..., a, b] = d_a d_b theta at u (m,) or at every row of u (P, m): one
+    chart stencil, each distinct node once, and one stacked rank test, whose
+    RankDeficientB names the first point with dependent columns."""
     m = emb.dim
     V = stencil(emb.chart, u,
                 partials(m, 1, CHART_SCHEME_1) + [((), None)] + partials(m, 2, CHART_SCHEME_2),
                 emb.domain)
-    B = np.array(V[:m]).reshape(m, -1).T
-    if np.linalg.matrix_rank(B, tol=_RANK_TOL) < m:
-        raise RankDeficientB(f"Jacobian columns dependent at u={u.tolist()}")
-    return np.atleast_1d(V[m]), B, symmetric(V[m + 1:], m).reshape(m, m, -1)
-
-
-def tangent_basis(emb: SubmanifoldEmbedding, u) -> np.ndarray:
-    """Jacobian columns B[:, a] = d theta / d u_a; raises RankDeficientB."""
-    return _chart_jet(emb, np.atleast_1d(np.asarray(u, dtype=float)))[1]
+    B = np.swapaxes(np.stack(V[:m], axis=-2), -1, -2)
+    deficient = np.ravel(np.linalg.matrix_rank(B, tol=_RANK_TOL) < m)
+    if deficient.any():
+        bad = np.reshape(u, (-1, m))[int(np.argmax(deficient))]
+        raise RankDeficientB(f"Jacobian columns dependent at u={bad.tolist()}")
+    return V[m], B, symmetric(V[m + 1:], m, u.ndim - 1)
 
 
 def normal_frame(g: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -79,29 +76,19 @@ def normal_frame(g: np.ndarray, B: np.ndarray) -> np.ndarray:
     Gram-Schmidt over the tangent columns followed by the ambient
     coordinate axes in index order; deterministic for fixed inputs.
     """
-    n = g.shape[0]
-    m = B.shape[1]
+    n, m = B.shape
     accepted = []
-
-    def project(v):
-        w = v.astype(float).copy()
-        for q in accepted:
-            w -= float(q @ g @ w) * q
-        return w
-
-    for a in range(m):
-        w = project(B[:, a])
-        norm2 = float(w @ g @ w)
-        if norm2 <= _RANK_TOL:
-            raise RankDeficientB("tangent columns are g-degenerate")
-        accepted.append(w / np.sqrt(norm2))
-    for i in range(n):
+    for k, v in enumerate([*B.T, *np.eye(n)]):
         if len(accepted) == n:
             break
-        w = project(np.eye(n)[i])
+        w = v.astype(float)
+        for q in accepted:
+            w -= float(q @ g @ w) * q
         norm2 = float(w @ g @ w)
         if norm2 > _RANK_TOL:
             accepted.append(w / np.sqrt(norm2))
+        elif k < m:
+            raise RankDeficientB("tangent columns are g-degenerate")
     if len(accepted) != n:
         raise RankDeficientB("could not complete a g-orthonormal frame")
     return np.column_stack(accepted[m:]) if n > m else np.zeros((n, 0))
@@ -109,25 +96,36 @@ def normal_frame(g: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingCurvature:
-    H: np.ndarray            # (m, m, n-m), symmetric in the first two axes
-    max_abs: float
-    normal_basis: np.ndarray  # (n, n-m) columns
+    H: np.ndarray            # (P, m, m, n-m) on rows u (P, m); symmetric in (a, b)
+    max_abs: float           # over every point
+    normal_basis: np.ndarray  # (P, n, n-m) columns on rows; no P axis at one point
+
+
+def _normal_components(g, up, B, V):
+    """H and the normal frame at one point: V[a, b] + Gamma(B_a, B_b) in the
+    g-orthonormal normal frame of g (n, n) and B (n, m)."""
+    N = normal_frame(g, B)
+    for a in range(B.shape[1]):
+        for b in range(a, B.shape[1]):
+            V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
+    return np.einsum("abi,ij,jk->abk", V, g, N), N
 
 
 def embedding_curvature(emb: SubmanifoldEmbedding, conn: ConnectionField,
                         metric: MetricField, u) -> EmbeddingCurvature:
-    """Second fundamental data of the embedding at u for the connection."""
+    """Second fundamental data of the embedding for the connection at u (m,)
+    or at every row of u (P, m), with a leading P axis on rows.  A grid takes
+    one chart stencil, one ``metric`` and one ``conn.up`` call on its theta
+    rows; the normal frame and the contractions are taken point by point,
+    so each point keeps the bits of its own call."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    m = emb.dim
     th, B, V = _chart_jet(emb, u)
     g = metric(th)
     up = conn.up(th)
-
-    N = normal_frame(g, B)
-    for a in range(m):
-        for b in range(a, m):
-            V[a, b] = V[b, a] = V[a, b] + np.einsum("jki,j,k->i", up, B[:, a], B[:, b])
-    H = np.einsum("abi,ij,jk->abk", V, g, N)
+    if u.ndim == 1:
+        H, N = _normal_components(g, up, B, V)
+    else:
+        H, N = (np.stack(a) for a in zip(*map(_normal_components, g, up, B, V)))
     max_abs = float(np.abs(H).max()) if H.size else 0.0
     return EmbeddingCurvature(H=H, max_abs=max_abs, normal_basis=N)
 
@@ -142,10 +140,10 @@ class AutoparallelReport:
 def autoparallel_check(emb: SubmanifoldEmbedding, conn: ConnectionField,
                        metric: MetricField, grid: Sequence,
                        tol: float = 1e-5) -> AutoparallelReport:
-    """True when the embedding curvature vanishes over the whole grid."""
-    worst = 0.0
-    for u in grid:
-        worst = max(worst, embedding_curvature(emb, conn, metric, u).max_abs)
+    """True when the embedding curvature vanishes over the whole grid of u
+    points (P, m), taken as one batch by ``embedding_curvature``."""
+    worst = embedding_curvature(emb, conn, metric,
+                                np.reshape(grid, (len(grid), emb.dim))).max_abs
     return AutoparallelReport(autoparallel=bool(worst < tol), max_abs=worst,
                               tolerance=tol)
 

@@ -302,6 +302,42 @@ class TestMain:
         assert lines[0] == "step,t,theta_0,theta_1,v_0,v_1"
         assert len(lines) == 52  # header + 51 samples
 
+    @pytest.mark.parametrize("checks", [["geodesic"], ["validate"]])
+    def test_geodesic_leaving_the_domain_writes_its_partial_path(self, tmp_path, capsys,
+                                                                 checks):
+        """The path is integrated once, by the check (or, when the spec lists
+        no geodesic check, by the command); the part inside the domain is
+        written, the error goes to stderr and the report is the verify one."""
+        doc = {"label": "out", "subject": {"model": "normal-natural"}, "checks": checks,
+               "grid": {"lo": [-0.6, -0.2], "hi": [-0.4, 0.2], "counts": [2, 2]},
+               "geodesic": {"theta0": [-0.5, 0.0], "v0": [3.0, 0.0], "steps": 20}}
+        spec = self._write_spec(tmp_path, doc)
+        csv_dir, out = tmp_path / "paths", tmp_path / "r.json"
+        code = cli.main(["geodesic", "--spec", str(spec), "--out", str(out),
+                         "--csv-dir", str(csv_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: out: geodesic left the domain at t=0\.\d+$", err, re.M)
+        assert "Traceback" not in err
+        assert strip_timestamp(out.read_text()) == strip_timestamp(
+            run_document(doc).to_json() + "\n")
+        lines = (csv_dir / "geodesic_out.csv").read_text().splitlines()
+        assert 2 < len(lines) < 22  # header, theta0 and the steps taken inside
+        model = models.load_model({"builtin": "normal-natural"})
+        assert all(model.domain.contains([float(v) for v in row.split(",")[2:4]])
+                   for row in lines[1:])
+
+    def test_geodesic_speeds_take_one_metric_call(self, monkeypatch):
+        calls = []
+        real = infogeo.fisher_metric
+        monkeypatch.setattr(infogeo, "fisher_metric",
+                            lambda model, th: calls.append(np.shape(th)) or real(model, th))
+        rep = run_document({"subject": {"family": "normal-natural"}, "checks": ["geodesic"],
+                            "geodesic": {"theta0": [-0.5, 0.0], "v0": [0.05, 0.1],
+                                         "t_final": 1.0, "steps": 50}})
+        assert rep.runs[0].results["geodesic"].status == "pass"
+        assert calls == [(26, 2)]  # every second point of the 51
+
     def test_geodesic_on_a_multi_run_spec(self, tmp_path):
         """One path CSV per run with a geodesic block and a model; runs
         without one are skipped, and a spec where no run has one exits 2."""
@@ -460,6 +496,17 @@ class TestMain:
         "classify-flag": "expect classify names unknown flag 'blaschk'",
     }
 
+    @pytest.mark.parametrize("expect", [
+        {"exponential-form": "false"}, {"flatness": 0}, {"flatness": {"1": "yes"}},
+        {"classify": {"blaschke": "no"}}, {"autoparallel": None}])
+    def test_expect_values_must_be_booleans(self, expect):
+        """A plain, per-alpha or per-flag expectation that is not a boolean
+        is refused, naming its check, where bool() once read "false" as true."""
+        name = next(iter(expect))
+        with pytest.raises(SchemaError, match=f"^expect {name} "):
+            RunSpec.from_dict({"subject": {"model": "bernoulli-natural"},
+                               "checks": ["validate"], "expect": expect})
+
     @pytest.mark.parametrize("case", sorted(BAD_SPEC_MESSAGES))
     def test_bad_spec_exits_two(self, tmp_path, capsys, case):
         """Specs that used to run and report every check as an error (or
@@ -586,7 +633,11 @@ class TestSubjectMemo:
     def test_memo_never_exceeds_its_cap(self, monkeypatch):
         memo = numerics.PointMemo()
         for i in range(numerics.MEMO_SIZE + 10):
-            assert memo.get(i, lambda: i) == i
+            assert memo.put(i, i) == i
+            assert len(memo) <= numerics.MEMO_SIZE
+        for i in range(numerics.MEMO_SIZE + 10):
+            point = np.array([float(i)])
+            assert memo.rows(point, lambda b: b, lambda rows: rows[:, 0]) == i
             assert len(memo) <= numerics.MEMO_SIZE
         monkeypatch.setattr(numerics, "MEMO_SIZE", 3)
         model = models.bernoulli_natural()
@@ -667,13 +718,13 @@ class TestSubjectMemo:
         memo = numerics.PointMemo()
         attempts = []
 
-        def failing():
+        def failing(rows):
             attempts.append(1)
             raise ValueError("boom")
 
         for _ in range(2):
             with pytest.raises(ValueError):
-                memo.get("k", failing)
+                memo.rows([0.5], lambda b: b, failing)
         assert len(attempts) == 2 and len(memo) == 0
 
 

@@ -84,6 +84,23 @@ class TestPotential:
         assert evaluations == [1]
 
 
+    def test_a_repeated_missed_row_is_evaluated_once(self, monkeypatch):
+        TH = np.array([[-0.5, 0.1], [-0.4, 0.0], [-0.5, 0.1]])
+        fresh = [potential(FAMILIES["normal-natural"](), th) for th in TH]
+        rows = []
+        real = PotentialFamily.exponent
+        monkeypatch.setattr(PotentialFamily, "exponent",
+                            lambda self, x, th: rows.append(len(th)) or real(self, x, th))
+        got = _potentials(FAMILIES["normal-natural"](), TH)
+        assert rows == [2]
+        assert got.tobytes() == np.array(fresh).tobytes()
+
+    @pytest.mark.parametrize("theta", [(-0.5,), (-0.5, 0.0, 0.1)])
+    def test_wrong_length_is_out_of_domain(self, normal_natural_family, theta):
+        with pytest.raises(OutOfDomain):
+            potential(normal_natural_family, theta)
+
+
 class TestAdaptivePotential:
     def test_matches_the_closed_form(self, adaptive_runs, nn_grid, monkeypatch):
         """K of the adaptive spec's family within 1e-12 of the closed form;

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from igeo import models, numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
-from igeo.numerics import (DiffScheme, ExpectationRule, batches, derive, expect,
+from igeo.numerics import (DiffScheme, ExpectationRule, batches, expect,
                            integrate, partials, solve_frame, stencil, symmetric)
 
 # The per-node central-difference loop that numerics.stencil replaced, kept
@@ -90,33 +90,48 @@ def _polynomial_cases(draw):
     return _polynomial(terms), np.array(point), index, levels
 
 
+def _nodewise(fn):
+    """A function of one point as a map of stencil nodes (M, dim), one call
+    per node."""
+    return lambda X: np.array([np.asarray(fn(x), dtype=float) for x in X])
+
+
+def _entry(fn, point, index, scheme=None, domain=None):
+    """The partial ``index`` of a one-point ``fn`` at ``point`` from a
+    stencil of that one entry, equal bit for bit to ``reference_derive``."""
+    got = stencil(_nodewise(fn), point, [(tuple(index), scheme)], domain)[0]
+    assert np.asarray(got).tobytes() == np.asarray(
+        reference_derive(fn, point, index, scheme, domain)).tobytes()
+    return got
+
+
 class TestDerive:
     def test_quadratic_second_derivative_exact(self):
         # central differences are exact on quadratics
-        val = derive(lambda x: x[0] ** 2, (3.0,), (0, 0))
+        val = _entry(lambda x: x[0] ** 2, (3.0,), (0, 0))
         assert val == pytest.approx(2.0, abs=1e-8)
 
     def test_mixed_partial(self):
-        val = derive(lambda x: x[0] * x[1], (1.0, 1.0), (0, 1))
+        val = _entry(lambda x: x[0] * x[1], (1.0, 1.0), (0, 1))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_natural_potential_hessian_entry(self):
         # d2K/dtheta2^2 = -1/(2 theta1) = 1 at theta1 = -0.5
-        val = derive(normal_natural_potential, (-0.5, 0.0), (1, 1))
+        val = _entry(normal_natural_potential, (-0.5, 0.0), (1, 1))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_third_derivative(self):
-        val = derive(lambda x: x[0] ** 3, (1.0,), (0, 0, 0))
+        val = _entry(lambda x: x[0] ** 3, (1.0,), (0, 0, 0))
         assert val == pytest.approx(6.0, abs=1e-6)
 
     def test_vector_valued(self):
-        out = derive(lambda u: np.array([u[0] ** 2, u[0]]), (2.0,), (0,))
+        out = _entry(lambda u: np.array([u[0] ** 2, u[0]]), (2.0,), (0,))
         assert np.allclose(out, [4.0, 1.0], atol=1e-9)
 
     def test_richardson_improves_smooth_function(self):
         f = lambda x: math.sin(x[0])
-        plain = derive(f, (0.7,), (0, 0), DiffScheme(order=2, base_step=2.0**-6))
-        rich = derive(f, (0.7,), (0, 0),
+        plain = _entry(f, (0.7,), (0, 0), DiffScheme(order=2, base_step=2.0**-6))
+        rich = _entry(f, (0.7,), (0, 0),
                       DiffScheme(order=2, base_step=2.0**-6, richardson_levels=1))
         truth = -math.sin(0.7)
         assert abs(rich - truth) < abs(plain - truth)
@@ -124,19 +139,17 @@ class TestDerive:
     def test_stencil_out_of_domain(self):
         box = Box((0.0,), (1.0,))
         with pytest.raises(StencilOutOfDomain):
-            derive(lambda x: x[0] ** 2, (1.0 - 1e-9,), (0,), domain=box)
+            stencil(lambda X: X[:, 0] ** 2, (1.0 - 1e-9,), [((0,), None)], domain=box)
 
     def test_non_finite(self):
         with pytest.raises(NonFinite):
-            derive(lambda x: np.nan, (0.5,), (0,))
+            stencil(lambda X: np.full(len(X), np.nan), (0.5,), [((0,), None)])
 
     def test_bad_multi_index(self):
         with pytest.raises(ValueError):
-            derive(lambda x: x[0], (0.0,), ())
+            stencil(lambda X: X[:, 0], (0.0,), [((0, 0, 0, 0), None)])
         with pytest.raises(ValueError):
-            derive(lambda x: x[0], (0.0,), (0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            derive(lambda x: x[0], (0.0,), (3,))
+            stencil(lambda X: X[:, 0], (0.0,), [((3,), None)])
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -156,10 +169,10 @@ class TestDerive:
         # stencil error is pure truncation: zero for degree <= order + 1
         point = (x0 / 2.0,)
         poly = lambda x: c2 * x[0] ** 2 + c1 * x[0] + c0
-        d1 = derive(poly, point, (0,))
+        d1 = _entry(poly, point, (0,))
         assert d1 == pytest.approx(2 * c2 * point[0] + c1, abs=1e-8, rel=1e-8)
         cubic = lambda x: c2 * x[0] ** 3 + c1 * x[0] + c0
-        d2 = derive(cubic, point, (0, 0))
+        d2 = _entry(cubic, point, (0, 0))
         assert d2 == pytest.approx(6 * c2 * point[0], abs=1e-8, rel=1e-8)
 
 
@@ -169,12 +182,6 @@ def _scalar_fn(x):
 
 def _array_fn(x):
     return np.array([[x[0] * x[1], math.cos(x[2])], [x[1] ** 2, x[0] * x[2]]])
-
-
-def _nodewise(fn):
-    """A function of one point as a map of stencil nodes (M, dim), one call
-    per node."""
-    return lambda X: np.array([np.asarray(fn(x), dtype=float) for x in X])
 
 
 def gradient(fn, point, scheme=None, domain=None):
@@ -193,8 +200,8 @@ def hessian(fn, point, scheme=None, domain=None):
 
 
 class TestGradientHessian:
-    """One stencil of every first (second) partial equals one derive call
-    per index, bit for bit."""
+    """One stencil of every first (second) partial equals one stencil per
+    index, bit for bit."""
 
     POINT = (0.3, -0.7, 1.1)
 
@@ -204,7 +211,7 @@ class TestGradientHessian:
         scheme = None if levels is None else DiffScheme(
             order=1, base_step=2.0**-10, richardson_levels=levels)
         got = gradient(fn, self.POINT, scheme)
-        want = np.stack([np.asarray(derive(fn, self.POINT, (a,), scheme))
+        want = np.stack([np.asarray(_entry(fn, self.POINT, (a,), scheme))
                          for a in range(3)])
         assert got.shape == (3,) + np.shape(fn(np.array(self.POINT)))
         assert np.array_equal(got, want)
@@ -218,7 +225,7 @@ class TestGradientHessian:
         assert got.shape == (3, 3) + np.shape(fn(np.array(self.POINT)))
         for a in range(3):
             for b in range(3):
-                want = derive(fn, self.POINT, (min(a, b), max(a, b)), scheme)
+                want = _entry(fn, self.POINT, (min(a, b), max(a, b)), scheme)
                 assert np.array_equal(got[a, b], want)
 
     @pytest.mark.parametrize("fn", [_scalar_fn, _array_fn])
@@ -248,7 +255,7 @@ class TestGradientHessian:
 
     def test_one_coordinate(self):
         assert np.array_equal(gradient(lambda x: x[0] ** 2, 1.5),
-                              [derive(lambda x: x[0] ** 2, 1.5, (0,))])
+                              [_entry(lambda x: x[0] ** 2, 1.5, (0,))])
         assert hessian(lambda x: x[0] ** 3, 0.5).shape == (1, 1)
 
     @pytest.mark.parametrize("stack", [gradient, hessian])
@@ -267,9 +274,9 @@ def _node_in(message: str) -> np.ndarray:
 
 
 class TestAgainstReference:
-    """derive, the stencils of every first or second partial and the batched
-    stencil equal the per-node reference loop bit for bit, and name the same
-    node when they fail."""
+    """A stencil of one entry, the stencils of every first or second partial
+    and the batched stencil equal the per-node reference loop bit for bit,
+    and name the same node when they fail."""
 
     BOX = Box((-10.0,) * 3, (10.0,) * 3)
 
@@ -282,7 +289,7 @@ class TestAgainstReference:
         box = Box(self.BOX.lo[:dim], self.BOX.hi[:dim])
         scheme = DiffScheme(order=len(index), richardson_levels=levels)
         want = reference_derive(poly, point, index, scheme, box)
-        assert np.array_equal(derive(poly, point, index, scheme, box), want)
+        assert np.array_equal(stencil(poly, point, [(index, scheme)], box)[0], want)
         for order, stack in ((1, gradient), (2, hessian)):
             s = DiffScheme(order=order, richardson_levels=levels)
             got = stack(poly, point, s, box)

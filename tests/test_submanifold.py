@@ -10,11 +10,10 @@ from igeo import dualflat, infogeo, models
 from igeo.errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
                          OutOfDomain, RankDeficientB, SchemaError)
 from igeo.models import Box
-from igeo.submanifold import (SubmanifoldEmbedding, autoparallel_check,
+from igeo.submanifold import (SubmanifoldEmbedding, _chart_jet, autoparallel_check,
                               composed_model, coordinate_slice,
                               embedding_curvature, exponential_form_check,
-                              load_embedding, normal_frame, probe_points,
-                              tangent_basis)
+                              load_embedding, normal_frame, probe_points)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +70,7 @@ class TestEmbeddingCurvature:
                                                             axis=-1),
                                    domain=Box((-1.0,), (1.0,)), dim=1)
         with pytest.raises(RankDeficientB):
-            tangent_basis(emb, (0.0,))
+            _chart_jet(emb, np.array([0.0]))
 
     def test_h_symmetric(self, diag_curve, normal_model):
         conn = infogeo.alpha_field(normal_model, 0.0)
@@ -134,7 +133,7 @@ class TestOneChartStencil:
             counted = dataclasses.replace(
                 emb, chart=lambda U, chart=emb.chart: calls.append(np.shape(U)) or chart(U))
             del calls[:]
-            tangent_basis(counted, u)
+            _chart_jet(counted, np.array(u))
             m = emb.dim
             # the point, 2 nodes per first partial and 4 per pair a < b, at
             # 2 Richardson levels; the diagonals share the first partials' nodes
@@ -151,7 +150,67 @@ class TestOneChartStencil:
             for u in points:
                 B, H = self.separate_stencils(emb, conn, metric, u)
                 assert embedding_curvature(emb, conn, metric, u).H.tobytes() == H.tobytes()
-                assert tangent_basis(emb, u).tobytes() == B.tobytes()
+                assert _chart_jet(emb, np.array(u))[1].tobytes() == B.tobytes()
+
+
+class TestGridBatch:
+    """A grid of u points is one batch, one chart stencil, one metric call
+    and one conn.up call, and each point keeps the bits of its own call."""
+
+    GRIDS = {"curve": [[-0.4], [0.0], [0.3], [0.0]],
+             "surface": [[0.1, 0.2], [-0.2, 0.2], [0.0, 0.25], [0.25, -0.25]],
+             "slice": [[-0.5], [-0.4], [-0.3]]}
+
+    @staticmethod
+    def embedding(kind, family):
+        if kind == "slice":
+            return coordinate_slice(family, [1], [0.2]).embedding
+        return load_embedding(getattr(TestOneChartStencil, kind.upper()))
+
+    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, -1.0])
+    def test_rows_equal_the_per_point_calls(self, normal_natural_family, kind, alpha):
+        def curvature(u):  # on a new embedding, whose ambient memo is empty
+            emb = self.embedding(kind, normal_natural_family)
+            return embedding_curvature(emb, infogeo.alpha_field(emb.ambient, alpha),
+                                       infogeo.fisher_field(emb.ambient), u)
+
+        grid = np.array(self.GRIDS[kind])
+        got = curvature(grid)
+        want = [curvature(u) for u in grid]
+        assert got.H.shape == (len(grid),) + want[0].H.shape
+        assert got.H.tobytes() == np.stack([w.H for w in want]).tobytes()
+        assert got.normal_basis.tobytes() == np.stack([w.normal_basis for w in want]).tobytes()
+        assert got.max_abs == max(w.max_abs for w in want)
+
+    def test_autoparallel_takes_one_call_per_layer(self):
+        emb = load_embedding(TestOneChartStencil.SURFACE)
+        conn = infogeo.alpha_field(emb.ambient, 1.0)
+        metric = infogeo.fisher_field(emb.ambient)
+        calls = []
+        counted = dataclasses.replace(
+            emb, chart=lambda U: calls.append("chart") or emb.chart(U))
+        up = dataclasses.replace(
+            conn, up_fn=lambda th: calls.append(("up", th.shape)) or conn.up(th))
+        g = dataclasses.replace(
+            metric, fn=lambda th: calls.append(("metric", th.shape)) or metric(th))
+        grid = [np.array([a, b]) for a in (-0.15, 0.0, 0.15) for b in (0.1, 0.2, 0.25)]
+        rep = autoparallel_check(counted, up, g, grid)
+        assert calls == ["chart", ("metric", (9, 2)), ("up", (9, 2))]
+        assert rep.max_abs == autoparallel_check(emb, conn, metric, grid).max_abs
+
+    def test_rank_deficiency_names_the_first_dependent_point(self, normal_model):
+        # the Jacobian [[0.1, 0], [u1, u0]] is singular where u0 = 0
+        emb = SubmanifoldEmbedding(
+            ambient=normal_model,
+            chart=lambda u: np.stack([0.5 + 0.1 * u[..., 0], 1.0 + u[..., 0] * u[..., 1]],
+                                     axis=-1),
+            domain=Box((-1.0, -1.0), (1.0, 1.0)), dim=2)
+        conn = infogeo.alpha_field(normal_model, 1.0)
+        metric = infogeo.fisher_field(normal_model)
+        grid = [[0.3, 0.1], [0.0, 0.2], [0.0, -0.1]]
+        with pytest.raises(RankDeficientB, match=r"u=\[0\.0, 0\.2\]$"):
+            autoparallel_check(emb, conn, metric, grid)
 
 
 class TestComposedModel:
