@@ -96,11 +96,11 @@ def potential(family: PotentialFamily, theta) -> float:
 
 
 def _potentials(family: PotentialFamily, TH):
-    """K at theta (dim,), a scalar, or on every row of TH (..., dim), shape
-    (...), through the family memo: a hit makes no domain test.  The missed
-    rows, each once, are tested against the domain at once and share one
-    ``exponent`` call and one row-wise log-sum-exp (under adaptive
-    quadrature one vector integral), so only checked rows are stored.
+    """K at theta (dim,), a scalar, or on every row of TH (P, dim), shape (P,)
+    (or any lead shape), through the family memo: a hit makes no domain
+    test.  The missed rows, each once, are tested against the domain at once
+    and share one ``exponent`` call and one row-wise log-sum-exp (under
+    adaptive quadrature one vector integral), so only checked rows are stored.
     """
     TH = np.atleast_1d(np.asarray(TH, dtype=float))
     if TH.shape[-1] != family.dim:
