@@ -24,6 +24,7 @@ maximum over the grid at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -74,34 +75,39 @@ def _negated(chart: Callable, u) -> np.ndarray:
     return -np.asarray(chart(u), float)
 
 
+def _view(i: int, doc: str) -> property:
+    """Field i of the packed row [Gamma, h, S, alpha, eta, f, xi] as a view
+    with the row's leading axes, None past the row's end."""
+
+    def get(self):
+        n = self.n
+        shapes = ((n, n, n), (n, n), (n, n), (n,), (), (n + 1,), (n + 1,))
+        start = sum(math.prod(s) for s in shapes[:i])
+        if self.packed.shape[-1] <= start:
+            return None
+        return self.packed[..., start:start + math.prod(shapes[i])].reshape(
+            self.packed.shape[:-1] + shapes[i])
+
+    return property(get, doc=doc)
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionData:
     """Induced data at one chart point, or at rows of points with their
-    leading axes (or its d_a, see ``induced_derivative``).  Every field is
-    a view of ``packed``, one array [Gamma, h, S, alpha, eta, f, xi] per
-    point; a derivative packs no f and xi."""
+    leading axes (or its d_a, see ``induced_derivative``), stored as
+    ``packed``, one read-only array [Gamma, h, S, alpha, eta, f, xi] per
+    point; a derivative packs no f and xi.  Each field is a view of
+    ``packed``, so read-only too, taken when it is read."""
 
     packed: np.ndarray
-    gamma: np.ndarray        # gamma[i,j,k] = Gamma^k_{ij}
-    h: np.ndarray            # affine fundamental form
-    shape_operator: np.ndarray   # S[k,i] = S^k_i, columns act on basis vectors
-    alpha_form: np.ndarray   # alpha[i]
-    volume: float            # eta = det[d_1 f ... d_n f xi]
-    f: Optional[np.ndarray] = None   # the chart value f(u), from the stencil's value row
-    xi: Optional[np.ndarray] = None  # the transversal xi(u), likewise
-
-
-def _unpacked(packed: np.ndarray, n: int) -> ImmersionData:
-    lead = packed.shape[:-1]
-    at = np.cumsum([0, n**3, n * n, n * n, n, 1, n + 1, n + 1]).tolist()
-
-    def part(i, shape):
-        return packed[..., at[i]:at[i + 1]].reshape(lead + shape) \
-            if packed.shape[-1] > at[i] else None
-
-    return ImmersionData(packed=packed, gamma=part(0, (n, n, n)), h=part(1, (n, n)),
-                         shape_operator=part(2, (n, n)), alpha_form=part(3, (n,)),
-                         volume=packed[..., at[4]], f=part(5, (n + 1,)), xi=part(6, (n + 1,)))
+    n: int
+    gamma = _view(0, "gamma[i,j,k] = Gamma^k_{ij}")
+    h = _view(1, "affine fundamental form")
+    shape_operator = _view(2, "S[k,i] = S^k_i, columns act on basis vectors")
+    alpha_form = _view(3, "alpha[i]")
+    volume = _view(4, "eta = det[d_1 f ... d_n f xi]")
+    f = _view(5, "the chart value f(u), from the stencil's value row; None in a derivative")
+    xi = _view(6, "the transversal xi(u), likewise")
 
 
 @dataclass(frozen=True)
@@ -125,11 +131,15 @@ def _memoized(surface: Hypersurface, u, name: str, compute: Callable) -> Immersi
     """The data ``compute(surface, rows)`` packs at u (n,) or at its rows
     (..., n), stored on the surface's memo per point under ``name``."""
     n = surface.dim
-    return surface.memo.rows(
-        u, lambda b: (name, b),
-        lambda rows: [_unpacked(p, n) for p in compute(surface, rows)],
-        lambda values, lead: _unpacked(np.stack([v.packed for v in values]).reshape(
-            lead + values[0].packed.shape), n))
+
+    def stack(values: list, lead: tuple) -> ImmersionData:
+        packed = np.array([v.packed for v in values]).reshape(lead + values[0].packed.shape)
+        packed.flags.writeable = False
+        return ImmersionData(packed, n)
+
+    return surface.memo.rows(u, lambda b: (name, b),
+                             lambda rows: [ImmersionData(p, n) for p in compute(surface, rows)],
+                             stack)
 
 
 def decompose(surface: Hypersurface, u) -> ImmersionData:

@@ -9,7 +9,10 @@ built from three primitives:
                      (a whole grid): their nodes form one ``(M, dim)``
                      batch, without repeats, that is tested against the
                      domain once and handed to ``fn`` once; each point
-                     keeps the bits of its own call.  Every function
+                     keeps the bits of its own call.  A node row that
+                     repeats at every point (same offsets, coordinates and
+                     step) is computed once, and the divisors once per
+                     distinct scale max(1, |x|).  Every function
                      differentiated here maps rows ``(..., n)`` to
                      ``(..., k)``.
 * ``integrate``   -- integrals over a sample space under its rule, of a
@@ -99,11 +102,14 @@ _STENCILS = {
 
 @lru_cache(maxsize=256)
 def _layout(entries: tuple, dim: int):
-    """The node rows of ``entries`` at any point with ``dim`` coordinates:
-    per row its offsets, the coordinates it moves and its step factor (base
-    step times Richardson shrink).  Per entry None for the value itself,
-    else its coefficients in summation order and number of levels; per entry
-    and level the base step, shrink and (coordinate, count) of h**count."""
+    """The node rows of ``entries`` at any point with ``dim`` coordinates.
+    Rows of equal offsets, moved coordinates and step factor (base step
+    times Richardson shrink) are one node at every point, e.g. first-order
+    nodes among second-order ones of equal step: those three per kind of
+    row, in order of first occurrence, and per row its kind (None when no
+    two rows share one).  Per entry None for the value itself, else its
+    coefficients in summation order and number of levels; per entry and
+    level the base step, shrink and (coordinate, count) of h**count."""
     node_rows, plans, divisors = [], [], []
     for idx, scheme in entries:
         idx = tuple(int(i) for i in idx)
@@ -128,11 +134,15 @@ def _layout(entries: tuple, dim: int):
                 node_rows.append((offset, moved, scheme.step * shrink))
             divisors.append((scheme.step, shrink, tuple((i, counts[i]) for i in coords)))
         plans.append((tuple(math.prod(c for _, c in combo) for combo in combos), len(levels)))
-    offsets, moved, factors = (np.array(a) for a in zip(*node_rows))
+    keys = [(o.tobytes(), m.tobytes(), f) for o, m, f in node_rows]
+    kinds = dict(zip(keys, node_rows))  # first-occurrence order, equal rows per key
+    offsets, moved, factors = (np.array(a) for a in zip(*kinds.values()))
     factors = factors[:, None]
     for a in (offsets, moved, factors):
         a.flags.writeable = False
-    return offsets, moved, factors, tuple(plans), tuple(divisors)
+    number = {key: k for k, key in enumerate(kinds)}
+    kind = None if len(kinds) == len(keys) else tuple(map(number.get, keys))
+    return offsets, moved, factors, kind, tuple(plans), tuple(divisors)
 
 
 def partials(dim: int, order: int, scheme: Optional[DiffScheme] = None) -> list:
@@ -173,23 +183,27 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     the first coordinate), and a ``DiffScheme`` or None for the default of
     that order; the empty multi-index asks for ``fn(point)`` itself.  The
     nodes of every entry at every Richardson level, point after point, are
-    stacked into one ``(M, dim)`` array, duplicate nodes dropped; the array
+    stacked into one ``(M, dim)`` array, duplicate nodes dropped (node rows
+    that ``_layout`` finds structurally equal are computed once per point,
+    the rest by their bytes, first occurrence kept); the array
     is tested against ``domain`` (a ``Box`` or None) once, ``fn`` is called
     once on it and must return shape ``(M, ...)``, and the values are tested
     for finiteness once.  Nodes outside the domain raise
     ``StencilOutOfDomain`` and non-finite values ``NonFinite``, each naming
     the first such node, the one a loop over the points would name.
     Returns one value per entry, in order, with a leading axis P for rows
-    of points, each with the bits of a one-point call.
+    of points, each with the bits of a one-point call; the divisors h**count
+    depend on a point only through max(1, |x|), so they are taken once per
+    distinct such scale row.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
-    offsets, moved, factors, plans, divisors = _layout(tuple(entries), dim)
+    offsets, moved, factors, kind, plans, divisors = _layout(tuple(entries), dim)
     rows_in = pts.reshape(-1, 1, dim)
+    scale = np.fmax(1.0, np.abs(rows_in))
     # node = x + offset * (step * shrink * max(1, |x|)) along each moved
-    # coordinate, x itself along the others
-    X = np.where(moved, rows_in + offsets * (factors * np.fmax(1.0, np.abs(rows_in))),
-                 rows_in)
+    # coordinate, x itself along the others: one row per kind of node row
+    X = np.where(moved, rows_in + offsets * (factors * scale), rows_in)
 
     # the distinct nodes in stacking order, and the one each node row is
     width = 8 * dim
@@ -219,21 +233,32 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     # point axis
     lead = pts.shape[:-1]
     if len(rows_in) == 1:
-        W, at = V.reshape((len(V),) + lead + V.shape[1:]), rows
+        at = rows if kind is None else [rows[k] for k in kind]
+        W = V.reshape((len(V),) + lead + V.shape[1:])
     else:
-        W = V[np.array(rows).reshape(X.shape[:2]).T.reshape(X.shape[1:2] + lead)]
+        index = np.array(rows).reshape(X.shape[:2])
+        index = index if kind is None else index[:, kind]
+        W = V[index.T.reshape(index.shape[1:2] + lead)]
         at = range(len(W))
-    # per point h**count of every entry and level, in the operations of
-    # math.prod over (step * max(1, |x_i|) * shrink) ** count
+    # per distinct scale row max(1, |x|) (one for all points with |x_i| <= 1)
+    # h**count of every entry and level, in the operations of math.prod over
+    # (step * max(1, |x_i|) * shrink) ** count, gathered per point
+    if len(rows_in) == 1:  # its own scale row, no gather
+        which, distinct = slice(None), scale[:, 0].tolist()
+    else:
+        raw = scale.tobytes()
+        scales = {}
+        which = [scales.setdefault(raw[i:i + width], len(scales))
+                 for i in range(0, len(raw), width)]
+        distinct = np.frombuffer(b"".join(scales)).reshape(-1, dim).tolist()
     div = []
-    for x in rows_in[:, 0].tolist():
-        m = [max(1.0, abs(v)) for v in x]
+    for m in distinct:
         for step, shrink, ic in divisors:
             d = 1
             for i, c in ic:
                 d = d * (step * m[i] * shrink) ** c
             div.append(d)
-    div = iter(np.reshape(div, (len(rows_in), len(divisors))).T.reshape(
+    div = iter(np.reshape(div, (len(distinct), len(divisors)))[which].T.reshape(
         (len(divisors),) + lead + (1,) * (V.ndim - 1)))
     out, r = [], 0
     for plan in plans:

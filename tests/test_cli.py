@@ -663,6 +663,20 @@ class TestSubjectMemo:
             with pytest.raises(ValueError):
                 a[...] = 0.0
 
+    def test_immersion_fields_are_read_only_views_of_packed(self):
+        surf = immersion.paraboloid()
+        fields = ("gamma", "h", "shape_operator", "alpha_form", "volume", "f", "xi")
+        for u in ((0.3, 0.4), np.array([[0.3, 0.4], [-0.2, 0.1], [0.3, 0.4]])):
+            data, deriv = immersion.decompose(surf, u), immersion.induced_derivative(surf, u)
+            assert deriv.f is None and deriv.xi is None
+            for d, names in ((data, fields), (deriv, fields[:5])):
+                assert not d.packed.flags.writeable
+                for name in names:
+                    a = getattr(d, name)
+                    assert np.shares_memory(a, d.packed), name
+                    with pytest.raises(ValueError):
+                        a[...] = 0.0
+
     def test_repeated_calls_evaluate_nothing_new(self):
         evaluations = []
         base = models.normal_natural()

@@ -409,6 +409,78 @@ class TestPointsFirstStencil:
                 assert str(got.value) == want
 
 
+def reference_nodes(points, entries) -> list:
+    """The bytes of the distinct nodes the per-node reference loop visits
+    at every point in turn, first occurrence first; the empty multi-index
+    visits the point itself."""
+    nodes = []
+    record = lambda x: nodes.append(x.tobytes()) or 0.0
+    for point in points:
+        for idx, scheme in entries:
+            if idx:
+                reference_derive(record, point, idx, scheme)
+            else:
+                nodes.append(np.asarray(point, dtype=float).tobytes())
+    return list(dict.fromkeys(nodes))
+
+
+@st.composite
+def _shared_step_batches(draw):
+    """Points (some repeated, coordinates of +-0.0 and beyond +-1) and
+    entries whose schemes may share one base step across orders, so
+    first-order nodes repeat among second-order ones at every level."""
+    dim = draw(st.integers(1, 3))
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(-3, 3, allow_subnormal=False))
+    points = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=5))
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    step = draw(st.sampled_from([None, 2.0**-8, 2.0**-5]))
+    levels = st.integers(0, 2)
+
+    def scheme(order, level):
+        return DiffScheme(order=order, base_step=step, richardson_levels=level)
+
+    entries = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, dim - 1), min_size=0, max_size=3).map(tuple), levels),
+        min_size=0, max_size=4))
+    entries = [(idx, scheme(len(idx), level) if idx else None) for idx, level in entries]
+    level = draw(levels)
+    entries += draw(st.sampled_from([[], partials(dim, 1, scheme(1, level)),
+                                     partials(dim, 2, scheme(2, level)),
+                                     [((), None)] + partials(dim, 1, scheme(1, level))
+                                     + partials(dim, 2, scheme(2, level))]))
+    return np.array(points), entries or [((), None)]
+
+
+class TestStencilNodes:
+    """``fn`` receives every distinct node of the per-node reference loop
+    once, in the order that loop first visits it."""
+
+    CHART = [((), None)] + partials(2, 1, DiffScheme(1, 2.0**-8, 1)) \
+        + partials(2, 2, DiffScheme(2, 2.0**-8, 1))
+
+    @given(_shared_step_batches())
+    @example((np.array([[-0.0, 1.5], [0.25, -0.5], [-0.0, 1.5]]), CHART))
+    @settings(max_examples=150, deadline=None)
+    def test_fn_receives_the_distinct_reference_nodes(self, case):
+        points, entries = case
+        for batch in [points] + list(points):
+            calls = []
+            stencil(lambda X: calls.append(X.copy()) or _field(X), batch, entries)
+            assert len(calls) == 1
+            assert [x.tobytes() for x in calls[0]] == reference_nodes(
+                np.reshape(batch, (-1, points.shape[1])), entries)
+
+    def test_structural_duplicates_are_laid_out_once(self):
+        """The first-order chart nodes repeat the second-order ones of the
+        same step (29 node rows, 21 kinds); the log-density jet, of default
+        steps, repeats none."""
+        offsets, moved, factors, kind, _, _ = numerics._layout(tuple(self.CHART), 2)
+        assert len(kind) == 29 and len(offsets) == len(moved) == len(factors) == 21
+        assert sorted(set(kind)) == list(range(21))
+        assert numerics._layout(tuple(partials(2, 1) + partials(2, 2)), 2)[3] is None
+
+
 class TestExpect:
     def test_bernoulli_mean(self):
         space = SampleSpace.finite([[0.0], [1.0]])

@@ -103,3 +103,42 @@ class TestBenchPairs:
         assert summary["env"] == {
             "parent": {"pace_s": 0.02, "unscaled": {"setup_s": 0.4, "wall_s": 2.0}},
             "change": {"pace_s": 0.03, "unscaled": {"setup_s": 0.4, "wall_s": 1.8}}}
+
+
+def _bench_pairs():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGainShown:
+    """``gain_shown`` needs 9 wins in 10 pairs and a median drop beyond the
+    parent's quartile spread."""
+
+    @staticmethod
+    def side(metrics):
+        return {"correct": True, "env": {"pace_s": 0.02,
+                                         "unscaled": {"setup_s": 0.4, "wall_s": 1.0}},
+                "metrics": {name: {"value": v, "unit": "s"} for name, v in metrics.items()}}
+
+    def test_shown_below_the_spread_and_too_few_wins(self):
+        parent = [1.0 + 0.01 * i for i in range(10)]  # q3 - q1 = 0.055
+        change = {
+            "shown": [p - 0.2 for p in parent],
+            "below_spread": [p - 0.03 for p in parent],
+            # 8 wins, 1 tie, 1 loss: the median drop alone would show a gain
+            "few_wins": [p - 0.2 for p in parent[:8]] + [parent[8], parent[9] + 0.1],
+        }
+        runs = {str(s): {"parent": self.side({name: parent[s] for name in change}),
+                         "change": self.side({name: vals[s] for name, vals in change.items()})}
+                for s in range(10)}
+        summary = _bench_pairs().summarize(runs)
+        assert summary["shown"]["gain_shown"] is True
+        assert summary["below_spread"]["change_wins"] == 10
+        assert summary["below_spread"]["gain_shown"] is False
+        assert (summary["few_wins"]["change_wins"], summary["few_wins"]["ties"]) == (8, 1)
+        assert summary["few_wins"]["parent"]["median"] - summary["few_wins"]["change"][
+            "median"] > 0.055
+        assert summary["few_wins"]["gain_shown"] is False
