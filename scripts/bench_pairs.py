@@ -12,8 +12,8 @@ before it under ``env``.  The output file is extended, not replaced, so
 workloads can be added by separate invocations; a summary per workload
 gives each side's median and quartiles of every metric, the pairs the
 change won (lower is better for every benchmark metric) and whether that
-shows a gain (``gain_shown``: 9 in 10 pairs won and a median drop beyond
-the parent's quartile spread), and each side's
+shows a gain (``gain_shown``: 9 in 10 of at least ten pairs won and a
+median drop beyond the parent's quartile spread), and each side's
 median ``pace_s`` and unscaled times, which show when a change moves the
 pace mix that scales the timings rather than the program.
 """
@@ -65,9 +65,10 @@ def seed_list(text: str) -> list:
 
 def summarize(runs: dict) -> dict:
     """Runs that passed the correctness gate and, per metric, each side's
-    median and quartiles, the pairs the change won and ``gain_shown``: the
-    change won at least 9 in 10 pairs (a tie counts for neither side) and
-    its median is below the parent's by more than the parent's q3 - q1."""
+    median and quartiles, the pairs the change won and ``gain_shown``: of
+    at least ten pairs the change won 9 in 10 (a tie counts for neither
+    side), and its median is below the parent's by more than the parent's
+    q3 - q1."""
     pairs = [runs[s] for s in sorted(runs, key=int)]
     out = {"correct_runs": sum(p[side]["correct"] for p in pairs
                                for side in ("parent", "change")),
@@ -82,7 +83,7 @@ def summarize(runs: dict) -> dict:
             q = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
             row[side] = {"median": statistics.median(vals), "q1": q[0], "q3": q[2]}
         parent = row["parent"]
-        row["gain_shown"] = (10 * row["change_wins"] >= 9 * len(pairs)
+        row["gain_shown"] = (len(pairs) >= 10 and 10 * row["change_wins"] >= 9 * len(pairs)
                              and parent["median"] - row["change"]["median"]
                              > parent["q3"] - parent["q1"])
         out[name] = row

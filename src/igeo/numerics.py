@@ -174,6 +174,14 @@ def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
                                             + order[width + axis:]))
 
 
+def _distinct(raw: bytes, width: int):
+    """Per ``width``-byte row of ``raw`` the index of its bytes among the
+    distinct rows, and the distinct rows joined, in order of first occurrence."""
+    seen = {}
+    index = [seen.setdefault(raw[i:i + width], len(seen)) for i in range(0, len(raw), width)]
+    return index, b"".join(seen)
+
+
 def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     """Values of several partial derivatives of ``fn`` at one point, or at
     every row of ``points`` (P, dim), from one batched evaluation.
@@ -207,11 +215,8 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
 
     # the distinct nodes in stacking order, and the one each node row is
     width = 8 * dim
-    raw = X.tobytes()
-    seen = {}
-    rows = [seen.setdefault(raw[i:i + width], len(seen))
-            for i in range(0, len(raw), width)]
-    U = np.frombuffer(b"".join(seen), dtype=float).reshape(-1, dim).copy()
+    rows, seen = _distinct(X.tobytes(), width)
+    U = np.frombuffer(seen, dtype=float).reshape(-1, dim).copy()
 
     if domain is not None:
         inside = domain.inside(U)
@@ -246,11 +251,8 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     if len(rows_in) == 1:  # its own scale row, no gather
         which, distinct = slice(None), scale[:, 0].tolist()
     else:
-        raw = scale.tobytes()
-        scales = {}
-        which = [scales.setdefault(raw[i:i + width], len(scales))
-                 for i in range(0, len(raw), width)]
-        distinct = np.frombuffer(b"".join(scales)).reshape(-1, dim).tolist()
+        which, distinct = _distinct(scale.tobytes(), width)
+        distinct = np.frombuffer(distinct).reshape(-1, dim).tolist()
     div = []
     for m in distinct:
         for step, shrink, ic in divisors:

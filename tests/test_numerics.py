@@ -461,7 +461,7 @@ class TestStencilNodes:
 
     @given(_shared_step_batches())
     @example((np.array([[-0.0, 1.5], [0.25, -0.5], [-0.0, 1.5]]), CHART))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_fn_receives_the_distinct_reference_nodes(self, case):
         points, entries = case
         for batch in [points] + list(points):

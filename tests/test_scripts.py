@@ -114,8 +114,8 @@ def _bench_pairs():
 
 
 class TestGainShown:
-    """``gain_shown`` needs 9 wins in 10 pairs and a median drop beyond the
-    parent's quartile spread."""
+    """``gain_shown`` needs 9 wins in 10 of at least ten pairs and a median
+    drop beyond the parent's quartile spread."""
 
     @staticmethod
     def side(metrics):
@@ -142,3 +142,6 @@ class TestGainShown:
         assert summary["few_wins"]["parent"]["median"] - summary["few_wins"]["change"][
             "median"] > 0.055
         assert summary["few_wins"]["gain_shown"] is False
+        # five pairs, all won far beyond the spread, are too few to show a gain
+        five = _bench_pairs().summarize({s: runs[s] for s in map(str, range(5))})
+        assert five["shown"]["change_wins"] == 5 and five["shown"]["gain_shown"] is False
