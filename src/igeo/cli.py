@@ -564,6 +564,37 @@ def _jsonable(value):
     return value
 
 
+_ASCII = json.encoder.encode_basestring_ascii
+_NONFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` from one
+    recursive walk (with ``indent`` set the standard library runs its
+    pure-Python generator encoder): keys sorted, items joined by ``","``
+    and ``indent``, the newline and spaces of the value's depth, ``": "``
+    after keys, strings by ``encode_basestring_ascii``, floats by
+    ``float.__repr__`` or ``NaN``/``Infinity``/``-Infinity``.  A value
+    that ``json`` rejects raises ``TypeError``, and so does a key that is
+    not a string (the reports have none)."""
+    if isinstance(value, float):
+        return "NaN" if value != value else _NONFINITE.get(value) or float.__repr__(value)
+    if isinstance(value, str):
+        return _ASCII(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [_ASCII(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class RunReport:
     """Results of one run, with the spec, subject, model and grid they were
@@ -618,7 +649,9 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, byte for
+        byte, written by ``_json_text`` in one walk."""
+        return _json_text(self.to_dict())
 
 
 def run(spec: RunSpec) -> RunReport:

@@ -106,10 +106,13 @@ def _layout(entries: tuple, dim: int):
     Rows of equal offsets, moved coordinates and step factor (base step
     times Richardson shrink) are one node at every point, e.g. first-order
     nodes among second-order ones of equal step: those three per kind of
-    row, in order of first occurrence, and per row its kind (None when no
-    two rows share one).  Per entry None for the value itself, else its
+    row as read-only arrays (K, dim) float, (K, dim) bool and (K, 1) float,
+    in order of first occurrence, and per row its kind (None when no two
+    rows share one).  Per entry None for the value itself, else its
     coefficients in summation order and number of levels; per entry and
-    level the base step, shrink and (coordinate, count) of h**count."""
+    level the base step, shrink and (coordinate, count) of h**count.  Each
+    row is laid out as a tuple key, and the arrays are made once from the
+    distinct keys."""
     node_rows, plans, divisors = [], [], []
     for idx, scheme in entries:
         idx = tuple(int(i) for i in idx)
@@ -118,7 +121,7 @@ def _layout(entries: tuple, dim: int):
         if any(i < 0 or i >= dim for i in idx):
             raise ValueError(f"coordinate index out of range for point of size {dim}")
         if not idx:
-            node_rows.append((np.zeros(dim), np.zeros(dim, dtype=bool), 0.0))
+            node_rows.append(((0.0,) * dim, (False,) * dim, 0.0))
             plans.append(None)
             continue
         scheme = scheme or DiffScheme(order=len(idx))
@@ -126,22 +129,22 @@ def _layout(entries: tuple, dim: int):
         coords = tuple(sorted(counts))
         combos = list(product(*(_STENCILS[counts[i]] for i in coords)))
         levels = tuple(0.5 ** level for level in range(scheme.richardson_levels + 1))
-        moved = np.isin(np.arange(dim), coords)
+        moved = tuple(i in counts for i in range(dim))
+        shifts = [dict(zip(coords, combo)) for combo in combos]
+        shifts = [tuple(float(s[i][0]) if i in s else 0.0 for i in range(dim))
+                  for s in shifts]
         for shrink in levels:
-            for combo in combos:
-                offset = np.zeros(dim)
-                offset[list(coords)] = [o for o, _ in combo]
-                node_rows.append((offset, moved, scheme.step * shrink))
+            node_rows += [(offset, moved, scheme.step * shrink) for offset in shifts]
             divisors.append((scheme.step, shrink, tuple((i, counts[i]) for i in coords)))
         plans.append((tuple(math.prod(c for _, c in combo) for combo in combos), len(levels)))
-    keys = [(o.tobytes(), m.tobytes(), f) for o, m, f in node_rows]
-    kinds = dict(zip(keys, node_rows))  # first-occurrence order, equal rows per key
-    offsets, moved, factors = (np.array(a) for a in zip(*kinds.values()))
+    kinds = dict.fromkeys(node_rows)  # first-occurrence order
+    offsets, moved, factors = (np.array(a, dtype) for a, dtype
+                               in zip(zip(*kinds), (float, bool, float)))
     factors = factors[:, None]
     for a in (offsets, moved, factors):
         a.flags.writeable = False
-    number = {key: k for k, key in enumerate(kinds)}
-    kind = None if len(kinds) == len(keys) else tuple(map(number.get, keys))
+    number = dict(zip(kinds, range(len(kinds))))
+    kind = None if len(kinds) == len(node_rows) else tuple(map(number.get, node_rows))
     return offsets, moved, factors, kind, tuple(plans), tuple(divisors)
 
 
@@ -176,9 +179,13 @@ def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
 
 def _distinct(raw: bytes, width: int):
     """Per ``width``-byte row of ``raw`` the index of its bytes among the
-    distinct rows, and the distinct rows joined, in order of first occurrence."""
-    seen = {}
-    index = [seen.setdefault(raw[i:i + width], len(seen)) for i in range(0, len(raw), width)]
+    distinct rows, and the distinct rows joined, in order of first
+    occurrence.  The rows are split, deduplicated and numbered by C loops
+    (``np.void`` rows as bytes, ``dict.fromkeys``, ``map``), not per row
+    in Python."""
+    rows = np.frombuffer(raw, (np.void, width)).tolist()
+    seen = dict.fromkeys(rows)
+    index = list(map(dict(zip(seen, range(len(seen)))).__getitem__, rows))
     return index, b"".join(seen)
 
 

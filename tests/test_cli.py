@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igeo import cli, immersion, infogeo, models, numerics
 from igeo.cli import RunSpec, run_document
 from igeo.errors import DegenerateH, OutOfDomain, SchemaError, SingularFrame
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+SPECS = DOCS.parent / "scripts" / "specs"
 
 
 def strip_timestamp(text: str) -> str:
@@ -170,6 +173,50 @@ class TestDeterminism:
         for doc in (flatness_spec, {"runs": [flatness_spec, sphere_spec]}):
             report = run_document(doc).to_dict()
             jsonschema.validate(report, schema)
+
+
+
+# JSON trees: floats with -0.0, subnormals, +-inf and NaN (also as
+# np.float64), strings with non-ASCII and control characters, and lists
+# and dicts, empty ones too
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64)
+    | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=24)
+
+
+class TestReportText:
+    """``Report.to_json`` writes, in one walk, the text of ``json.dumps(...,
+    indent=2, sort_keys=True)``, which runs the standard library's
+    pure-Python encoder."""
+
+    @staticmethod
+    def dumps(value) -> str:
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    @given(_JSON_VALUES)
+    @example({"z": [-0.0, 5e-324, float("inf"), -float("inf"), float("nan")], "a": {},
+              "b": [[], {}], "\x00\x1f\u00e9\u2603\U0001f600\n\"\\": [np.float64(0.1), None,
+                                                                   True, False, -7]})
+    @settings(max_examples=100, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == self.dumps(value)
+
+    @given(_JSON_VALUES, st.sampled_from([object(), {1.0}, b"x", 1j, np.int64(1),
+                                          np.bool_(True), np.zeros(2)]),
+           st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_a_value_json_rejects_raises_type_error(self, value, bad, where):
+        value = [[value, bad], {"k": {"j": bad}}, {(1,): value}][where]
+        for write in (cli._json_text, self.dumps):
+            with pytest.raises(TypeError):
+                write(value)
+
+    @pytest.mark.parametrize("spec", ["full_verify.json", "adaptive_verify.json"])
+    def test_every_report_of_the_verify_specs(self, spec):
+        report = run_document(json.loads((SPECS / spec).read_text()))
+        assert report.to_json() == self.dumps(report.to_dict())
 
 
 class TestMain:

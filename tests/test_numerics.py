@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igeo import models, numerics
+from igeo import immersion, models, numerics
 from igeo.errors import Divergent, NonFinite, SingularFrame, StencilOutOfDomain
 from igeo.models import Box, SampleSpace, normal_natural_potential
 from igeo.numerics import (DiffScheme, ExpectationRule, batches, expect,
@@ -458,9 +458,16 @@ class TestStencilNodes:
 
     CHART = [((), None)] + partials(2, 1, DiffScheme(1, 2.0**-8, 1)) \
         + partials(2, 2, DiffScheme(2, 2.0**-8, 1))
+    # the nested batch of induced_derivative on a 3x3 grid: its 72 field
+    # stencil nodes, each with the chart entries (1,512 kinds of node row,
+    # 874 distinct nodes, repeats across points)
+    FIELD_NODES = np.frombuffer(b"".join(reference_nodes(
+        numerics.tensor_grid([[-0.5, 0.25, 1.5], [-1.25, 0.0, 0.75]]),
+        partials(2, 1, immersion.SURFACE_FIELD_SCHEME))), dtype=float).reshape(-1, 2)
 
     @given(_shared_step_batches())
     @example((np.array([[-0.0, 1.5], [0.25, -0.5], [-0.0, 1.5]]), CHART))
+    @example((FIELD_NODES, CHART))
     @settings(max_examples=100, deadline=None)
     def test_fn_receives_the_distinct_reference_nodes(self, case):
         points, entries = case
@@ -479,6 +486,14 @@ class TestStencilNodes:
         assert len(kind) == 29 and len(offsets) == len(moved) == len(factors) == 21
         assert sorted(set(kind)) == list(range(21))
         assert numerics._layout(tuple(partials(2, 1) + partials(2, 2)), 2)[3] is None
+        order3 = [((0, 0, 1), DiffScheme(3, richardson_levels=2)), ((2,), None)]
+        for entries, dim in [(partials(2, 1) + partials(2, 2), 2), (self.CHART, 2),
+                             (order3, 3)]:
+            arrays = numerics._layout(tuple(entries), dim)[:3]
+            K = len(arrays[0])
+            for a, dtype, shape in zip(arrays, (np.float64, np.bool_, np.float64),
+                                       ((K, dim), (K, dim), (K, 1))):
+                assert not a.flags.writeable and a.dtype == dtype and a.shape == shape
 
 
 class TestExpect:
