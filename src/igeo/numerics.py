@@ -131,8 +131,7 @@ def _layout(entries: tuple, dim: int):
         levels = tuple(0.5 ** level for level in range(scheme.richardson_levels + 1))
         moved = tuple(i in counts for i in range(dim))
         shifts = [dict(zip(coords, combo)) for combo in combos]
-        shifts = [tuple(float(s[i][0]) if i in s else 0.0 for i in range(dim))
-                  for s in shifts]
+        shifts = [tuple(s[i][0] if i in s else 0 for i in range(dim)) for s in shifts]
         for shrink in levels:
             node_rows += [(offset, moved, scheme.step * shrink) for offset in shifts]
             divisors.append((scheme.step, shrink, tuple((i, counts[i]) for i in coords)))
@@ -179,14 +178,14 @@ def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
 
 def _distinct(raw: bytes, width: int):
     """Per ``width``-byte row of ``raw`` the index of its bytes among the
-    distinct rows, and the distinct rows joined, in order of first
-    occurrence.  The rows are split, deduplicated and numbered by C loops
-    (``np.void`` rows as bytes, ``dict.fromkeys``, ``map``), not per row
-    in Python."""
-    rows = np.frombuffer(raw, (np.void, width)).tolist()
+    distinct rows (an intp array), and the distinct rows joined, in order
+    of first occurrence.  The rows are split, deduplicated and numbered by
+    C loops (``np.void`` rows as bytes, ``dict.fromkeys``, ``map`` into
+    ``np.fromiter``), not per row in Python."""
+    rows = np.frombuffer(raw, f"V{width}").tolist()
     seen = dict.fromkeys(rows)
-    index = list(map(dict(zip(seen, range(len(seen)))).__getitem__, rows))
-    return index, b"".join(seen)
+    number = dict(zip(seen, range(len(seen))))
+    return np.fromiter(map(number.__getitem__, rows), np.intp, len(rows)), b"".join(seen)
 
 
 def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
@@ -245,10 +244,11 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     # point axis
     lead = pts.shape[:-1]
     if len(rows_in) == 1:
+        rows = rows.tolist()
         at = rows if kind is None else [rows[k] for k in kind]
         W = V.reshape((len(V),) + lead + V.shape[1:])
     else:
-        index = np.array(rows).reshape(X.shape[:2])
+        index = rows.reshape(X.shape[:2])
         index = index if kind is None else index[:, kind]
         W = V[index.T.reshape(index.shape[1:2] + lead)]
         at = range(len(W))
