@@ -18,7 +18,13 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import sys
+
+# one BLAS thread unless the user set a number: threads only cost on small matrices
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional

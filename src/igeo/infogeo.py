@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SingularMetric
 from .models import SCORE_SCHEME, StatisticalModel, log_density_jet, log_density_rows
-from .numerics import DiffScheme, integrate, node_quadrature, partials, stencil
+from .numerics import DiffScheme, capped_inverse, integrate, node_quadrature, partials, stencil
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -112,18 +112,16 @@ class ConnectionField:
 
 
 def _conditioned(g: np.ndarray, name: str = "metric") -> np.ndarray:
-    """g (..., n, n) after one stacked condition test (SVDs); SingularMetric
-    names ``name`` and the first failing condition."""
-    cond = np.ravel(np.linalg.cond(g))
-    if not (cond <= _METRIC_CONDITION_CAP).all():
-        bad = cond[np.argmin(cond <= _METRIC_CONDITION_CAP)]
-        raise SingularMetric(f"{name} condition {bad:.3e} exceeds cap")
-    return g
+    """g^{-1} after one stacked condition test of g (..., n, n) by
+    ``capped_inverse``; SingularMetric names ``name`` and the condition."""
+    return capped_inverse(g, _METRIC_CONDITION_CAP,
+                          lambda bad: SingularMetric(f"{name} condition {bad:.3e} exceeds cap"))
 
 
 def raise_connection(low: np.ndarray, g: np.ndarray, name: str = "metric") -> np.ndarray:
-    """Gamma^k_{ij} from Gamma_{ij,k}: contract the last index with g^{-1}."""
-    return np.einsum("...ijm,...mk->...ijk", low, np.linalg.inv(_conditioned(g, name)))
+    """Gamma^k_{ij} from Gamma_{ij,k}: contract the last index with the
+    g^{-1} of g's condition test."""
+    return np.einsum("...ijm,...mk->...ijk", low, _conditioned(g, name))
 
 
 def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -184,7 +182,9 @@ def _fisher_metric(model: StatisticalModel, rows: np.ndarray) -> np.ndarray:
     if todo:
         G[todo] = _integrated(model, rows[todo], gram)
     # stored rows are symmetric already, and symmetrising them is exact
-    return _conditioned(_symmetrised(G.reshape(-1, n, n)), "Fisher metric")
+    g = _symmetrised(G.reshape(-1, n, n))
+    _conditioned(g, "Fisher metric")
+    return g
 
 
 def _node_weights(log_p: np.ndarray, w) -> np.ndarray:

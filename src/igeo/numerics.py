@@ -6,15 +6,13 @@ built from three primitives:
 * ``stencil``     -- central finite differences for mixed partials up to
                      order three, with optional Richardson extrapolation,
                      for any set of partials at one point or at P points
-                     (a whole grid): their nodes form one ``(M, dim)``
-                     batch, without repeats, that is tested against the
-                     domain once and handed to ``fn`` once; each point
-                     keeps the bits of its own call.  A node row that
-                     repeats at every point (same offsets, coordinates and
-                     step) is computed once, and the divisors once per
-                     distinct scale max(1, |x|).  Every function
-                     differentiated here maps rows ``(..., n)`` to
-                     ``(..., k)``.
+                     (a whole grid): each point's nodes of distinct
+                     displacement, point after point, form one batch that
+                     is tested against the domain once and handed to ``fn``
+                     once; each point keeps the bits of its own call, and
+                     the divisors are taken once per distinct scale
+                     max(1, |x|).  Every function differentiated here maps
+                     rows ``(..., n)`` to ``(..., k)``.
 * ``integrate``   -- integrals over a sample space under its rule, of a
                      ``fn(points, weights)`` that returns a weighted sum over
                      its points: one call on the nodes of ``node_quadrature``
@@ -23,8 +21,9 @@ built from three primitives:
                      which loads ``scipy.integrate`` on first use.  ``expect``
                      is its scalar case, against an explicit weight.
 * ``solve_frame`` -- inversion of tangent-plus-transversal frames, one or a
-                     stack: one stacked condition test, every right-hand
-                     side of every frame solved on its own.
+                     stack: one stacked condition test from the inverse
+                     (``capped_inverse``, an SVD only near the cap), every
+                     right-hand side of every frame solved on its own.
 
 All functions here are pure.  Two kinds of cache exist, and neither
 changes a result: the Gauss-Hermite and Monte Carlo node caches keyed by
@@ -102,17 +101,14 @@ _STENCILS = {
 
 @lru_cache(maxsize=256)
 def _layout(entries: tuple, dim: int):
-    """The node rows of ``entries`` at any point with ``dim`` coordinates.
-    Rows of equal offsets, moved coordinates and step factor (base step
-    times Richardson shrink) are one node at every point, e.g. first-order
-    nodes among second-order ones of equal step: those three per kind of
-    row as read-only arrays (K, dim) float, (K, dim) bool and (K, 1) float,
-    in order of first occurrence, and per row its kind (None when no two
-    rows share one).  Per entry None for the value itself, else its
-    coefficients in summation order and number of levels; per entry and
-    level the base step, shrink and (coordinate, count) of h**count.  Each
-    row is laid out as a tuple key, and the arrays are made once from the
-    distinct keys."""
+    """The node rows of ``entries`` at any point with ``dim`` coordinates,
+    keyed by their displacements in units of max(1, |x|), offset * step *
+    shrink per coordinate (0.0 for offset 0); rows of equal keys, as the
+    value and centre rows, are one kind.  Per kind, in order of first
+    occurrence, read-only displacements (K, dim) and where they are not 0;
+    per row its kind; per entry the kind of the value itself, else per
+    level its (coefficient, kind) pairs in summation order; per entry and
+    level the base step, shrink and (coordinate, count) of h**count."""
     node_rows, plans, divisors = [], [], []
     for idx, scheme in entries:
         idx = tuple(int(i) for i in idx)
@@ -121,7 +117,7 @@ def _layout(entries: tuple, dim: int):
         if any(i < 0 or i >= dim for i in idx):
             raise ValueError(f"coordinate index out of range for point of size {dim}")
         if not idx:
-            node_rows.append(((0.0,) * dim, (False,) * dim, 0.0))
+            node_rows.append((0.0,) * dim)
             plans.append(None)
             continue
         scheme = scheme or DiffScheme(order=len(idx))
@@ -129,22 +125,22 @@ def _layout(entries: tuple, dim: int):
         coords = tuple(sorted(counts))
         combos = list(product(*(_STENCILS[counts[i]] for i in coords)))
         levels = tuple(0.5 ** level for level in range(scheme.richardson_levels + 1))
-        moved = tuple(i in counts for i in range(dim))
-        shifts = [dict(zip(coords, combo)) for combo in combos]
-        shifts = [tuple(s[i][0] if i in s else 0 for i in range(dim)) for s in shifts]
+        moves = [dict(zip(coords, combo)) for combo in combos]
         for shrink in levels:
-            node_rows += [(offset, moved, scheme.step * shrink) for offset in shifts]
+            h = scheme.step * shrink  # offset * h is exact for offsets of +-1 and +-2
+            node_rows += [tuple(m[i][0] * h if i in m else 0.0 for i in range(dim)) for m in moves]
             divisors.append((scheme.step, shrink, tuple((i, counts[i]) for i in coords)))
         plans.append((tuple(math.prod(c for _, c in combo) for combo in combos), len(levels)))
     kinds = dict.fromkeys(node_rows)  # first-occurrence order
-    offsets, moved, factors = (np.array(a, dtype) for a, dtype
-                               in zip(zip(*kinds), (float, bool, float)))
-    factors = factors[:, None]
-    for a in (offsets, moved, factors):
-        a.flags.writeable = False
+    shift = np.array(list(kinds), float).reshape(-1, dim)
+    moved = shift != 0.0
+    shift.flags.writeable = moved.flags.writeable = False
     number = dict(zip(kinds, range(len(kinds))))
-    kind = None if len(kinds) == len(node_rows) else tuple(map(number.get, node_rows))
-    return offsets, moved, factors, kind, tuple(plans), tuple(divisors)
+    kind = tuple(map(number.get, node_rows))
+    rows = iter(kind)  # zip takes one kind per coefficient, in row order
+    plans = tuple(next(rows) if p is None else
+                  tuple(tuple(zip(p[0], rows)) for _ in range(p[1])) for p in plans)
+    return shift, moved, kind, plans, tuple(divisors)
 
 
 def partials(dim: int, order: int, scheme: Optional[DiffScheme] = None) -> list:
@@ -177,11 +173,10 @@ def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
 
 
 def _distinct(raw: bytes, width: int):
-    """Per ``width``-byte row of ``raw`` the index of its bytes among the
-    distinct rows (an intp array), and the distinct rows joined, in order
-    of first occurrence.  The rows are split, deduplicated and numbered by
-    C loops (``np.void`` rows as bytes, ``dict.fromkeys``, ``map`` into
-    ``np.fromiter``), not per row in Python."""
+    """Per ``width``-byte row of ``raw`` (the scale rows of ``stencil``) the
+    index of its bytes among the distinct rows (an intp array), and the
+    distinct rows joined, in order of first occurrence, by C loops
+    (``np.void`` rows as bytes, ``dict.fromkeys``, ``np.fromiter``)."""
     rows = np.frombuffer(raw, f"V{width}").tolist()
     seen = dict.fromkeys(rows)
     number = dict(zip(seen, range(len(seen))))
@@ -196,33 +191,25 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
     one per differentiation (e.g. ``(0, 0)`` for a second derivative along
     the first coordinate), and a ``DiffScheme`` or None for the default of
     that order; the empty multi-index asks for ``fn(point)`` itself.  The
-    nodes of every entry at every Richardson level, point after point, are
-    stacked into one ``(M, dim)`` array, duplicate nodes dropped (node rows
-    that ``_layout`` finds structurally equal are computed once per point,
-    the rest by their bytes, first occurrence kept); the array
-    is tested against ``domain`` (a ``Box`` or None) once, ``fn`` is called
-    once on it and must return shape ``(M, ...)``, and the values are tested
-    for finiteness once.  Nodes outside the domain raise
-    ``StencilOutOfDomain`` and non-finite values ``NonFinite``, each naming
-    the first such node, the one a loop over the points would name.
+    K kinds of node row of ``_layout`` (equal displacements once) form one
+    ``(P * K, dim)`` array, point after point; a coordinate of zero
+    displacement keeps the point's bytes (the centre node is the point,
+    -0.0 too).  It is tested against ``domain`` (a ``Box`` or None) once,
+    ``fn`` is called once on it and must return shape ``(P * K, ...)``, and
+    the values are tested for finiteness once.  Nodes outside the domain
+    raise ``StencilOutOfDomain`` and non-finite values ``NonFinite``, each
+    naming the first such node, the one a loop over the points would name.
     Returns one value per entry, in order, with a leading axis P for rows
-    of points, each with the bits of a one-point call; the divisors h**count
-    depend on a point only through max(1, |x|), so they are taken once per
-    distinct such scale row.
+    of points, each with the bits of a one-point call, combined from views
+    of the values; the divisors once per distinct scale row max(1, |x|).
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     dim = pts.shape[-1]
-    offsets, moved, factors, kind, plans, divisors = _layout(tuple(entries), dim)
+    shift, moved, _, plans, divisors = _layout(tuple(entries), dim)
     rows_in = pts.reshape(-1, 1, dim)
     scale = np.fmax(1.0, np.abs(rows_in))
-    # node = x + offset * (step * shrink * max(1, |x|)) along each moved
-    # coordinate, x itself along the others: one row per kind of node row
-    X = np.where(moved, rows_in + offsets * (factors * scale), rows_in)
-
-    # the distinct nodes in stacking order, and the one each node row is
-    width = 8 * dim
-    rows, seen = _distinct(X.tobytes(), width)
-    U = np.frombuffer(seen, dtype=float).reshape(-1, dim).copy()
+    # node = x + displacement * max(1, |x|) where that is not 0, else x
+    U = np.where(moved, rows_in + shift * scale, rows_in).reshape(-1, dim)
 
     if domain is not None:
         inside = domain.inside(U)
@@ -239,27 +226,15 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
         bad = U[int(np.argmin(finite))]
         raise NonFinite(f"fn returned a non-finite value at {bad.tolist()}")
 
-    # W[at[r]] holds node row r of every point, a view of V at one point (no
-    # copy of large rows), a gathered row at several; a 1-d point has no
-    # point axis
-    lead = pts.shape[:-1]
-    if len(rows_in) == 1:
-        rows = rows.tolist()
-        at = rows if kind is None else [rows[k] for k in kind]
-        W = V.reshape((len(V),) + lead + V.shape[1:])
-    else:
-        index = rows.reshape(X.shape[:2])
-        index = index if kind is None else index[:, kind]
-        W = V[index.T.reshape(index.shape[1:2] + lead)]
-        at = range(len(W))
+    # W[k], kind k at every point, is a view of V (a 1-d point has no point axis)
+    lead, tail = pts.shape[:-1], V.shape[1:]
+    W = np.moveaxis(V.reshape((-1, len(shift)) + tail), 1, 0).reshape(
+        (len(shift),) + lead + tail)
     # per distinct scale row max(1, |x|) (one for all points with |x_i| <= 1)
     # h**count of every entry and level, in the operations of math.prod over
     # (step * max(1, |x_i|) * shrink) ** count, gathered per point
-    if len(rows_in) == 1:  # its own scale row, no gather
-        which, distinct = slice(None), scale[:, 0].tolist()
-    else:
-        which, distinct = _distinct(scale.tobytes(), width)
-        distinct = np.frombuffer(distinct).reshape(-1, dim).tolist()
+    which, distinct = _distinct(scale.tobytes(), 8 * dim)
+    distinct = np.frombuffer(distinct).reshape(-1, dim).tolist()
     div = []
     for m in distinct:
         for step, shrink, ic in divisors:
@@ -268,20 +243,17 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
                 d = d * (step * m[i] * shrink) ** c
             div.append(d)
     div = iter(np.reshape(div, (len(distinct), len(divisors)))[which].T.reshape(
-        (len(divisors),) + lead + (1,) * (V.ndim - 1)))
-    out, r = [], 0
+        (len(divisors),) + lead + (1,) * len(tail)))
+    out = []
     for plan in plans:
-        if plan is None:
-            out.append(W[at[r]])
-            r += 1
+        if isinstance(plan, int):  # the value itself
+            out.append(W[plan])
             continue
-        coeffs, levels = plan
         table = []
-        for _ in range(levels):
-            total = coeffs[0] * W[at[r]]
-            for k in range(1, len(coeffs)):
-                total += coeffs[k] * W[at[r + k]]
-            r += len(coeffs)
+        for (c, k), *terms in plan:
+            total = c * W[k]
+            for c, k in terms:
+                total += c * W[k]
             # the weighted values are summed first and divided by h**count once
             table.append([total / next(div)])
         # Richardson extrapolation (error orders h^2, h^4, ...)
@@ -492,16 +464,40 @@ def expect(space, weight: Callable, integrand: Callable) -> float:
     return float(integrate(space, total))
 
 
+def capped_inverse(A, cap: float, fail: Callable) -> np.ndarray:
+    """``np.linalg.inv(A)`` of a matrix or stack ``(..., m, m)`` whose
+    condition numbers are all at most ``cap``, else raises ``fail(kappa)``
+    for the first beyond it.  It passes when ||A||_F ||A^-1||_F <= cap / 2
+    for every matrix, as kappa_2(A) <= ||A||_F ||A^-1||_F <= m kappa_2(A)
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7), half
+    the cap leaving room for rounding.  Otherwise, or when ``inv`` raises,
+    ``np.linalg.cond`` (SVDs) decides with ``cond <= cap`` alone."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        inv = None
+    else:
+        # ||A^-1||_F^2 ||A||_F^2 by einsum, which overflows to inf silently
+        bound = np.einsum("...ij,...ij,...->...", inv, inv, np.einsum("...ij,...ij->...", A, A))
+        if (bound <= 0.25 * cap * cap).all():
+            return inv
+    cond = np.ravel(np.linalg.cond(A))
+    if not (cond <= cap).all():
+        raise fail(cond[np.argmin(cond <= cap)])
+    return np.linalg.inv(A) if inv is None else inv
+
+
 def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     """Coefficients of ``rhs`` in the basis given by ``columns``.
 
     ``columns`` is a sequence of vectors, an already column-stacked square
     matrix, or a stack of them ``(..., m, m)``; ``rhs`` is one vector or
     the columns of ``(m, k)`` per frame, ``(..., m)`` or ``(..., m, k)``.
-    Every condition number is taken in one stacked call, and each column
-    of each frame is solved on its own, so every result has the bits of a
-    single solve.  Raises ``SingularFrame``, naming the first frame whose
-    condition number exceeds ``condition_cap``, which downstream signals a
+    Every frame passes one stacked condition test, ``capped_inverse``,
+    whose inverse serves the test only: each column of each frame is
+    solved on its own, so every result has the bits of a single solve.
+    Raises ``SingularFrame``, naming the condition number of the first
+    frame beyond ``condition_cap``, which downstream signals a
     non-transversal field.
     """
     if isinstance(columns, np.ndarray) and columns.ndim >= 2:
@@ -511,10 +507,8 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     m = A.shape[-1]
     if A.shape[-2] != m:
         raise ValueError(f"frame matrix must be square, got {A.shape[-2:]}")
-    cond = np.ravel(np.linalg.cond(A))
-    if not (cond <= condition_cap).all():
-        bad = cond[np.argmin(cond <= condition_cap)]
-        raise SingularFrame(f"frame condition {bad:.3e} exceeds cap {condition_cap:.1e}")
+    capped_inverse(A, condition_cap, lambda bad: SingularFrame(
+        f"frame condition {bad:.3e} exceeds cap {condition_cap:.1e}"))
     R = np.asarray(rhs, dtype=float)
     lead = A.shape[:-2]
     cols = np.swapaxes(R.reshape(lead + (m, -1)), -1, -2)[..., None]

@@ -56,7 +56,7 @@ class SubmanifoldEmbedding:
 def _chart_jet(emb: SubmanifoldEmbedding, u: np.ndarray):
     """theta, the Jacobian B (..., n, m) of columns d theta / d u_a and
     V[..., a, b] = d_a d_b theta at u (m,) or at every row of u (P, m): one
-    chart stencil, each distinct node once, and one stacked rank test, whose
+    chart stencil, each point's distinct nodes once, one stacked rank test, whose
     RankDeficientB names the first point with dependent columns."""
     m = emb.dim
     V = stencil(emb.chart, u,

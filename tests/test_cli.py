@@ -637,6 +637,22 @@ class TestImports:
         assert out.strip() == "[]"
 
 
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("kept", VARS)
+    def test_one_thread_where_unset(self, run_fresh, kept):
+        """``import igeo.cli`` sets an unset thread variable to 1 before
+        numpy loads, and keeps a value the user set."""
+        out = run_fresh("import os\n"
+                        f"for var in {self.VARS!r}:\n"
+                        "    os.environ.pop(var, None)\n"
+                        f"os.environ[{kept!r}] = '3'\n"
+                        "import igeo.cli\n"
+                        f"print([os.environ[var] for var in {self.VARS!r}])")
+        assert out.strip() == str(["3" if var == kept else "1" for var in self.VARS])
+
+
 class TestQuadNodesEnv:
     def test_env_override_reaches_subjects(self, monkeypatch, flatness_spec):
         monkeypatch.setenv("IGEO_QUAD_NODES", "32")

@@ -111,24 +111,39 @@ class TestDecompose:
                 assert data.volume == float(np.linalg.det(frame))
 
     def test_one_stencil_and_one_condition_per_point(self, monkeypatch):
-        calls = {"stencil": 0, "cond": 0}
-        real_stencil, real_cond = immersion.stencil, np.linalg.cond
+        """One stencil and one condition test per decomposition, taken by
+        one stacked inverse, with no SVD on these well-conditioned frames."""
+        calls = {"stencil": 0, "cond": 0, "inv": 0}
+        real = {"stencil": immersion.stencil, "cond": np.linalg.cond, "inv": np.linalg.inv}
 
-        def stencil(*args, **kwargs):
-            calls["stencil"] += 1
-            return real_stencil(*args, **kwargs)
+        def counted(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
+            return call
 
-        def cond(*args, **kwargs):
-            calls["cond"] += 1
-            return real_cond(*args, **kwargs)
-
-        monkeypatch.setattr(immersion, "stencil", stencil)
-        monkeypatch.setattr(np.linalg, "cond", cond)
+        monkeypatch.setattr(immersion, "stencil", counted("stencil"))
+        monkeypatch.setattr(np.linalg, "cond", counted("cond"))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv"))
         for make in (unit_sphere, tilted_paraboloid):
             surf = make()
             for u in GRID[:4]:
                 decompose(surf, u)
-        assert calls == {"stencil": 8, "cond": 8}
+        assert calls == {"stencil": 8, "cond": 0, "inv": 8}
+
+    def test_nested_batch_takes_one_chart_call(self):
+        """induced_derivative on a 3x3 grid decomposes its 72 field nodes
+        in one chart call of 72 x 17 node rows, and the grid in one of
+        9 x 17: every kind of node row once per point, none dropped across
+        points."""
+        sphere = unit_sphere()
+        calls = []
+        surf = Hypersurface.centro_affine(
+            lambda U: calls.append(len(U)) or sphere.chart(U), sphere.domain, 2)
+        grid = np.array(GRID)
+        induced_derivative(surf, grid)
+        decompose(surf, grid)
+        assert calls == [1224, 153]
 
     def test_centro_affine_takes_one_chart_call(self):
         """xi = -f comes from the chart values of the same batch: one chart

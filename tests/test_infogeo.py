@@ -138,19 +138,20 @@ class TestSharedMoments:
 
 
 class TestAlphaFieldUp:
-    """``alpha_field(...).up`` raises the connection with one condition test
-    and stores nothing beyond the moments."""
+    """``alpha_field(...).up`` raises the connection with one condition test,
+    the inverse it contracts with, and stores nothing beyond the moments."""
 
     @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0])
     def test_matches_raise_connection(self, alpha, monkeypatch):
-        conds = []
-        real = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda g: conds.append(1) or real(g))
+        calls = []
+        real_cond, real_inv = np.linalg.cond, np.linalg.inv
+        monkeypatch.setattr(np.linalg, "cond", lambda g: calls.append("cond") or real_cond(g))
+        monkeypatch.setattr(np.linalg, "inv", lambda g: calls.append("inv") or real_inv(g))
         for theta in models.reference_grid("normal-natural")[::3]:
             model, reference = models.normal_natural(), models.normal_natural()
-            conds.clear()
+            calls.clear()
             got = alpha_field(model, alpha).up(theta)
-            assert len(conds) == 1 and len(model.memo) == 1
+            assert calls == ["inv"] and len(model.memo) == 1
             want = raise_connection(alpha_connection(reference, theta, alpha),
                                     fisher_metric(reference, theta))
             assert np.array_equal(got, want)

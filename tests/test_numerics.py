@@ -410,18 +410,21 @@ class TestPointsFirstStencil:
 
 
 def reference_nodes(points, entries) -> list:
-    """The bytes of the distinct nodes the per-node reference loop visits
-    at every point in turn, first occurrence first; the empty multi-index
-    visits the point itself."""
+    """The bytes of the nodes the per-node reference loop visits, point
+    after point: at each point in the order it first visits them, without
+    that point's repeats, a coordinate of zero offset keeping the point's
+    bytes (-0.0 too); the empty multi-index visits the point itself."""
     nodes = []
-    record = lambda x: nodes.append(x.tobytes()) or 0.0
     for point in points:
+        point, seen = np.asarray(point, dtype=float), []
+        record = lambda x: seen.append(np.where(x == point, point, x).tobytes()) or 0.0
         for idx, scheme in entries:
             if idx:
                 reference_derive(record, point, idx, scheme)
             else:
-                nodes.append(np.asarray(point, dtype=float).tobytes())
-    return list(dict.fromkeys(nodes))
+                seen.append(point.tobytes())
+        nodes += dict.fromkeys(seen)
+    return nodes
 
 
 @st.composite
@@ -453,14 +456,15 @@ def _shared_step_batches(draw):
 
 
 class TestStencilNodes:
-    """``fn`` receives every distinct node of the per-node reference loop
-    once, in the order that loop first visits it."""
+    """``fn`` receives, point after point, every node the per-node
+    reference loop visits at that point, once, in the order that loop
+    first visits it; a zero offset leaves the coordinate's bytes."""
 
     CHART = [((), None)] + partials(2, 1, DiffScheme(1, 2.0**-8, 1)) \
         + partials(2, 2, DiffScheme(2, 2.0**-8, 1))
     # the nested batch of induced_derivative on a 3x3 grid: its 72 field
-    # stencil nodes, each with the chart entries (1,512 kinds of node row,
-    # 874 distinct nodes, repeats across points)
+    # stencil nodes, each with the chart entries (72 x 17 = 1,224 node rows,
+    # repeats across points)
     FIELD_NODES = np.frombuffer(b"".join(reference_nodes(
         numerics.tensor_grid([[-0.5, 0.25, 1.5], [-1.25, 0.0, 0.75]]),
         partials(2, 1, immersion.SURFACE_FIELD_SCHEME))), dtype=float).reshape(-1, 2)
@@ -477,23 +481,28 @@ class TestStencilNodes:
             assert len(calls) == 1
             assert [x.tobytes() for x in calls[0]] == reference_nodes(
                 np.reshape(batch, (-1, points.shape[1])), entries)
+            if batch is self.FIELD_NODES:
+                assert len(batch) == 72 and len(calls[0]) == 1224
 
     def test_structural_duplicates_are_laid_out_once(self):
-        """The first-order chart nodes repeat the second-order ones of the
-        same step (29 node rows, 21 kinds); the log-density jet, of default
-        steps, repeats none."""
-        offsets, moved, factors, kind, _, _ = numerics._layout(tuple(self.CHART), 2)
-        assert len(kind) == 29 and len(offsets) == len(moved) == len(factors) == 21
-        assert sorted(set(kind)) == list(range(21))
-        assert numerics._layout(tuple(partials(2, 1) + partials(2, 2)), 2)[3] is None
-        order3 = [((0, 0, 1), DiffScheme(3, richardson_levels=2)), ((2,), None)]
-        for entries, dim in [(partials(2, 1) + partials(2, 2), 2), (self.CHART, 2),
-                             (order3, 3)]:
-            arrays = numerics._layout(tuple(entries), dim)[:3]
-            K = len(arrays[0])
-            for a, dtype, shape in zip(arrays, (np.float64, np.bool_, np.float64),
-                                       ((K, dim), (K, dim), (K, 1))):
-                assert not a.flags.writeable and a.dtype == dtype and a.shape == shape
+        """Node rows of equal displacement are one kind: the first-order
+        chart nodes repeat the second-order ones of the same step and its
+        four centre rows the value row (29 node rows, 17 kinds); the two
+        centre rows of the log-density jet join its value row (15 rows, 13
+        kinds); an order-3 offset 2 at shrink 1/2 is offset 1 at shrink 1."""
+        jet = [((), None)] + partials(2, 1) + partials(2, 2)
+        order3 = [((0, 0, 0), DiffScheme(3, richardson_levels=2))]
+        mixed = [((0, 0, 1), DiffScheme(3, richardson_levels=2)), ((2,), None)]
+        for entries, dim, rows, K in [(self.CHART, 2, 29, 17), (jet, 2, 15, 13),
+                                      (order3, 1, 12, 8), (mixed, 3, 20, None)]:
+            shift, moved, kind, _, _ = numerics._layout(tuple(entries), dim)
+            K = K or len(shift)
+            assert len(kind) == rows and sorted(set(kind)) == list(range(K))
+            for a, dtype in zip((shift, moved), (np.float64, np.bool_)):
+                assert not a.flags.writeable and a.dtype == dtype and a.shape == (K, dim)
+            assert np.array_equal(moved, shift != 0.0)
+        # offsets -2, -1, 1, 2 at shrinks 1, 1/2 and 1/4
+        assert numerics._layout(tuple(order3), 1)[2] == (0, 1, 2, 3, 1, 4, 5, 2, 4, 6, 7, 5)
 
 
 class TestExpect:
@@ -815,3 +824,57 @@ class TestSolveFrame:
         c = np.array(coeffs)
         rec = solve_frame(A, A @ c)
         assert np.allclose(rec, c, atol=1e-10)
+
+
+@st.composite
+def _conditioned_stacks(draw):
+    """A cap of the program's (1e12) or a lower one, and a stack of 2x2 or
+    3x3 matrices U diag(s) V^T with condition numbers from 1 to 1e16, dense
+    around the cap; some exactly singular, some with a NaN or inf entry."""
+    cap = draw(st.sampled_from([1e12, 1e8]))
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = math.log10(cap)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["svd", "svd", "svd", "singular", "nan", "inf"]))
+        kappa = 10.0 ** draw(st.one_of(st.floats(0, 16), st.floats(near - 1, near + 1)))
+        s = np.geomspace(1.0, 1.0 / kappa, m) * 10.0 ** draw(st.floats(-3, 3))
+        U, V = (np.linalg.qr(rng.normal(size=(m, m)))[0] for _ in range(2))
+        A = U @ np.diag(s) @ V.T
+        if kind == "singular" and draw(st.booleans()):  # exactly singular
+            A[-1] = A[0]
+        elif kind == "singular":
+            A[:, -1] = 0.0
+        elif kind != "svd":
+            A[tuple(rng.integers(0, m, 2))] = np.nan if kind == "nan" else np.inf
+        stack.append(A)
+    return cap, np.array(stack) if draw(st.booleans()) else stack[0]
+
+
+def _outcome(call):
+    try:
+        return "inverse", call().tobytes()
+    except (SingularFrame, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCappedInverse:
+    """``capped_inverse`` decides as a condition test by ``np.linalg.cond``
+    alone, and returns ``np.linalg.inv`` bit for bit."""
+
+    @given(_conditioned_stacks())
+    @example((1e12, np.diag([1.0, 1e-12])))
+    @example((1e12, np.array([[1.0, 2.0], [2.0, 4.0]])))
+    @settings(max_examples=300, deadline=None)
+    def test_decides_as_the_condition_number(self, case):
+        cap, A = case
+        fail = lambda bad: SingularFrame(f"condition {bad!r} exceeds cap {cap}")
+
+        def reference():
+            cond = np.ravel(np.linalg.cond(A))
+            if not (cond <= cap).all():
+                raise fail(cond[np.argmin(cond <= cap)])
+            return np.linalg.inv(A)
+
+        assert _outcome(lambda: numerics.capped_inverse(A, cap, fail)) == _outcome(reference)
