@@ -228,7 +228,7 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
 
     # W[k], kind k at every point, is a view of V (a 1-d point has no point axis)
     lead, tail = pts.shape[:-1], V.shape[1:]
-    W = np.moveaxis(V.reshape((-1, len(shift)) + tail), 1, 0).reshape(
+    W = V.reshape((-1, len(shift)) + tail).swapaxes(0, 1).reshape(
         (len(shift),) + lead + tail)
     # per distinct scale row max(1, |x|) (one for all points with |x_i| <= 1)
     # h**count of every entry and level, in the operations of math.prod over
@@ -242,7 +242,7 @@ def stencil(fn: Callable, points, entries: Sequence, domain=None) -> list:
             for i, c in ic:
                 d = d * (step * m[i] * shrink) ** c
             div.append(d)
-    div = iter(np.reshape(div, (len(distinct), len(divisors)))[which].T.reshape(
+    div = iter(np.array(div).reshape(len(distinct), len(divisors))[which].T.reshape(
         (len(divisors),) + lead + (1,) * len(tail)))
     out = []
     for plan in plans:
@@ -467,19 +467,19 @@ def expect(space, weight: Callable, integrand: Callable) -> float:
 def capped_inverse(A, cap: float, fail: Callable) -> np.ndarray:
     """``np.linalg.inv(A)`` of a matrix or stack ``(..., m, m)`` whose
     condition numbers are all at most ``cap``, else raises ``fail(kappa)``
-    for the first beyond it.  It passes when ||A||_F ||A^-1||_F <= cap / 2
-    for every matrix, as kappa_2(A) <= ||A||_F ||A^-1||_F <= m kappa_2(A)
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7), half
-    the cap leaving room for rounding.  Otherwise, or when ``inv`` raises,
-    ``np.linalg.cond`` (SVDs) decides with ``cond <= cap`` alone."""
+    for the first beyond it.  As kappa_2(A) <= ||A||_F ||A^-1||_F <= m
+    kappa_2(A) (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 7), the stack passes when the sums of ||A||_F^2 and ||A^-1||_F^2
+    over it, whose product bounds each matrix's, multiply to at most
+    (cap / 2)^2, half the cap leaving room for rounding.  Otherwise, or
+    when ``inv`` raises, ``np.linalg.cond`` (SVDs) decides alone."""
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         inv = None
     else:
-        # ||A^-1||_F^2 ||A||_F^2 by einsum, which overflows to inf silently
-        bound = np.einsum("...ij,...ij,...->...", inv, inv, np.einsum("...ij,...ij->...", A, A))
-        if (bound <= 0.25 * cap * cap).all():
+        # Python floats overflow to inf without a warning
+        if float(np.vdot(A, A)) * float(np.vdot(inv, inv)) <= 0.25 * cap * cap:
             return inv
     cond = np.ravel(np.linalg.cond(A))
     if not (cond <= cap).all():
