@@ -129,17 +129,11 @@ class ImmersionFlags:
 
 def _memoized(surface: Hypersurface, u, name: str, compute: Callable) -> ImmersionData:
     """The data ``compute(surface, rows)`` packs at u (n,) or at its rows
-    (..., n), stored on the surface's memo per point under ``name``."""
-    n = surface.dim
-
-    def stack(values: list, lead: tuple) -> ImmersionData:
-        packed = np.array([v.packed for v in values]).reshape(lead + values[0].packed.shape)
-        packed.flags.writeable = False
-        return ImmersionData(packed, n)
-
-    return surface.memo.rows(u, lambda b: (name, b),
-                             lambda rows: [ImmersionData(p, n) for p in compute(surface, rows)],
-                             stack)
+    (..., n); the surface's memo stores the packed array per point under
+    ``name``, read-only, and a batch's stack is made read-only too."""
+    packed = surface.memo.rows(u, lambda b: (name, b), lambda rows: compute(surface, rows))
+    packed.flags.writeable = False
+    return ImmersionData(packed, surface.dim)
 
 
 def decompose(surface: Hypersurface, u) -> ImmersionData:

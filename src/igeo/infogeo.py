@@ -20,8 +20,9 @@ log-density l (Amari & Nagaoka 2000, sec. 2.3):
     A = E[d_i d_j l d_k l],  T = E[d_i l d_j l d_k l].
 
 A, T and the Fisher metric g = E[d_i l d_j l] are one integral of the
-log-density jet per point (``numerics.integrate``, under any rule), stored
-on the model's memo, so any number of alphas cost one integral.  A jet is
+log-density jet per point (``numerics.integrate``, under any rule), the
+only entry the model's memo stores per point: g and every alpha-connection
+are read from it, so any number of alphas cost one integral.  A jet is
 one ``numerics.stencil`` batch: one log-density call on the theta rows of
 every score and second-derivative node and the point itself, for a chunk
 of points under a node rule, or one point of adaptive quadrature.
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .models import SCORE_SCHEME, StatisticalModel, log_density_jet, log_density_rows
+from .models import StatisticalModel, log_density_jet
 from .numerics import DiffScheme, capped_inverse, integrate, node_quadrature, partials, stencil
 
 # Differentiating an already-computed tensor field stacks a second finite
@@ -133,15 +134,6 @@ def lower_connection(up: np.ndarray, g: np.ndarray) -> np.ndarray:
 # Fisher metric and alpha-connections
 # ---------------------------------------------------------------------------
 
-def _pointwise(model: StatisticalModel, theta, key: Callable, compute: Callable):
-    """``model.memo.rows`` at theta (n,) or its rows (..., n): only the
-    missed rows are tested against the domain, at once, and computed."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.shape[-1] != model.dim:
-        model.check_theta(theta)
-    return model.memo.rows(th, key, lambda rows: compute(model.check_theta(rows)))
-
-
 def _integrated(model: StatisticalModel, rows: np.ndarray, products: Callable):
     """Integrals (P, K) of ``products(rows, xs, w)``, every row's weighted
     sums row after row: one per chunk of rows within ``ROW_BUDGET``, one
@@ -157,32 +149,11 @@ def _integrated(model: StatisticalModel, rows: np.ndarray, products: Callable):
 def fisher_metric(model: StatisticalModel, theta) -> np.ndarray:
     """Fisher information g_ij = E[score_i * score_j] at theta (n,) or its rows (..., n).
 
-    Memoized per model and point; the array of one point is read-only.
-    Only missed points are tested against the domain.
+    The g view of the memoized moments (``_moments``), after one condition
+    test per call; it needs the jet's nodes, so it raises StencilOutOfDomain
+    where ``alpha_connection`` does.
     """
-    return _pointwise(model, theta, lambda b: ("fisher", b),
-                      lambda rows: _fisher_metric(model, rows))
-
-
-def _fisher_metric(model: StatisticalModel, rows: np.ndarray) -> np.ndarray:
-    # the moments, when stored, hold the same Gram over the same scores;
-    # otherwise only the scores are taken, never the wider Hessian stencil
-    n = model.dim
-    stored = [model.memo.peek(("moments", r.tobytes())) for r in rows]
-    todo = [i for i, m in enumerate(stored) if m is None]
-    scores = partials(n, 1, SCORE_SCHEME) + [((), None)]
-
-    def gram(chunk, xs, w):
-        jet = stencil(log_density_rows(model, xs), chunk, scores, model.domain)
-        s, pw = np.stack(jet[:n], axis=1), _node_weights(jet[-1], w)
-        return np.concatenate([np.einsum("in,jn,n->ij", sp, sp, pwp).ravel()
-                               for sp, pwp in zip(s, pw)])
-
-    G = np.array([np.zeros(n * n) if m is None else m[:n * n] for m in stored])
-    if todo:
-        G[todo] = _integrated(model, rows[todo], gram)
-    # stored rows are symmetric already, and symmetrising them is exact
-    g = _symmetrised(G.reshape(-1, n, n))
+    g = _moments(model, theta)[0]
     _conditioned(g, "Fisher metric")
     return g
 
@@ -193,16 +164,17 @@ def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
     return p if w is None else p * w
 
 
-def _symmetrised(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-
 def _moments(model: StatisticalModel, theta):
     """g, A and T at theta (n,) or at every row of theta (..., n), views of
-    one array [g (symmetrised), A, T] memoized per model and point.  The
-    integrand takes the jets of its rows (scores, second log-derivatives,
-    p * w) from one log-density call; products are taken point by point."""
+    the read-only array [g (symmetrised), A, T] that the model's memo
+    stores per point, its only entry (for rows, views of their stack).
+    Only missed rows are tested against the domain, at once.  The integrand
+    takes the jets of its rows (scores, second log-derivatives, p * w) from
+    one log-density call; products are taken point by point."""
     n = model.dim
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if th.shape[-1] != n:
+        model.check_theta(theta)
 
     def products(rows, xs, w):
         log_p, s, dd = log_density_jet(model, rows, xs)
@@ -212,12 +184,12 @@ def _moments(model: StatisticalModel, theta):
             np.einsum("in,jn,kn,n->ijk", sp, sp, sp, pwp))])
 
     def compute(rows):
-        packed = _integrated(model, rows, products)
+        packed = _integrated(model, model.check_theta(rows), products)
         g = packed[:, :n * n].reshape(-1, n, n)
-        g[...] = _symmetrised(g)
+        g[...] = 0.5 * (g + np.swapaxes(g, -1, -2))
         return packed
 
-    packed = _pointwise(model, theta, lambda b: ("moments", b), compute)
+    packed = model.memo.rows(th, lambda b: ("moments", b), compute)
     lead, k = packed.shape[:-1], n * n + n ** 3
     return (packed[..., :n * n].reshape(lead + (n, n)),
             packed[..., n * n:k].reshape(lead + (n, n, n)), packed[..., k:].reshape(lead + (n, n, n)))
@@ -235,22 +207,18 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
                    = A_{ijk} + (1-a)/2 T_{ijk},
     with A = E[d_i d_j l d_k l] and the skewness T = E[d_i l d_j l d_k l];
     symmetric in (i, j) by construction of the central stencils.  A and T
-    are taken once per point and serve every alpha.  Memoized per model,
-    point and alpha; the array of one point is read-only.  Only missed
-    points are tested against the domain.
+    are the memoized moments, taken once per point for every alpha; the
+    sum is a new array on every call.
     """
-    def compute(rows):
-        _, A, T = _moments(model, rows)
-        return A + (1.0 - alpha) / 2.0 * T
-
-    return _pointwise(model, theta, lambda b: ("alpha", b, float(alpha)), compute)
+    _, A, T = _moments(model, theta)
+    return A + (1.0 - alpha) / 2.0 * T
 
 
 def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
     """The alpha-connection as a field.  ``up`` raises A + (1-a)/2 T of the
     moments with their g after one condition test (the Fisher one): the
-    operations of ``raise_connection(alpha_connection, fisher_metric)``,
-    storing no more than the moments."""
+    operations of ``raise_connection(alpha_connection, fisher_metric)``
+    with one lookup of the moments."""
 
     def up(th):
         g, A, T = _moments(model, th)

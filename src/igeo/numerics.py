@@ -516,21 +516,15 @@ def solve_frame(columns, rhs, condition_cap: float = _DEFAULT_CONDITION_CAP):
     return np.swapaxes(X[..., 0], -1, -2).reshape(R.shape)
 
 
-# Entries one PointMemo holds before it starts over: over five times what
-# the grid checks of one 3x3-grid run store (at most 180: the Fisher metric
-# and the jet moments at each of 81 points, two alpha-connections at each
-# of the 9 grid points; a batched sweep stores its misses together).  A
-# surface stores its decomposition and induced derivative per grid point
-# only (18 entries on a 3x3 grid), never per stencil node; full of 2-d
-# immersion data a memo holds about 1.8 MB (tracemalloc).  Geodesic stage
-# points stream through, each storing at most its moments.
+# Entries one PointMemo holds before it starts over: over ten times what
+# the grid checks of one 3x3-grid run store (at most 81, a model's moments
+# at each of 9 grid points and 72 field-stencil nodes, from which the Fisher
+# metric and every alpha-connection are read).  A surface stores its
+# decomposition and induced derivative per grid point only (18 entries on a
+# 3x3 grid), never per stencil node; full of 2-d immersion data a memo holds
+# about 1.8 MB (tracemalloc).  Geodesic stage points stream through, each
+# storing its moments.
 MEMO_SIZE = 1024
-
-
-def _stacked(values: list, lead: tuple) -> np.ndarray:
-    # np.array copies equal-shape values as np.stack does, at a fraction
-    # of its per-value cost on many small values (a scalar K per row)
-    return np.array(values).reshape(lead + np.shape(values[0]))
 
 
 class PointMemo:
@@ -538,11 +532,9 @@ class PointMemo:
 
     ``rows(points, key, compute)`` returns the value stored for each point
     and computes and stores the missed ones; an exception from ``compute``
-    propagates and stores nothing.  ``peek`` looks a key up without
-    computing, and ``put`` stores a value computed elsewhere.  A full memo
-    is cleared before the next store, so it never holds more than
-    ``MEMO_SIZE`` entries.  Stored arrays, and the array fields of stored
-    dataclasses, are made read-only because every hit shares them.
+    propagates and stores nothing.  A full memo is cleared before the next
+    store, so it never holds more than ``MEMO_SIZE`` entries.  Stored
+    arrays are made read-only because every hit shares them.
     """
 
     def __init__(self):
@@ -551,17 +543,12 @@ class PointMemo:
     def __len__(self) -> int:
         return len(self._store)
 
-    def peek(self, key):
-        """The stored value, or None; never computes or stores."""
-        return self._store.get(key)
-
-    def rows(self, points, key: Callable, compute: Callable, stack: Callable = _stacked):
+    def rows(self, points, key: Callable, compute: Callable):
         """The value stored under ``key(point bytes)`` at a point (n,), or
-        the values at every row of points (..., n) joined by ``stack(values,
-        lead shape)`` (default: one array, the lead shape before each
-        value's shape).  Missed rows, each once, are computed together by
-        ``compute(rows)`` (rows (P, n) in, one value per row out) and stored
-        one by one; a point is a batch of one row."""
+        the values at every row of points (..., n) as one new array, the
+        lead shape before each value's shape.  Missed rows, each once, are
+        computed together by ``compute(rows)`` (rows (P, n) in, one value
+        per row out) and stored one by one; a point is a batch of one row."""
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         if pts.ndim == 1:
             k = key(pts.tobytes())
@@ -580,15 +567,14 @@ class PointMemo:
             for k, v in zip(missed, compute(flat if len(at) == len(flat) else flat[at])):
                 missed[k] = self.put(k, v)
             values = [missed[k] if v is None else v for k, v in zip(keys, values)]
-        return stack(values, pts.shape[:-1])
+        # np.array copies equal-shape values as np.stack does, at a fraction
+        # of its per-value cost on many small values (a scalar K per row)
+        return np.array(values).reshape(pts.shape[:-1] + np.shape(values[0]))
 
     def put(self, key, value):
-        """Store ``value`` under ``key``, as ``rows`` does, and return it."""
-        fields = (value,) if isinstance(value, np.ndarray) else \
-            getattr(value, "__dict__", {}).values()
-        for a in fields:
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        """Store ``value`` under ``key``, read-only if an array, and return it."""
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         if len(self._store) >= MEMO_SIZE:
             self._store.clear()
         self._store[key] = value

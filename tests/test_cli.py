@@ -259,7 +259,9 @@ class TestMain:
 
     def test_grid_at_the_domain_edge_keeps_its_details(self):
         """Grids on and just inside the domain edge fail each check with the
-        message a point-by-point sweep gave: the first point and node."""
+        message a point-by-point sweep gave: the first point and node.  The
+        Fisher metric is read from the jet's moments, so codazzi, which
+        takes it at the grid points first, names the jet's node."""
         checks = ["validate", "flatness", "alpha-duality", "codazzi", "cubic-symmetry",
                   "exponential-form"]
         theta = "theta [-0.78, -2.0] outside domain of normal-natural"
@@ -269,8 +271,8 @@ class TestMain:
                 "stencil node [-0.7878125, -2.0] leaves the declared domain",
                 theta, theta, theta])),
             (-0.7799, -1.9999): dict(zip(checks, [
-                ""] + ["stencil node [-0.7877125, -1.9999] leaves the declared domain"] * 3
-                + ["stencil node [-0.780144140625, -1.9999] leaves the declared domain"] * 2))}
+                ""] + ["stencil node [-0.7877125, -1.9999] leaves the declared domain"] * 2
+                + ["stencil node [-0.780144140625, -1.9999] leaves the declared domain"] * 3))}
         for lo, details in want.items():
             rep = run_document({"subject": {"model": "normal-natural"}, "checks": checks,
                                 "alpha": [1.0, -1.0],
@@ -417,13 +419,13 @@ class TestMain:
                         {"label": "tilted", "subject": {"surface": "paraboloid-tilted"},
                          "checks": ["structural"]}]}
         computed = []
-        real = infogeo._fisher_metric
+        real = infogeo.log_density_jet
 
-        def counting(model, rows):
-            computed.extend(r.tobytes() for r in rows)
-            return real(model, rows)
+        def counting(model, rows, xs):
+            computed.extend(r.tobytes() for r in np.reshape(rows, (-1, model.dim)))
+            return real(model, rows, xs)
 
-        monkeypatch.setattr(infogeo, "_fisher_metric", counting)
+        monkeypatch.setattr(infogeo, "log_density_jet", counting)
         csv_dir = tmp_path / "csv"
         code = cli.main(["compute", "--spec", str(self._write_spec(tmp_path, doc)),
                          "--out", str(tmp_path / "r.json"), "--csv-dir", str(csv_dir)])
@@ -711,14 +713,21 @@ class TestSubjectMemo:
         assert all(np.array_equal(g, infogeo.fisher_metric(fresh, th))
                    for g, th in zip(first, thetas))
 
+    def test_model_memo_holds_moments_only(self):
+        """A 3x3 grid run of every model check stores the moments at its 9
+        points and the 72 nodes of the field stencils, and nothing else."""
+        spec = RunSpec.from_dict({"subject": {"model": "normal-natural"},
+                                  "checks": MODEL_CHECKS, "alpha": [1.0, -1.0]})
+        memo = cli.run(spec).model.memo
+        assert len(memo) == 81
+
     def test_memoized_arrays_are_read_only(self):
         model = models.normal_natural()
         theta = np.array([-0.5, 0.1])
         surf = immersion.paraboloid()
         data = immersion.decompose(surf, (0.3, 0.4))
         deriv = immersion.induced_derivative(surf, (0.3, 0.4))
-        arrays = [infogeo.fisher_metric(model, theta),
-                  infogeo.alpha_connection(model, theta, 1.0)]
+        arrays = [infogeo.fisher_metric(model, theta)]
         for d in (data, deriv):
             arrays += [d.gamma, d.h, d.shape_operator, d.alpha_form]
         arrays.append(deriv.volume)
@@ -761,9 +770,12 @@ class TestSubjectMemo:
         surf = dataclasses.replace(base_surf, chart=chart)
         data = immersion.decompose(surf, (0.3, 0.4))
         count = len(evaluations)
-        assert infogeo.fisher_metric(model, theta.tolist()) is g
-        assert infogeo.alpha_connection(model, theta.copy(), -1.0) is low
-        assert immersion.decompose(surf, np.array([0.3, 0.4])) is data
+        again = (infogeo.fisher_metric(model, theta.tolist()),
+                 infogeo.alpha_connection(model, theta.copy(), -1.0))
+        for a, b in zip((g, low), again):
+            assert np.array_equal(a, b)
+        assert np.shares_memory(g, again[0])
+        assert immersion.decompose(surf, np.array([0.3, 0.4])).packed is data.packed
         assert len(evaluations) == count
 
     def test_alphas_and_metric_share_one_jet(self, mc_location):

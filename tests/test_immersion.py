@@ -321,10 +321,13 @@ class TestBatchedGrid:
         induced_volume_check(surf, np.array(rows))
         statistical_structure(surf, rows)
         classify(surf, rows)
-        keys = {(name, u.tobytes()) for u in rows
-                for name in ("decompose", "induced_derivative")}
-        assert len(surf.memo) == len(keys)
-        assert all(surf.memo.peek(k) is not None for k in keys)
+        def unstored(rows):
+            raise AssertionError("a grid point is not stored")
+
+        names = ("decompose", "induced_derivative")
+        assert len(surf.memo) == len(names) * len(rows)
+        for name in names:
+            surf.memo.rows(np.array(rows), lambda b, name=name: (name, b), unstored)
 
     def test_empty_grid_is_refused(self):
         for check in (classify, statistical_structure):

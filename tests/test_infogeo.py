@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeo import infogeo, models, numerics
-from igeo.errors import SingularMetric
+from igeo import dualflat, infogeo, models, numerics
+from igeo.errors import SingularMetric, StencilOutOfDomain
 from igeo.infogeo import (ConnectionField, MetricField, alpha_connection,
                           alpha_field, codazzi_check, conformal_transform,
                           conjugate_connection, conjugate_field, cubic_tensor,
@@ -119,7 +119,7 @@ class TestSharedMoments:
             pw = p if w is None else p * w
             g = np.einsum("in,jn,n->ij", s, s, pw)
             g = 0.5 * (g + g.T)
-            # scores alone first, then read back from the stored moments
+            # from a fresh model first, then after the alpha-connections
             assert np.array_equal(fisher_metric(model, theta), g)
             model = factory()
             for alpha in (-1.0, 0.0, 0.5, 1.0):
@@ -202,6 +202,45 @@ class TestAdaptiveQuadrature:
             for alpha, low in got.items():
                 want = alpha_connection(reference, theta, alpha)
                 assert np.abs(low - want).max() < 1e-8, (theta, alpha)
+
+
+    def test_metric_does_not_depend_on_the_call_history(self, adaptive_runs):
+        """On the spec's grid, the Fisher metric of a fresh model equals,
+        bit for bit, the one taken after the alpha-connections: both are
+        read from the same moments, for the inline model and the family's."""
+        model_run, family_run = adaptive_runs
+        factories = (lambda: models.load_model(model_run["subject"]["model"]),
+                     lambda: dualflat.family_model(
+                         dualflat.load_family(family_run["subject"]["family"])))
+        for factory, run in zip(factories, adaptive_runs):
+            grid = np.array(models.grid(**run["grid"]))
+            fresh, used = factory(), factory()
+            alpha_connection(used, grid, 1.0)
+            assert _bits(fisher_metric(fresh, grid)) == _bits(fisher_metric(used, grid))
+
+
+class TestDomainMargin:
+    """The Fisher metric is read from the jet's moments, so it needs the
+    jet's nodes: it reaches the domain's faces as far as the connections."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(axis=st.integers(0, 1), upper=st.booleans(),
+           gap=st.floats(1e-7, 1e-3), other=st.floats(-0.5, 0.5))
+    def test_metric_leaves_the_domain_where_the_connection_does(self, axis, upper,
+                                                                gap, other):
+        box = models.normal_natural().domain
+        face = (box.hi if upper else box.lo)[axis]
+        theta = [-0.4, other]
+        theta[axis] = face - gap if upper else face + gap
+
+        def leaves(f):
+            try:
+                f(models.normal_natural(), theta)
+            except StencilOutOfDomain:
+                return True
+            return False
+
+        assert leaves(fisher_metric) == leaves(lambda m, th: alpha_connection(m, th, 1.0))
 
 
 def _bits(a) -> bytes:

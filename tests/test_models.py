@@ -418,10 +418,13 @@ class TestCheckTheta:
         real = Box.contains
         monkeypatch.setattr(Box, "contains",
                             lambda self, *a, **k: tests.append(1) or real(self, *a, **k))
-        assert infogeo.fisher_metric(model, theta) is g
-        assert infogeo.alpha_connection(model, theta, 1.0) is low
+        again = infogeo.fisher_metric(model, theta)
+        assert np.array_equal(again, g) and np.shares_memory(again, g)
+        assert np.array_equal(infogeo.alpha_connection(model, theta, -1.0),
+                              infogeo.alpha_connection(model, theta, -1.0))
+        assert np.array_equal(infogeo.alpha_connection(model, theta, 1.0), low)
         assert tests == []
-        infogeo.alpha_connection(model, theta, -1.0)  # a miss tests theta
+        infogeo.alpha_connection(model, (-0.4, 0.1), 1.0)  # a miss tests theta
         assert tests == [1]
         for bad in ((0.5, 0.0), (-0.5,)):
             with pytest.raises(OutOfDomain):
