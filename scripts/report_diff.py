@@ -4,9 +4,12 @@
 
 Walks both documents together (igeo reports, or any JSON such as the
 benchmark's probe dumps) and prints one line per differing field: its path,
-both values and, when both are numbers, the absolute delta.  A field named
-``timestamp`` is ignored.  Exits 0 when nothing differs, 1 when any field
-differs and 2 when a file cannot be read.
+both values and, when both are numbers, the absolute delta and the delta
+relative to the larger magnitude of the two.  A field named ``timestamp`` is
+ignored.  When any field differs, a summary line counts them with the
+largest absolute delta, and a last line counts the differing fields named
+``status`` ("0 statuses changed" when only numbers moved).  Exits 0 when
+nothing differs, 1 when any field differs and 2 when a file cannot be read.
 """
 
 from __future__ import annotations
@@ -57,11 +60,14 @@ def main(argv=None) -> int:
         line = f"{path or '<root>'}: {json.dumps(x)} -> {json.dumps(y)}"
         if _is_number(x) and _is_number(y):
             deltas.append(abs(x - y))
-            line += f"  (abs delta {deltas[-1]:.3g})"
+            scale = max(abs(x), abs(y))
+            line += f"  (abs delta {deltas[-1]:.3g}, rel delta {deltas[-1] / scale if scale else 0.0:.3g})"
         print(line)
     if found:
         worst = f", largest abs delta {max(deltas):.3g}" if deltas else ""
         print(f"{len(found)} field(s) differ{worst}")
+        statuses = sum(path.rpartition(".")[2] == "status" for path, _, _ in found)
+        print(f"{statuses} status{'' if statuses == 1 else 'es'} changed")
     return 1 if found else 0
 
 

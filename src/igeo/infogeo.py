@@ -25,7 +25,9 @@ only entry the model's memo stores per point: g and every alpha-connection
 are read from it, so any number of alphas cost one integral.  A jet is
 one ``numerics.stencil`` batch: one log-density call on the theta rows of
 every score and second-derivative node and the point itself, for a chunk
-of points under a node rule, or one point of adaptive quadrature.
+of points under a node rule, or one point of adaptive quadrature.  Its
+node sums are one two-operand contraction for the whole chunk
+(``_jet_moments``), within a stated bound of any other summation order.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ _METRIC_CONDITION_CAP = 1e12
 # Points times quadrature nodes in one batched jet of a node rule, set on
 # model-grid: a 4096-node point (logistic-location-2) takes a jet of its
 # own, as larger batches ran slower, and 96-node models take 21 points, as
-# 42 raised the peak RSS by about 1 MB.
+# 42 raised the peak RSS by about 1 MB.  A chunk's arrays scale with it:
+# the jet's node values, then its block of rows for the moments
+# (n + 2n^2 floats per point and node), each freed before the next.
 ROW_BUDGET = 2**11
 
 
@@ -164,13 +168,38 @@ def _node_weights(log_p: np.ndarray, w) -> np.ndarray:
     return p if w is None else p * w
 
 
+def _jet_moments(s: np.ndarray, dd: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """The node sums [g, A, T] of P jets, (P, n + 2n^2, n) read as the
+    packed (P, n^2 + 2n^3): g_ij = sum s_i s_j pw, A_ijk = sum dd_ij s_k pw
+    and T_ijk = sum s_i s_j s_k pw over N nodes, from the scores s
+    (P, n, N), the second derivatives dd (P, n, n, N) and pw (P, N).
+
+    One two-operand contraction of the block of rows [s, dd, s_i s_j]
+    (P, n + 2n^2, N) against sw = s * pw.  Each entry is a sum of N terms
+    of at most three roundings each, so in any summation order it lies
+    within gamma_{N+2} * sum_n |a_n b_n c_n| pw_n of the exact sum (Higham
+    2002, sec. 3.1; gamma_k = k u / (1 - k u), u = eps / 2), and two orders
+    differ by at most (N + 3) eps times that sum of absolute terms.  numpy
+    sums every row of the block alike, whatever the point or the row, so A
+    and T keep the (i, j) symmetry of dd and a point's sums do not depend on
+    the other points of the batch.
+    """
+    P, n, N = s.shape
+    block = np.empty((P, n + 2 * n * n, N))
+    block[:, :n] = s
+    block[:, n:n + n * n] = dd.reshape(P, n * n, N)
+    np.multiply(s[:, :, None], s[:, None], out=block[:, n + n * n:].reshape(P, n, n, N))
+    return np.einsum("pan,pkn->pak", block, s * pw[:, None])
+
+
 def _moments(model: StatisticalModel, theta):
     """g, A and T at theta (n,) or at every row of theta (..., n), views of
     the read-only array [g (symmetrised), A, T] that the model's memo
     stores per point, its only entry (for rows, views of their stack).
     Only missed rows are tested against the domain, at once.  The integrand
     takes the jets of its rows (scores, second log-derivatives, p * w) from
-    one log-density call; products are taken point by point."""
+    one log-density call and their node sums from one contraction for all
+    rows (``_jet_moments``), after the jet's node values are released."""
     n = model.dim
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape[-1] != n:
@@ -179,9 +208,8 @@ def _moments(model: StatisticalModel, theta):
     def products(rows, xs, w):
         log_p, s, dd = log_density_jet(model, rows, xs)
         pw = _node_weights(log_p, w)
-        return np.concatenate([a.ravel() for sp, ddp, pwp in zip(s, dd, pw) for a in (
-            np.einsum("in,jn,n->ij", sp, sp, pwp), np.einsum("ijn,kn,n->ijk", ddp, sp, pwp),
-            np.einsum("in,jn,kn,n->ijk", sp, sp, sp, pwp))])
+        del log_p  # a view of the jet's node values: frees them before the block
+        return _jet_moments(s, dd, pw).ravel()
 
     def compute(rows):
         packed = _integrated(model, model.check_theta(rows), products)

@@ -252,7 +252,10 @@ def second_log_derivs(model: StatisticalModel, theta, xs,
 def log_density_jet(model: StatisticalModel, th: np.ndarray, xs):
     """l, the scores (dim, N) and the second derivatives (dim, dim, N) at a
     checked point th over sample points xs, from one log-density call; at
-    the rows of th (P, dim) each gains a leading axis, rows contiguous."""
+    the rows of th (P, dim) each gains a leading axis, rows contiguous.
+    The scores and second derivatives are new arrays, but l is a view of the
+    stencil's node values, N log-densities at every node of every point,
+    and keeps them all alive: drop it once it is used."""
     n, lead = model.dim, np.ndim(th) - 1
     jet = stencil(log_density_rows(model, xs), th,
                   partials(n, 1, SCORE_SCHEME) + partials(n, 2, HESSIAN_SCHEME)

@@ -99,10 +99,17 @@ class TestAlphaConnection:
             assert np.abs(lc - a0).max() < 1e-4
 
 
+def assert_within_sum_bound(got, want, abs_sum, nodes):
+    """Every entry within (N + 3) eps of the sum of its absolute terms, the
+    bound ``infogeo._jet_moments`` states between two summation orders."""
+    assert np.all(np.abs(got - want) <= (nodes + 3) * np.finfo(float).eps * abs_sum)
+
+
 class TestSharedMoments:
     """Under a node rule (Monte Carlo included) the Fisher metric and every
-    alpha-connection are read from one set of moments; they must equal the
-    per-alpha formula."""
+    alpha-connection are read from one set of moments; they lie within the
+    summation bound of the per-point einsums, and do not depend on which
+    was asked for first."""
 
     @pytest.mark.parametrize("name", sorted(models.CATALOG) + ["mc-gaussian-location"])
     def test_match_the_per_alpha_formula(self, name, mc_location):
@@ -117,24 +124,92 @@ class TestSharedMoments:
             dd = models.second_log_derivs(model, theta, xs)
             p = np.exp(model.log_density(xs, theta))
             pw = p if w is None else p * w
+            N, a_s, a_dd = len(pw), np.abs(s), np.abs(dd)
             g = np.einsum("in,jn,n->ij", s, s, pw)
             g = 0.5 * (g + g.T)
             # from a fresh model first, then after the alpha-connections
-            assert np.array_equal(fisher_metric(model, theta), g)
+            fresh = fisher_metric(model, theta)
+            assert_within_sum_bound(fresh, g, np.einsum("in,jn,n->ij", a_s, a_s, pw), N)
+            _, A, T = infogeo._moments(model, theta)
+            abs_A = np.einsum("ijn,kn,n->ijk", a_dd, a_s, pw)
+            abs_T = np.einsum("in,jn,kn,n->ijk", a_s, a_s, a_s, pw)
+            assert_within_sum_bound(A, np.einsum("ijn,kn,n->ijk", dd, s, pw), abs_A, N)
+            assert_within_sum_bound(T, np.einsum("in,jn,kn,n->ijk", s, s, s, pw), abs_T, N)
             model = factory()
             for alpha in (-1.0, 0.0, 0.5, 1.0):
                 c = (1.0 - alpha) / 2.0
                 core = dd + c * s[:, None, :] * s[None, :, :]
                 expected = np.einsum("ijn,kn,n->ijk", core, s, pw)
                 got = alpha_connection(model, theta, alpha)
-                if alpha == 1.0:
-                    assert np.array_equal(got, expected)
-                else:
-                    # roundoff scale of the node sums; on location families
-                    # Gamma vanishes and max|Gamma| is itself cancellation noise
-                    scale = np.einsum("ijn,kn,n->ijk", np.abs(core), np.abs(s), pw).max()
-                    assert np.abs(got - expected).max() <= 1e-12 * scale
-            assert np.array_equal(fisher_metric(model, theta), g)
+                assert np.array_equal(got, A + c * T)
+                # the per-alpha core takes one more rounding per term
+                assert_within_sum_bound(got, expected, abs_A + c * abs_T, N + 1)
+            assert np.array_equal(fisher_metric(model, theta), fresh)
+
+
+class TestJetMoments:
+    """``_jet_moments`` takes g, A and T of a batch of jets in one
+    contraction, within its stated bound of the per-point einsums."""
+
+    @given(seed=st.integers(0, 2**32 - 1), P=st.sampled_from([1, 3]),
+           N=st.sampled_from([1, 2, 96, 4096]), n=st.integers(1, 3),
+           weighted=st.booleans(), spread=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_within_the_bound_of_the_einsums(self, seed, P, N, n, weighted, spread):
+        rng = np.random.default_rng(seed)
+        # entries of both signs over 10**spread, symmetric second derivatives
+        s = rng.standard_normal((P, n, N)) * 10.0 ** rng.uniform(-spread, spread, (P, n, N))
+        dd = rng.standard_normal((P, n, n, N)) * 10.0 ** rng.uniform(-spread, spread, (P, n, n, N))
+        dd = dd + np.swapaxes(dd, 1, 2)
+        w = rng.uniform(0.1, 2.0, N) if weighted else None
+        pw = infogeo._node_weights(rng.uniform(-30.0, 0.0, (P, N)), w)
+        got = infogeo._jet_moments(s, dd, pw)
+        assert got.shape == (P, n + 2 * n * n, n)
+        got = got.reshape(P, -1)
+        a_s, a_dd = np.abs(s), np.abs(dd)
+        for p in range(P):
+            want, abs_sum = (np.concatenate([a.ravel() for a in (
+                np.einsum("in,jn,n->ij", u, u, pwp), np.einsum("ijn,kn,n->ijk", v, u, pwp),
+                np.einsum("in,jn,kn,n->ijk", u, u, u, pwp))])
+                for u, v, pwp in ((s[p], dd[p], pw[p]), (a_s[p], a_dd[p], pw[p])))
+            assert_within_sum_bound(got[p], want, abs_sum, N)
+            # a point's sums do not depend on the other points of the batch
+            assert np.array_equal(got[p], infogeo._jet_moments(
+                s[p:p + 1], dd[p:p + 1], pw[p:p + 1]).reshape(-1))
+        A, T = (got[:, k:k + n ** 3].reshape(P, n, n, n) for k in (n * n, n * n + n ** 3))
+        assert np.array_equal(A, np.swapaxes(A, 1, 2))
+        assert np.array_equal(T, np.swapaxes(T, 1, 2))
+
+    @pytest.mark.parametrize("name", sorted(models.CATALOG))
+    def test_exactly_symmetric_at_every_reference_point(self, name):
+        """A, T and so every Gamma^a are symmetric in (i, j) bit for bit."""
+        model = models.CATALOG[name]()
+        grid = np.array(models.reference_grid(name), dtype=float)
+        _, A, T = infogeo._moments(model, grid)
+        for a in (A, T, alpha_connection(model, grid, 0.5)):
+            assert np.array_equal(a, np.swapaxes(a, -3, -2))
+
+    def test_peak_memory_of_the_jet(self):
+        """One fresh point on 4,096 nodes allocates no more, at its peak, than
+        the log-density jet it takes: the node values are released before
+        the block of rows is built."""
+        import tracemalloc
+        factory = models.CATALOG["logistic-location-2"]
+        rows = np.array(models.reference_grid("logistic-location-2")[:2], dtype=float)
+        xs, _ = numerics.node_quadrature(factory().space)
+        infogeo._moments(factory(), rows[1])  # fills the stencil layout cache
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        jet = peak(lambda: models.log_density_jet(factory(), rows[:1], xs))
+        moments = peak(lambda: infogeo._moments(factory(), rows[0]))
+        assert moments <= 1.05 * jet
 
 
 class TestAlphaFieldUp:

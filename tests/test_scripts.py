@@ -45,6 +45,30 @@ class TestReportDiff:
         proc = report_diff(tmp_path, {"n": 1}, {"n": 1.0})
         assert proc.returncode == 1
 
+    def test_relative_delta_beside_the_absolute_one(self, tmp_path):
+        proc = report_diff(tmp_path, {"a": 4.0, "b": -0.0, "c": "x"},
+                           {"a": 5.0, "b": 0, "c": "y"})
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "a: 4.0 -> 5.0  (abs delta 1, rel delta 0.2)"
+        # both zero: no scale to divide by
+        assert lines[1] == "b: -0.0 -> 0  (abs delta 0, rel delta 0)"
+        assert lines[2] == 'c: "x" -> "y"'
+
+    def test_counts_the_statuses_that_changed(self, tmp_path):
+        moved = json.loads(json.dumps(self.REPORT))
+        moved["runs"][0]["results"]["codazzi"]["residuals"]["alpha=1"] = 2e-9
+        proc = report_diff(tmp_path, self.REPORT, moved)
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[-2:] == ["1 field(s) differ, largest abs delta 1e-09",
+                                                 "0 statuses changed"]
+        moved["runs"][0]["results"]["codazzi"]["status"] = "fail"
+        moved["status"] = "done"
+        proc = report_diff(tmp_path, self.REPORT, moved)
+        assert proc.stdout.splitlines()[-1] == "2 statuses changed"
+        del moved["status"]
+        proc = report_diff(tmp_path, self.REPORT, moved)
+        assert proc.stdout.splitlines()[-1] == "1 status changed"
+
 
 # perfbench/run.py stand-in: the environment line, then the result line,
 # with a wall time proportional to the seed and a fixed pace per revision
