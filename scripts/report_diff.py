@@ -7,9 +7,10 @@ benchmark's probe dumps) and prints one line per differing field: its path,
 both values and, when both are numbers, the absolute delta and the delta
 relative to the larger magnitude of the two.  A field named ``timestamp`` is
 ignored.  When any field differs, a summary line counts them with the
-largest absolute delta, and a last line counts the differing fields named
-``status`` ("0 statuses changed" when only numbers moved).  Exits 0 when
-nothing differs, 1 when any field differs and 2 when a file cannot be read.
+largest absolute delta, and a last line counts the fields named ``status``
+that changed or that one side lacks ("0 statuses changed" when only numbers
+moved).  Exits 0 when nothing differs, 1 when any field differs and 2 when a
+file cannot be read.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def differences(a, b, path: str = "") -> list:
     return [(path, a, b)]
 
 
+def statuses(doc, path: str = "") -> dict:
+    """path -> value of every field named ``status`` in ``doc``."""
+    out = {}
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            sub = f"{path}.{key}" if path else str(key)
+            out.update({sub: value} if key == "status" else statuses(value, sub))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            out.update(statuses(value, f"{path}[{i}]"))
+    return out
+
+
+def changed_statuses(a, b) -> list:
+    """Paths of the ``status`` fields that differ between ``a`` and ``b``,
+    one that is present on one side only included (a check added or gone)."""
+    sa, sb = statuses(a), statuses(b)
+    return sorted(path for path in set(sa) | set(sb)
+                  if sa.get(path, MISSING) != sb.get(path, MISSING))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="first JSON file")
@@ -61,13 +83,14 @@ def main(argv=None) -> int:
         if _is_number(x) and _is_number(y):
             deltas.append(abs(x - y))
             scale = max(abs(x), abs(y))
-            line += f"  (abs delta {deltas[-1]:.3g}, rel delta {deltas[-1] / scale if scale else 0.0:.3g})"
+            rel = deltas[-1] / scale if scale else 0.0
+            line += f"  (abs delta {deltas[-1]:.3g}, rel delta {rel:.3g})"
         print(line)
     if found:
         worst = f", largest abs delta {max(deltas):.3g}" if deltas else ""
         print(f"{len(found)} field(s) differ{worst}")
-        statuses = sum(path.rpartition(".")[2] == "status" for path, _, _ in found)
-        print(f"{statuses} status{'' if statuses == 1 else 'es'} changed")
+        moved = len(changed_statuses(*docs))
+        print(f"{moved} status{'' if moved == 1 else 'es'} changed")
     return 1 if found else 0
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,10 +191,9 @@ class TestJetMoments:
             assert np.array_equal(a, np.swapaxes(a, -3, -2))
 
     def test_peak_memory_of_the_jet(self):
-        """One fresh point on 4,096 nodes allocates no more, at its peak, than
-        the log-density jet it takes: the node values are released before
-        the block of rows is built."""
-        import tracemalloc
+        """One fresh point on 4,096 nodes peaks within 5% of the log-density
+        jet it takes (tracemalloc): the node values are released before the
+        block of rows is built."""
         factory = models.CATALOG["logistic-location-2"]
         rows = np.array(models.reference_grid("logistic-location-2")[:2], dtype=float)
         xs, _ = numerics.node_quadrature(factory().space)

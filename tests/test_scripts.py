@@ -61,11 +61,13 @@ class TestReportDiff:
         assert proc.returncode == 1
         assert proc.stdout.splitlines()[-2:] == ["1 field(s) differ, largest abs delta 1e-09",
                                                  "0 statuses changed"]
-        moved["runs"][0]["results"]["codazzi"]["status"] = "fail"
+        results = moved["runs"][0]["results"]
+        results["codazzi"]["status"] = "fail"
+        results["flatness"] = {"status": "pass"}  # a check only one side ran
         moved["status"] = "done"
         proc = report_diff(tmp_path, self.REPORT, moved)
-        assert proc.stdout.splitlines()[-1] == "2 statuses changed"
-        del moved["status"]
+        assert proc.stdout.splitlines()[-1] == "3 statuses changed"
+        del results["flatness"], moved["status"]
         proc = report_diff(tmp_path, self.REPORT, moved)
         assert proc.stdout.splitlines()[-1] == "1 status changed"
 
