@@ -534,6 +534,8 @@ class TestMain:
         "grid-dimension": "grid has dimension 2, expected 1",
         "expect-check": "expect names unknown check 'exponential-from'",
         "expect-alpha": "expect flatness alpha must be a number, got 'one'",
+        "expect-single-verdict": "expect exponential-form takes one boolean: the check "
+                                 "has no verdict per alpha",
         "model-x": "x[1] is out of range: x has 1 component",
         "model-theta": "theta[1] is out of range: theta has 1 component",
         "family-x": "x[2] is out of range: x has 1 component",
@@ -574,6 +576,9 @@ class TestMain:
             doc["expect"] = {"exponential-from": False}
         elif case == "expect-alpha":
             doc["expect"] = {"flatness": {"one": True}}
+        elif case == "expect-single-verdict":
+            doc["checks"] = ["exponential-form"]
+            doc["expect"] = {"exponential-form": {"1": False}}
         elif case in ("model-x", "model-theta"):
             var = case.split("-")[1]
             bernoulli["log_density"] += f" + 0*{var}[1]"
@@ -629,6 +634,108 @@ class TestMain:
         assert code == 0
         report = json.loads(out.read_text())
         assert list(report["runs"][0]["results"]) == ["classify"]
+
+
+class TestStatusRule:
+    """Every check's status follows one rule: ``pass`` when the identity's
+    outcome matched ``expect``, which defaults to "holds"."""
+
+    RUNS = json.loads((SPECS / "full_verify.json").read_text())["runs"]
+    # the checks whose verdict is one bool per alpha of the run
+    PER_ALPHA = {"flatness", "alpha-duality", "codazzi", "autoparallel",
+                 "embedding-curvature"}
+
+    @staticmethod
+    def _result(run, name, **changes):
+        return run_document({**run, "checks": [name], **changes}).runs[0].results[name]
+
+    @pytest.mark.parametrize("name", sorted(cli.CHECKS))
+    def test_inverted_expectations_flip_every_status(self, name):
+        """On each full_verify run of the check, the opposite expectation
+        (per alpha of the run, or per named classify flag) turns ``pass``
+        into ``fail``; the geodesic's constant verdict takes the rule too."""
+        runs = [run for run in self.RUNS if name in run["checks"]]
+        assert runs
+        for run in runs:
+            want = run.get("expect", {}).get(name, {} if name == "classify" else True)
+            if name == "classify":
+                flipped = {flag: not value for flag, value in want.items()}
+            elif name in self.PER_ALPHA:
+                by_alpha = {} if isinstance(want, bool) else {
+                    float(key): value for key, value in want.items()}
+                flipped = {str(a): not by_alpha.get(a, want if isinstance(want, bool)
+                                                    else True)
+                           for a in run.get("alpha", [1.0])}
+            else:
+                flipped = not want
+            assert self._result(run, name).status == "pass", run["label"]
+            expect = {**run.get("expect", {}), name: flipped}
+            assert self._result(run, name, expect=expect).status == "fail", run["label"]
+
+    # check -> the residual its verdict holds against its scalar tolerance;
+    # classify's is the gap of the one flag the run expects, blaschke, whose
+    # other conditions hold by a wide margin on the sphere
+    ENFORCED = {
+        "validate": lambda r: r["max_normalization_residual"],
+        "flatness": lambda r: max(max(a["max_R"], a["max_torsion"]) for a in r.values()),
+        "alpha-duality": lambda r: r["max_difference"],
+        "codazzi": lambda r: max(r.values()),
+        "cubic-symmetry": lambda r: max(r["max_asymmetry"], r["max_alpha_spread"]),
+        "exponential-form": lambda r: r["max_variation"],
+        "structural": lambda r: max(r.values()),
+        "classify": lambda r: r["max_blaschke_gap"],
+        "volume-transport": lambda r: r["max_transport_residual"],
+        "statistical-structure": lambda r: r["codazzi_residual"],
+        "legendre-roundtrip": lambda r: r["max_roundtrip_error"],
+        "hessian-vs-fisher": lambda r: r["max_difference"],
+        "graph-realization": lambda r: r["max_h_minus_hessK"],
+        "centro-affine-lift": lambda r: r["max_rho_error"],
+        "autoparallel": lambda r: r["max_abs_H"],
+        "embedding-curvature": lambda r: r["max_abs_H"],
+    }
+    # left out: the geodesic's verdict holds whenever the path stays in the
+    # domain, as long as no oracle of the path is held against its tolerance
+    UNENFORCED = {"geodesic"}
+    SUBJECTS = {
+        "model": {"subject": {"model": "normal-natural"}, "alpha": [1.0, -1.0],
+                  "grid": {"lo": [-0.6, -0.2], "hi": [-0.4, 0.2], "counts": [2, 1]}},
+        "surface": {"subject": {"surface": "sphere"}, "expect": {"classify": {
+                        "blaschke": True}},
+                    "grid": {"lo": [-0.3, -0.3], "hi": [0.3, 0.3], "counts": [2, 1]}},
+        "family": {"subject": {"family": "bernoulli-natural"},
+                   "grid": {"lo": [-1.0], "hi": [1.0], "counts": [2]}},
+        "embedding": {"subject": next(run["subject"] for run in RUNS
+                                      if "embedding" in run["subject"]), "alpha": [1.0],
+                      "grid": {"lo": [-0.3], "hi": [0.3], "counts": [2]}},
+    }
+
+    @staticmethod
+    def _straddle(residual):
+        """A tolerance just above ``residual``, then one just below it."""
+        return residual * (1 + 1e-6) + 1e-300, residual * (1 - 1e-6)
+
+    def test_reported_tolerance_is_the_one_the_verdict_used(self, monkeypatch):
+        """A tolerance just above each check's enforced residual passes it,
+        one just below fails it, and the report gives that tolerance; for
+        validate too where no override is set and the model's own
+        tolerance is used."""
+        assert set(self.ENFORCED) == set(cli.CHECKS) - self.UNENFORCED
+        for name, enforced in self.ENFORCED.items():
+            kind = next(k for k in self.SUBJECTS if k in cli.CHECKS[name].kinds)
+            run = self.SUBJECTS[kind]
+            residual = enforced(self._result(run, name).residuals)
+            for tol, status in zip(self._straddle(residual), ("pass", "fail")):
+                result = self._result(run, name, tolerances={name: tol})
+                reported = result.tolerance
+                if name == "graph-realization":
+                    reported = reported["h_vs_hessK"]
+                assert (result.status, reported) == (status, tol), name
+        run = self.SUBJECTS["model"]
+        residual = self._result(run, "validate").residuals["max_normalization_residual"]
+        for tol, status in zip(self._straddle(residual), ("pass", "fail")):
+            monkeypatch.setattr(models.StatisticalModel, "tolerance", property(lambda m: tol))
+            result = self._result(run, "validate")
+            assert (result.status, result.tolerance) == (status, tol)
 
 
 class TestImports:
