@@ -17,9 +17,11 @@ being a batch of one: a grid is decomposed by one stencil of (f, xi), one
 stacked frame-condition test and one stacked solve, and each point keeps
 the bits of its own decomposition.  Every check that differentiates this
 data (Gauss, Codazzi, Ricci, volume transport, statistical structure)
-reads ``induced_derivative``, one field stencil over the grid whose nodes
-are decomposed in one batch; the residuals are taken per point and their
-maximum over the grid at the end.
+reads ``induced_derivative``, one field stencil over the grid whose value
+rows and nodes are decomposed in one batch: one chart stencil, frame test
+and solve cover the grid and its field nodes, and the value rows are
+stored as the grid's ``decompose`` entries.  The residuals are taken per
+point and their maximum over the grid at the end.
 """
 
 from __future__ import annotations
@@ -178,8 +180,11 @@ def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
 
     Each field gains an axis a after the point's, e.g. ``gamma[a, i, j, k]
     = d_a Gamma^k_{ij}`` and ``volume[a] = d_a eta``; the stencil acts
-    componentwise, so each entry equals its field's own derivative, and
-    its nodes are decomposed in one batch (and not stored).  Memoized per
+    componentwise, so each entry equals its field's own derivative.  The
+    points and the stencil's nodes are decomposed in one batch; each
+    point's decomposition (the bits of ``decompose``) is stored as its
+    ``decompose`` entry where the memo holds none, and a batch error is
+    the one ``decompose`` of the points raises, if any.  Memoized per
     surface and point; the data of one point is read-only.
     """
     return _memoized(surface, u, "induced_derivative", _induced_derivative)
@@ -188,9 +193,15 @@ def induced_derivative(surface: Hypersurface, u) -> ImmersionData:
 def _induced_derivative(surface: Hypersurface, U: np.ndarray) -> np.ndarray:
     n = surface.dim
     width = n**3 + 2 * n * n + n + 1  # Gamma, h, S, alpha, eta
-    D = stencil(lambda X: _decompose(surface, X)[:, :width], U,
-                partials(n, 1, SURFACE_FIELD_SCHEME), surface.domain)
-    return np.stack(D, axis=1)
+    try:  # the value rows are the rows U, so V is _decompose(U) with its bits
+        V, *D = stencil(partial(_decompose, surface), U,
+                        [((), None)] + partials(n, 1, SURFACE_FIELD_SCHEME), surface.domain)
+    except Exception:
+        decompose(surface, U)  # the grid's own error first, as a separate call raises it
+        raise
+    for u, value in zip(U, V):  # stored where the memo holds no decomposition yet
+        surface.memo.rows(u, lambda b: ("decompose", b), lambda _: value[None])
+    return np.stack([d[:, :width] for d in D], axis=1)
 
 
 def gamma_field(surface: Hypersurface) -> ConnectionField:
@@ -261,10 +272,11 @@ def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
     (2) (nabla_X h)(Y,Z) + alpha(X) h(Y,Z) symmetric in X,Y
     (3) (nabla_X S)(Y) - alpha(X) SY symmetric in X,Y
     (4) h(X,SY) - h(SX,Y) = d alpha(X,Y)
-    Every derivative comes from one ``induced_derivative`` of u.
+    Every derivative comes from one ``induced_derivative`` of u, taken
+    first: its batch decomposes u too, so ``decompose`` is a memo hit.
     """
-    data = decompose(surface, u)
     d = induced_derivative(surface, u)
+    data = decompose(surface, u)
     G, h, S, al = data.gamma, data.h, data.shape_operator, data.alpha_form
 
     R = riemann(d.gamma, G)
@@ -317,8 +329,8 @@ def induced_volume_check(surface: Hypersurface, u) -> VolumeCheck:
     DegenerateH names the first point where it is not, and carries the
     check of every point as ``partial`` (a NaN gap at degenerate points).
     """
+    deta = induced_derivative(surface, u).volume  # stores decompose(u) too
     data = decompose(surface, u)
-    deta = induced_derivative(surface, u).volume
     eta = data.volume[..., None]
     trace_term = np.einsum("...imm->...i", data.gamma) * eta
     residual = _max_entry(deta - trace_term - data.alpha_form * eta, 1)
@@ -348,7 +360,10 @@ class ClassificationReport:
 
 def classify(surface: Hypersurface, grid: Sequence,
              tol: float = 1e-6) -> ClassificationReport:
-    """Thresholded flags over a grid; failures clear flags, never raise.
+    """Thresholded flags over a grid; a flag whose test fails is cleared.
+
+    An error of the grid's decomposition propagates (``StencilOutOfDomain``
+    at a sphere grid point at u0 = 0.799); ``igeo verify`` records ``error``.
 
     centro-affine: xi is a negative multiple of the position vector.
     equiaffine:    max |alpha| below tol.

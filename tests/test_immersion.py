@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeo import immersion
-from igeo.errors import DegenerateH, OutOfDomain, SchemaError, SingularFrame
+from igeo.errors import (DegenerateH, OutOfDomain, SchemaError, SingularFrame,
+                         StencilOutOfDomain)
 from igeo.immersion import (Hypersurface, classify, decompose, gamma_field,
                             h_field, induced_derivative, induced_volume_check, load_surface,
                             paraboloid, plane, scaled_sphere,
@@ -132,10 +134,10 @@ class TestDecompose:
         assert calls == {"stencil": 8, "cond": 0, "inv": 8}
 
     def test_nested_batch_takes_one_chart_call(self):
-        """induced_derivative on a 3x3 grid decomposes its 72 field nodes
-        in one chart call of 72 x 17 node rows, and the grid in one of
-        9 x 17: every kind of node row once per point, none dropped across
-        points."""
+        """induced_derivative on a 3x3 grid decomposes the grid and its 72
+        field nodes in one chart call of 81 x 17 node rows, and decompose
+        then reads the grid from the memo: every kind of node row once per
+        point, none dropped across points."""
         sphere = unit_sphere()
         calls = []
         surf = Hypersurface.centro_affine(
@@ -143,7 +145,7 @@ class TestDecompose:
         grid = np.array(GRID)
         induced_derivative(surf, grid)
         decompose(surf, grid)
-        assert calls == [1224, 153]
+        assert calls == [1377]
 
     def test_centro_affine_takes_one_chart_call(self):
         """xi = -f comes from the chart values of the same batch: one chart
@@ -233,6 +235,12 @@ class TestBatchedCharts:
                      load_surface(INLINE), inline_ca):
             self.assert_rowwise(surf, U)
 
+
+# the graph of a convex potential with the constant transversal e3
+POTENTIAL_GRAPH = {"name": "potential-graph", "dim": 2,
+                   "chart": ["u[0]", "u[1]", "log(1 + exp(u[0]) + exp(u[1]))"],
+                   "transversal": ["0", "0", "1"],
+                   "domain": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}}
 
 # h = diag(u0, e^u1) degenerates on u0 = 0; the transversal is not constant
 CUBIC = {"name": "cubic", "dim": 2, "chart": ["u[0]", "u[1]", "u[0]^3/6 + exp(u[1])"],
@@ -419,11 +427,88 @@ class TestInducedDerivative:
 
         monkeypatch.setattr(immersion, "_decompose", counting)
         structural_check(unit_sphere(), (0.2, 0.3))
-        # the point itself, then its 2 nodes x 2 Richardson levels per
-        # coordinate in one batch
-        assert [len(b) for b in batches] == [1, 4 * 2]
+        # the point itself and its 2 nodes x 2 Richardson levels per
+        # coordinate, in one batch
+        assert [len(b) for b in batches] == [1 + 4 * 2]
         seen = [u for b in batches for u in b]
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("point", [False, True], ids=["3x3", "point"])
+    @pytest.mark.parametrize("surf", [unit_sphere(), tilted_paraboloid(),
+                                      load_surface(POTENTIAL_GRAPH)], ids=lambda s: s.label)
+    def test_value_rows_are_the_decomposition(self, surf, point, monkeypatch):
+        """One ``_decompose`` batch covers the points and their 8 field
+        nodes each; ``decompose`` then reads the points from the memo, with
+        the bits of a separate call on a fresh surface."""
+        surf, rows = dataclasses.replace(surf), _middle_grid(surf)
+        rows = rows[4] if point else rows
+        batches, real = [], immersion._decompose
+        monkeypatch.setattr(immersion, "_decompose",
+                            lambda s, U: batches.append(len(U)) or real(s, U))
+        induced_derivative(surf, rows)
+        data = decompose(surf, rows)
+        points = len(np.atleast_2d(rows))
+        assert batches == [9 * points]
+        assert len(surf.memo) == 2 * points
+        monkeypatch.undo()
+        assert data.packed.tobytes() == decompose(dataclasses.replace(surf), rows).packed.tobytes()
+
+    @pytest.mark.parametrize("check", [structural_check, induced_volume_check,
+                                       statistical_structure], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("u0, u1, error, message", [
+        # the chart nodes of the edge row leave the box: the grid's own error
+        ((0.2, 0.5, 0.8 - 2**-9), (-0.3, 0.0, 0.3), StencilOutOfDomain,
+         "stencil node [0.801953125, -0.3] leaves the declared domain"),
+        # only the field nodes leave it: the derivative's error
+        ((0.2, 0.5, 0.8 - 2**-7.5), (-0.3, 0.0, 0.3), StencilOutOfDomain,
+         "stencil node [0.8022882282719801, -0.3] leaves the declared domain"),
+        # chart nodes of the edge row leave the unit disk, inside the box
+        ((-0.3, 0.0, 0.7), (-0.3, 0.0, math.sqrt(0.51) - 2**-9), OutOfDomain,
+         "sphere chart is defined on the unit disk only, "
+         "got u = [0.70390625, 0.712189717854285]"),
+    ], ids=["box-2^-9", "box-2^-7.5", "disk-2^-9"])
+    def test_edge_grid_errors_as_decompose_then_derivative(self, check, u0, u1, error,
+                                                         message):
+        """The merged batch raises the error that decomposing the grid and
+        then differentiating it raised as two calls: the grid's own first."""
+        grid = np.array([(a, b) for a in u0 for b in u1])
+        with pytest.raises(error) as exc:
+            check(unit_sphere(), grid)
+        assert exc.type is error and str(exc.value) == message
+
+
+class TestAffineInvariance:
+    """An affine map of the ambient space, (f, xi) -> (L f + c, L xi),
+    leaves Gamma, h, S and alpha unchanged and multiplies eta by det L
+    (Nomizu & Sasaki, Affine Differential Geometry, ch. II)."""
+
+    @pytest.mark.parametrize("name", ["sphere", "paraboloid", "paraboloid-tilted"])
+    def test_induced_data_and_verdicts(self, name):
+        from igeo.cli import DEFAULT_TOLERANCES
+        rng = np.random.default_rng(20)
+        L = rng.normal(size=(3, 3))
+        while np.linalg.cond(L) > 10:
+            L = rng.normal(size=(3, 3))
+        c = rng.normal(size=3)
+        surf = immersion.SURFACES[name]()
+        moved = Hypersurface(chart=lambda U: (L @ surf.chart(U)[..., None])[..., 0] + c,
+                             transversal=lambda U: (L @ np.asarray(surf.transversal(U))[
+                                 ..., None])[..., 0],
+                             domain=surf.domain, dim=2)
+        rows = _middle_grid(surf)
+        a, b = decompose(surf, rows), decompose(moved, rows)
+        for field, bound in (("gamma", 1e-8), ("h", 1e-8), ("shape_operator", 1e-11),
+                             ("alpha_form", 1e-11)):
+            assert np.abs(getattr(b, field) - getattr(a, field)).max() < bound, field
+        assert np.abs(b.volume - np.linalg.det(L) * a.volume).max() < 1e-11
+
+        def verdicts(s):
+            worst = immersion.grid_max(structural_check(s, rows).max)
+            return (worst < DEFAULT_TOLERANCES["structural"],
+                    statistical_structure(s, rows, DEFAULT_TOLERANCES["statistical-structure"])
+                    .is_statistical)
+
+        assert verdicts(moved) == verdicts(surf)
 
 
 class TestVolume:
