@@ -4,7 +4,9 @@ A run spec names one subject (model, surface, family or embedding; builtin
 or inline schema), a parameter grid, and a list of checks.  ``run`` executes
 every check, captures per-check errors without aborting siblings, and
 returns a deterministic report (identical specs and seeds give identical
-reports up to the timestamp field).
+reports up to the timestamp field).  ``RunSpec.from_dict`` parses a spec
+once, ``--tol-override`` values included; ``CHECKS`` holds each check with
+its subject kinds, runner, oracle and default tolerance.
 
 Every check reports whether its identity held, and one rule turns that
 into its ``status``: ``pass`` when the outcome matched the spec's ``expect``
@@ -39,28 +41,6 @@ import numpy as np
 
 from . import __version__, dualflat, immersion, infogeo, models, submanifold
 from .errors import DegenerateH, IgeoError, LeftDomain, SchemaError, SingularFrame
-
-DEFAULT_TOLERANCES = {
-    "validate": None,              # model's own profile
-    "flatness": 1e-3,
-    "alpha-duality": 1e-4,
-    "codazzi": 1e-4,
-    "cubic-symmetry": 1e-4,
-    "exponential-form": 1e-4,
-    "structural": 1e-6,
-    "classify": 1e-6,
-    "volume-transport": 1e-6,
-    "statistical-structure": 1e-5,
-    "legendre-roundtrip": 1e-8,
-    "hessian-vs-fisher": 1e-4,
-    "graph-realization": 1e-5,
-    "centro-affine-lift": 1e-6,
-    "autoparallel": 1e-5,
-    "embedding-curvature": 1e-5,
-    "geodesic": 1e-8,
-}
-
-_SUBJECT_KINDS = ("model", "surface", "family", "embedding")
 
 # The flags of immersion.classify, in report order; ``expect.classify``
 # maps some of them to the expected value.
@@ -103,7 +83,7 @@ class GeodesicSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Validated run description."""
+    """Validated run description; ``tolerances`` holds every check's."""
 
     kind: str
     subject_doc: object
@@ -126,7 +106,7 @@ class RunSpec:
         if not isinstance(subject, dict) or len(subject) != 1:
             raise SchemaError('spec needs "subject": {kind: reference-or-schema}')
         kind, subject_doc = next(iter(subject.items()))
-        if kind not in _SUBJECT_KINDS:
+        if not any(kind in check.kinds for check in CHECKS.values()):
             raise SchemaError(f"unknown subject kind {kind!r}")
         checks = doc.get("checks")
         if not isinstance(checks, list) or not checks:
@@ -152,15 +132,15 @@ class RunSpec:
                    for c in grid_doc["counts"]):
                 raise SchemaError("grid counts must be >= 1")
         alphas = doc.get("alpha", [1.0])
-        if not isinstance(alphas, list):
-            raise SchemaError("alpha must be a list of numbers")
+        if not isinstance(alphas, list) or not alphas:
+            raise SchemaError("alpha must be a non-empty list of numbers")
         alphas = tuple(models.number_from_doc(float, a, "alpha") for a in alphas)
-        tolerances = dict(doc.get("tolerances", {}))
-        for name in tolerances:
-            if name not in DEFAULT_TOLERANCES:
-                raise SchemaError(f"tolerance override for unknown check {name!r}")
-        if tol_overrides:
-            tolerances.update(tol_overrides)
+        tolerances = doc.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise SchemaError("tolerances must be a mapping")
+        tolerances = {**{name: check.tolerance for name, check in CHECKS.items()},
+                      **{name: _tolerance(name, value) for name, value
+                         in {**tolerances, **(tol_overrides or {})}.items()}}
         expect = doc.get("expect", {})
         if not isinstance(expect, dict):
             raise SchemaError("expect must be a mapping")
@@ -200,27 +180,28 @@ class RunSpec:
                    expect=expect, seed=seed, geodesic=geodesic,
                    label=str(doc.get("label", kind)), raw=doc)
 
-    def tol(self, check: str, fallback: Optional[float] = None) -> Optional[float]:
-        if check in self.tolerances:
-            return float(self.tolerances[check])
-        default = DEFAULT_TOLERANCES.get(check)
-        return default if default is not None else fallback
+    def tol(self, check: str) -> Optional[float]:
+        return self.tolerances[check]
+
+
+def _tolerance(name: str, value) -> float:
+    """A known check's tolerance, from a spec or ``--tol-override``: a finite float >= 0."""
+    if name not in CHECKS:
+        raise SchemaError(f"tolerance override for unknown check {name!r}")
+    tol = models.number_from_doc(float, value, f"tolerance {name}")
+    if isinstance(value, bool) or not 0.0 <= tol < float("inf"):
+        raise SchemaError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
+    return tol
 
 
 def _load_subject(spec: RunSpec):
-    doc = spec.subject_doc
-    if isinstance(doc, str):
-        doc = {"builtin": doc}
-    if spec.kind == "model":
-        return models.load_model(doc)
-    if spec.kind == "surface":
-        return immersion.load_surface(doc)
-    if spec.kind == "family":
-        return dualflat.load_family(doc)
-    return submanifold.load_embedding(doc)
+    # the loaders are looked up at each call, so a rebound one is the one called
+    load = {"model": models.load_model, "surface": immersion.load_surface,
+            "family": dualflat.load_family, "embedding": submanifold.load_embedding}
+    return load[spec.kind](spec.subject_doc)
 
 
-def _grid_points(spec: RunSpec, subject) -> list:
+def _grid_points(spec: RunSpec, subject) -> np.ndarray:
     if spec.grid_doc is None:
         # default: 3 points per coordinate over the middle half of the domain
         lo, hi = np.asarray(subject.domain.lo), np.asarray(subject.domain.hi)
@@ -241,6 +222,7 @@ class CheckDef:
     kinds: tuple
     runner: Callable    # (spec, subject, grid, model, tol) -> CheckResult
     provenance: str     # the oracle, unless the runner names its own
+    tolerance: Optional[float]  # the default; None: validate takes its model's
     per_alpha: bool = False   # the verdict is one bool per alpha of the run
 
 
@@ -263,13 +245,15 @@ class CheckResult:
 
 def _check_validate(spec, subject, grid, model, tol):
     report = models.validate_model(model, grid)
-    tol, entries = spec.tol("validate", report.tolerance), report.entries
+    tol, entries = report.tolerance if tol is None else tol, report.entries
+    # the first exception validate_model caught, with its point
+    caught = next((e for e in entries if e.reason), None)
     return CheckResult(
         holds=all(e.normalization_residual < tol for e in entries),
         residuals={"max_normalization_residual": report.max_normalization_residual,
                    "max_score_gram_condition": max(e.score_gram_condition for e in entries),
                    "all_smooth": all(e.smooth for e in entries)},
-        tolerance=tol)
+        tolerance=tol, detail=f"theta {list(caught.theta)}: {caught.reason}" if caught else "")
 
 
 def _check_flatness(spec, subject, grid, model, tol):
@@ -284,11 +268,10 @@ def _check_flatness(spec, subject, grid, model, tol):
 
 def _check_alpha_duality(spec, subject, grid, model, tol):
     gf = infogeo.fisher_field(model)
-    rows = np.asarray(grid)
     holds, worst = {}, 0.0
     for alpha in spec.alphas:
-        conj = infogeo.conjugate_connection(gf, infogeo.alpha_field(model, alpha), rows)
-        diff = float(np.abs(conj - infogeo.alpha_connection(model, rows, -alpha)).max())
+        conj = infogeo.conjugate_connection(gf, infogeo.alpha_field(model, alpha), grid)
+        diff = float(np.abs(conj - infogeo.alpha_connection(model, grid, -alpha)).max())
         holds[alpha] = diff < tol
         worst = max(worst, diff)
     return CheckResult(holds=holds, residuals={"max_difference": worst})
@@ -299,7 +282,7 @@ def _check_codazzi(spec, subject, grid, model, tol):
     holds, residuals = {}, {}
     for alpha in spec.alphas:
         conn = infogeo.alpha_field(model, alpha)
-        r = float(infogeo.codazzi_check(gf, conn, np.asarray(grid)).max())
+        r = float(infogeo.codazzi_check(gf, conn, grid).max())
         residuals[f"alpha={alpha:g}"] = r
         holds[alpha] = r < tol
     return CheckResult(holds=holds, residuals=residuals)
@@ -309,7 +292,7 @@ def _check_cubic_symmetry(spec, subject, grid, model, tol):
     # C(-alpha) equals C(alpha) bit for bit, so one sign of each alpha suffices
     alphas = [a for i, a in enumerate(spec.alphas)
               if a != 0.0 and -a not in spec.alphas[:i]] or [1.0]
-    Cs = [infogeo.cubic_tensor(model, np.asarray(grid), alpha) for alpha in alphas]
+    Cs = [infogeo.cubic_tensor(model, grid, alpha) for alpha in alphas]
     worst_sym = max(float(np.abs(C - np.swapaxes(C, *axes)).max())
                     for C in Cs for axes in ((-3, -2), (-2, -1), (-3, -1)))
     worst_spread = max((float(np.abs(C - Cs[0]).max()) for C in Cs[1:]), default=0.0)
@@ -327,7 +310,7 @@ def _check_exponential_form(spec, subject, grid, model, tol):
 
 
 def _check_structural(spec, subject, grid, model, tol):
-    r = immersion.structural_check(subject, np.asarray(grid))
+    r = immersion.structural_check(subject, grid)
     worst = {key: immersion.grid_max(getattr(r, key))
              for key in ("gauss", "codazzi_h", "codazzi_s", "ricci")}
     return CheckResult(holds=max(worst.values()) < tol, residuals=worst)
@@ -344,7 +327,7 @@ def _check_classify(spec, subject, grid, model, tol):
 
 def _check_volume_transport(spec, subject, grid, model, tol):
     try:
-        v = immersion.induced_volume_check(subject, np.asarray(grid))
+        v = immersion.induced_volume_check(subject, grid)
     except DegenerateH as exc:
         # the transport residual over the points where h is nondegenerate
         v = exc.partial
@@ -369,26 +352,24 @@ def _check_statistical_structure(spec, subject, grid, model, tol):
 
 
 def _check_legendre(spec, subject, grid, model, tol):
-    rows = np.asarray(grid, float)
     worst = 0.0
-    for theta, eta in zip(rows, dualflat.dual_coords(subject, rows)):
+    for theta, eta in zip(grid, dualflat.dual_coords(subject, grid)):
         back = dualflat.legendre_inverse(subject, eta, theta0=theta)
         worst = max(worst, float(np.abs(back - theta).max()))
     return CheckResult(holds=worst < tol, residuals={"max_roundtrip_error": worst})
 
 
 def _check_hessian_vs_fisher(spec, subject, grid, model, tol):
-    rows = np.asarray(grid, float)
-    H = dualflat.hessian_metric(subject, rows)
-    worst = float(np.abs(H - infogeo.fisher_metric(model, rows)).max())
+    H = dualflat.hessian_metric(subject, grid)
+    worst = float(np.abs(H - infogeo.fisher_metric(model, grid)).max())
     return CheckResult(holds=worst < tol, residuals={"max_difference": worst})
 
 
 def _check_graph_realization(spec, subject, grid, model, tol):
     tol_zero = 1e-6
     surf = dualflat.graph_realization(subject)
-    data = immersion.decompose(surf, np.asarray(grid))
-    H = dualflat.hessian_metric(subject, np.asarray(grid))
+    data = immersion.decompose(surf, grid)
+    H = dualflat.hessian_metric(subject, grid)
     worst_h = immersion.grid_max(np.abs(data.h - H).max(axis=(-2, -1)))
     worst_zero = immersion.grid_max([np.abs(a).reshape(len(grid), -1).max(axis=1) for a in (
         data.gamma, data.shape_operator, data.alpha_form)])
@@ -401,13 +382,13 @@ def _check_graph_realization(spec, subject, grid, model, tol):
 def _check_centro_affine_lift(spec, subject, grid, model, tol):
     surf = dualflat.centro_affine_lift(subject)
     try:
-        data = immersion.decompose(surf, np.asarray(grid))
+        data = immersion.decompose(surf, grid)
     except SingularFrame as exc:
         return CheckResult(status="untestable", detail=str(exc),
                            provenance="lift transversality is a local property")
     pr = infogeo.projective_equivalence(np.zeros_like(data.gamma), data.gamma, tol=tol)
     # default psi = exp K, so -d log psi = -grad K
-    rho_expected = -dualflat.dual_coords(subject, np.asarray(grid))
+    rho_expected = -dualflat.dual_coords(subject, grid)
     equivalent = bool(np.all(pr.equivalent))
     worst_rho = immersion.grid_max([np.abs(pr.rho - rho_expected).max(axis=-1), pr.residual])
     return CheckResult(holds=equivalent and worst_rho < tol,
@@ -452,41 +433,42 @@ def _check_geodesic(spec, subject, grid, model, tol):
 _MODEL = ("model", "family")
 CHECKS = {
     "validate": CheckDef(_MODEL, _check_validate,
-                         "normalization by the space's expectation rule"),
+                         "normalization by the space's expectation rule", None),
     "flatness": CheckDef(_MODEL, _check_flatness,
-                         "curvature of the alpha-connection field", per_alpha=True),
+                         "curvature of the alpha-connection field", 1e-3, per_alpha=True),
     "alpha-duality": CheckDef(_MODEL, _check_alpha_duality,
                               "conjugate via dg identity vs direct evaluation at -alpha",
-                              per_alpha=True),
+                              1e-4, per_alpha=True),
     "codazzi": CheckDef(_MODEL, _check_codazzi,
-                        "max |(nabla_i h)_jk - (nabla_k h)_ji|", per_alpha=True),
+                        "max |(nabla_i h)_jk - (nabla_k h)_ji|", 1e-4, per_alpha=True),
     "cubic-symmetry": CheckDef(_MODEL, _check_cubic_symmetry,
-                               "skewness tensor from alpha spread"),
-    "exponential-form": CheckDef(_MODEL, _check_exponential_form, ""),
+                               "skewness tensor from alpha spread", 1e-4),
+    "exponential-form": CheckDef(_MODEL, _check_exponential_form, "", 1e-4),
     "structural": CheckDef(("surface",), _check_structural,
-                           "Gauss, two Codazzi and Ricci identities of the induced data"),
-    "classify": CheckDef(("surface",), _check_classify, "thresholded grid flags"),
+                           "Gauss, two Codazzi and Ricci identities of the induced data",
+                           1e-6),
+    "classify": CheckDef(("surface",), _check_classify, "thresholded grid flags", 1e-6),
     "volume-transport": CheckDef(("surface",), _check_volume_transport,
-                                 "volume transport nabla eta = alpha eta"),
+                                 "volume transport nabla eta = alpha eta", 1e-6),
     "statistical-structure": CheckDef(("surface",), _check_statistical_structure,
-                                      "Codazzi residual of the induced pair"),
+                                      "Codazzi residual of the induced pair", 1e-5),
     "legendre-roundtrip": CheckDef(("family",), _check_legendre,
-                                   "theta -> grad K -> Newton inverse"),
+                                   "theta -> grad K -> Newton inverse", 1e-8),
     "hessian-vs-fisher": CheckDef(("family",), _check_hessian_vs_fisher,
-                                  "Hess K vs score covariance"),
+                                  "Hess K vs score covariance", 1e-4),
     "graph-realization": CheckDef(("family",), _check_graph_realization,
-                                  "decomposition of the potential graph"),
+                                  "decomposition of the potential graph", 1e-5),
     "centro-affine-lift": CheckDef(("family",), _check_centro_affine_lift,
                                    "induced connection vs rho-deformed flat "
-                                   "connection, rho = -d log psi"),
+                                   "connection, rho = -d log psi", 1e-6),
     "autoparallel": CheckDef(("embedding",), partial(_check_embedding, flag=True),
                              "embedding curvature in a g-orthonormal normal frame",
-                             per_alpha=True),
+                             1e-5, per_alpha=True),
     "embedding-curvature": CheckDef(("embedding",), _check_embedding,
                                     "largest embedding curvature over the grid",
-                                    per_alpha=True),
+                                    1e-5, per_alpha=True),
     "geodesic": CheckDef(_MODEL, _check_geodesic,
-                         "fixed-step RK4; g-speed sampled along path"),
+                         "fixed-step RK4; g-speed sampled along path", 1e-8),
 }
 
 
@@ -568,7 +550,7 @@ class RunReport:
     results: dict
     subject: object
     model: Optional[models.StatisticalModel]
-    grid: list
+    grid: np.ndarray
 
     @property
     def all_passed(self) -> bool:
@@ -678,8 +660,8 @@ def write_tensor_csv(path, header, rows):
 
 
 def dump_model_tensors(spec: RunSpec, model, grid, out_dir: Path):
-    g = infogeo.fisher_metric(model, np.asarray(grid))
-    low = [infogeo.alpha_connection(model, np.asarray(grid), alpha) for alpha in spec.alphas]
+    g = infogeo.fisher_metric(model, grid)
+    low = [infogeo.alpha_connection(model, grid, alpha) for alpha in spec.alphas]
     rows_g = [[p, i, j, repr(float(g[p, i, j]))] for p, i, j in np.ndindex(g.shape)]
     rows_c = [[p, alpha, i, j, k, repr(float(c[p, i, j, k]))] for p in range(len(grid))
               for alpha, c in zip(spec.alphas, low) for i, j, k in np.ndindex(c.shape[1:])]
@@ -695,7 +677,7 @@ def dump_model_tensors(spec: RunSpec, model, grid, out_dir: Path):
 def dump_surface_tensors(spec: RunSpec, subject, grid, out_dir: Path):
     rows = []
     n = subject.dim
-    d = immersion.decompose(subject, np.asarray(grid))
+    d = immersion.decompose(subject, grid)
     for p in range(len(grid)):
         for i in range(n):
             for j in range(n):
@@ -731,18 +713,11 @@ def dump_geodesic_csv(run_: RunReport, out_path: Path) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def _parse_tol_overrides(pairs):
-    out = {}
-    for pair in pairs or []:
+    """``CHECK=VALUE`` pairs as {check: value}, the values parsed by ``RunSpec``."""
+    for pair in pairs:
         if "=" not in pair:
             raise SchemaError(f"--tol-override expects check=value, got {pair!r}")
-        name, _, raw = pair.partition("=")
-        if name not in DEFAULT_TOLERANCES:
-            raise SchemaError(f"unknown check {name!r} in --tol-override")
-        try:
-            out[name] = float(raw)
-        except ValueError:
-            raise SchemaError(f"tolerance {raw!r} is not a number") from None
-    return out
+    return dict(pair.partition("=")[::2] for pair in pairs)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,8 @@ from .expressions import compile_expression
 from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
-                     StatisticalModel, domain_from_doc, space_from_doc)
+                     StatisticalModel, builtin_or_schema, domain_from_doc,
+                     space_from_doc)
 from .numerics import (PointMemo, batches, integrate, node_quadrature, own_nodes,
                        partials, stacked, stencil, symmetric)
 
@@ -409,19 +410,12 @@ FAMILIES = {
 }
 
 
-def load_family(doc: dict) -> PotentialFamily:
+def load_family(doc: dict | str) -> PotentialFamily:
     """Build a family from {"stats": [exprs over x], "base": expr,
-    "domain": {"lo","hi"}, "space": {...}} or {"builtin": name}."""
-    if not isinstance(doc, dict):
-        raise SchemaError("family document must be a mapping")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in FAMILIES:
-            raise SchemaError(f"unknown builtin family {name!r}")
-        return FAMILIES[name]()
-    for key in ("stats", "domain", "space"):
-        if key not in doc:
-            raise SchemaError(f"family document is missing {key!r}")
+    "domain": {"lo","hi"}, "space": {...}} or a builtin name."""
+    builtin = builtin_or_schema(doc, "family", FAMILIES, ("stats", "domain", "space"))
+    if builtin is not None:
+        return builtin
     if not isinstance(doc["stats"], list) or not doc["stats"]:
         raise SchemaError("stats must be a non-empty list of expressions")
     space = space_from_doc(doc["space"])

@@ -37,7 +37,7 @@ from .errors import DegenerateH, OutOfDomain, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
-from .models import Box, domain_from_doc, number_from_doc
+from .models import Box, builtin_or_schema, domain_from_doc, number_from_doc
 from .numerics import (DiffScheme, PointMemo, partials, solve_frame,
                        stencil, symmetric)
 
@@ -524,19 +524,13 @@ SURFACES = {
 }
 
 
-def load_surface(doc: dict) -> Hypersurface:
+def load_surface(doc: dict | str) -> Hypersurface:
     """Build a surface from {"name", "dim", "chart": [exprs over u[i]],
-    "transversal": [exprs] | "centro-affine", "domain": {"lo","hi"}}."""
-    if not isinstance(doc, dict):
-        raise SchemaError("surface document must be a mapping")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in SURFACES:
-            raise SchemaError(f"unknown builtin surface {name!r}")
-        return SURFACES[name]()
-    for key in ("name", "dim", "chart", "domain"):
-        if key not in doc:
-            raise SchemaError(f"surface document is missing {key!r}")
+    "transversal": [exprs] | "centro-affine", "domain": {"lo","hi"}} or a
+    builtin name."""
+    builtin = builtin_or_schema(doc, "surface", SURFACES, ("name", "dim", "chart", "domain"))
+    if builtin is not None:
+        return builtin
     dim = number_from_doc(int, doc["dim"], "surface dim")
     chart_exprs = doc["chart"]
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:

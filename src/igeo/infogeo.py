@@ -239,18 +239,23 @@ def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray
     sum is a new array on every call.
     """
     _, A, T = _moments(model, theta)
+    return _lowered_alpha(A, T, alpha)
+
+
+def _lowered_alpha(A, T, alpha: float) -> np.ndarray:
+    """A + (1-a)/2 T: the one formula of every alpha-connection, lowered or raised."""
     return A + (1.0 - alpha) / 2.0 * T
 
 
 def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
-    """The alpha-connection as a field.  ``up`` raises A + (1-a)/2 T of the
-    moments with their g after one condition test (the Fisher one): the
+    """The alpha-connection as a field.  ``up`` raises ``_lowered_alpha`` of
+    the moments with their g after one condition test (the Fisher one): the
     operations of ``raise_connection(alpha_connection, fisher_metric)``
     with one lookup of the moments."""
 
     def up(th):
         g, A, T = _moments(model, th)
-        return raise_connection(A + (1.0 - alpha) / 2.0 * T, g, "Fisher metric")
+        return raise_connection(_lowered_alpha(A, T, alpha), g, "Fisher metric")
 
     return ConnectionField(dim=model.dim,
                            low_fn=lambda th: alpha_connection(model, th, alpha),

@@ -55,11 +55,11 @@ def default_quad_nodes(fallback: int) -> int:
     return value
 
 
-def grid(lo, hi, counts) -> list:
+def grid(lo, hi, counts) -> np.ndarray:
     """Row-major tensor grid from ``lo`` to ``hi`` with ``counts`` points per
-    coordinate; ``lo`` may equal ``hi`` along any axis."""
-    return list(tensor_grid([np.linspace(float(a), float(b), int(c))
-                             for a, b, c in zip(lo, hi, counts)]))
+    coordinate, one (P, n) array; ``lo`` may equal ``hi`` along any axis."""
+    return tensor_grid([np.linspace(float(a), float(b), int(c))
+                        for a, b, c in zip(lo, hi, counts)])
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class Box:
     def center(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
 
-    def grid(self, counts) -> list:
+    def grid(self, counts) -> np.ndarray:
         """Row-major tensor grid with ``counts`` points per coordinate."""
         return grid(self.lo, self.hi, counts)
 
@@ -529,6 +529,27 @@ def _require(doc: dict, key: str, types, where: str = "document"):
     return value
 
 
+def builtin_or_schema(doc, kind: str, builtins: dict, required: tuple = ()):
+    """The builtin a ``kind`` document names, or None for a schema document.
+
+    A bare name stands for ``{"builtin": name}``.  SchemaError for a
+    document that is no mapping, an unknown builtin, or a schema document
+    missing one of the ``required`` keys."""
+    if isinstance(doc, str):
+        doc = {"builtin": doc}
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} document must be a mapping")
+    if "builtin" in doc:
+        name = doc["builtin"]
+        if not isinstance(name, str) or name not in builtins:
+            raise SchemaError(f"unknown builtin {kind} {name!r}")
+        return builtins[name]()
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{kind} document is missing {key!r}")
+    return None
+
+
 def number_from_doc(convert: Callable, value, what: str):
     """``convert(value)`` for a spec field; SchemaError when it is no number."""
     try:
@@ -583,21 +604,16 @@ def space_from_doc(doc: dict) -> SampleSpace:
     raise SchemaError(f"unknown sample space kind {kind!r}")
 
 
-def load_model(doc: dict) -> StatisticalModel:
+def load_model(doc: dict | str) -> StatisticalModel:
     """Build a model from a configuration document.
 
-    Either ``{"builtin": name}`` for a catalog entry, or the full schema with
-    ``name``, ``dim``, ``space``, ``domain`` and a ``log_density`` expression
-    over ``x[i]`` and ``theta[i]``.
+    Either a catalog name (or ``{"builtin": name}``), or the full schema
+    with ``name``, ``dim``, ``space``, ``domain`` and a ``log_density``
+    expression over ``x[i]`` and ``theta[i]``.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("model document must be a mapping")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in CATALOG:
-            raise SchemaError(f"unknown builtin model {name!r}")
-        return CATALOG[name]()
-
+    builtin = builtin_or_schema(doc, "model", CATALOG)
+    if builtin is not None:
+        return builtin
     name = _require(doc, "name", str)
     dim = _require(doc, "dim", int)
     space = space_from_doc(_require(doc, "space", dict))

@@ -25,8 +25,9 @@ from .errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
 from .expressions import compile_chart
 from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
-from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
-                     load_model, normal_quantiles, second_log_derivs)
+from .models import (Box, SampleSpace, StatisticalModel, builtin_or_schema,
+                     domain_from_doc, load_model, normal_quantiles,
+                     second_log_derivs)
 from .numerics import batches, partials, stencil, symmetric, tensor_grid
 
 _RANK_TOL = 1e-8
@@ -283,15 +284,8 @@ def coordinate_slice(family: PotentialFamily, fixed_indices: Sequence[int],
 def load_embedding(doc: dict) -> SubmanifoldEmbedding:
     """Build an embedding from {"ambient": model doc | builtin name,
     "map": [exprs over u[i]], "domain": {"lo","hi"}}."""
-    if not isinstance(doc, dict):
-        raise SchemaError("embedding document must be a mapping")
-    for key in ("ambient", "map", "domain"):
-        if key not in doc:
-            raise SchemaError(f"embedding document is missing {key!r}")
-    ambient_doc = doc["ambient"]
-    if isinstance(ambient_doc, str):
-        ambient_doc = {"builtin": ambient_doc}
-    ambient = load_model(ambient_doc)
+    builtin_or_schema(doc, "embedding", {}, ("ambient", "map", "domain"))  # no builtins
+    ambient = load_model(doc["ambient"])
     exprs = doc["map"]
     if not isinstance(exprs, list) or len(exprs) != ambient.dim:
         raise SchemaError("map must list one expression per ambient coordinate")

@@ -128,6 +128,27 @@ class TestRun:
         rep = run_document(doc)
         assert rep.runs[0].results["flatness"].status == "fail"
 
+    def test_validate_detail_names_the_exception_it_caught(self, monkeypatch):
+        """validate_model records an exception instead of raising it; the
+        check's detail gives the first such reason with its point."""
+        space = models.SampleSpace.real_line(
+            numerics.ExpectationRule.monte_carlo(nodes=512, seed=3, scale=1.5))
+        probe = models.quadrature_sample(space)
+
+        def ll(x, th):
+            if x.shape == probe.shape and np.array_equal(x, probe):
+                raise RuntimeError("probe rejected")
+            return -0.5 * (x[..., 0] - th[..., 0, None]) ** 2 - 0.5 * np.log(2 * np.pi)
+
+        monkeypatch.setitem(models.CATALOG, "probe-raises", lambda: models.StatisticalModel(
+            space=space, dim=1, domain=models.Box((-1.0,), (1.0,)), log_density=ll,
+            label="probe-raises"))
+        rep = run_document({"subject": {"model": "probe-raises"}, "checks": ["validate"],
+                            "grid": {"lo": [0.0], "hi": [0.0], "counts": [1]}})
+        result = rep.runs[0].results["validate"]
+        assert result.residuals["all_smooth"] is False
+        assert result.detail == "theta [0.0]: RuntimeError: probe rejected"
+
     def test_monte_carlo_family_is_dually_flat(self):
         """An inline 2-d normal family on a Monte Carlo rule takes K, g and
         every alpha-connection on the rule's nodes, where it is an
@@ -261,7 +282,8 @@ class TestMain:
         """Grids on and just inside the domain edge fail each check with the
         message a point-by-point sweep gave: the first point and node.  The
         Fisher metric is read from the jet's moments, so codazzi, which
-        takes it at the grid points first, names the jet's node."""
+        takes it at the grid points first, names the jet's node; validate
+        names the exception it caught at its first point."""
         checks = ["validate", "flatness", "alpha-duality", "codazzi", "cubic-symmetry",
                   "exponential-form"]
         theta = "theta [-0.78, -2.0] outside domain of normal-natural"
@@ -271,7 +293,9 @@ class TestMain:
                 "stencil node [-0.7878125, -2.0] leaves the declared domain",
                 theta, theta, theta])),
             (-0.7799, -1.9999): dict(zip(checks, [
-                ""] + ["stencil node [-0.7877125, -1.9999] leaves the declared domain"] * 2
+                "theta [-0.7799, -1.9999]: StencilOutOfDomain: stencil node "
+                "[-0.780144140625, -1.9999] leaves the declared domain"]
+                + ["stencil node [-0.7877125, -1.9999] leaves the declared domain"] * 2
                 + ["stencil node [-0.780144140625, -1.9999] leaves the declared domain"] * 3))}
         for lo, details in want.items():
             rep = run_document({"subject": {"model": "normal-natural"}, "checks": checks,
@@ -316,6 +340,11 @@ class TestMain:
                          "--out", str(tmp_path / "r.json"),
                          "--tol-override", "flatness=notanumber"])
         assert code == 2
+        # a tolerance no residual can meet, or none can miss, tests nothing
+        for value in ("inf", "nan"):
+            assert cli.main(["verify", "--spec", str(spec),
+                             "--out", str(tmp_path / "r.json"),
+                             "--tol-override", f"flatness={value}"]) == 2
 
     def test_compute_writes_csv(self, tmp_path, flatness_spec):
         spec = self._write_spec(tmp_path, flatness_spec)
@@ -545,7 +574,17 @@ class TestMain:
         "classify-not-a-mapping": "expect classify must map flag names to booleans, "
                                   "got True",
         "classify-flag": "expect classify names unknown flag 'blaschk'",
+        # a tolerance or alpha list that would crash a check or let it test nothing
+        "tolerance-word": "tolerance flatness must be a number, got 'tight'",
+        "tolerance-bool": "tolerance flatness must be a finite number >= 0, got True",
+        "tolerance-negative": "tolerance flatness must be a finite number >= 0, got -1",
+        "tolerance-nan": "tolerance flatness must be a finite number >= 0, got nan",
+        "tolerance-inf": "tolerance flatness must be a finite number >= 0, got inf",
+        "alpha-empty": "alpha must be a non-empty list of numbers",
+        "builtin-not-a-name": "unknown builtin model ['bernoulli-natural']",
     }
+    TOLERANCES = {"word": "tight", "bool": True, "negative": -1, "nan": float("nan"),
+                  "inf": float("inf")}
 
     @pytest.mark.parametrize("expect", [
         {"exponential-form": "false"}, {"flatness": 0}, {"flatness": {"1": "yes"}},
@@ -579,6 +618,12 @@ class TestMain:
         elif case == "expect-single-verdict":
             doc["checks"] = ["exponential-form"]
             doc["expect"] = {"exponential-form": {"1": False}}
+        elif case.startswith("tolerance-"):
+            doc["tolerances"] = {"flatness": self.TOLERANCES[case.split("-")[1]]}
+        elif case == "alpha-empty":
+            doc["alpha"] = []
+        elif case == "builtin-not-a-name":
+            doc["subject"] = {"model": {"builtin": ["bernoulli-natural"]}}
         elif case in ("model-x", "model-theta"):
             var = case.split("-")[1]
             bernoulli["log_density"] += f" + 0*{var}[1]"

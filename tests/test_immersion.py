@@ -484,7 +484,7 @@ class TestAffineInvariance:
 
     @pytest.mark.parametrize("name", ["sphere", "paraboloid", "paraboloid-tilted"])
     def test_induced_data_and_verdicts(self, name):
-        from igeo.cli import DEFAULT_TOLERANCES
+        from igeo.cli import CHECKS
         rng = np.random.default_rng(20)
         L = rng.normal(size=(3, 3))
         while np.linalg.cond(L) > 10:
@@ -504,8 +504,8 @@ class TestAffineInvariance:
 
         def verdicts(s):
             worst = immersion.grid_max(structural_check(s, rows).max)
-            return (worst < DEFAULT_TOLERANCES["structural"],
-                    statistical_structure(s, rows, DEFAULT_TOLERANCES["statistical-structure"])
+            return (worst < CHECKS["structural"].tolerance,
+                    statistical_structure(s, rows, CHECKS["statistical-structure"].tolerance)
                     .is_statistical)
 
         assert verdicts(moved) == verdicts(surf)

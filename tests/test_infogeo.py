@@ -231,6 +231,22 @@ class TestAlphaFieldUp:
                                     fisher_metric(reference, theta))
             assert np.array_equal(got, want)
 
+    def test_one_formula_for_lowered_and_raised(self, monkeypatch):
+        """``alpha_connection`` and ``alpha_field(...).up`` take Gamma^alpha
+        from one helper: an alpha flip planted there moves both forms."""
+        theta = models.reference_grid("normal-natural")[0]
+
+        def both(alpha):
+            model = models.normal_natural()
+            return alpha_connection(model, theta, alpha), alpha_field(model, alpha).up(theta)
+
+        plain, flipped = both(1.0), both(-1.0)
+        real = infogeo._lowered_alpha
+        monkeypatch.setattr(infogeo, "_lowered_alpha", lambda A, T, alpha: real(A, T, -alpha))
+        for got, before, want in zip(both(1.0), plain, flipped):
+            assert not np.array_equal(got, before)
+            assert np.array_equal(got, want)
+
     def test_singular_metric(self):
         base = models.normal_mean_sigma()
         bad = models.StatisticalModel(
