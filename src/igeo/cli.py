@@ -11,7 +11,8 @@ its subject kinds, runner, oracle and default tolerance.
 Every check reports whether its identity held, and one rule turns that
 into its ``status``: ``pass`` when the outcome matched the spec's ``expect``
 for the check, which defaults to "holds", else ``fail``.  ``untestable``
-marks a check the grid cannot test, ``error`` one that raised.
+marks a check the grid cannot test, ``error`` one that raised.  Residuals
+come per grid point, and ``numerics.grid_max`` alone reduces them.
 
 The ``igeo`` command exposes four subcommands over the same spec document:
 ``verify`` (checks + report), ``compute`` (adds tensor CSV dumps),
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import __version__, dualflat, immersion, infogeo, models, submanifold
 from .errors import DegenerateH, IgeoError, LeftDomain, SchemaError, SingularFrame
+from .numerics import grid_max, point_max
 
 # The flags of immersion.classify, in report order; ``expect.classify``
 # maps some of them to the expected value.
@@ -83,7 +85,8 @@ class GeodesicSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Validated run description; ``tolerances`` holds every check's."""
+    """Validated run description; ``tolerances`` holds every check's,
+    ``expect`` them parsed by ``_expected``, ``raw`` the document as written."""
 
     kind: str
     subject_doc: object
@@ -144,26 +147,7 @@ class RunSpec:
         expect = doc.get("expect", {})
         if not isinstance(expect, dict):
             raise SchemaError("expect must be a mapping")
-        for name, flag in expect.items():
-            if name not in CHECKS:
-                raise SchemaError(f"expect names unknown check {name!r}")
-            # classify maps flag names; a per-alpha check may map alphas
-            if name == "classify":
-                if not isinstance(flag, dict):
-                    raise SchemaError("expect classify must map flag names to "
-                                      f"booleans, got {flag!r}")
-                for key in flag:
-                    if key not in CLASSIFY_FLAGS:
-                        raise SchemaError(f"expect classify names unknown flag {key!r}")
-            elif isinstance(flag, dict):
-                if not CHECKS[name].per_alpha:
-                    raise SchemaError(f"expect {name} takes one boolean: the check "
-                                      "has no verdict per alpha")
-                for key in flag:
-                    models.number_from_doc(float, key, f"expect {name} alpha")
-            for value in flag.values() if isinstance(flag, dict) else (flag,):
-                if not isinstance(value, bool):
-                    raise SchemaError(f"expect {name} takes booleans, got {value!r}")
+        expect = {name: _expected(name, flag, alphas) for name, flag in expect.items()}
         seed = doc.get("seed")
         if seed_override is not None:
             seed = seed_override
@@ -192,6 +176,37 @@ def _tolerance(name: str, value) -> float:
     if isinstance(value, bool) or not 0.0 <= tol < float("inf"):
         raise SchemaError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
     return tol
+
+
+def _expected(name: str, flag, alphas: tuple):
+    """One check's ``expect`` entry, parsed: a boolean, classify's {flag
+    name: boolean}, or a per-alpha check's {alpha: boolean}, each key
+    parsed once to the alpha of the run the check tests (within 1e-12)."""
+    if name not in CHECKS:
+        raise SchemaError(f"expect names unknown check {name!r}")
+    parsed = {}
+    if name == "classify":
+        if not isinstance(flag, dict):
+            raise SchemaError(f"expect classify must map flag names to booleans, got {flag!r}")
+        for key in flag:
+            if key not in CLASSIFY_FLAGS:
+                raise SchemaError(f"expect classify names unknown flag {key!r}")
+    elif isinstance(flag, dict):
+        if CHECKS[name].per_alpha is None:
+            raise SchemaError(f"expect {name} takes one boolean: the check "
+                              "has no verdict per alpha")
+        tested = alphas[CHECKS[name].per_alpha]
+        for key, value in flag.items():
+            x = models.number_from_doc(float, key, f"expect {name} alpha")
+            alpha = next((a for a in tested if abs(a - x) < 1e-12), None)
+            if alpha is None or alpha in parsed:
+                raise SchemaError(f"expect {name} alpha {key!r} names no alpha the check "
+                                  f"tests, {list(tested)}, or one named before")
+            parsed[alpha] = value
+    for value in flag.values() if isinstance(flag, dict) else (flag,):
+        if not isinstance(value, bool):
+            raise SchemaError(f"expect {name} takes booleans, got {value!r}")
+    return parsed or flag
 
 
 def _load_subject(spec: RunSpec):
@@ -223,7 +238,7 @@ class CheckDef:
     runner: Callable    # (spec, subject, grid, model, tol) -> CheckResult
     provenance: str     # the oracle, unless the runner names its own
     tolerance: Optional[float]  # the default; None: validate takes its model's
-    per_alpha: bool = False   # the verdict is one bool per alpha of the run
+    per_alpha: Optional[slice] = None  # a verdict per alpha of spec.alphas[per_alpha]
 
 
 @dataclass
@@ -232,7 +247,11 @@ class CheckResult:
     (``holds``: a bool, ``{alpha: bool}`` per alpha, or classify's flags);
     ``_run_check`` alone makes ``status`` of it: ``pass`` when it matched
     ``expect``, which defaults to "holds".  A runner sets ``status`` only to
-    ``untestable``, or to ``error`` for a geodesic that left the domain."""
+    ``untestable``, or to ``error`` for a geodesic that left the domain.
+    A runner gives a residual over the grid per point, an array (P,) (per
+    path sample for the geodesic), and judges ``holds`` by every point's,
+    which a NaN fails; ``_run_check`` keeps them as ``per_point`` and
+    reports each array's ``numerics.grid_max``, NaN if any point is."""
 
     holds: object = None
     residuals: dict = field(default_factory=dict)
@@ -241,6 +260,7 @@ class CheckResult:
     provenance: str = ""
     detail: str = ""
     path: object = None          # the geodesic check's path, for the CSV; not reported
+    per_point: dict = field(default_factory=dict)  # the runner's residuals; not reported
 
 
 def _check_validate(spec, subject, grid, model, tol):
@@ -248,10 +268,12 @@ def _check_validate(spec, subject, grid, model, tol):
     tol, entries = report.tolerance if tol is None else tol, report.entries
     # the first exception validate_model caught, with its point
     caught = next((e for e in entries if e.reason), None)
+    residual = np.array([e.normalization_residual for e in entries])
     return CheckResult(
-        holds=all(e.normalization_residual < tol for e in entries),
-        residuals={"max_normalization_residual": report.max_normalization_residual,
-                   "max_score_gram_condition": max(e.score_gram_condition for e in entries),
+        holds=bool((residual < tol).all()),
+        residuals={"max_normalization_residual": residual,
+                   "max_score_gram_condition": np.array([e.score_gram_condition
+                                                         for e in entries]),
                    "all_smooth": all(e.smooth for e in entries)},
         tolerance=tol, detail=f"theta {list(caught.theta)}: {caught.reason}" if caught else "")
 
@@ -260,31 +282,29 @@ def _check_flatness(spec, subject, grid, model, tol):
     holds, residuals = {}, {}
     for alpha in spec.alphas:
         rep = infogeo.flatness_check(model, grid, alpha, tol=tol)
-        residuals[f"alpha={alpha:g}"] = {"flat": rep.flat, "max_R": rep.max_R,
-                                         "max_torsion": rep.max_torsion}
+        residuals[f"alpha={alpha:g}"] = {"flat": rep.flat, "max_R": rep.R,
+                                         "max_torsion": rep.torsion}
         holds[alpha] = rep.flat
     return CheckResult(holds=holds, residuals=residuals)
 
 
 def _check_alpha_duality(spec, subject, grid, model, tol):
     gf = infogeo.fisher_field(model)
-    holds, worst = {}, 0.0
+    holds, diffs = {}, []
     for alpha in spec.alphas:
         conj = infogeo.conjugate_connection(gf, infogeo.alpha_field(model, alpha), grid)
-        diff = float(np.abs(conj - infogeo.alpha_connection(model, grid, -alpha)).max())
-        holds[alpha] = diff < tol
-        worst = max(worst, diff)
-    return CheckResult(holds=holds, residuals={"max_difference": worst})
+        diffs.append(point_max(conj - infogeo.alpha_connection(model, grid, -alpha), 3))
+        holds[alpha] = bool((diffs[-1] < tol).all())
+    return CheckResult(holds=holds, residuals={"max_difference": np.max(diffs, axis=0)})
 
 
 def _check_codazzi(spec, subject, grid, model, tol):
     gf = infogeo.fisher_field(model)
     holds, residuals = {}, {}
     for alpha in spec.alphas:
-        conn = infogeo.alpha_field(model, alpha)
-        r = float(infogeo.codazzi_check(gf, conn, grid).max())
+        r = infogeo.codazzi_check(gf, infogeo.alpha_field(model, alpha), grid)
         residuals[f"alpha={alpha:g}"] = r
-        holds[alpha] = r < tol
+        holds[alpha] = bool((r < tol).all())
     return CheckResult(holds=holds, residuals=residuals)
 
 
@@ -293,27 +313,25 @@ def _check_cubic_symmetry(spec, subject, grid, model, tol):
     alphas = [a for i, a in enumerate(spec.alphas)
               if a != 0.0 and -a not in spec.alphas[:i]] or [1.0]
     Cs = [infogeo.cubic_tensor(model, grid, alpha) for alpha in alphas]
-    worst_sym = max(float(np.abs(C - np.swapaxes(C, *axes)).max())
-                    for C in Cs for axes in ((-3, -2), (-2, -1), (-3, -1)))
-    worst_spread = max((float(np.abs(C - Cs[0]).max()) for C in Cs[1:]), default=0.0)
-    return CheckResult(holds=worst_sym < tol and worst_spread < tol,
-                       residuals={"max_asymmetry": worst_sym,
-                                  "max_alpha_spread": worst_spread})
+    asymmetry = np.max([point_max(C - np.swapaxes(C, *axes), 3)
+                        for C in Cs for axes in ((-3, -2), (-2, -1), (-3, -1))], axis=0)
+    spread = np.max([point_max(C - Cs[0], 3) for C in Cs], axis=0)
+    return CheckResult(holds=bool((asymmetry < tol).all() and (spread < tol).all()),
+                       residuals={"max_asymmetry": asymmetry, "max_alpha_spread": spread})
 
 
 def _check_exponential_form(spec, subject, grid, model, tol):
     rep = submanifold.exponential_form_check(model, grid, tol=tol)
     return CheckResult(holds=rep.is_exponential_form,
                        residuals={"is_exponential_form": rep.is_exponential_form,
-                                  "max_variation": rep.max_variation},
+                                  "max_variation": rep.variation},
                        provenance=rep.note)
 
 
 def _check_structural(spec, subject, grid, model, tol):
-    r = immersion.structural_check(subject, grid)
-    worst = {key: immersion.grid_max(getattr(r, key))
-             for key in ("gauss", "codazzi_h", "codazzi_s", "ricci")}
-    return CheckResult(holds=max(worst.values()) < tol, residuals=worst)
+    residuals = dict(vars(immersion.structural_check(subject, grid)))
+    return CheckResult(holds=all((r < tol).all() for r in residuals.values()),
+                       residuals=residuals)
 
 
 def _check_classify(spec, subject, grid, model, tol):
@@ -332,13 +350,12 @@ def _check_volume_transport(spec, subject, grid, model, tol):
         # the transport residual over the points where h is nondegenerate
         v = exc.partial
         return CheckResult(status="untestable",
-                           residuals={"max_transport_residual": immersion.grid_max(
-                               v.transport_residual[~np.isnan(v.blaschke_gap)])},
+                           residuals={"max_transport_residual":
+                                      v.transport_residual[~np.isnan(v.blaschke_gap)]},
                            detail="h degenerate somewhere on the grid")
-    worst_transport = immersion.grid_max(v.transport_residual)
-    return CheckResult(holds=worst_transport < tol,
-                       residuals={"max_transport_residual": worst_transport,
-                                  "max_blaschke_gap": immersion.grid_max(v.blaschke_gap)})
+    return CheckResult(holds=bool((v.transport_residual < tol).all()),
+                       residuals={"max_transport_residual": v.transport_residual,
+                                  "max_blaschke_gap": v.blaschke_gap})
 
 
 def _check_statistical_structure(spec, subject, grid, model, tol):
@@ -352,30 +369,28 @@ def _check_statistical_structure(spec, subject, grid, model, tol):
 
 
 def _check_legendre(spec, subject, grid, model, tol):
-    worst = 0.0
-    for theta, eta in zip(grid, dualflat.dual_coords(subject, grid)):
-        back = dualflat.legendre_inverse(subject, eta, theta0=theta)
-        worst = max(worst, float(np.abs(back - theta).max()))
-    return CheckResult(holds=worst < tol, residuals={"max_roundtrip_error": worst})
+    error = np.array([point_max(dualflat.legendre_inverse(subject, eta, theta0=theta) - theta, 1)
+                      for theta, eta in zip(grid, dualflat.dual_coords(subject, grid))])
+    return CheckResult(holds=bool((error < tol).all()),
+                       residuals={"max_roundtrip_error": error})
 
 
 def _check_hessian_vs_fisher(spec, subject, grid, model, tol):
-    H = dualflat.hessian_metric(subject, grid)
-    worst = float(np.abs(H - infogeo.fisher_metric(model, grid)).max())
-    return CheckResult(holds=worst < tol, residuals={"max_difference": worst})
+    diff = point_max(dualflat.hessian_metric(subject, grid)
+                     - infogeo.fisher_metric(model, grid), 2)
+    return CheckResult(holds=bool((diff < tol).all()), residuals={"max_difference": diff})
 
 
 def _check_graph_realization(spec, subject, grid, model, tol):
     tol_zero = 1e-6
     surf = dualflat.graph_realization(subject)
     data = immersion.decompose(surf, grid)
-    H = dualflat.hessian_metric(subject, grid)
-    worst_h = immersion.grid_max(np.abs(data.h - H).max(axis=(-2, -1)))
-    worst_zero = immersion.grid_max([np.abs(a).reshape(len(grid), -1).max(axis=1) for a in (
-        data.gamma, data.shape_operator, data.alpha_form)])
-    return CheckResult(holds=worst_h < tol and worst_zero < tol_zero,
-                       residuals={"max_h_minus_hessK": worst_h,
-                                  "max_gamma_S_alpha": worst_zero},
+    h_error = point_max(data.h - dualflat.hessian_metric(subject, grid), 2)
+    zero_error = np.max([point_max(data.gamma, 3), point_max(data.shape_operator, 2),
+                         point_max(data.alpha_form, 1)], axis=0)
+    return CheckResult(holds=bool((h_error < tol).all() and (zero_error < tol_zero).all()),
+                       residuals={"max_h_minus_hessK": h_error,
+                                  "max_gamma_S_alpha": zero_error},
                        tolerance={"h_vs_hessK": tol, "gamma_S_alpha": tol_zero})
 
 
@@ -390,10 +405,10 @@ def _check_centro_affine_lift(spec, subject, grid, model, tol):
     # default psi = exp K, so -d log psi = -grad K
     rho_expected = -dualflat.dual_coords(subject, grid)
     equivalent = bool(np.all(pr.equivalent))
-    worst_rho = immersion.grid_max([np.abs(pr.rho - rho_expected).max(axis=-1), pr.residual])
-    return CheckResult(holds=equivalent and worst_rho < tol,
+    rho_error = np.maximum(point_max(pr.rho - rho_expected, 1), pr.residual)
+    return CheckResult(holds=equivalent and bool((rho_error < tol).all()),
                        residuals={"projectively_flat": equivalent,
-                                  "max_rho_error": worst_rho})
+                                  "max_rho_error": rho_error})
 
 
 def _check_embedding(spec, subject, grid, model, tol, flag=False):
@@ -403,7 +418,7 @@ def _check_embedding(spec, subject, grid, model, tol, flag=False):
     rep = submanifold.autoparallel_check(
         subject, infogeo.alpha_field(subject.ambient, alpha),
         infogeo.fisher_field(subject.ambient), grid, tol=tol)
-    residuals = {"max_abs_H": rep.max_abs, "alpha": alpha}
+    residuals = {"max_abs_H": rep.max_H, "alpha": alpha}
     if flag:
         residuals["autoparallel"] = rep.autoparallel
     return CheckResult(holds={alpha: rep.autoparallel}, residuals=residuals)
@@ -419,14 +434,13 @@ def _check_geodesic(spec, subject, grid, model, tol):
         return CheckResult(status="error", detail=str(exc), path=exc.partial_path)
     every = max(1, len(path.t) // 20)
     G = infogeo.fisher_metric(model, path.theta[::every])
-    speeds = [float(v @ g @ v) for g, v in zip(G, path.velocity[::every])]
-    drift = max(abs(s - speeds[0]) for s in speeds)
+    speeds = np.array([float(v @ g @ v) for g, v in zip(G, path.velocity[::every])])
     # no oracle of the path is held against the tolerance yet: a path that
     # stays in the domain counts as the identity holding
     return CheckResult(holds=True,
                        residuals={"alpha": geo.alpha,
                                   "final_theta": [float(v) for v in path.final_theta],
-                                  "speed_drift": drift},
+                                  "speed_drift": np.abs(speeds - speeds[0])},
                        detail=f"steps={len(path.t) - 1}", path=path)
 
 
@@ -435,12 +449,12 @@ CHECKS = {
     "validate": CheckDef(_MODEL, _check_validate,
                          "normalization by the space's expectation rule", None),
     "flatness": CheckDef(_MODEL, _check_flatness,
-                         "curvature of the alpha-connection field", 1e-3, per_alpha=True),
+                         "curvature of the alpha-connection field", 1e-3, per_alpha=slice(None)),
     "alpha-duality": CheckDef(_MODEL, _check_alpha_duality,
                               "conjugate via dg identity vs direct evaluation at -alpha",
-                              1e-4, per_alpha=True),
+                              1e-4, per_alpha=slice(None)),
     "codazzi": CheckDef(_MODEL, _check_codazzi,
-                        "max |(nabla_i h)_jk - (nabla_k h)_ji|", 1e-4, per_alpha=True),
+                        "max |(nabla_i h)_jk - (nabla_k h)_ji|", 1e-4, per_alpha=slice(None)),
     "cubic-symmetry": CheckDef(_MODEL, _check_cubic_symmetry,
                                "skewness tensor from alpha spread", 1e-4),
     "exponential-form": CheckDef(_MODEL, _check_exponential_form, "", 1e-4),
@@ -463,10 +477,10 @@ CHECKS = {
                                    "connection, rho = -d log psi", 1e-6),
     "autoparallel": CheckDef(("embedding",), partial(_check_embedding, flag=True),
                              "embedding curvature in a g-orthonormal normal frame",
-                             1e-5, per_alpha=True),
+                             1e-5, per_alpha=slice(1)),
     "embedding-curvature": CheckDef(("embedding",), _check_embedding,
                                     "largest embedding curvature over the grid",
-                                    1e-5, per_alpha=True),
+                                    1e-5, per_alpha=slice(1)),
     "geodesic": CheckDef(_MODEL, _check_geodesic,
                          "fixed-step RK4; g-speed sampled along path", 1e-8),
 }
@@ -480,9 +494,8 @@ def _status(name: str, holds, spec: RunSpec) -> str:
     if name == "classify":
         pairs = [(holds[flag], want) for flag, want in expected.items()]
     elif isinstance(holds, dict):
-        pairs = [(held, expected if isinstance(expected, bool) else next(
-            (want for key, want in expected.items() if abs(float(key) - alpha) < 1e-12),
-            True)) for alpha, held in holds.items()]
+        pairs = [(held, expected if isinstance(expected, bool) else expected.get(alpha, True))
+                 for alpha, held in holds.items()]
     else:
         pairs = [(holds, expected)]
     return "pass" if all(held == want for held, want in pairs) else "fail"
@@ -493,20 +506,23 @@ def _status(name: str, holds, spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _jsonable(value):
+    """``value`` with tuples as lists, keys as strings and non-finite floats
+    as their repr ("nan", "inf"); reported values are Python scalars."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float) and not np.isfinite(value):
+        return repr(value)
     return value
+
+
+def _reduced(residuals: dict) -> dict:
+    """The residuals a report shows: each per-point array as its
+    ``grid_max``, in nested per-alpha mappings too."""
+    return {key: grid_max(v) if isinstance(v, np.ndarray)
+            else _reduced(v) if isinstance(v, dict) else v
+            for key, v in residuals.items()}
 
 
 _ASCII = json.encoder.encode_basestring_ascii
@@ -615,8 +631,9 @@ def run(spec: RunSpec) -> RunReport:
 
 
 def _run_check(name: str, spec: RunSpec, subject, grid, model) -> CheckResult:
-    """One check's result: status by ``_status``, tolerance and provenance
-    the check's unless the runner gave its own; an exception is an ``error``."""
+    """One check's result: residuals reduced by ``_reduced``, status by
+    ``_status``, tolerance and provenance the check's unless the runner gave
+    its own; an exception is an ``error``."""
     check, tol = CHECKS[name], spec.tol(name)
     try:
         result = check.runner(spec, subject, grid, model, tol)
@@ -624,6 +641,7 @@ def _run_check(name: str, spec: RunSpec, subject, grid, model) -> CheckResult:
         return CheckResult(status="error", detail=str(exc))
     except Exception as exc:  # never abort sibling checks
         return CheckResult(status="error", detail=f"{type(exc).__name__}: {exc}")
+    result.per_point, result.residuals = result.residuals, _reduced(result.residuals)
     if result.status != "error":
         result.tolerance = tol if result.tolerance is None else result.tolerance
         result.provenance = result.provenance or check.provenance

@@ -20,8 +20,8 @@ data (Gauss, Codazzi, Ricci, volume transport, statistical structure)
 reads ``induced_derivative``, one field stencil over the grid whose value
 rows and nodes are decomposed in one batch: one chart stencil, frame test
 and solve cover the grid and its field nodes, and the value rows are
-stored as the grid's ``decompose`` entries.  The residuals are taken per
-point and their maximum over the grid at the end.
+stored as the grid's ``decompose`` entries.  The residuals are taken and
+returned per point; ``classify`` alone reduces them to grid flags.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
 from .models import Box, builtin_or_schema, domain_from_doc, number_from_doc
-from .numerics import (DiffScheme, PointMemo, partials, solve_frame,
-                       stencil, symmetric)
+from .numerics import (DiffScheme, PointMemo, grid_max, partials, point_max,
+                       solve_frame, stencil, symmetric)
 
 # Charts are smooth closed forms, so wide extrapolated steps drive the
 # decomposition error to ~1e-10; the field scheme differentiates decomposed
@@ -222,18 +222,6 @@ def _grid_rows(surface: Hypersurface, grid: Sequence) -> np.ndarray:
     return np.asarray(grid, dtype=float).reshape(len(grid), surface.dim)
 
 
-def grid_max(values) -> float:
-    """max(0, values...) of per-point residuals, as a running maximum over
-    the grid takes it."""
-    return max([0.0] + np.ravel(values).tolist())
-
-
-def _max_entry(a: np.ndarray, axes: int):
-    """max |a| over its last ``axes`` axes: a float at one point, else per point."""
-    m = np.abs(a).max(axis=tuple(range(-axes, 0)))
-    return float(m) if m.ndim == 0 else m
-
-
 def _require_nondegenerate(det_h, u, why: str = "", carried=None) -> None:
     """DegenerateH naming the first point of u (n,) or (P, n) where |det h|
     falls below ``DEGENERATE_DET_H``, carrying ``carried`` as its partial."""
@@ -258,11 +246,6 @@ class StructuralResiduals:
     codazzi_s: float
     ricci: float
 
-    @property
-    def max(self):
-        m = np.max([self.gauss, self.codazzi_h, self.codazzi_s, self.ricci], axis=0)
-        return float(m) if m.ndim == 0 else m
-
 
 def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
     """Max-entry residuals of the four structural identities at u (n,), or
@@ -281,19 +264,19 @@ def structural_check(surface: Hypersurface, u) -> StructuralResiduals:
 
     R = riemann(d.gamma, G)
     gauss_rhs = np.einsum("...jk,...li->...ijkl", h, S) - np.einsum("...ik,...lj->...ijkl", h, S)
-    gauss = _max_entry(R - gauss_rhs, 4)
+    gauss = point_max(R - gauss_rhs, 4)
 
     lhs_h = covariant_metric_derivative(G, h, d.h) + np.einsum("...i,...jk->...ijk", al, h)
-    codazzi_h = _max_entry(lhs_h - np.swapaxes(lhs_h, -3, -2), 3)
+    codazzi_h = point_max(lhs_h - np.swapaxes(lhs_h, -3, -2), 3)
 
     # (nabla_i S)^k_j = d_i S^k_j + Gamma^k_{im} S^m_j - Gamma^m_{ij} S^k_m
     nabla_S = (d.shape_operator + np.einsum("...imk,...mj->...ikj", G, S)
                - np.einsum("...ijm,...km->...ikj", G, S))
     lhs_s = nabla_S - np.einsum("...i,...kj->...ikj", al, S)
-    codazzi_s = _max_entry(lhs_s - np.swapaxes(lhs_s, -3, -1), 3)
+    codazzi_s = point_max(lhs_s - np.swapaxes(lhs_s, -3, -1), 3)
 
     hS = h @ S
-    ricci = _max_entry(hS - np.swapaxes(hS, -2, -1)
+    ricci = point_max(hS - np.swapaxes(hS, -2, -1)
                        - (d.alpha_form - np.swapaxes(d.alpha_form, -2, -1)), 2)
 
     return StructuralResiduals(gauss=gauss, codazzi_h=codazzi_h,
@@ -333,7 +316,7 @@ def induced_volume_check(surface: Hypersurface, u) -> VolumeCheck:
     data = decompose(surface, u)
     eta = data.volume[..., None]
     trace_term = np.einsum("...imm->...i", data.gamma) * eta
-    residual = _max_entry(deta - trace_term - data.alpha_form * eta, 1)
+    residual = point_max(deta - trace_term - data.alpha_form * eta, 1)
     det_h, gap = _blaschke_gaps(data)
     check = VolumeCheck(transport_residual=residual,
                         blaschke_gap=float(gap) if gap.ndim == 0 else gap)
@@ -382,15 +365,15 @@ def classify(surface: Hypersurface, grid: Sequence,
     scale = np.fmax(np.sqrt(_dot(xi)), 1e-300)
     centro = np.where((denom > 0) & (c < 0), res / scale, np.inf)
     centro_res = grid_max(centro)
-    max_alpha = grid_max(np.abs(data.alpha_form).max(axis=-1))
+    max_alpha = grid_max(point_max(data.alpha_form, 1))
     det_h, gaps = _blaschke_gaps(data)
-    min_det = min([float("inf")] + np.abs(det_h).tolist())
-    max_S = grid_max(np.abs(S).max(axis=(-2, -1)))
+    min_det = float(np.abs(det_h).min())
+    max_S = grid_max(point_max(S, 2))
     gap_testable = not np.isnan(gaps).any()
     max_gap = grid_max(gaps[~np.isnan(gaps)])
 
     lam = float(np.mean(np.trace(S, axis1=-2, axis2=-1) / n))
-    lam_dev = grid_max(np.abs(S - lam * np.eye(n)).max(axis=(-2, -1)))
+    lam_dev = grid_max(point_max(S - lam * np.eye(n), 2))
 
     centro = bool(centro_res < tol)
     equi = bool(max_alpha < tol)
@@ -421,17 +404,18 @@ def classify(surface: Hypersurface, grid: Sequence,
 class StatisticalStructure:
     gamma: ConnectionField
     h: MetricField
-    codazzi_residual: float
+    codazzi_residual: np.ndarray  # (P,) per grid point
     is_statistical: bool
     tolerance: float
 
 
 def statistical_structure(surface: Hypersurface, grid: Sequence,
                           tol: float = 1e-5) -> StatisticalStructure:
-    """Induced (connection, h) pair with its Codazzi residual over a grid.
+    """Induced (connection, h) pair with its Codazzi residual per grid point (P,).
 
     The pair is a statistical structure precisely when the residual
-    vanishes; a non-equiaffine transversal shows up as a residual of the
+    vanishes: ``is_statistical`` when every point's is below ``tol`` (a NaN
+    is not).  A non-equiaffine transversal shows up as a residual of the
     size of alpha.  Raises DegenerateH, naming the first grid point where
     h is singular.
     """
@@ -440,10 +424,10 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
     _require_nondegenerate(np.linalg.det(data.h), rows)
     nabla_h = covariant_metric_derivative(data.gamma, data.h,
                                           induced_derivative(surface, rows).h)
-    residual = grid_max(_max_entry(nabla_h - np.swapaxes(nabla_h, -3, -1), 3))
+    residual = point_max(nabla_h - np.swapaxes(nabla_h, -3, -1), 3)
     return StatisticalStructure(gamma=gamma_field(surface), h=h_field(surface),
                                 codazzi_residual=residual,
-                                is_statistical=bool(residual < tol),
+                                is_statistical=bool((residual < tol).all()),
                                 tolerance=tol)
 
 

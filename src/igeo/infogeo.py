@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import SingularMetric
 from .models import StatisticalModel, log_density_jet
-from .numerics import DiffScheme, capped_inverse, integrate, node_quadrature, partials, stencil
+from .numerics import (DiffScheme, capped_inverse, integrate, node_quadrature, partials,
+                       point_max, stencil)
 
 # Differentiating an already-computed tensor field stacks a second finite
 # difference on top of quadrature noise; a wider extrapolated step keeps the
@@ -325,14 +326,6 @@ class CurvaturePack:
     ricci: np.ndarray
     nabla_h: Optional[np.ndarray] = None
 
-    @property
-    def max_R(self) -> float:
-        return float(np.abs(self.R).max())
-
-    @property
-    def max_torsion(self) -> float:
-        return float(np.abs(self.torsion).max())
-
 
 def covariant_metric_derivative(up0: np.ndarray, g0: np.ndarray,
                                 dg: np.ndarray) -> np.ndarray:
@@ -371,31 +364,26 @@ def curvature(conn: ConnectionField, theta, scheme: DiffScheme = FIELD_SCHEME,
 @dataclass(frozen=True)
 class FlatnessReport:
     flat: bool
-    max_R: float
-    max_torsion: float
+    R: np.ndarray        # (P,) max |R^l_{ijk}| at each grid point
+    torsion: np.ndarray  # (P,) max |T^k_{ij}| at each grid point
     tolerance: float
     alpha: float
-    per_point: tuple
 
 
 def flatness_check(model: StatisticalModel, grid: Sequence, alpha: float,
                    tol: float = 1e-3,
                    scheme: DiffScheme = FIELD_SCHEME) -> FlatnessReport:
-    """Curvature residuals of the alpha-connection over a grid, from one
-    ``curvature`` of the whole grid.
+    """Curvature and torsion residuals of the alpha-connection per grid
+    point, arrays (P,), from one ``curvature`` of the whole grid.
 
-    Strict threshold, no hysteresis; the residuals are reported alongside
-    the flag so borderline calls can be judged by the caller.
+    Flat when every point's are below ``tol`` (strict, no hysteresis),
+    which a NaN is not; the residuals let the caller judge borderline calls.
     """
     pack = curvature(alpha_field(model, alpha), np.reshape(grid, (len(grid), -1)),
                      scheme=scheme)
-    R, T = (np.abs(a).reshape(len(grid), -1).max(axis=1).tolist()
-            for a in (pack.R, pack.torsion))
-    max_R, max_T = max([0.0] + R), max([0.0] + T)
-    return FlatnessReport(flat=bool(max_R < tol and max_T < tol),
-                          max_R=max_R, max_torsion=max_T, tolerance=tol, alpha=alpha,
-                          per_point=tuple((tuple(np.atleast_1d(theta).tolist()), r, t)
-                                          for theta, r, t in zip(grid, R, T)))
+    R, T = point_max(pack.R, 4), point_max(pack.torsion, 3)
+    return FlatnessReport(flat=bool((R < tol).all() and (T < tol).all()),
+                          R=R, torsion=T, tolerance=tol, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +425,7 @@ def codazzi_check(metric_field: MetricField, conn: ConnectionField, theta,
     dg = metric_derivative(metric_field, th, scheme)
     up0 = conn.up(th)
     nh = covariant_metric_derivative(up0, g0, dg)
-    res = np.abs(nh - np.swapaxes(nh, -3, -1)).max(axis=(-3, -2, -1))
-    return float(res) if th.ndim == 1 else res
+    return point_max(nh - np.swapaxes(nh, -3, -1), 3)
 
 
 def conformal_transform(metric_field: MetricField, conn: ConnectionField,
@@ -503,8 +490,6 @@ def projective_equivalence(gamma_a, gamma_b, theta=None,
     rho = np.einsum("...imm->...i", D) / (n + 1.0)
     eye = np.eye(n)
     model = np.einsum("...i,jk->...ijk", rho, eye) + np.einsum("...j,ik->...ijk", rho, eye)
-    residual = np.abs(D - model).max(axis=(-3, -2, -1))
-    equivalent = residual < tol
-    if residual.ndim == 0:
-        residual, equivalent = float(residual), bool(equivalent)
-    return ProjectiveResult(equivalent=equivalent, rho=rho, residual=residual, tolerance=tol)
+    residual = point_max(D - model, 3)
+    return ProjectiveResult(equivalent=residual < tol, rho=rho, residual=residual,
+                            tolerance=tol)

@@ -297,10 +297,6 @@ class ValidationReport:
     tolerance: float
     passed: bool
 
-    @property
-    def max_normalization_residual(self) -> float:
-        return max(e.normalization_residual for e in self.entries)
-
 
 def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
     """Numeric regularity checks over a parameter grid.

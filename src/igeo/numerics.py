@@ -172,6 +172,20 @@ def stacked(values, axis: int = 0, width: int = 1) -> np.ndarray:
                                             + order[width + axis:]))
 
 
+def point_max(a, axes: int):
+    """max |a| over its last ``axes`` axes, 0.0 over none and NaN where an
+    entry is: one residual per point of the leading axes, a float at one."""
+    m = np.abs(a).max(axis=tuple(range(-axes, 0)), initial=0.0)
+    return float(m) if m.ndim == 0 else m
+
+
+def grid_max(values) -> float:
+    """max(0, values...) of per-point residuals, a float: the one reduction
+    of every residual a check reports.  NaN when any point is NaN, which no
+    tolerance bounds, so the check fails; 0.0 over no point."""
+    return float(np.max(values, initial=0.0))
+
+
 def _distinct(raw: bytes, width: int):
     """Per ``width``-byte row of ``raw`` (the scale rows of ``stencil``) the
     index of its bytes among the distinct rows (an intp array), and the

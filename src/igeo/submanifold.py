@@ -28,7 +28,7 @@ from .infogeo import ConnectionField, MetricField
 from .models import (Box, SampleSpace, StatisticalModel, builtin_or_schema,
                      domain_from_doc, load_model, normal_quantiles,
                      second_log_derivs)
-from .numerics import batches, partials, stencil, symmetric, tensor_grid
+from .numerics import batches, partials, point_max, stencil, symmetric, tensor_grid
 
 _RANK_TOL = 1e-8
 
@@ -98,7 +98,7 @@ def normal_frame(g: np.ndarray, B: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EmbeddingCurvature:
     H: np.ndarray            # (P, m, m, n-m) on rows u (P, m); symmetric in (a, b)
-    max_abs: float           # over every point
+    max_H: np.ndarray        # (P,) max |H_abk| per point (0.0 when n = m); a float at one point
     normal_basis: np.ndarray  # (P, n, n-m) columns on rows; no P axis at one point
 
 
@@ -127,25 +127,25 @@ def embedding_curvature(emb: SubmanifoldEmbedding, conn: ConnectionField,
         H, N = _normal_components(g, up, B, V)
     else:
         H, N = (np.stack(a) for a in zip(*map(_normal_components, g, up, B, V)))
-    max_abs = float(np.abs(H).max()) if H.size else 0.0
-    return EmbeddingCurvature(H=H, max_abs=max_abs, normal_basis=N)
+    return EmbeddingCurvature(H=H, max_H=point_max(H, 3), normal_basis=N)
 
 
 @dataclass(frozen=True)
 class AutoparallelReport:
     autoparallel: bool
-    max_abs: float
+    max_H: np.ndarray        # (P,) max |H_abk| per grid point
     tolerance: float
 
 
 def autoparallel_check(emb: SubmanifoldEmbedding, conn: ConnectionField,
                        metric: MetricField, grid: Sequence,
                        tol: float = 1e-5) -> AutoparallelReport:
-    """True when the embedding curvature vanishes over the whole grid of u
-    points (P, m), taken as one batch by ``embedding_curvature``."""
-    worst = embedding_curvature(emb, conn, metric,
-                                np.reshape(grid, (len(grid), emb.dim))).max_abs
-    return AutoparallelReport(autoparallel=bool(worst < tol), max_abs=worst,
+    """max |H| per point of the grid of u points (P, m), taken as one batch
+    by ``embedding_curvature``: autoparallel when every point's is below
+    ``tol``, which a NaN is not."""
+    max_H = embedding_curvature(emb, conn, metric,
+                                np.reshape(grid, (len(grid), emb.dim))).max_H
+    return AutoparallelReport(autoparallel=bool((max_H < tol).all()), max_H=max_H,
                               tolerance=tol)
 
 
@@ -180,7 +180,7 @@ def probe_points(space: SampleSpace, count: int = 8) -> np.ndarray:
 @dataclass(frozen=True)
 class ExponentialFormReport:
     is_exponential_form: bool
-    max_variation: float
+    variation: np.ndarray    # (P,) per grid point
     tolerance: float
     note: str = ("variation of second parameter derivatives across sample "
                  "probes; a negative result only means the given coordinates "
@@ -195,10 +195,11 @@ def exponential_form_check(model: StatisticalModel, grid: Sequence,
 
     For a family in natural exponential form they equal the negative
     potential Hessian at every sample point, so the probe-to-probe
-    variation certifies the given coordinates as natural parameters.  The
-    second derivatives at every grid point come from one stencil, or one
-    per point under adaptive quadrature, where a family's K depends on the
-    rows one integral holds.
+    variation, per grid point (P,), certifies the given coordinates as
+    natural parameters when every point's is below ``tol`` (a NaN is not).
+    The second derivatives at every grid point come from one stencil, or
+    one per point under adaptive quadrature, where a family's K depends on
+    the rows one integral holds.
     """
     if probes is None:
         probes = probe_points(model.space)
@@ -206,10 +207,10 @@ def exponential_form_check(model: StatisticalModel, grid: Sequence,
     if len(probes) < 8 and model.space.points is None:
         raise ValueError("need at least 8 probe points on a continuous space")
     rows = np.reshape(grid, (len(grid), -1))
-    worst = max(float((dd.max(axis=-1) - dd.min(axis=-1)).max()) for dd in (
-        second_log_derivs(model, b, probes) for b in batches(model.space, rows)))
-    return ExponentialFormReport(is_exponential_form=bool(worst < tol),
-                                 max_variation=worst, tolerance=tol)
+    variation = np.concatenate([point_max(dd.max(axis=-1) - dd.min(axis=-1), 2) for dd in (
+        second_log_derivs(model, b, probes) for b in batches(model.space, rows))])
+    return ExponentialFormReport(is_exponential_form=bool((variation < tol).all()),
+                                 variation=variation, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

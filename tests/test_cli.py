@@ -563,6 +563,9 @@ class TestMain:
         "grid-dimension": "grid has dimension 2, expected 1",
         "expect-check": "expect names unknown check 'exponential-from'",
         "expect-alpha": "expect flatness alpha must be a number, got 'one'",
+        # an alpha the run does not sweep was once never compared: flatness passed
+        "expect-alpha-untested": "expect flatness alpha '2' names no alpha the check "
+                                 "tests, [1.0], or one named before",
         "expect-single-verdict": "expect exponential-form takes one boolean: the check "
                                  "has no verdict per alpha",
         "model-x": "x[1] is out of range: x has 1 component",
@@ -615,6 +618,8 @@ class TestMain:
             doc["expect"] = {"exponential-from": False}
         elif case == "expect-alpha":
             doc["expect"] = {"flatness": {"one": True}}
+        elif case == "expect-alpha-untested":
+            doc["expect"] = {"flatness": {"2": False}}
         elif case == "expect-single-verdict":
             doc["checks"] = ["exponential-form"]
             doc["expect"] = {"exponential-form": {"1": False}}
@@ -781,6 +786,158 @@ class TestStatusRule:
             monkeypatch.setattr(models.StatisticalModel, "tolerance", property(lambda m: tol))
             result = self._result(run, "validate")
             assert (result.status, result.tolerance) == (status, tol)
+
+
+class TestExpectAlphas:
+    """A per-alpha ``expect`` key is parsed once, to the alpha of the run
+    that its check tests: every alpha of the run, or the first for the
+    embedding checks; any other key is a configuration error."""
+
+    EMBEDDING = TestStatusRule.SUBJECTS["embedding"]["subject"]
+
+    @pytest.mark.parametrize("subject, check, alphas, flags, parsed", [
+        ({"model": "bernoulli-natural"}, "flatness", [1.0, -1.0], {"-1": False, "1e0": True},
+         {-1.0: False, 1.0: True}),
+        ({"model": "bernoulli-natural"}, "codazzi", [0.5], {"0.5000000000000001": False},
+         {0.5: False}),
+        (EMBEDDING, "autoparallel", [1.0, 0.5], {"1": False}, {1.0: False})])
+    def test_keys_parse_to_the_tested_alphas(self, subject, check, alphas, flags, parsed):
+        doc = {"subject": subject, "checks": [check], "alpha": alphas,
+               "expect": {check: flags}}
+        spec = RunSpec.from_dict(doc)
+        assert spec.expect == {check: parsed}
+        assert spec.raw["expect"] == {check: flags}
+
+    @pytest.mark.parametrize("subject, check, alphas, flags", [
+        ({"model": "bernoulli-natural"}, "flatness", [1.0], {"2": False}),
+        ({"model": "bernoulli-natural"}, "alpha-duality", [1.0, -1.0], {"0": True}),
+        ({"model": "bernoulli-natural"}, "codazzi", [1.0], {"1": True, "1.0": False}),
+        ({"model": "bernoulli-natural"}, "flatness", [1.0], {"nan": True}),
+        (EMBEDDING, "embedding-curvature", [1.0, 0.5], {"0.5": False})])
+    def test_a_key_naming_no_tested_alpha_is_refused(self, subject, check, alphas, flags):
+        doc = {"subject": subject, "checks": [check], "alpha": alphas,
+               "expect": {check: flags}}
+        with pytest.raises(SchemaError, match=f"^expect {check} alpha '.*' names no alpha "
+                                              "the check tests"):
+            RunSpec.from_dict(doc)
+
+
+def _grid_residuals(per_point: dict, residuals: dict):
+    """(name, per-point array, reported value) of every array a runner gave."""
+    for key, value in per_point.items():
+        if isinstance(value, np.ndarray):
+            yield key, value, residuals[key]
+        elif isinstance(value, dict):
+            yield from _grid_residuals(value, residuals[key])
+
+
+def _floats(residuals: dict):
+    for key, value in residuals.items():
+        if isinstance(value, dict):
+            yield from _floats(value)
+        elif isinstance(value, float):
+            yield key
+
+
+class TestPerPointResiduals:
+    """Runners give their grid residuals per point; ``_run_check`` reports
+    each array's ``grid_max``, and a NaN at one point fails its check."""
+
+    RUNS = {run["label"]: run for run in TestStatusRule.RUNS}
+
+    @pytest.mark.parametrize("label", ["sphere", "normal-natural-core"])
+    def test_one_entry_per_grid_point_whose_maximum_is_reported(self, label):
+        run = cli.run(RunSpec.from_dict(self.RUNS[label]))
+        assert len(run.grid) == 9
+        for name, result in run.results.items():
+            arrays = list(_grid_residuals(result.per_point, result.residuals))
+            for key, values, reported in arrays:
+                assert values.shape == (len(run.grid),), (name, key)
+                assert values.max() == reported == numerics.grid_max(values), (name, key)
+                assert type(reported) is float
+            # every residual but classify's grid-level values is a grid maximum
+            if name != "classify":
+                assert sorted(key for key, *_ in arrays) == sorted(_floats(result.residuals))
+                assert arrays, name
+
+    def test_grid_max_rule(self):
+        assert numerics.grid_max(np.array([])) == 0.0
+        assert numerics.grid_max(np.array([0.5, 2.0, 1.0])) == 2.0
+        for at in range(3):
+            values = np.array([0.5, 2.0, 1.0])
+            values[at] = np.nan
+            assert np.isnan(numerics.grid_max(values))
+
+    @staticmethod
+    def _nan_at_point_one(real, when):
+        def planted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if not when(*args):
+                return out
+            if dataclasses.is_dataclass(out):  # the curvature pack: R planted
+                R = out.R.copy()
+                R[1] = np.nan
+                return dataclasses.replace(out, R=R)
+            out[1] = np.nan
+            return out
+        return planted
+
+    NAN_CASES = {
+        "structural": (immersion, "riemann", lambda *args: True, {"surface": "sphere"},
+                       ("gauss",)),
+        "flatness": (infogeo, "curvature", lambda *args: True, {"model": "bernoulli-natural"},
+                     ("alpha=1", "max_R")),
+        "alpha-duality": (infogeo, "alpha_connection",
+                          lambda model, theta, alpha: alpha == -1.0 and np.ndim(theta) == 2,
+                          {"model": "bernoulli-natural"}, ("max_difference",)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NAN_CASES))
+    def test_a_nan_at_one_grid_point_fails_its_check(self, monkeypatch, name):
+        """A NaN planted at the second of three grid points: the check fails
+        and reports NaN, where the maximum once skipped it (``pass`` with a
+        finite maximum, or ``fail`` beside a reported 0.0)."""
+        module, attr, when, subject, path = self.NAN_CASES[name]
+        monkeypatch.setattr(module, attr, self._nan_at_point_one(getattr(module, attr), when))
+        lo = [-0.3] * (2 if "surface" in subject else 1)
+        doc = {"subject": subject, "checks": [name], "alpha": [1.0],
+               "grid": {"lo": lo, "hi": [0.3] * len(lo), "counts": [3] + [1] * (len(lo) - 1)}}
+        report = run_document(doc)
+        result = report.runs[0].results[name]
+        assert result.status == "fail"
+        reported = (result.residuals, report.to_dict()["runs"][0]["results"][name]["residuals"])
+        for key in path:
+            reported = tuple(r[key] for r in reported)
+        assert np.isnan(reported[0]) and reported[1] == "nan"
+
+
+class TestReportValues:
+    """Every value of a report dict is a plain JSON type: each reduced
+    residual a Python float, non-finite ones written as strings."""
+
+    PLAIN = (dict, list, str, float, int, bool, type(None))
+
+    def _walk(self, value):
+        assert type(value) in self.PLAIN, type(value)
+        for item in value.values() if isinstance(value, dict) else (
+                value if isinstance(value, list) else ()):
+            self._walk(item)
+
+    @pytest.mark.parametrize("spec", ["full_verify.json", "adaptive_verify.json"])
+    def test_the_verify_specs(self, spec):
+        self._walk(run_document(json.loads((SPECS / spec).read_text())).to_dict())
+
+    def test_a_degenerate_plane(self):
+        doc = {"subject": {"surface": "plane"},
+               "checks": ["structural", "classify", "volume-transport",
+                          "statistical-structure"]}
+        report = run_document(doc).to_dict()
+        self._walk(report)
+        results = report["runs"][0]["results"]
+        assert results["classify"]["residuals"]["max_blaschke_gap"] == "nan"
+        volume = results["volume-transport"]
+        assert volume["status"] == "untestable"
+        assert volume["residuals"] == {"max_transport_residual": 0.0}
 
 
 class TestImports:

@@ -311,6 +311,8 @@ class TestBatchedGrid:
 
         rows = _middle_grid(surf)
         r, v = structural_check(surf, rows), volume(surf, rows)
+        testable = not np.isnan(v.blaschke_gap).any()
+        stat = statistical_structure(surf, rows) if testable else None
         single = dataclasses.replace(surf)
         for p, u in enumerate(rows):
             one = structural_check(single, u)
@@ -319,9 +321,9 @@ class TestBatchedGrid:
             w = volume(single, u)
             assert v.transport_residual[p] == w.transport_residual
             assert np.float64(v.blaschke_gap[p]).tobytes() == np.float64(w.blaschke_gap).tobytes()
-        if not np.isnan(v.blaschke_gap).any():
-            assert statistical_structure(surf, rows).codazzi_residual == max(
-                statistical_structure(single, [u]).codazzi_residual for u in rows)
+            if testable:
+                assert stat.codazzi_residual[p] == \
+                    statistical_structure(single, [u]).codazzi_residual[0]
 
     def test_memo_holds_the_grid_points_only(self):
         surf, rows = tilted_paraboloid(), GRID
@@ -368,12 +370,12 @@ class TestStructural:
         surf = unit_sphere()
         for u in GRID:
             r = structural_check(surf, u)
-            assert r.max < 1e-6, (u, r)
+            assert max(dataclasses.astuple(r)) < 1e-6, (u, r)
 
     def test_paraboloid_residuals(self):
         surf = paraboloid()
         r = structural_check(surf, (0.3, 0.4))
-        assert r.max < 1e-8
+        assert max(dataclasses.astuple(r)) < 1e-8
 
     def test_centro_affine_ricci_identity(self):
         # S = I makes Ric = (n-1) h
@@ -414,7 +416,7 @@ class TestInducedDerivative:
                          - np.einsum("ik,lj->ijkl", h, S))
             assert structural_check(surf, u).gauss == \
                 float(np.abs(pack.R - gauss_rhs).max())
-            assert statistical_structure(surf, [u]).codazzi_residual == \
+            assert statistical_structure(surf, [u]).codazzi_residual[0] == \
                 codazzi_check(h_field(surf), gamma_field(surf), u, scheme=scheme)
 
     def test_structural_check_decomposes_each_stencil_node_once(self, monkeypatch):
@@ -503,7 +505,7 @@ class TestAffineInvariance:
         assert np.abs(b.volume - np.linalg.det(L) * a.volume).max() < 1e-11
 
         def verdicts(s):
-            worst = immersion.grid_max(structural_check(s, rows).max)
+            worst = np.max(dataclasses.astuple(structural_check(s, rows)))
             return (worst < CHECKS["structural"].tolerance,
                     statistical_structure(s, rows, CHECKS["statistical-structure"].tolerance)
                     .is_statistical)
@@ -625,18 +627,18 @@ class TestStatisticalStructure:
     def test_sphere_is_statistical(self):
         rep = statistical_structure(unit_sphere(), GRID[:4])
         assert rep.is_statistical
-        assert rep.codazzi_residual < 1e-5
+        assert rep.codazzi_residual.max() < 1e-5
 
     def test_paraboloid_is_statistical(self):
         rep = statistical_structure(paraboloid(), GRID[:4])
         assert rep.is_statistical
-        assert rep.codazzi_residual < 1e-5
+        assert rep.codazzi_residual.max() < 1e-5
 
     def test_non_equiaffine_transversal_detected(self):
         grid = [np.array([a, b]) for a in (0.2, 0.4) for b in (0.2, 0.4)]
         rep = statistical_structure(tilted_paraboloid(), grid)
         assert not rep.is_statistical
-        assert rep.codazzi_residual > 1e-2
+        assert rep.codazzi_residual.max() > 1e-2
 
     def test_plane_degenerate(self):
         with pytest.raises(DegenerateH):
