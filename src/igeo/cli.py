@@ -5,8 +5,11 @@ or inline schema), a parameter grid, and a list of checks.  ``run`` executes
 every check, captures per-check errors without aborting siblings, and
 returns a deterministic report (identical specs and seeds give identical
 reports up to the timestamp field).  ``RunSpec.from_dict`` parses a spec
-once, ``--tol-override`` values included; ``CHECKS`` holds each check with
-its subject kinds, runner, oracle and default tolerance.
+once, ``--tol-override`` values included, each number by one rule,
+``models.spec_number``: no bool, a string read by ``float()``, finite, and
+whole where it counts; a range is checked where the value is used.
+``CHECKS`` holds each check with its subject kinds, runner, oracle and
+default tolerance.
 
 Every check reports whether its identity held, and one rule turns that
 into its ``status``: ``pass`` when the outcome matched the spec's ``expect``
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import __version__, dualflat, immersion, infogeo, models, submanifold
 from .errors import DegenerateH, IgeoError, LeftDomain, SchemaError, SingularFrame
+from .models import spec_number, spec_numbers
 from .numerics import grid_max, point_max
 
 # The flags of immersion.classify, in report order; ``expect.classify``
@@ -64,33 +68,28 @@ class GeodesicSpec:
     @classmethod
     def from_dict(cls, doc) -> "GeodesicSpec":
         if not isinstance(doc, dict):
-            raise SchemaError("geodesic must be a mapping")
-        vectors = {}
-        for key in ("theta0", "v0"):
-            if not isinstance(doc.get(key), list):
-                raise SchemaError(f'geodesic needs a list "{key}"')
-            vectors[key] = tuple(models.number_from_doc(float, v, f"geodesic {key}")
-                                 for v in doc[key])
-        geo = cls(**vectors,
-                  t_final=models.number_from_doc(float, doc.get("t_final", 1.0),
-                                                 "geodesic t_final"),
-                  steps=models.number_from_doc(int, doc.get("steps", 1000),
-                                               "geodesic steps"),
-                  alpha=models.number_from_doc(float, doc.get("alpha", 1.0),
-                                               "geodesic alpha"))
-        if geo.steps < 1 or not geo.t_final > 0:
+            raise SchemaError('a "geodesic" block must map theta0, v0, t_final, steps, alpha')
+        geo = cls(theta0=spec_numbers(doc, "theta0", "geodesic"),
+                  v0=spec_numbers(doc, "v0", "geodesic"),
+                  t_final=spec_number(doc.get("t_final", 1.0), "geodesic t_final"),
+                  steps=spec_number(doc.get("steps", 1000), "geodesic steps", integral=True),
+                  alpha=spec_number(doc.get("alpha", 1.0), "geodesic alpha"))
+        if geo.steps < 1 or geo.t_final <= 0:
             raise SchemaError("geodesic needs steps >= 1 and t_final > 0")
         return geo
 
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Validated run description; ``tolerances`` holds every check's,
-    ``expect`` them parsed by ``_expected``, ``raw`` the document as written."""
+    """Validated run description, each number parsed once by the one rule
+    of ``models.spec_number``: ``grid`` is (lo, hi, counts), tuples of
+    floats, floats and ints, or None for the default grid; ``tolerances``
+    holds every check's, ``expect`` them parsed by ``_expected``, ``raw``
+    the document as written."""
 
     kind: str
     subject_doc: object
-    grid_doc: Optional[dict]
+    grid: Optional[tuple]
     checks: tuple
     alphas: tuple
     tolerances: dict
@@ -115,67 +114,48 @@ class RunSpec:
         if not isinstance(checks, list) or not checks:
             raise SchemaError("spec needs a non-empty list of checks")
         for c in checks:
-            if c not in CHECKS:
+            if not isinstance(c, str) or c not in CHECKS:
                 raise SchemaError(f"unknown check {c!r}")
             if kind not in CHECKS[c].kinds:
                 raise SchemaError(f"check {c!r} does not apply to a {kind}")
-        grid_doc = doc.get("grid")
-        if grid_doc is not None:
-            if not isinstance(grid_doc, dict):
+        grid = doc.get("grid")
+        if grid is not None:
+            if not isinstance(grid, dict):
                 raise SchemaError("grid must be a mapping")
-            for key in ("lo", "hi", "counts"):
-                if not isinstance(grid_doc.get(key), list):
-                    raise SchemaError(f'grid needs a list "{key}"')
-            if len({len(grid_doc[key]) for key in ("lo", "hi", "counts")}) != 1:
+            grid = tuple(spec_numbers(grid, key, "grid", key == "counts")
+                         for key in ("lo", "hi", "counts"))
+            if len(set(map(len, grid))) != 1:
                 raise SchemaError("grid lo, hi and counts must have the same length")
-            for key in ("lo", "hi"):
-                for v in grid_doc[key]:
-                    models.number_from_doc(float, v, f"grid {key}")
-            if any(models.number_from_doc(int, c, "grid count") < 1
-                   for c in grid_doc["counts"]):
+            if any(c < 1 for c in grid[2]):
                 raise SchemaError("grid counts must be >= 1")
         alphas = doc.get("alpha", [1.0])
         if not isinstance(alphas, list) or not alphas:
             raise SchemaError("alpha must be a non-empty list of numbers")
-        alphas = tuple(models.number_from_doc(float, a, "alpha") for a in alphas)
-        tolerances = doc.get("tolerances", {})
-        if not isinstance(tolerances, dict):
+        alphas = tuple(spec_number(a, "alpha") for a in alphas)
+        given = doc.get("tolerances", {})
+        if not isinstance(given, dict):
             raise SchemaError("tolerances must be a mapping")
-        tolerances = {**{name: check.tolerance for name, check in CHECKS.items()},
-                      **{name: _tolerance(name, value) for name, value
-                         in {**tolerances, **(tol_overrides or {})}.items()}}
+        tolerances = {name: check.tolerance for name, check in CHECKS.items()}
+        for name, value in {**given, **(tol_overrides or {})}.items():
+            if name not in CHECKS:
+                raise SchemaError(f"tolerance override for unknown check {name!r}")
+            tolerances[name] = tol = spec_number(value, f"tolerance {name}")
+            if tol < 0:
+                raise SchemaError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         expect = doc.get("expect", {})
         if not isinstance(expect, dict):
             raise SchemaError("expect must be a mapping")
         expect = {name: _expected(name, flag, alphas) for name, flag in expect.items()}
-        seed = doc.get("seed")
-        if seed_override is not None:
-            seed = seed_override
+        seed = doc.get("seed") if seed_override is None else seed_override
         if seed is not None:
-            seed = models.number_from_doc(int, seed, "seed")
+            seed = spec_number(seed, "seed", integral=True)
         geodesic = doc.get("geodesic")
-        if "geodesic" in checks and geodesic is None:
-            raise SchemaError('the geodesic check needs a "geodesic" block '
-                              '(theta0, v0, t_final, steps)')
-        if geodesic is not None:
+        if geodesic is not None or "geodesic" in checks:
             geodesic = GeodesicSpec.from_dict(geodesic)
-        return cls(kind=kind, subject_doc=subject_doc, grid_doc=grid_doc,
+        return cls(kind=kind, subject_doc=subject_doc, grid=grid,
                    checks=tuple(checks), alphas=alphas, tolerances=tolerances,
                    expect=expect, seed=seed, geodesic=geodesic,
                    label=str(doc.get("label", kind)), raw=doc)
-
-    def tol(self, check: str) -> Optional[float]:
-        return self.tolerances[check]
-
-
-def _tolerance(name: str, value) -> float:
-    """A known check's tolerance, from a spec or ``--tol-override``: a finite float >= 0."""
-    if name not in CHECKS:
-        raise SchemaError(f"tolerance override for unknown check {name!r}")
-    tol = models.number_from_doc(float, value, f"tolerance {name}")
-    if isinstance(value, bool) or not 0.0 <= tol < float("inf"):
-        raise SchemaError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
-    return tol
 
 
 def _expected(name: str, flag, alphas: tuple):
@@ -197,7 +177,7 @@ def _expected(name: str, flag, alphas: tuple):
                               "has no verdict per alpha")
         tested = alphas[CHECKS[name].per_alpha]
         for key, value in flag.items():
-            x = models.number_from_doc(float, key, f"expect {name} alpha")
+            x = spec_number(key, f"expect {name} alpha")
             alpha = next((a for a in tested if abs(a - x) < 1e-12), None)
             if alpha is None or alpha in parsed:
                 raise SchemaError(f"expect {name} alpha {key!r} names no alpha the check "
@@ -217,15 +197,18 @@ def _load_subject(spec: RunSpec):
 
 
 def _grid_points(spec: RunSpec, subject) -> np.ndarray:
-    if spec.grid_doc is None:
+    """The run's grid; SchemaError for a grid or model geodesic of another dimension."""
+    geo, dim = spec.geodesic, subject.domain.dim
+    if geo is not None and spec.kind in _MODEL and {len(geo.theta0), len(geo.v0)} != {dim}:
+        raise SchemaError(f"geodesic theta0 and v0 must each have the model's dimension, {dim}")
+    if spec.grid is None:
         # default: 3 points per coordinate over the middle half of the domain
         lo, hi = np.asarray(subject.domain.lo), np.asarray(subject.domain.hi)
         quarter = (hi - lo) / 4.0
         return models.grid(lo + quarter, hi - quarter, [3] * lo.size)
-    g = spec.grid_doc
-    if len(g["lo"]) != subject.domain.dim:
-        raise SchemaError(f"grid has dimension {len(g['lo'])}, expected {subject.domain.dim}")
-    return models.grid(g["lo"], g["hi"], g["counts"])
+    if len(spec.grid[0]) != dim:
+        raise SchemaError(f"grid has dimension {len(spec.grid[0])}, expected {dim}")
+    return models.grid(*spec.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +252,13 @@ def _check_validate(spec, subject, grid, model, tol):
     # the first exception validate_model caught, with its point
     caught = next((e for e in entries if e.reason), None)
     residual = np.array([e.normalization_residual for e in entries])
+    smooth = all(e.smooth for e in entries)  # a point without its score jet fails
     return CheckResult(
-        holds=bool((residual < tol).all()),
+        holds=smooth and bool((residual < tol).all()),
         residuals={"max_normalization_residual": residual,
                    "max_score_gram_condition": np.array([e.score_gram_condition
                                                          for e in entries]),
-                   "all_smooth": all(e.smooth for e in entries)},
+                   "all_smooth": smooth},
         tolerance=tol, detail=f"theta {list(caught.theta)}: {caught.reason}" if caught else "")
 
 
@@ -634,7 +618,7 @@ def _run_check(name: str, spec: RunSpec, subject, grid, model) -> CheckResult:
     """One check's result: residuals reduced by ``_reduced``, status by
     ``_status``, tolerance and provenance the check's unless the runner gave
     its own; an exception is an ``error``."""
-    check, tol = CHECKS[name], spec.tol(name)
+    check, tol = CHECKS[name], spec.tolerances[name]
     try:
         result = check.runner(spec, subject, grid, model, tol)
     except IgeoError as exc:

@@ -37,7 +37,7 @@ from .errors import DegenerateH, OutOfDomain, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
-from .models import Box, builtin_or_schema, domain_from_doc, number_from_doc
+from .models import Box, builtin_or_schema, domain_from_doc, spec_number
 from .numerics import (DiffScheme, PointMemo, grid_max, partials, point_max,
                        solve_frame, stencil, symmetric)
 
@@ -515,7 +515,7 @@ def load_surface(doc: dict | str) -> Hypersurface:
     builtin = builtin_or_schema(doc, "surface", SURFACES, ("name", "dim", "chart", "domain"))
     if builtin is not None:
         return builtin
-    dim = number_from_doc(int, doc["dim"], "surface dim")
+    dim = spec_number(doc["dim"], "surface dim", integral=True)
     chart_exprs = doc["chart"]
     if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")

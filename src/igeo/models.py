@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Optional, Sequence
@@ -42,14 +43,12 @@ HESSIAN_SCHEME = DiffScheme(order=2, base_step=2.0**-12)
 
 def default_quad_nodes(fallback: int) -> int:
     """Node count of a rule that does not fix its own (a builtin, or a spec
-    quadrature without ``nodes``): IGEO_QUAD_NODES if set, else ``fallback``."""
+    quadrature without ``nodes``): IGEO_QUAD_NODES if set, read as a spec's
+    ``nodes`` is, else ``fallback``."""
     raw = os.environ.get("IGEO_QUAD_NODES")
     if raw is None:
         return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SchemaError(f"IGEO_QUAD_NODES must be an integer, got {raw!r}") from None
+    value = spec_number(raw, "IGEO_QUAD_NODES", integral=True)
     if value < 1:
         raise SchemaError("IGEO_QUAD_NODES must be >= 1")
     return value
@@ -58,8 +57,7 @@ def default_quad_nodes(fallback: int) -> int:
 def grid(lo, hi, counts) -> np.ndarray:
     """Row-major tensor grid from ``lo`` to ``hi`` with ``counts`` points per
     coordinate, one (P, n) array; ``lo`` may equal ``hi`` along any axis."""
-    return tensor_grid([np.linspace(float(a), float(b), int(c))
-                        for a, b, c in zip(lo, hi, counts)])
+    return tensor_grid([np.linspace(a, b, c) for a, b, c in zip(lo, hi, counts)])
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ class SampleSpace:
     def real(cls, k: int, rule: ExpectationRule) -> "SampleSpace":
         if k == 1:
             return cls.real_line(rule)
-        return cls(kind="real-k", xdim=int(k), rule=rule)
+        return cls(kind="real-k", xdim=k, rule=rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +303,7 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
     score Gram matrix (linear independence), and finiteness of l and its
     first two parameter derivatives on a probe sample.  Failures are
     reported, never thrown; the entry's ``reason`` names the exceptions.
+    ``passed``: every point smooth and its residual below the model's tolerance.
     """
     entries = []
     for theta in grid:
@@ -332,7 +331,7 @@ def validate_model(model: StatisticalModel, grid: Sequence) -> ValidationReport:
         entries.append(ValidationEntry(tuple(th.tolist()), float(residual),
                                        gram_cond, smooth, "; ".join(reasons)))
     tol = model.tolerance
-    passed = all(e.normalization_residual < tol for e in entries)
+    passed = all(e.smooth and e.normalization_residual < tol for e in entries)
     return ValidationReport(model.label, tuple(entries), tol, passed)
 
 
@@ -516,9 +515,9 @@ def reference_grid(name: str) -> list:
 # Schema loading
 # ---------------------------------------------------------------------------
 
-def _require(doc: dict, key: str, types, where: str = "document"):
+def _require(doc: dict, key: str, types):
     if key not in doc:
-        raise SchemaError(f"{where} is missing {key!r}")
+        raise SchemaError(f"document is missing {key!r}")
     value = doc[key]
     if not isinstance(value, types):
         raise SchemaError(f"field {key!r} has unexpected type {type(value).__name__}")
@@ -546,22 +545,37 @@ def builtin_or_schema(doc, kind: str, builtins: dict, required: tuple = ()):
     return None
 
 
-def number_from_doc(convert: Callable, value, what: str):
-    """``convert(value)`` for a spec field; SchemaError when it is no number."""
+def spec_number(value, what: str, integral: bool = False):
+    """The one rule for a number in a spec, ``what`` naming its field: no bool, a
+    string read by ``float()``, finite, and for an ``integral`` field whole, returned
+    as an int (an int as it is).  SchemaError otherwise; ranges are the caller's."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what} must be a number, got {value!r}") from None
+        number = float(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if isinstance(number, bool) or not isinstance(number, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    if not abs(number) <= sys.float_info.max:  # NaN, inf, or an int beyond every float
+        raise SchemaError(f"{what} must be finite, got {value!r}")
+    if integral and number != int(number):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return int(number) if integral else float(number)
+
+
+def spec_numbers(doc: dict, key: str, what: str, integral: bool = False) -> tuple:
+    """The list ``doc[key]`` of the ``what`` block as a tuple of ``spec_number``s."""
+    if not isinstance(doc.get(key), list):
+        raise SchemaError(f'{what} needs a list "{key}"')
+    return tuple(spec_number(v, f"{what} {key}", integral) for v in doc[key])
 
 
 def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
-    """The open box ``doc["domain"] = {"lo": [...], "hi": [...]}``, of
-    dimension ``dim`` when given; SchemaError for anything else."""
+    """The open box ``doc["domain"] = {"lo": [...], "hi": [...]}`` of finite
+    bounds, of dimension ``dim`` when given; SchemaError for anything else."""
     dom = _require(doc, "domain", dict)
-    lo, hi = (_require(dom, key, list, "domain") for key in ("lo", "hi"))
     try:
-        box = Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
-    except (TypeError, ValueError) as exc:
+        box = Box(spec_numbers(dom, "lo", "domain"), spec_numbers(dom, "hi", "domain"))
+    except ValueError as exc:
         raise SchemaError(f"bad domain box: {exc}") from None
     if dim is not None and box.dim != dim:
         raise SchemaError(f"domain box has dimension {box.dim}, expected {dim}")
@@ -571,32 +585,34 @@ def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
 def _rule_from_doc(doc: dict) -> ExpectationRule:
     kind = _require(doc, "kind", str)
 
-    def number(key, convert, default):
-        return number_from_doc(convert, doc.get(key, default), f"quadrature {key}")
+    def number(key, default, integral=False):
+        return spec_number(doc.get(key, default), f"quadrature {key}", integral)
 
     if kind == "gauss-hermite":
         return ExpectationRule.gauss_hermite(
-            nodes=number("nodes", int, None) if "nodes" in doc else default_quad_nodes(64),
-            loc=number("loc", float, 0.0), scale=number("scale", float, 1.0))
+            nodes=number("nodes", None, True) if "nodes" in doc else default_quad_nodes(64),
+            loc=number("loc", 0.0), scale=number("scale", 1.0))
     if kind == "adaptive-quadrature":
-        return ExpectationRule.adaptive(tol=number("tol", float, ExpectationRule.tol))
-    if kind == "monte-carlo":
-        if "seed" not in doc:
-            raise SchemaError("monte-carlo quadrature requires a seed")
+        return ExpectationRule.adaptive(tol=number("tol", ExpectationRule.tol))
+    if kind == "monte-carlo":  # a missing seed is no number
         return ExpectationRule.monte_carlo(
-            nodes=number("nodes", int, 4096), seed=number("seed", int, None),
-            loc=number("loc", float, 0.0), scale=number("scale", float, 1.0))
+            nodes=number("nodes", 4096, True), seed=number("seed", None, True),
+            loc=number("loc", 0.0), scale=number("scale", 1.0))
     raise SchemaError(f"unknown quadrature kind {kind!r}")
 
 
 def space_from_doc(doc: dict) -> SampleSpace:
+    """The sample space a document names; SchemaError for any fault, a range included."""
     kind = _require(doc, "kind", str)
-    if kind == "finite-discrete":
-        return SampleSpace.finite(_require(doc, "points", list))
-    if kind in ("real-line", "real-k"):
-        rule = _rule_from_doc(_require(doc, "quadrature", dict))
-        k = number_from_doc(int, doc.get("k", 1), "space k") if kind == "real-k" else 1
-        return SampleSpace.real(k, rule)
+    try:
+        if kind == "finite-discrete":
+            return SampleSpace.finite(_require(doc, "points", list))
+        if kind in ("real-line", "real-k"):
+            rule = _rule_from_doc(_require(doc, "quadrature", dict))
+            k = spec_number(doc.get("k", 1), "space k", integral=True) if kind == "real-k" else 1
+            return SampleSpace.real(k, rule)
+    except ValueError as exc:
+        raise SchemaError(f"bad sample space: {exc}") from None
     raise SchemaError(f"unknown sample space kind {kind!r}")
 
 
@@ -611,7 +627,7 @@ def load_model(doc: dict | str) -> StatisticalModel:
     if builtin is not None:
         return builtin
     name = _require(doc, "name", str)
-    dim = _require(doc, "dim", int)
+    dim = spec_number(doc.get("dim"), "model dim", integral=True)
     space = space_from_doc(_require(doc, "space", dict))
     box = domain_from_doc(doc, dim)
     expr = compile_expression(_require(doc, "log_density", str),

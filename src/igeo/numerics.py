@@ -305,11 +305,11 @@ class ExpectationRule:
         if self.kind not in kinds:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.nodes < 1:
-            raise ValueError("node count must be >= 1")
+            raise ValueError("nodes must be >= 1")
         if self.kind == "adaptive-quadrature" and not self.tol > 0:
-            raise ValueError("adaptive tolerance must be positive")
-        if self.kind == "monte-carlo" and self.seed is None:
-            raise ValueError("monte-carlo rules must carry an explicit seed")
+            raise ValueError("adaptive tol must be positive")
+        if self.kind == "monte-carlo" and (self.seed is None or self.seed < 0):
+            raise ValueError("monte-carlo rules must carry an explicit seed >= 0")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -18,6 +20,16 @@ SPECS = DOCS.parent / "scripts" / "specs"
 
 def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the value at ``path`` (keys and indices) replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +160,19 @@ class TestRun:
         result = rep.runs[0].results["validate"]
         assert result.residuals["all_smooth"] is False
         assert result.detail == "theta [0.0]: RuntimeError: probe rejected"
+
+    def test_validate_fails_where_the_score_jet_was_not_evaluated(self):
+        """At (-0.7799, -1.9999) the score jet's stencil leaves the domain:
+        the point is not smooth and fails validate, though every
+        normalization residual is within the tolerance."""
+        rep = run_document({"subject": {"model": "normal-natural"}, "checks": ["validate"],
+                            "grid": {"lo": [-0.7799, -1.9999], "hi": [-0.5, 0.0],
+                                     "counts": [2, 2]}})
+        result = rep.runs[0].results["validate"]
+        assert result.residuals["all_smooth"] is False
+        assert result.residuals["max_score_gram_condition"] == float("inf")
+        assert result.residuals["max_normalization_residual"] < result.tolerance
+        assert result.status == "fail"
 
     def test_monte_carlo_family_is_dually_flat(self):
         """An inline 2-d normal family on a Monte Carlo rule takes K, g and
@@ -519,43 +544,62 @@ class TestMain:
         assert cli.main(["verify", "--spec", str(spec)]) == 2
         assert "domain" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["grid-count", "grid-lo", "alpha", "seed",
-                                       "surface-dim", "quadrature-nodes", "space-k",
-                                       "grid-shape"])
+    NUMBERS_SPEC = {
+        "subject": {"model": {
+            "name": "m", "dim": 1, "domain": {"lo": [-1.0], "hi": [1.0]},
+            "space": {"kind": "real-k", "k": 1,
+                      "quadrature": {"kind": "gauss-hermite", "nodes": 16}},
+            "log_density": "-0.5*(x[0]-theta[0])^2 - 0.9189385332046727"}},
+        "checks": ["validate"], "grid": {"lo": [-0.5], "hi": [0.5], "counts": [3]}}
+    SURFACE_DIM_TWO = {"surface": {"name": "s", "dim": "two",
+                                   "chart": ["u[0]", "u[1]", "u[0]*u[1]"],
+                                   "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}}
+    # case: (the fields it sets in NUMBERS_SPEC, by dotted path; the message)
+    BAD_NUMBERS = {
+        "grid-count": ({"grid.counts": ["a"]}, "grid counts must be a number, got 'a'"),
+        "grid-lo": ({"grid.lo": [None]}, "grid lo must be a number, got None"),
+        "alpha": ({"alpha": [1.0, "minus one"]}, "alpha must be a number, got 'minus one'"),
+        "seed": ({"seed": "x"}, "seed must be a number, got 'x'"),
+        "surface-dim": ({"subject": SURFACE_DIM_TWO, "checks": ["classify"], "grid": None},
+                        "surface dim must be a number, got 'two'"),
+        "quadrature-nodes": ({"subject.model.space.quadrature.nodes": "many"},
+                             "quadrature nodes must be a number, got 'many'"),
+        "space-k": ({"subject.model.space.k": "one"}, "space k must be a number, got 'one'"),
+        # zip would drop the extra entry and leave every check an error
+        "grid-shape": ({"grid.hi": [0.5, 0.5]},
+                       "grid lo, hi and counts must have the same length"),
+        # values that once ran as another number: alpha 1, the one point 1.0,
+        # 2 grid points, a 1-d model, a default grid of NaN
+        "alpha-bool": ({"alpha": [True]}, "alpha must be a number, got True"),
+        "grid-bool": ({"grid.lo": [True], "grid.counts": [True]},
+                      "grid lo must be a number, got True"),
+        "grid-count-fraction": ({"grid.counts": [2.5]}, "grid counts must be an integer, got 2.5"),
+        "model-dim-bool": ({"subject.model.dim": True}, "model dim must be a number, got True"),
+        "domain-inf": ({"subject.model.domain.hi": [float("inf")], "grid": None},
+                       "domain hi must be finite, got inf"),
+        # a NaN alpha once reached the runners: flatness an error
+        "alpha-nan": ({"alpha": [float("nan")]}, "alpha must be finite, got nan"),
+        # values that once ended in a traceback
+        "grid-count-inf": ({"grid.counts": [float("inf")]}, "grid counts must be finite, got inf"),
+        "seed-inf": ({"seed": float("inf")}, "seed must be finite, got inf"),
+        "quadrature-nodes-zero": ({"subject.model.space.quadrature.nodes": 0},
+                                  "bad sample space: nodes must be >= 1"),
+        "quadrature-scale-negative": ({"subject.model.space.quadrature.scale": -1},
+                                      "bad sample space: scale must be positive"),
+        "monte-carlo-seed-negative": ({"subject.model.space.quadrature":
+                                       {"kind": "monte-carlo", "nodes": 64, "seed": -1}},
+                                      "monte-carlo rules must carry an explicit seed >= 0"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(BAD_NUMBERS))
     def test_bad_number_exits_two(self, tmp_path, capsys, field):
-        grid = {"lo": [-0.5], "hi": [0.5], "counts": [3]}
-        doc = {"subject": {"model": "bernoulli-natural"}, "checks": ["validate"],
-               "grid": grid}
-        message = "must be a number"
-        if field == "grid-shape":
-            # zip would drop the extra entry and leave every check an error
-            grid["hi"] = [0.5, 0.5]
-            message = "grid lo, hi and counts must have the same length"
-        elif field == "grid-count":
-            grid["counts"] = ["a"]
-        elif field == "grid-lo":
-            grid["lo"] = [None]
-        elif field == "alpha":
-            doc["alpha"] = [1.0, "minus one"]
-        elif field == "seed":
-            doc["seed"] = "x"
-        elif field == "surface-dim":
-            doc = {"subject": {"surface": {
-                       "name": "s", "dim": "two", "chart": ["u[0]", "u[1]", "u[0]*u[1]"],
-                       "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}},
-                   "checks": ["classify"]}
-        else:
-            rule = {"kind": "gauss-hermite", "nodes": 16}
-            space = {"kind": "real-k", "k": 1, "quadrature": rule}
-            if field == "quadrature-nodes":
-                rule["nodes"] = "many"
-            else:
-                space["k"] = "one"
-            doc["subject"] = {"model": {
-                "name": "m", "dim": 1, "space": space,
-                "domain": {"lo": [-1.0], "hi": [1.0]},
-                "log_density": "-0.5*(x[0]-theta[0])^2 - 0.9189385332046727"}}
-        spec = self._write_spec(tmp_path, doc)
+        """Each spec number is read by one rule: no bool, finite, whole where
+        it counts; a range it must meet is checked where it is used."""
+        changes, message = self.BAD_NUMBERS[field]
+        doc = self.NUMBERS_SPEC
+        for path, value in changes.items():
+            doc = _with(doc, tuple(path.split(".")), value)
+        spec = self._write_spec(tmp_path, {k: v for k, v in doc.items() if v is not None})
         assert cli.main(["verify", "--spec", str(spec)]) == 2
         assert message in capsys.readouterr().err
 
@@ -579,12 +623,16 @@ class TestMain:
         "classify-flag": "expect classify names unknown flag 'blaschk'",
         # a tolerance or alpha list that would crash a check or let it test nothing
         "tolerance-word": "tolerance flatness must be a number, got 'tight'",
-        "tolerance-bool": "tolerance flatness must be a finite number >= 0, got True",
+        "tolerance-bool": "tolerance flatness must be a number, got True",
         "tolerance-negative": "tolerance flatness must be a finite number >= 0, got -1",
-        "tolerance-nan": "tolerance flatness must be a finite number >= 0, got nan",
-        "tolerance-inf": "tolerance flatness must be a finite number >= 0, got inf",
+        "tolerance-nan": "tolerance flatness must be finite, got nan",
+        "tolerance-inf": "tolerance flatness must be finite, got inf",
         "alpha-empty": "alpha must be a non-empty list of numbers",
         "builtin-not-a-name": "unknown builtin model ['bernoulli-natural']",
+        # a list in checks once raised TypeError: unhashable
+        "checks-not-a-name": "unknown check ['flatness']",
+        # a geodesic of another dimension once reported "left the domain at t=0"
+        "geodesic-dimension": "geodesic theta0 and v0 must each have the model's dimension, 1",
     }
     TOLERANCES = {"word": "tight", "bool": True, "negative": -1, "nan": float("nan"),
                   "inf": float("inf")}
@@ -629,6 +677,11 @@ class TestMain:
             doc["alpha"] = []
         elif case == "builtin-not-a-name":
             doc["subject"] = {"model": {"builtin": ["bernoulli-natural"]}}
+        elif case == "checks-not-a-name":
+            doc["checks"] = [["flatness"]]
+        elif case == "geodesic-dimension":
+            doc["checks"] = ["geodesic"]
+            doc["geodesic"] = {"theta0": [0.0, 0.0], "v0": [0.1], "steps": 5}
         elif case in ("model-x", "model-theta"):
             var = case.split("-")[1]
             bernoulli["log_density"] += f" + 0*{var}[1]"
@@ -817,9 +870,71 @@ class TestExpectAlphas:
     def test_a_key_naming_no_tested_alpha_is_refused(self, subject, check, alphas, flags):
         doc = {"subject": subject, "checks": [check], "alpha": alphas,
                "expect": {check: flags}}
-        with pytest.raises(SchemaError, match=f"^expect {check} alpha '.*' names no alpha "
-                                              "the check tests"):
+        # a NaN key is refused as no finite number
+        reason = "must be finite" if "nan" in flags else "'.*' names no alpha the check tests"
+        with pytest.raises(SchemaError, match=f"^expect {check} alpha {reason}"):
             RunSpec.from_dict(doc)
+
+
+def _leaves(doc, path=()):
+    """(path, value) of each value of ``doc`` that is no list or mapping."""
+    if not isinstance(doc, (dict, list)):
+        yield path, doc
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from _leaves(value, path + (key,))
+
+
+def _small_runs() -> list:
+    """full_verify's runs on grids of at most 2 points per axis and
+    geodesics of at most 50 steps."""
+    runs = json.loads((SPECS / "full_verify.json").read_text())["runs"]
+    for run in runs:
+        if "grid" in run:
+            run["grid"]["counts"] = [min(c, 2) for c in run["grid"]["counts"]]
+        if "geodesic" in run:
+            run["geodesic"]["steps"] = min(run["geodesic"]["steps"], 50)
+    return runs
+
+
+SMALL_RUNS = _small_runs()
+# (run index, path, committed value) of every leaf but the labels
+SPEC_LEAVES = [(i, path, value) for i, run in enumerate(SMALL_RUNS)
+               for path, value in _leaves(run) if path != ("label",)]
+BAD_VALUES = [True, None, "x", float("nan"), float("inf"), -1, 0, [], {}, 2.5]
+
+
+class TestSpecMutations:
+    """One leaf of a committed spec's run replaced by a bad value: the spec
+    exits 2 or runs, and no check ends in an exception of a kind the
+    toolkit does not raise (``_run_check`` reports those as "Name: ...")."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(leaf=st.sampled_from(SPEC_LEAVES), value=st.sampled_from(BAD_VALUES))
+    @example(leaf=(0, ("checks", 0), "validate"), value=[])
+    @example(leaf=(0, ("grid", "counts", 0), 2), value=float("inf"))
+    @example(leaf=(11, ("seed",), 1234), value=float("inf"))
+    def test_a_mutated_spec_exits_two_or_runs(self, leaf, value):
+        i, path, _ = leaf
+        try:
+            report = run_document(_with(SMALL_RUNS[i], path, value))
+        except SchemaError:
+            return
+        for name, result in report.runs[0].results.items():
+            assert result.status != "error" or not re.match(r"\w+: ", result.detail), \
+                (path, value, name, result.detail)
+
+    def test_a_nonfinite_number_exits_two(self):
+        """NaN or inf in place of any number of the spec is refused before
+        a check runs, where it once reached the runners or ended in an
+        OverflowError."""
+        numbers = [(i, path) for i, path, old in SPEC_LEAVES
+                   if isinstance(old, (int, float)) and not isinstance(old, bool)]
+        assert {path[0] for _, path in numbers} == {"grid", "alpha", "seed", "subject",
+                                                   "geodesic"}
+        for (i, path), value in itertools.product(numbers, [float("nan"), float("inf")]):
+            with pytest.raises(SchemaError, match="must be finite"):
+                run_document(_with(SMALL_RUNS[i], path, value))
 
 
 def _grid_residuals(per_point: dict, residuals: dict):
