@@ -3,11 +3,12 @@
 A run spec names one subject (model, surface, family or embedding; builtin
 or inline schema), a parameter grid, and a list of checks.  ``run`` executes
 every check, captures per-check errors without aborting siblings, and
-returns a deterministic report (identical specs and seeds give identical
-reports up to the timestamp field).  ``RunSpec.from_dict`` parses a spec
-once, ``--tol-override`` values included, each number by one rule,
-``models.spec_number``: no bool, a string read by ``float()``, finite, and
-whole where it counts; a range is checked where the value is used.
+returns a deterministic report (identical specs give identical reports up
+to the timestamp field).  ``RunSpec.from_dict`` parses a spec once,
+``--tol-override`` values included: each field by ``models.spec_fields``
+(each document maps the keys its reader reads, each of its kind), each
+number by ``models.spec_number`` (no bool, finite, whole where it counts);
+a range is checked where the value is used.
 ``CHECKS`` holds each check with its subject kinds, runner, oracle and
 default tolerance.
 
@@ -29,6 +30,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -45,13 +47,14 @@ import numpy as np
 
 from . import __version__, dualflat, immersion, infogeo, models, submanifold
 from .errors import DegenerateH, IgeoError, LeftDomain, SchemaError, SingularFrame
-from .models import spec_number, spec_numbers
+from .models import spec_fields, spec_number, spec_numbers
 from .numerics import grid_max, point_max
 
 # The flags of immersion.classify, in report order; ``expect.classify``
 # maps some of them to the expected value.
 CLASSIFY_FLAGS = ("centro_affine", "equiaffine", "nondegenerate", "blaschke",
                   "improper_hypersphere", "proper_hypersphere")
+MAX_GRID_POINTS = 10**6  # the product of a spec grid's counts
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,14 @@ class GeodesicSpec:
 
     @classmethod
     def from_dict(cls, doc) -> "GeodesicSpec":
-        if not isinstance(doc, dict):
-            raise SchemaError('a "geodesic" block must map theta0, v0, t_final, steps, alpha')
-        geo = cls(theta0=spec_numbers(doc, "theta0", "geodesic"),
-                  v0=spec_numbers(doc, "v0", "geodesic"),
-                  t_final=spec_number(doc.get("t_final", 1.0), "geodesic t_final"),
-                  steps=spec_number(doc.get("steps", 1000), "geodesic steps", integral=True),
-                  alpha=spec_number(doc.get("alpha", 1.0), "geodesic alpha"))
+        theta0, v0, t_final, steps, alpha = spec_fields(
+            doc, "geodesic", {"theta0": None, "v0": None},
+            {"t_final": (None, 1.0), "steps": (None, 1000), "alpha": (None, 1.0)})
+        geo = cls(theta0=spec_numbers(theta0, "geodesic theta0"),
+                  v0=spec_numbers(v0, "geodesic v0"),
+                  t_final=spec_number(t_final, "geodesic t_final"),
+                  steps=spec_number(steps, "geodesic steps", integral=True),
+                  alpha=spec_number(alpha, "geodesic alpha"))
         if geo.steps < 1 or geo.t_final <= 0:
             raise SchemaError("geodesic needs steps >= 1 and t_final > 0")
         return geo
@@ -81,11 +85,11 @@ class GeodesicSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Validated run description, each number parsed once by the one rule
-    of ``models.spec_number``: ``grid`` is (lo, hi, counts), tuples of
-    floats, floats and ints, or None for the default grid; ``tolerances``
-    holds every check's, ``expect`` them parsed by ``_expected``, ``raw``
-    the document as written."""
+    """Validated run description, each field read once by ``models.spec_fields``
+    and each number by ``models.spec_number``: ``grid`` is (lo, hi, counts),
+    tuples of floats, floats and ints, of at most ``MAX_GRID_POINTS`` points, or
+    None for the default grid; ``tolerances`` holds every check's, ``expect`` them
+    parsed by ``_expected``, ``label`` names no directory, ``raw`` is the spec."""
 
     kind: str
     subject_doc: object
@@ -100,77 +104,65 @@ class RunSpec:
     raw: dict
 
     @classmethod
-    def from_dict(cls, doc: dict, seed_override: Optional[int] = None,
-                  tol_overrides: Optional[dict] = None) -> "RunSpec":
-        if not isinstance(doc, dict):
-            raise SchemaError("run spec must be a mapping")
-        subject = doc.get("subject")
-        if not isinstance(subject, dict) or len(subject) != 1:
+    def from_dict(cls, doc: dict, tol_overrides: Optional[dict] = None) -> "RunSpec":
+        subject, checks, label, grid, alphas, given, expect, seed, geodesic = spec_fields(
+            doc, "run spec", {"subject": dict, "checks": list},
+            {"label": (str, None), "grid": (dict, None), "alpha": (None, [1.0]),
+             "tolerances": (dict, {}), "expect": (dict, {}), "seed": (None, None),
+             "geodesic": (dict, None)})
+        if len(subject) != 1:
             raise SchemaError('spec needs "subject": {kind: reference-or-schema}')
         kind, subject_doc = next(iter(subject.items()))
         if not any(kind in check.kinds for check in CHECKS.values()):
             raise SchemaError(f"unknown subject kind {kind!r}")
-        checks = doc.get("checks")
-        if not isinstance(checks, list) or not checks:
+        if not checks:
             raise SchemaError("spec needs a non-empty list of checks")
         for c in checks:
             if not isinstance(c, str) or c not in CHECKS:
                 raise SchemaError(f"unknown check {c!r}")
             if kind not in CHECKS[c].kinds:
                 raise SchemaError(f"check {c!r} does not apply to a {kind}")
-        grid = doc.get("grid")
+        label = kind if label is None else label
+        if "/" in label or "\\" in label:
+            raise SchemaError(f"label must name no directory, got {label!r}")
         if grid is not None:
-            if not isinstance(grid, dict):
-                raise SchemaError("grid must be a mapping")
-            grid = tuple(spec_numbers(grid, key, "grid", key == "counts")
-                         for key in ("lo", "hi", "counts"))
+            keys = ("lo", "hi", "counts")
+            grid = tuple(spec_numbers(values, f"grid {key}", key == "counts") for key, values
+                         in zip(keys, spec_fields(grid, "grid", dict.fromkeys(keys))))
             if len(set(map(len, grid))) != 1:
                 raise SchemaError("grid lo, hi and counts must have the same length")
             if any(c < 1 for c in grid[2]):
                 raise SchemaError("grid counts must be >= 1")
-        alphas = doc.get("alpha", [1.0])
-        if not isinstance(alphas, list) or not alphas:
+            if math.prod(grid[2]) > MAX_GRID_POINTS:
+                raise SchemaError(f"grid counts must give at most {MAX_GRID_POINTS} points")
+        alphas = spec_numbers(alphas, "alpha")
+        if not alphas:
             raise SchemaError("alpha must be a non-empty list of numbers")
-        alphas = tuple(spec_number(a, "alpha") for a in alphas)
-        given = doc.get("tolerances", {})
-        if not isinstance(given, dict):
-            raise SchemaError("tolerances must be a mapping")
         tolerances = {name: check.tolerance for name, check in CHECKS.items()}
-        for name, value in {**given, **(tol_overrides or {})}.items():
-            if name not in CHECKS:
-                raise SchemaError(f"tolerance override for unknown check {name!r}")
+        given = {**given, **(tol_overrides or {})}
+        spec_fields(given, "tolerances", {}, dict.fromkeys(CHECKS, (None, None)))
+        for name, value in given.items():
             tolerances[name] = tol = spec_number(value, f"tolerance {name}")
             if tol < 0:
                 raise SchemaError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
-        expect = doc.get("expect", {})
-        if not isinstance(expect, dict):
-            raise SchemaError("expect must be a mapping")
+        spec_fields(expect, "expect", {}, dict.fromkeys(CHECKS, (None, None)))
         expect = {name: _expected(name, flag, alphas) for name, flag in expect.items()}
-        seed = doc.get("seed") if seed_override is None else seed_override
         if seed is not None:
             seed = spec_number(seed, "seed", integral=True)
-        geodesic = doc.get("geodesic")
         if geodesic is not None or "geodesic" in checks:
             geodesic = GeodesicSpec.from_dict(geodesic)
         return cls(kind=kind, subject_doc=subject_doc, grid=grid,
                    checks=tuple(checks), alphas=alphas, tolerances=tolerances,
-                   expect=expect, seed=seed, geodesic=geodesic,
-                   label=str(doc.get("label", kind)), raw=doc)
+                   expect=expect, seed=seed, geodesic=geodesic, label=label, raw=doc)
 
 
 def _expected(name: str, flag, alphas: tuple):
     """One check's ``expect`` entry, parsed: a boolean, classify's {flag
     name: boolean}, or a per-alpha check's {alpha: boolean}, each key
     parsed once to the alpha of the run the check tests (within 1e-12)."""
-    if name not in CHECKS:
-        raise SchemaError(f"expect names unknown check {name!r}")
     parsed = {}
     if name == "classify":
-        if not isinstance(flag, dict):
-            raise SchemaError(f"expect classify must map flag names to booleans, got {flag!r}")
-        for key in flag:
-            if key not in CLASSIFY_FLAGS:
-                raise SchemaError(f"expect classify names unknown flag {key!r}")
+        spec_fields(flag, "expect classify", {}, dict.fromkeys(CLASSIFY_FLAGS, (None, None)))
     elif isinstance(flag, dict):
         if CHECKS[name].per_alpha is None:
             raise SchemaError(f"expect {name} takes one boolean: the check "
@@ -321,10 +313,12 @@ def _check_structural(spec, subject, grid, model, tol):
 def _check_classify(spec, subject, grid, model, tol):
     rep = immersion.classify(subject, grid, tol=tol)
     flags = {k: getattr(rep.flags, k) for k in CLASSIFY_FLAGS}
-    return CheckResult(holds=flags, residuals={
+    named = bool(spec.expect.get("classify"))  # a verdict needs a flag to compare
+    return CheckResult(holds=flags, status="" if named else "untestable", residuals={
         **flags, "lambda": rep.lambda_mean, "lambda_deviation": rep.lambda_deviation,
         "max_alpha": rep.max_alpha, "min_abs_det_h": rep.min_abs_det_h,
-        "max_blaschke_gap": rep.max_blaschke_gap})
+        "max_blaschke_gap": rep.max_blaschke_gap},
+        detail="" if named else "expect.classify names no flag")
 
 
 def _check_volume_transport(spec, subject, grid, model, tol):
@@ -474,7 +468,7 @@ def _status(name: str, holds, spec: RunSpec) -> str:
     """``pass`` when the outcome ``holds`` matched ``spec.expect`` for the
     check, "holds" by default; a per-alpha verdict takes its alpha's
     expectation, and classify compares only the flags expect names."""
-    expected = spec.expect.get(name, {} if name == "classify" else True)
+    expected = spec.expect.get(name, True)
     if name == "classify":
         pairs = [(holds[flag], want) for flag, want in expected.items()]
     elif isinstance(holds, dict):
@@ -633,15 +627,14 @@ def _run_check(name: str, spec: RunSpec, subject, grid, model) -> CheckResult:
     return result
 
 
-def run_document(doc: dict, seed_override=None, tol_overrides=None) -> Report:
-    """Run a single spec or a {"runs": [...]} collection."""
-    if "runs" in doc:
-        if not isinstance(doc["runs"], list) or not doc["runs"]:
+def run_document(doc: dict, tol_overrides=None) -> Report:
+    """Run a single spec or a {"runs": [...]} collection, which has no other key."""
+    docs = [doc]
+    if isinstance(doc, dict) and "runs" in doc:
+        docs, = spec_fields(doc, "spec collection", {"runs": list})
+        if not docs:
             raise SchemaError('"runs" must be a non-empty list of specs')
-        specs = [RunSpec.from_dict(d, seed_override, tol_overrides)
-                 for d in doc["runs"]]
-    else:
-        specs = [RunSpec.from_dict(doc, seed_override, tol_overrides)]
+    specs = [RunSpec.from_dict(d, tol_overrides) for d in docs]
     reports = [run(s) for s in specs]
     seed = specs[0].seed
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -739,8 +732,6 @@ def main(argv=None) -> int:
         p.add_argument("--csv-dir", default=None, help="directory for CSV dumps")
         p.add_argument("--tol-override", action="append", default=[],
                        metavar="CHECK=VAL", help="override one check tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the spec seed")
     args = parser.parse_args(argv)
 
     try:
@@ -754,12 +745,10 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_tol_overrides(args.tol_override)
         if args.command == "classify":
-            if "runs" in doc:
+            if not isinstance(doc, dict) or "runs" in doc:
                 raise SchemaError("classify takes a single-subject spec")
-            doc = dict(doc)
-            doc["checks"] = ["classify"]
-        report = run_document(doc, seed_override=args.seed,
-                              tol_overrides=overrides)
+            doc = {**doc, "checks": ["classify"]}
+        report = run_document(doc, tol_overrides=overrides)
 
         if args.command in ("compute", "geodesic"):
             csv_dir = Path(args.csv_dir or ".")

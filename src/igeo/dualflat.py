@@ -30,7 +30,7 @@ from .immersion import Hypersurface
 from .infogeo import ConnectionField
 from .models import (HESSIAN_SCHEME, SCORE_SCHEME, Box, SampleSpace,
                      StatisticalModel, builtin_or_schema, domain_from_doc,
-                     space_from_doc)
+                     space_from_doc, spec_fields)
 from .numerics import (PointMemo, batches, integrate, node_quadrature, own_nodes,
                        partials, stacked, stencil, symmetric)
 
@@ -413,20 +413,19 @@ FAMILIES = {
 def load_family(doc: dict | str) -> PotentialFamily:
     """Build a family from {"stats": [exprs over x], "base": expr,
     "domain": {"lo","hi"}, "space": {...}} or a builtin name."""
-    builtin = builtin_or_schema(doc, "family", FAMILIES, ("stats", "domain", "space"))
+    builtin = builtin_or_schema(doc, "family", FAMILIES)
     if builtin is not None:
         return builtin
-    if not isinstance(doc["stats"], list) or not doc["stats"]:
+    stats, domain, space, base, name = spec_fields(
+        doc, "family", {"stats": list, "domain": dict, "space": dict},
+        {"base": (str, "0"), "name": (str, "family")})
+    if not stats:
         raise SchemaError("stats must be a non-empty list of expressions")
-    space = space_from_doc(doc["space"])
+    space = space_from_doc(space)
     variables = {"x": space.xdim}
-    compiled = [compile_expression(e, variables) for e in doc["stats"]]
+    compiled = [compile_expression(e, variables) for e in stats]
     stats = tuple((lambda c: (lambda x: c({"x": x})))(c) for c in compiled)
-    if "base" in doc:
-        base_c = compile_expression(doc["base"], variables)
-        base = lambda x: base_c({"x": x}) * np.ones(len(x))
-    else:
-        base = lambda x: np.zeros(len(x))
-    box = domain_from_doc(doc, len(stats))
-    return PotentialFamily(stats=stats, base=base, space=space, domain=box,
-                           label=doc.get("name", "family"))
+    base_c = compile_expression(base, variables)
+    base = lambda x: base_c({"x": x}) * np.ones(len(x))
+    box = domain_from_doc(domain, len(stats))
+    return PotentialFamily(stats=stats, base=base, space=space, domain=box, label=name)

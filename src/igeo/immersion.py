@@ -37,7 +37,7 @@ from .errors import DegenerateH, OutOfDomain, SchemaError
 from .expressions import compile_chart
 from .infogeo import (ConnectionField, MetricField,
                       covariant_metric_derivative, riemann)
-from .models import Box, builtin_or_schema, domain_from_doc, spec_number
+from .models import Box, builtin_or_schema, domain_from_doc, spec_fields, spec_number
 from .numerics import (DiffScheme, PointMemo, grid_max, partials, point_max,
                        solve_frame, stencil, symmetric)
 
@@ -512,20 +512,20 @@ def load_surface(doc: dict | str) -> Hypersurface:
     """Build a surface from {"name", "dim", "chart": [exprs over u[i]],
     "transversal": [exprs] | "centro-affine", "domain": {"lo","hi"}} or a
     builtin name."""
-    builtin = builtin_or_schema(doc, "surface", SURFACES, ("name", "dim", "chart", "domain"))
+    builtin = builtin_or_schema(doc, "surface", SURFACES)
     if builtin is not None:
         return builtin
-    dim = spec_number(doc["dim"], "surface dim", integral=True)
-    chart_exprs = doc["chart"]
-    if not isinstance(chart_exprs, list) or len(chart_exprs) != dim + 1:
+    name, dim, chart_exprs, domain, tr = spec_fields(
+        doc, "surface", {"name": str, "dim": None, "chart": list, "domain": dict},
+        {"transversal": (list, "centro-affine")})
+    dim = spec_number(dim, "surface dim", integral=True)
+    if len(chart_exprs) != dim + 1:
         raise SchemaError("chart must list dim+1 component expressions")
     chart = compile_chart(chart_exprs, dim)
-    box = domain_from_doc(doc, dim)
-
-    tr = doc.get("transversal", "centro-affine")
+    box = domain_from_doc(domain, dim)
     if tr == "centro-affine":
-        return Hypersurface.centro_affine(chart, box, dim, label=doc["name"])
-    if not isinstance(tr, list) or len(tr) != dim + 1:
+        return Hypersurface.centro_affine(chart, box, dim, label=name)
+    if len(tr) != dim + 1:
         raise SchemaError('transversal must be "centro-affine" or dim+1 expressions')
     return Hypersurface(chart=chart, transversal=compile_chart(tr, dim), domain=box, dim=dim,
-                        label=doc["name"])
+                        label=name)

@@ -4,7 +4,9 @@ A model is a sample space plus a vectorised log-density ``l(x, theta)`` over
 a declared open parameter box.  Evaluation outside the box is an error, not
 an extrapolation.  The builtin catalog covers the families used throughout
 the verification suite; every entry passes ``validate_model`` on its
-reference grid.
+reference grid.  A spec document is read by two rules: ``spec_fields`` for
+its fields (the keys its reader reads, each of its kind), ``spec_number`` for
+each number.
 
 Array conventions: sample points always have shape ``(N, xdim)`` and
 vectorised callables over the sample space return shape ``(N,)``.  A
@@ -137,9 +139,7 @@ class SampleSpace:
 
     @classmethod
     def finite(cls, points) -> "SampleSpace":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = np.array(points, dtype=float, ndmin=2)
         return cls(kind="finite-discrete", xdim=pts.shape[1],
                    rule=ExpectationRule.exact(), points=pts)
 
@@ -515,34 +515,43 @@ def reference_grid(name: str) -> list:
 # Schema loading
 # ---------------------------------------------------------------------------
 
-def _require(doc: dict, key: str, types):
-    if key not in doc:
-        raise SchemaError(f"document is missing {key!r}")
-    value = doc[key]
-    if not isinstance(value, types):
-        raise SchemaError(f"field {key!r} has unexpected type {type(value).__name__}")
-    return value
+_KINDS = {dict: "mapping", list: "list", str: "string"}
 
 
-def builtin_or_schema(doc, kind: str, builtins: dict, required: tuple = ()):
-    """The builtin a ``kind`` document names, or None for a schema document.
+def spec_fields(doc, what: str, required: dict, optional: dict = {}) -> list:
+    """The one rule for the fields of a spec document, ``what`` naming it: a
+    mapping of every key of ``required`` (key -> kind), any of ``optional`` (key
+    -> (kind, default)) and no other, each of its kind: dict, list, str, or None
+    for numbers, which ``spec_number`` reads.  A field given as its default
+    counts as absent.  Returns the values in that order; else SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a mapping, got {doc!r}")
+    fields = {**{key: (kind, ...) for key, kind in required.items()}, **optional}
+    for key in doc:
+        if key not in fields:
+            raise SchemaError(f"{what} names unknown key {key!r}; it reads {', '.join(fields)}")
+    values = []
+    for key, (kind, default) in fields.items():
+        value = doc.get(key, default)
+        if value is ...:
+            raise SchemaError(f"{what} is missing {key!r}")
+        if kind is not None and value != default and not isinstance(value, kind):
+            raise SchemaError(f"{what} field {key!r} must be a {_KINDS[kind]}, got {value!r}")
+        values.append(value)
+    return values
 
-    A bare name stands for ``{"builtin": name}``.  SchemaError for a
-    document that is no mapping, an unknown builtin, or a schema document
-    missing one of the ``required`` keys."""
+
+def builtin_or_schema(doc, kind: str, builtins: dict):
+    """The builtin a ``kind`` document names, a bare name or ``{"builtin": name}``
+    with no other key, or None for a schema document; SchemaError for an unknown one."""
     if isinstance(doc, str):
         doc = {"builtin": doc}
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{kind} document must be a mapping")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if not isinstance(name, str) or name not in builtins:
-            raise SchemaError(f"unknown builtin {kind} {name!r}")
-        return builtins[name]()
-    for key in required:
-        if key not in doc:
-            raise SchemaError(f"{kind} document is missing {key!r}")
-    return None
+    if not isinstance(doc, dict) or "builtin" not in doc:
+        return None
+    name, = spec_fields(doc, f"{kind} reference", {"builtin": str})
+    if name not in builtins:
+        raise SchemaError(f"unknown builtin {kind} {name!r}")
+    return builtins[name]()
 
 
 def spec_number(value, what: str, integral: bool = False):
@@ -562,19 +571,19 @@ def spec_number(value, what: str, integral: bool = False):
     return int(number) if integral else float(number)
 
 
-def spec_numbers(doc: dict, key: str, what: str, integral: bool = False) -> tuple:
-    """The list ``doc[key]`` of the ``what`` block as a tuple of ``spec_number``s."""
-    if not isinstance(doc.get(key), list):
-        raise SchemaError(f'{what} needs a list "{key}"')
-    return tuple(spec_number(v, f"{what} {key}", integral) for v in doc[key])
+def spec_numbers(values, what: str, integral: bool = False) -> tuple:
+    """The list ``values`` of the ``what`` field as a tuple of ``spec_number``s."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(spec_number(v, what, integral) for v in values)
 
 
-def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
-    """The open box ``doc["domain"] = {"lo": [...], "hi": [...]}`` of finite
-    bounds, of dimension ``dim`` when given; SchemaError for anything else."""
-    dom = _require(doc, "domain", dict)
+def domain_from_doc(doc, dim: Optional[int] = None) -> Box:
+    """The open box ``{"lo": [...], "hi": [...]}`` of finite bounds, of
+    dimension ``dim`` when given; SchemaError for anything else."""
+    lo, hi = spec_fields(doc, "domain", {"lo": None, "hi": None})
     try:
-        box = Box(spec_numbers(dom, "lo", "domain"), spec_numbers(dom, "hi", "domain"))
+        box = Box(spec_numbers(lo, "domain lo"), spec_numbers(hi, "domain hi"))
     except ValueError as exc:
         raise SchemaError(f"bad domain box: {exc}") from None
     if dim is not None and box.dim != dim:
@@ -583,34 +592,37 @@ def domain_from_doc(doc: dict, dim: Optional[int] = None) -> Box:
 
 
 def _rule_from_doc(doc: dict) -> ExpectationRule:
-    kind = _require(doc, "kind", str)
+    kind = doc.get("kind")
 
-    def number(key, default, integral=False):
-        return spec_number(doc.get(key, default), f"quadrature {key}", integral)
+    def fields(**defaults):  # the kind's fields, an absent one at its default, as numbers
+        _, *values = spec_fields(doc, f"{kind} quadrature", {"kind": str},
+                                 {key: (None, default) for key, default in defaults.items()})
+        return {key: spec_number(value, f"quadrature {key}", key in ("nodes", "seed"))
+                for key, value in zip(defaults, values)}
 
     if kind == "gauss-hermite":
-        return ExpectationRule.gauss_hermite(
-            nodes=number("nodes", None, True) if "nodes" in doc else default_quad_nodes(64),
-            loc=number("loc", 0.0), scale=number("scale", 1.0))
+        return ExpectationRule.gauss_hermite(**fields(
+            nodes=None if "nodes" in doc else default_quad_nodes(64), loc=0.0, scale=1.0))
     if kind == "adaptive-quadrature":
-        return ExpectationRule.adaptive(tol=number("tol", ExpectationRule.tol))
+        return ExpectationRule.adaptive(**fields(tol=ExpectationRule.tol))
     if kind == "monte-carlo":  # a missing seed is no number
-        return ExpectationRule.monte_carlo(
-            nodes=number("nodes", 4096, True), seed=number("seed", None, True),
-            loc=number("loc", 0.0), scale=number("scale", 1.0))
+        return ExpectationRule.monte_carlo(**fields(nodes=4096, seed=None, loc=0.0, scale=1.0))
     raise SchemaError(f"unknown quadrature kind {kind!r}")
 
 
 def space_from_doc(doc: dict) -> SampleSpace:
-    """The sample space a document names; SchemaError for any fault, a range included."""
-    kind = _require(doc, "kind", str)
+    """The sample space a mapping names, with the fields of its kind (points:
+    rows of numbers); SchemaError for any fault, a range included."""
+    kind = doc.get("kind")
     try:
         if kind == "finite-discrete":
-            return SampleSpace.finite(_require(doc, "points", list))
+            _, points = spec_fields(doc, "finite-discrete space", {"kind": str, "points": list})
+            return SampleSpace.finite([spec_numbers(row, "space points") for row in points])
         if kind in ("real-line", "real-k"):
-            rule = _rule_from_doc(_require(doc, "quadrature", dict))
-            k = spec_number(doc.get("k", 1), "space k", integral=True) if kind == "real-k" else 1
-            return SampleSpace.real(k, rule)
+            _, quad, *k = spec_fields(doc, f"{kind} space", {"kind": str, "quadrature": dict},
+                                      {"k": (None, 1)} if kind == "real-k" else {})
+            rule = _rule_from_doc(quad)
+            return SampleSpace.real(spec_number(k[0], "space k", integral=True) if k else 1, rule)
     except ValueError as exc:
         raise SchemaError(f"bad sample space: {exc}") from None
     raise SchemaError(f"unknown sample space kind {kind!r}")
@@ -626,12 +638,12 @@ def load_model(doc: dict | str) -> StatisticalModel:
     builtin = builtin_or_schema(doc, "model", CATALOG)
     if builtin is not None:
         return builtin
-    name = _require(doc, "name", str)
-    dim = spec_number(doc.get("dim"), "model dim", integral=True)
-    space = space_from_doc(_require(doc, "space", dict))
-    box = domain_from_doc(doc, dim)
-    expr = compile_expression(_require(doc, "log_density", str),
-                              {"x": space.xdim, "theta": dim})
+    name, dim, space, domain, log_density = spec_fields(doc, "model", {
+        "name": str, "dim": None, "space": dict, "domain": dict, "log_density": str})
+    dim = spec_number(dim, "model dim", integral=True)
+    space = space_from_doc(space)
+    box = domain_from_doc(domain, dim)
+    expr = compile_expression(log_density, {"x": space.xdim, "theta": dim})
 
     def ll(x, th):
         if np.ndim(th) <= 1:

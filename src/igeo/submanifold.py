@@ -25,9 +25,8 @@ from .errors import (EmptyFixed, EmptyFree, IncompatibleConstants,
 from .expressions import compile_chart
 from .immersion import CHART_SCHEME_1, CHART_SCHEME_2
 from .infogeo import ConnectionField, MetricField
-from .models import (Box, SampleSpace, StatisticalModel, builtin_or_schema,
-                     domain_from_doc, load_model, normal_quantiles,
-                     second_log_derivs)
+from .models import (Box, SampleSpace, StatisticalModel, domain_from_doc,
+                     load_model, normal_quantiles, second_log_derivs, spec_fields)
 from .numerics import batches, partials, point_max, stencil, symmetric, tensor_grid
 
 _RANK_TOL = 1e-8
@@ -285,12 +284,13 @@ def coordinate_slice(family: PotentialFamily, fixed_indices: Sequence[int],
 def load_embedding(doc: dict) -> SubmanifoldEmbedding:
     """Build an embedding from {"ambient": model doc | builtin name,
     "map": [exprs over u[i]], "domain": {"lo","hi"}}."""
-    builtin_or_schema(doc, "embedding", {}, ("ambient", "map", "domain"))  # no builtins
-    ambient = load_model(doc["ambient"])
-    exprs = doc["map"]
-    if not isinstance(exprs, list) or len(exprs) != ambient.dim:
+    ambient, exprs, domain, name = spec_fields(
+        doc, "embedding", {"ambient": None, "map": list, "domain": dict},
+        {"name": (str, "embedding")})
+    ambient = load_model(ambient)
+    if len(exprs) != ambient.dim:
         raise SchemaError("map must list one expression per ambient coordinate")
-    box = domain_from_doc(doc)
+    box = domain_from_doc(domain)
     chart = compile_chart(exprs, box.dim)
     return SubmanifoldEmbedding(ambient=ambient, chart=chart, domain=box,
-                                dim=box.dim, label=doc.get("name", "embedding"))
+                                dim=box.dim, label=name)

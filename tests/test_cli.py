@@ -44,6 +44,11 @@ def flatness_spec():
     }
 
 
+# the classify flags of the unit sphere, a centro-affine proper hypersphere
+SPHERE_FLAGS = {"centro_affine": True, "equiaffine": True, "nondegenerate": True,
+                "blaschke": True, "improper_hypersphere": False, "proper_hypersphere": True}
+
+
 @pytest.fixture(scope="module")
 def sphere_spec():
     return {
@@ -450,7 +455,8 @@ class TestMain:
                                                   "counts": [2, 2]}},
                 {"label": "e", "subject": {"family": "normal-natural"},
                  "checks": ["geodesic"], "geodesic": dict(geo, alpha=1.0)},
-                {"label": "sphere", "subject": {"surface": "sphere"}, "checks": ["classify"]},
+                {"label": "sphere", "subject": {"surface": "sphere"}, "checks": ["classify"],
+                 "expect": {"classify": SPHERE_FLAGS}},
                 {"label": "m", "subject": {"model": "normal-natural"},
                  "checks": ["geodesic"], "geodesic": dict(geo, alpha=-1.0)}]
         csv_dir = tmp_path / "paths"
@@ -589,6 +595,20 @@ class TestMain:
         "monte-carlo-seed-negative": ({"subject.model.space.quadrature":
                                        {"kind": "monte-carlo", "nodes": 64, "seed": -1}},
                                       "monte-carlo rules must carry an explicit seed >= 0"),
+        # finite-discrete points are rows of spec numbers: true once read as
+        # 1.0, a NaN point ran to a validate fail, a mapping ended in a traceback
+        "points-bool": ({"subject.model.space": {"kind": "finite-discrete",
+                                                 "points": [[0.0], [True]]}},
+                        "space points must be a number, got True"),
+        "points-nan": ({"subject.model.space": {"kind": "finite-discrete",
+                                                "points": [[0.0], [float("nan")]]}},
+                       "space points must be finite, got nan"),
+        "points-mapping": ({"subject.model.space": {"kind": "finite-discrete",
+                                                    "points": [[0.0], [{}]]}},
+                           "space points must be a number, got {}"),
+        "points-not-rows": ({"subject.model.space": {"kind": "finite-discrete",
+                                                     "points": [0.0, 1.0]}},
+                            "space points must be a list of numbers, got 0.0"),
     }
 
     @pytest.mark.parametrize("field", sorted(BAD_NUMBERS))
@@ -603,9 +623,18 @@ class TestMain:
         assert cli.main(["verify", "--spec", str(spec)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [1e300, 10**6 + 1])
+    def test_grid_size_is_bounded(self, count):
+        """A grid of more points than MAX_GRID_POINTS is refused as the spec
+        is parsed, before any point is made (1e300 once ended in a
+        ValueError traceback)."""
+        with pytest.raises(SchemaError, match="^grid counts must give at most 1000000 points$"):
+            RunSpec.from_dict({"subject": {"model": "bernoulli-natural"}, "checks": ["validate"],
+                               "grid": {"lo": [-0.5], "hi": [0.5], "counts": [count]}})
+
     BAD_SPEC_MESSAGES = {
         "grid-dimension": "grid has dimension 2, expected 1",
-        "expect-check": "expect names unknown check 'exponential-from'",
+        "expect-check": "expect names unknown key 'exponential-from'",
         "expect-alpha": "expect flatness alpha must be a number, got 'one'",
         # an alpha the run does not sweep was once never compared: flatness passed
         "expect-alpha-untested": "expect flatness alpha '2' names no alpha the check "
@@ -618,9 +647,8 @@ class TestMain:
         "surface-u": "u[2] is out of range: u has 2 component",
         "transversal-u": "u[2] is out of range: u has 2 component",
         "embedding-u": "u[1] is out of range: u has 1 component",
-        "classify-not-a-mapping": "expect classify must map flag names to booleans, "
-                                  "got True",
-        "classify-flag": "expect classify names unknown flag 'blaschk'",
+        "classify-not-a-mapping": "expect classify must be a mapping, got True",
+        "classify-flag": "expect classify names unknown key 'blaschk'",
         # a tolerance or alpha list that would crash a check or let it test nothing
         "tolerance-word": "tolerance flatness must be a number, got 'tight'",
         "tolerance-bool": "tolerance flatness must be a number, got True",
@@ -628,11 +656,26 @@ class TestMain:
         "tolerance-nan": "tolerance flatness must be finite, got nan",
         "tolerance-inf": "tolerance flatness must be finite, got inf",
         "alpha-empty": "alpha must be a non-empty list of numbers",
-        "builtin-not-a-name": "unknown builtin model ['bernoulli-natural']",
+        "builtin-not-a-name": "model reference field 'builtin' must be a string, "
+                              "got ['bernoulli-natural']",
         # a list in checks once raised TypeError: unhashable
         "checks-not-a-name": "unknown check ['flatness']",
         # a geodesic of another dimension once reported "left the domain at t=0"
         "geodesic-dimension": "geodesic theta0 and v0 must each have the model's dimension, 1",
+        # keys no reader reads were once ignored: flatness ran at its default
+        # tolerance, the surface as centro-affine, and the seed was reported null
+        "unknown-key": "run spec names unknown key 'tolerence'",
+        "surface-unknown-key": "surface names unknown key 'transverse'",
+        "collection-seed": "spec collection names unknown key 'seed'",
+        "builtin-extra-key": "model reference names unknown key 'dim'",
+        # a family space that is no mapping once ended in a TypeError traceback
+        "family-space-number": "family field 'space' must be a mapping, got 5",
+        "family-space-bool": "family field 'space' must be a mapping, got True",
+        # the CSV files take the label: a directory in it once ended igeo
+        # compute in a FileNotFoundError, and a list was reported as its str
+        "label-slash": "label must name no directory, got 'x/y'",
+        "label-backslash": "label must name no directory, got 'x\\\\y'",
+        "label-not-a-string": "run spec field 'label' must be a string, got ['a']",
     }
     TOLERANCES = {"word": "tight", "bool": True, "negative": -1, "nan": float("nan"),
                   "inf": float("inf")}
@@ -682,6 +725,18 @@ class TestMain:
         elif case == "geodesic-dimension":
             doc["checks"] = ["geodesic"]
             doc["geodesic"] = {"theta0": [0.0, 0.0], "v0": [0.1], "steps": 5}
+        elif case == "unknown-key":
+            doc["tolerence"] = {"flatness": 1e-30}
+        elif case == "collection-seed":
+            doc = {"runs": [doc], "seed": 7}
+        elif case == "builtin-extra-key":
+            doc["subject"] = {"model": {"builtin": "bernoulli-natural", "dim": 1}}
+        elif case.startswith("family-space-"):
+            doc["subject"] = {"family": {"stats": ["x[0]"], "domain": bernoulli["domain"],
+                                         "space": 5 if case.endswith("number") else True}}
+        elif case.startswith("label-"):
+            doc["label"] = {"slash": "x/y", "backslash": "x\\y",
+                            "not-a-string": ["a"]}[case[len("label-"):]]
         elif case in ("model-x", "model-theta"):
             var = case.split("-")[1]
             bernoulli["log_density"] += f" + 0*{var}[1]"
@@ -694,8 +749,8 @@ class TestMain:
             flags = True if case == "classify-not-a-mapping" else {"blaschk": True}
             doc = {"subject": {"surface": "sphere"}, "checks": ["classify"],
                    "expect": {"classify": flags}}
-        elif case in ("surface-u", "transversal-u"):
-            key = "chart" if case == "surface-u" else "transversal"
+        elif case in ("surface-u", "transversal-u", "surface-unknown-key"):
+            key = {"surface-u": "chart", "transversal-u": "transversal"}.get(case, "transverse")
             surface[key] = ["u[0]", "u[1]", "u[0]*u[2]"]
             doc = {"subject": {"surface": surface}, "checks": ["classify"]}
         else:
@@ -726,6 +781,19 @@ class TestMain:
         code = cli.main(["verify", "--spec", str(self._write_spec(tmp_path, bent)),
                          "--out", str(out)])
         assert code == 0
+
+    def test_classify_without_expected_flags_is_untestable(self, tmp_path, sphere_spec):
+        """With no flag in expect.classify there is nothing to compare: the
+        check is untestable, reports its flags, and the command exits 1."""
+        doc = {key: value for key, value in sphere_spec.items() if key != "expect"}
+        out = tmp_path / "r.json"
+        code = cli.main(["classify", "--spec", str(self._write_spec(tmp_path, doc)),
+                         "--out", str(out)])
+        result = json.loads(out.read_text())["runs"][0]["results"]["classify"]
+        assert code == 1
+        assert (result["status"], result["detail"]) == ("untestable",
+                                                       "expect.classify names no flag")
+        assert {flag: result["residuals"][flag] for flag in SPHERE_FLAGS} == SPHERE_FLAGS
 
     def test_classify_subcommand(self, tmp_path, sphere_spec):
         doc = dict(sphere_spec)
@@ -876,13 +944,12 @@ class TestExpectAlphas:
             RunSpec.from_dict(doc)
 
 
-def _leaves(doc, path=()):
-    """(path, value) of each value of ``doc`` that is no list or mapping."""
-    if not isinstance(doc, (dict, list)):
-        yield path, doc
-        return
+def _nodes(doc, path=()):
+    """(path, value) of each value within ``doc``, lists and mappings too."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-        yield from _leaves(value, path + (key,))
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
 
 
 def _small_runs() -> list:
@@ -898,10 +965,29 @@ def _small_runs() -> list:
 
 
 SMALL_RUNS = _small_runs()
-# (run index, path, committed value) of every leaf but the labels
+# (run index, path, committed value) of every leaf
 SPEC_LEAVES = [(i, path, value) for i, run in enumerate(SMALL_RUNS)
-               for path, value in _leaves(run) if path != ("label",)]
+               for path, value in _nodes(run) if not isinstance(value, (dict, list))]
 BAD_VALUES = [True, None, "x", float("nan"), float("inf"), -1, 0, [], {}, 2.5]
+# runs of inline subjects: adaptive_verify's model and family, full_verify's
+# embedding, a surface with its own transversal and a finite-discrete model
+LOAD_RUNS = [
+    *json.loads((SPECS / "adaptive_verify.json").read_text())["runs"],
+    next(run for run in SMALL_RUNS if "embedding" in run["subject"]),
+    {"label": "graph", "subject": {"surface": {
+        "name": "graph", "dim": 2, "chart": ["u[0]", "u[1]", "u[0]^2 + u[1]^2"],
+        "transversal": ["0", "0", "1"], "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}},
+     "grid": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5], "counts": [2, 2]},
+     "checks": ["structural", "classify"], "expect": {"classify": {"blaschke": True}},
+     "tolerances": {"structural": 1e-6}},
+    {"label": "coin", "subject": {"model": {
+        "name": "coin", "dim": 1, "space": {"kind": "finite-discrete", "points": [[0.0], [1.0]]},
+        "domain": {"lo": [-4.0], "hi": [4.0]},
+        "log_density": "x[0]*theta[0] - log(1 + exp(theta[0]))"}},
+     "grid": {"lo": [-1.0], "hi": [1.0], "counts": [3]},
+     "checks": ["validate", "flatness", "geodesic"], "alpha": [1.0, -1.0],
+     "expect": {"flatness": {"-1": True}}, "seed": 5,
+     "geodesic": {"theta0": [0.0], "v0": [0.5], "t_final": 1.0, "steps": 10, "alpha": 1.0}}]
 
 
 class TestSpecMutations:
@@ -923,6 +1009,28 @@ class TestSpecMutations:
         for name, result in report.runs[0].results.items():
             assert result.status != "error" or not re.match(r"\w+: ", result.detail), \
                 (path, value, name, result.detail)
+
+    def test_a_mutated_spec_exits_two_or_loads(self):
+        """Each value within a run of an inline subject, lists and mappings
+        too, replaced by each bad value, a directory name and numbers beyond
+        every grid, and one unknown key added to each mapping: the spec is
+        refused with SchemaError, or it parses, loads its subject and makes
+        its grid (no check runs); no other exception is raised."""
+        values = BAD_VALUES + ["a/b", [1e300], 1e300]
+        specs = [_with(run, path, value) for run in LOAD_RUNS
+                 for path, _ in _nodes(run) for value in values]
+        specs += [_with(run, path + ("unknown",), 0) for run in LOAD_RUNS
+                  for path in [()] + [p for p, v in _nodes(run) if isinstance(v, dict)]]
+        tracebacks = []
+        for doc in specs:
+            try:
+                spec = RunSpec.from_dict(doc)
+                cli._grid_points(spec, cli._load_subject(spec))
+            except SchemaError:
+                pass
+            except Exception as exc:
+                tracebacks.append((doc, f"{type(exc).__name__}: {exc}"))
+        assert len(specs) > 2000 and not tracebacks, tracebacks
 
     def test_a_nonfinite_number_exits_two(self):
         """NaN or inf in place of any number of the spec is refused before
@@ -1259,7 +1367,9 @@ class TestSurfaceGridBatch:
     def test_domain_edge_detail(self, lo, hi, node):
         rep = run_document({"subject": {"surface": "paraboloid"},
                             "grid": {"lo": lo, "hi": hi, "counts": [2, 2]},
-                            "checks": SURFACE_CHECKS})
+                            "checks": SURFACE_CHECKS,
+                            "expect": {"classify": {"blaschke": True,
+                                                    "improper_hypersphere": True}}})
         detail = f"stencil node {node} leaves the declared domain"
         for name, result in rep.runs[0].results.items():
             if name == "classify" and lo[0] == -1.99:
