@@ -54,7 +54,7 @@ from .numerics import grid_max, point_max
 # maps some of them to the expected value.
 CLASSIFY_FLAGS = ("centro_affine", "equiaffine", "nondegenerate", "blaschke",
                   "improper_hypersphere", "proper_hypersphere")
-MAX_GRID_POINTS = 10**6  # the product of a spec grid's counts
+MAX_GRID_POINTS = 10**6  # the points of a run's grid, its own or the default one
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class RunSpec:
             if kind not in CHECKS[c].kinds:
                 raise SchemaError(f"check {c!r} does not apply to a {kind}")
         label = kind if label is None else label
-        if "/" in label or "\\" in label:
+        if any(c in label for c in "/\\\0"):
             raise SchemaError(f"label must name no directory, got {label!r}")
         if grid is not None:
             keys = ("lo", "hi", "counts")
@@ -195,6 +195,8 @@ def _grid_points(spec: RunSpec, subject) -> np.ndarray:
         raise SchemaError(f"geodesic theta0 and v0 must each have the model's dimension, {dim}")
     if spec.grid is None:
         # default: 3 points per coordinate over the middle half of the domain
+        if 3 ** dim > MAX_GRID_POINTS:
+            raise SchemaError(f"a default grid of 3**{dim} points exceeds {MAX_GRID_POINTS}")
         lo, hi = np.asarray(subject.domain.lo), np.asarray(subject.domain.hi)
         quarter = (hi - lo) / 4.0
         return models.grid(lo + quarter, hi - quarter, [3] * lo.size)

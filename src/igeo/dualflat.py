@@ -183,12 +183,12 @@ def hessian_metric(family: PotentialFamily, theta) -> np.ndarray:
                      family.dim, th.ndim - 1)
 
 
-def legendre_inverse(family: PotentialFamily, eta, theta0=None,
-                     tol: float = 1e-11, max_iter: int = 100) -> np.ndarray:
-    """Solve grad K(theta) = eta by damped Newton on the convex potential.
+def legendre_inverse(family: PotentialFamily, eta, theta0=None) -> np.ndarray:
+    """Solve grad K(theta) = eta by damped Newton on the convex potential,
+    from ``theta0`` or the domain's center, to |grad K - eta| < 1e-11.
 
-    Raises NonConvergent after ``max_iter`` iterations and OutOfDualDomain
-    when the iteration cannot stay inside the parameter box.
+    Raises NonConvergent after 100 iterations and OutOfDualDomain when the
+    iteration cannot stay inside the parameter box.
     """
     target = np.atleast_1d(np.asarray(eta, dtype=float))
     th = np.asarray(theta0, dtype=float) if theta0 is not None \
@@ -198,10 +198,10 @@ def legendre_inverse(family: PotentialFamily, eta, theta0=None,
     # keep iterates clear of the boundary by more than any stencil radius
     margin = 0.005 * float(np.min(np.asarray(family.domain.hi)
                                   - np.asarray(family.domain.lo)))
-    for _ in range(max_iter):
+    for _ in range(100):
         grad = dual_coords(family, th)
         residual = target - grad
-        if float(np.abs(residual).max()) < tol:
+        if float(np.abs(residual).max()) < 1e-11:
             return th
         H = hessian_metric(family, th)
         step = np.linalg.solve(H, residual)
@@ -217,14 +217,13 @@ def legendre_inverse(family: PotentialFamily, eta, theta0=None,
             raise OutOfDualDomain(
                 f"eta {target.tolist()} seems outside the gradient image")
         th = new
-    raise NonConvergent(f"Newton did not reach |grad K - eta| < {tol:g} "
-                        f"in {max_iter} iterations")
+    raise NonConvergent("Newton did not reach |grad K - eta| < 1e-11 in 100 iterations")
 
 
-def dual_potential(family: PotentialFamily, eta, theta0=None) -> float:
+def dual_potential(family: PotentialFamily, eta) -> float:
     """Legendre dual phi(eta) = <theta, eta> - K(theta) at theta(eta)."""
     target = np.atleast_1d(np.asarray(eta, dtype=float))
-    th = legendre_inverse(family, target, theta0=theta0)
+    th = legendre_inverse(family, target)
     return float(th @ target - potential(family, th))
 
 
@@ -324,8 +323,7 @@ def graph_realization(family: PotentialFamily) -> Hypersurface:
 
 
 def centro_affine_lift(family: PotentialFamily,
-                       psi: Optional[Callable] = None,
-                       label: Optional[str] = None) -> Hypersurface:
+                       psi: Optional[Callable] = None) -> Hypersurface:
     """Centro-affine realization (theta, 1)/psi(theta) with xi = -f.
 
     ``psi`` maps theta rows (..., n) to (...); any positive psi is
@@ -347,9 +345,8 @@ def centro_affine_lift(family: PotentialFamily,
                               f"{th[bad][0].tolist()}")
         return np.concatenate([th, np.ones(th.shape[:-1] + (1,))], axis=-1) / value[..., None]
 
-    return Hypersurface.centro_affine(
-        chart, family.domain, n,
-        label=label or f"centro-affine-lift[{family.label}]")
+    return Hypersurface.centro_affine(chart, family.domain, n,
+                                      label=f"centro-affine-lift[{family.label}]")
 
 
 # ---------------------------------------------------------------------------

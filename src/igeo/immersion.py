@@ -207,13 +207,13 @@ def _induced_derivative(surface: Hypersurface, U: np.ndarray) -> np.ndarray:
 def gamma_field(surface: Hypersurface) -> ConnectionField:
     """Induced connection as an infogeo-compatible field."""
     return ConnectionField(dim=surface.dim, up_fn=lambda u: decompose(surface, u).gamma,
-                           provenance="induced", domain=surface.domain)
+                           domain=surface.domain)
 
 
 def h_field(surface: Hypersurface) -> MetricField:
     """Affine fundamental form as a (possibly degenerate) metric field."""
     return MetricField(dim=surface.dim, fn=lambda u: decompose(surface, u).h,
-                       label=f"h[{surface.label}]", domain=surface.domain)
+                       domain=surface.domain)
 
 
 def _grid_rows(surface: Hypersurface, grid: Sequence) -> np.ndarray:
@@ -435,7 +435,7 @@ def statistical_structure(surface: Hypersurface, grid: Sequence,
 # Builtin surfaces and schema loading
 # ---------------------------------------------------------------------------
 
-def scaled_sphere(c: float, extent: float = 0.8) -> Hypersurface:
+def scaled_sphere(c: float) -> Hypersurface:
     """Upper hemisphere of the sphere of radius c in the graph chart, xi = -f."""
 
     def chart(u):
@@ -446,13 +446,13 @@ def scaled_sphere(c: float, extent: float = 0.8) -> Hypersurface:
                               f"got u = {u[r < 0][0].tolist()}")
         return c * np.stack([u[..., 0], u[..., 1], np.sqrt(r)], axis=-1)
 
-    return Hypersurface.centro_affine(chart, Box((-extent, -extent), (extent, extent)),
+    return Hypersurface.centro_affine(chart, Box((-0.8, -0.8), (0.8, 0.8)),
                                       dim=2, label=f"sphere-scaled-{c}")
 
 
-def unit_sphere(extent: float = 0.8) -> Hypersurface:
+def unit_sphere() -> Hypersurface:
     """Upper hemisphere of the unit sphere in the graph chart, xi = -f."""
-    return replace(scaled_sphere(1.0, extent), label="sphere")
+    return replace(scaled_sphere(1.0), label="sphere")
 
 
 def _inner(u, v):  # u @ v per row of (..., n), with the bits of the one-point product
@@ -468,36 +468,35 @@ def _paraboloid_chart(u):
     return np.stack([u[..., 0], u[..., 1], 0.5 * _dot(u)], axis=-1)
 
 
-def paraboloid(extent: float = 2.0) -> Hypersurface:
+def paraboloid() -> Hypersurface:
     """Elliptic paraboloid x3 = (x1^2 + x2^2)/2 with constant transversal e3."""
     return Hypersurface(chart=_paraboloid_chart,
                         transversal=lambda u: np.broadcast_to([0.0, 0.0, 1.0],
                                                               np.shape(u)[:-1] + (3,)),
-                        domain=Box((-extent, -extent), (extent, extent)),
-                        dim=2, label="paraboloid")
+                        domain=Box((-2.0, -2.0), (2.0, 2.0)), dim=2, label="paraboloid")
 
 
-def tilted_paraboloid(slope: float = 0.3, extent: float = 2.0) -> Hypersurface:
-    """Paraboloid with a deliberately non-equiaffine transversal."""
+def tilted_paraboloid() -> Hypersurface:
+    """Paraboloid with a deliberately non-equiaffine transversal, slope 0.3."""
 
     def xi(u):
         u = np.asarray(u, dtype=float)
-        return np.stack([slope * u[..., 0], np.zeros(u.shape[:-1]), np.ones(u.shape[:-1])], -1)
+        return np.stack([0.3 * u[..., 0], np.zeros(u.shape[:-1]), np.ones(u.shape[:-1])], -1)
 
     return Hypersurface(chart=_paraboloid_chart, transversal=xi,
-                        domain=Box((-extent, -extent), (extent, extent)),
-                        dim=2, label=f"paraboloid-tilted-{slope}")
+                        domain=Box((-2.0, -2.0), (2.0, 2.0)), dim=2,
+                        label="paraboloid-tilted-0.3")
 
 
-def plane(height: float = 1.0, extent: float = 2.0) -> Hypersurface:
-    """Affine plane x3 = height with xi = -position (h degenerates)."""
+def plane() -> Hypersurface:
+    """Affine plane x3 = 1 with xi = -position (h degenerates)."""
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        return np.stack([u[..., 0], u[..., 1], np.full(u.shape[:-1], height)], axis=-1)
+        return np.stack([u[..., 0], u[..., 1], np.ones(u.shape[:-1])], axis=-1)
 
-    return Hypersurface.centro_affine(chart, Box((-extent, -extent), (extent, extent)),
-                                      dim=2, label="plane")
+    return Hypersurface.centro_affine(chart, Box((-2.0, -2.0), (2.0, 2.0)), dim=2,
+                                      label="plane")
 
 
 SURFACES = {

@@ -64,43 +64,36 @@ class MetricField:
 
     dim: int
     fn: Callable
-    label: str = ""
     domain: object = None
 
     def __call__(self, theta) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_1d(np.asarray(theta, float))), float)
 
     @classmethod
-    def constant(cls, matrix, label: str = "constant") -> "MetricField":
+    def constant(cls, matrix) -> "MetricField":
         g = np.asarray(matrix, dtype=float)
-        return cls(dim=g.shape[0], fn=lambda th: np.broadcast_to(g, th.shape[:-1] + g.shape),
-                   label=label)
+        return cls(dim=g.shape[0], fn=lambda th: np.broadcast_to(g, th.shape[:-1] + g.shape))
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionField:
-    """Connection coefficients as a field, in lowered and/or raised form.
+    """Connection coefficients as a field, in lowered and/or raised form;
+    both map theta (..., n) to (..., n, n, n).
 
-    Whichever form is missing is produced through the attached metric; both
-    map theta (..., n) to (..., n, n, n).
-    ``provenance`` records how the field was built ("alpha=1", "induced",
-    "levi-civita", "custom", ...).
+    ``low`` needs ``low_fn``; ``up`` takes ``up_fn``, or raises ``low_fn``
+    through the attached metric.
     """
 
     dim: int
     low_fn: Optional[Callable] = None
     up_fn: Optional[Callable] = None
     metric: Optional[MetricField] = None
-    provenance: str = "custom"
     domain: object = None
 
     def low(self, theta) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(theta, float))
-        if self.low_fn is not None:
-            return np.asarray(self.low_fn(th), float)
-        if self.up_fn is None or self.metric is None:
-            raise ValueError("connection field needs low_fn, or up_fn plus a metric")
-        return lower_connection(np.asarray(self.up_fn(th), float), self.metric(th))
+        if self.low_fn is None:
+            raise ValueError("connection field needs low_fn")
+        return np.asarray(self.low_fn(np.atleast_1d(np.asarray(theta, float))), float)
 
     def up(self, theta) -> np.ndarray:
         th = np.atleast_1d(np.asarray(theta, float))
@@ -114,7 +107,7 @@ class ConnectionField:
     def zero(cls, dim: int) -> "ConnectionField":
         z = np.zeros((dim, dim, dim))
         zero = lambda th: np.broadcast_to(z, th.shape[:-1] + z.shape)
-        return cls(dim=dim, up_fn=zero, low_fn=zero, provenance="flat")
+        return cls(dim=dim, up_fn=zero, low_fn=zero)
 
 
 def _conditioned(g: np.ndarray, name: str = "metric") -> np.ndarray:
@@ -226,7 +219,7 @@ def _moments(model: StatisticalModel, theta):
 
 def fisher_field(model: StatisticalModel) -> MetricField:
     return MetricField(dim=model.dim, fn=lambda th: fisher_metric(model, th),
-                       label=f"fisher[{model.label}]", domain=model.domain)
+                       domain=model.domain)
 
 
 def alpha_connection(model: StatisticalModel, theta, alpha: float) -> np.ndarray:
@@ -260,8 +253,7 @@ def alpha_field(model: StatisticalModel, alpha: float) -> ConnectionField:
 
     return ConnectionField(dim=model.dim,
                            low_fn=lambda th: alpha_connection(model, th, alpha),
-                           up_fn=up, metric=fisher_field(model),
-                           provenance=f"alpha={alpha}", domain=model.domain)
+                           up_fn=up, domain=model.domain)
 
 
 def cubic_tensor(model: StatisticalModel, theta, alpha: float = 1.0) -> np.ndarray:
@@ -304,12 +296,10 @@ def levi_civita(metric_field: MetricField, theta,
     return low
 
 
-def levi_civita_field(metric_field: MetricField,
-                      scheme: DiffScheme = FIELD_SCHEME) -> ConnectionField:
+def levi_civita_field(metric_field: MetricField) -> ConnectionField:
     return ConnectionField(dim=metric_field.dim,
-                           low_fn=lambda th: levi_civita(metric_field, th, scheme),
-                           metric=metric_field, provenance="levi-civita",
-                           domain=metric_field.domain)
+                           low_fn=lambda th: levi_civita(metric_field, th),
+                           metric=metric_field, domain=metric_field.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +361,14 @@ class FlatnessReport:
 
 
 def flatness_check(model: StatisticalModel, grid: Sequence, alpha: float,
-                   tol: float = 1e-3,
-                   scheme: DiffScheme = FIELD_SCHEME) -> FlatnessReport:
+                   tol: float = 1e-3) -> FlatnessReport:
     """Curvature and torsion residuals of the alpha-connection per grid
     point, arrays (P,), from one ``curvature`` of the whole grid.
 
     Flat when every point's are below ``tol`` (strict, no hysteresis),
     which a NaN is not; the residuals let the caller judge borderline calls.
     """
-    pack = curvature(alpha_field(model, alpha), np.reshape(grid, (len(grid), -1)),
-                     scheme=scheme)
+    pack = curvature(alpha_field(model, alpha), np.reshape(grid, (len(grid), -1)))
     R, T = point_max(pack.R, 4), point_max(pack.torsion, 3)
     return FlatnessReport(flat=bool((R < tol).all() and (T < tol).all()),
                           R=R, torsion=T, tolerance=tol, alpha=alpha)
@@ -402,13 +390,10 @@ def conjugate_connection(metric_field: MetricField, conn: ConnectionField,
     return np.swapaxes(dg, -2, -1) - np.swapaxes(low0, -2, -1)
 
 
-def conjugate_field(metric_field: MetricField, conn: ConnectionField,
-                    scheme: DiffScheme = FIELD_SCHEME) -> ConnectionField:
-    return ConnectionField(
-        dim=conn.dim,
-        low_fn=lambda th: conjugate_connection(metric_field, conn, th, scheme),
-        metric=metric_field, provenance=f"conjugate[{conn.provenance}]",
-        domain=conn.domain)
+def conjugate_field(metric_field: MetricField, conn: ConnectionField) -> ConnectionField:
+    return ConnectionField(dim=conn.dim,
+                           low_fn=lambda th: conjugate_connection(metric_field, conn, th),
+                           metric=metric_field, domain=conn.domain)
 
 
 def codazzi_check(metric_field: MetricField, conn: ConnectionField, theta,
@@ -429,8 +414,7 @@ def codazzi_check(metric_field: MetricField, conn: ConnectionField, theta,
 
 
 def conformal_transform(metric_field: MetricField, conn: ConnectionField,
-                        phi: Callable, alpha: float,
-                        scheme: Optional[DiffScheme] = None):
+                        phi: Callable, alpha: float):
     """Conformal change of a statistical structure with weight alpha.
 
     h~ = e^phi h, and the new connection satisfies
@@ -440,28 +424,22 @@ def conformal_transform(metric_field: MetricField, conn: ConnectionField,
     theta rows (..., n) to (...), and the returned fields take rows like
     every other field; dphi at a grid is one stencil of phi.
     """
-    dscheme = scheme or DiffScheme(order=1)
-
     def new_metric(th):
         return np.exp(np.asarray(phi(th), float))[..., None, None] * metric_field(th)
 
-    tilde = MetricField(dim=metric_field.dim, fn=new_metric,
-                        label=f"conformal[{metric_field.label}]",
-                        domain=metric_field.domain)
+    tilde = MetricField(dim=metric_field.dim, fn=new_metric, domain=metric_field.domain)
 
     def new_low(th):
         g0 = metric_field(th)
         gt = new_metric(th)
         low0 = conn.low(th)
-        dphi = _field_gradient(phi, th, dscheme, metric_field.domain)
+        dphi = _field_gradient(phi, th, DiffScheme(order=1), metric_field.domain)
         term_z = -(1.0 + alpha) / 2.0 * np.einsum("...k,...ij->...ijk", dphi, g0)
         term_x = (1.0 - alpha) / 2.0 * (np.einsum("...i,...jk->...ijk", dphi, gt)
                                         + np.einsum("...j,...ik->...ijk", dphi, gt))
         return low0 + term_z + term_x
 
-    new_conn = ConnectionField(dim=conn.dim, low_fn=new_low, metric=tilde,
-                               provenance=f"conformal(alpha={alpha})[{conn.provenance}]",
-                               domain=conn.domain)
+    new_conn = ConnectionField(dim=conn.dim, low_fn=new_low, metric=tilde, domain=conn.domain)
     return tilde, new_conn
 
 
@@ -473,16 +451,15 @@ class ProjectiveResult:
     tolerance: float
 
 
-def projective_equivalence(gamma_a, gamma_b, theta=None,
-                           tol: float = 1e-8) -> ProjectiveResult:
+def projective_equivalence(gamma_a, gamma_b, tol: float = 1e-8) -> ProjectiveResult:
     """Test D = Gamma' - Gamma for the form rho(X)Y + rho(Y)X, at one point
     (n, n, n), or per point at stacked coefficients (..., n, n, n).
 
     The candidate covector is the trace rho_i = D^m_{im} / (n+1); the
     residual is the largest entry of D minus the reconstructed tensor.
     """
-    A = gamma_a(theta) if callable(gamma_a) else np.asarray(gamma_a, float)
-    B = gamma_b(theta) if callable(gamma_b) else np.asarray(gamma_b, float)
+    A = np.asarray(gamma_a, float)
+    B = np.asarray(gamma_b, float)
     n = A.shape[-1]
     # n = 1 is allowed: equivalence is then automatic and the recovered rho
     # is the informative part

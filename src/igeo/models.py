@@ -33,26 +33,27 @@ from scipy.special import gammaln, ndtri, pdtrc
 from . import numerics
 from .errors import NonFinite, OutOfDomain, SchemaError
 from .expressions import compile_expression
-from .numerics import (DiffScheme, ExpectationRule, PointMemo, expect,
-                       gauss_hermite_1d, own_nodes, partials, stacked, stencil,
+from .numerics import (MAX_GAUSS_HERMITE_NODES, DiffScheme, ExpectationRule, PointMemo,
+                       expect, gauss_hermite_1d, own_nodes, partials, stacked, stencil,
                        symmetric, tensor_grid)
 
 # Derivative policies for log-densities: tight steps for scores, wider ones
 # for the second derivatives appearing inside connection integrands.
 SCORE_SCHEME = DiffScheme(order=1, base_step=2.0**-17)
 HESSIAN_SCHEME = DiffScheme(order=2, base_step=2.0**-12)
+MAX_QUAD_ROWS = 10**6  # the rows of a spec quadrature's node array
 
 
 def default_quad_nodes(fallback: int) -> int:
     """Node count of a rule that does not fix its own (a builtin, or a spec
     quadrature without ``nodes``): IGEO_QUAD_NODES if set, read as a spec's
-    ``nodes`` is, else ``fallback``."""
+    Gauss-Hermite ``nodes`` is, else ``fallback``."""
     raw = os.environ.get("IGEO_QUAD_NODES")
     if raw is None:
         return fallback
     value = spec_number(raw, "IGEO_QUAD_NODES", integral=True)
-    if value < 1:
-        raise SchemaError("IGEO_QUAD_NODES must be >= 1")
+    if not 1 <= value <= MAX_GAUSS_HERMITE_NODES:
+        raise SchemaError(f"IGEO_QUAD_NODES must be from 1 to {MAX_GAUSS_HERMITE_NODES}")
     return value
 
 
@@ -229,21 +230,19 @@ def log_density_rows(model: StatisticalModel, xs) -> Callable:
     return rows
 
 
-def score_matrix(model: StatisticalModel, theta, xs,
-                 scheme: DiffScheme = SCORE_SCHEME) -> np.ndarray:
+def score_matrix(model: StatisticalModel, theta, xs) -> np.ndarray:
     """All scores at once: array of shape (dim, N) over sample points xs."""
     th = model.check_theta(theta)
     return np.array(stencil(log_density_rows(model, xs), th,
-                            partials(model.dim, 1, scheme), model.domain))
+                            partials(model.dim, 1, SCORE_SCHEME), model.domain))
 
 
-def second_log_derivs(model: StatisticalModel, theta, xs,
-                      scheme: DiffScheme = HESSIAN_SCHEME) -> np.ndarray:
+def second_log_derivs(model: StatisticalModel, theta, xs) -> np.ndarray:
     """Second parameter derivatives of the log-density, shape (dim, dim, N),
     or (P, dim, dim, N) at the rows of theta (P, dim), from one stencil."""
     th = model.check_theta(theta)
     return symmetric(stencil(log_density_rows(model, xs), th,
-                             partials(model.dim, 2, scheme), model.domain),
+                             partials(model.dim, 2, HESSIAN_SCHEME), model.domain),
                      model.dim, th.ndim - 1)
 
 
@@ -622,7 +621,15 @@ def space_from_doc(doc: dict) -> SampleSpace:
             _, quad, *k = spec_fields(doc, f"{kind} space", {"kind": str, "quadrature": dict},
                                       {"k": (None, 1)} if kind == "real-k" else {})
             rule = _rule_from_doc(quad)
-            return SampleSpace.real(spec_number(k[0], "space k", integral=True) if k else 1, rule)
+            k = spec_number(k[0], "space k", integral=True) if k else 1
+            if k < 1:
+                raise SchemaError(f"space k must be >= 1, got {k}")
+            if rule.kind == "gauss-hermite" and rule.nodes > MAX_GAUSS_HERMITE_NODES:
+                raise SchemaError(f"gauss-hermite takes at most {MAX_GAUSS_HERMITE_NODES} nodes")
+            rows = rule.nodes ** min(k, 20) if rule.kind == "gauss-hermite" else rule.nodes
+            if rows > MAX_QUAD_ROWS:  # 2**20 > MAX_QUAD_ROWS, so any k past 20 decides as 20
+                raise SchemaError(f"quadrature nodes must make at most {MAX_QUAD_ROWS} rows")
+            return SampleSpace.real(k, rule)
     except ValueError as exc:
         raise SchemaError(f"bad sample space: {exc}") from None
     raise SchemaError(f"unknown sample space kind {kind!r}")

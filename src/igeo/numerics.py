@@ -339,6 +339,9 @@ def tensor_grid(axes: Sequence) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+MAX_GAUSS_HERMITE_NODES = 370  # hermgauss weights: finite and > 0 up to 370 nodes, not at 371
+
+
 @lru_cache(maxsize=64)
 def gauss_hermite_1d(n: int, loc: float, scale: float):
     """Read-only ``(x, weights)`` of the n-node mapped Gauss-Hermite rule on

@@ -632,6 +632,26 @@ class TestMain:
             RunSpec.from_dict({"subject": {"model": "bernoulli-natural"}, "checks": ["validate"],
                                "grid": {"lo": [-0.5], "hi": [0.5], "counts": [count]}})
 
+    @pytest.mark.parametrize("dim", [12, 13])
+    def test_default_grid_is_bounded(self, monkeypatch, dim):
+        """A subject without a grid takes 3 points per coordinate: 3**12 are
+        allowed and 3**13 refused before the grid is built (it once made
+        1,594,323 points); ``models.grid`` builds nothing here."""
+        made = []
+        monkeypatch.setattr(cli.models, "grid", lambda lo, hi, counts: made.append(counts))
+        spec = RunSpec.from_dict({"subject": {"model": {
+            "name": "m", "dim": dim, "log_density": "x[0]*theta[0] - log(1 + exp(theta[0]))",
+            "space": {"kind": "finite-discrete", "points": [[0.0], [1.0]]},
+            "domain": {"lo": [-1.0] * dim, "hi": [1.0] * dim}}}, "checks": ["validate"]})
+        subject = cli._load_subject(spec)
+        if dim == 12:
+            cli._grid_points(spec, subject)
+            assert made == [[3] * 12]
+            return
+        with pytest.raises(SchemaError, match=r"^a default grid of 3\*\*13 points exceeds"):
+            cli._grid_points(spec, subject)
+        assert made == []
+
     BAD_SPEC_MESSAGES = {
         "grid-dimension": "grid has dimension 2, expected 1",
         "expect-check": "expect names unknown key 'exponential-from'",
@@ -676,7 +696,20 @@ class TestMain:
         "label-slash": "label must name no directory, got 'x/y'",
         "label-backslash": "label must name no directory, got 'x\\\\y'",
         "label-not-a-string": "run spec field 'label' must be a string, got ['a']",
+        # a NUL once loaded: verify exited 0 and compute ended in a ValueError traceback
+        "label-nul": "label must name no directory, got 'a\\x00b'",
+        # a default grid of 3**13 points once took 166 MB before any check ran
+        "default-grid-13d": "a default grid of 3**13 points exceeds 1000000",
+        # quadratures the program cannot run once loaded: 400 Gauss-Hermite nodes
+        # gave NaN weights, 1e300 nodes an OverflowError or a numpy ValueError
+        "gauss-hermite-nodes-400": "gauss-hermite takes at most 370 nodes",
+        "gauss-hermite-nodes-huge": "gauss-hermite takes at most 370 nodes",
+        "monte-carlo-nodes-huge": "quadrature nodes must make at most 1000000 rows",
+        "real-k-zero": "space k must be >= 1, got 0",
     }
+    QUADRATURES = {"gauss-hermite-nodes-400": {"kind": "gauss-hermite", "nodes": 400},
+                   "gauss-hermite-nodes-huge": {"kind": "gauss-hermite", "nodes": 1e300},
+                   "monte-carlo-nodes-huge": {"kind": "monte-carlo", "nodes": 1e300, "seed": 1}}
     TOLERANCES = {"word": "tight", "bool": True, "negative": -1, "nan": float("nan"),
                   "inf": float("inf")}
 
@@ -734,9 +767,21 @@ class TestMain:
         elif case.startswith("family-space-"):
             doc["subject"] = {"family": {"stats": ["x[0]"], "domain": bernoulli["domain"],
                                          "space": 5 if case.endswith("number") else True}}
+        elif case == "label-nul":
+            doc["label"] = "a\0b"
         elif case.startswith("label-"):
             doc["label"] = {"slash": "x/y", "backslash": "x\\y",
                             "not-a-string": ["a"]}[case[len("label-"):]]
+        elif case == "default-grid-13d":
+            del doc["grid"]
+            doc["subject"] = {"model": {**bernoulli, "dim": 13,
+                                        "domain": {"lo": [-1.0] * 13, "hi": [1.0] * 13}}}
+        elif case in self.QUADRATURES or case == "real-k-zero":
+            space = {"kind": "real-k", "k": 0, "quadrature": {"kind": "gauss-hermite"}} \
+                if case == "real-k-zero" else \
+                {"kind": "real-line", "quadrature": self.QUADRATURES[case]}
+            doc["subject"] = {"model": {**bernoulli, "space": space, "log_density":
+                                        "-0.5*(x[0]-theta[0])^2 - 0.9189385332046727"}}
         elif case in ("model-x", "model-theta"):
             var = case.split("-")[1]
             bernoulli["log_density"] += f" + 0*{var}[1]"

@@ -527,7 +527,7 @@ class TestCodazzi:
         bump[0, 1, 0] = 0.1   # not symmetric under the Codazzi exchange
         perturbed = ConnectionField(
             dim=2, low_fn=lambda th: base.low(th) + bump, metric=gf,
-            provenance="perturbed", domain=normal_model.domain)
+            domain=normal_model.domain)
         assert codazzi_check(gf, perturbed, (0.0, 1.0)) >= 0.05
 
 

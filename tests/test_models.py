@@ -309,6 +309,16 @@ class TestCatalog:
         with pytest.raises(SchemaError):
             models.normal_mean_sigma()
 
+    @pytest.mark.parametrize("nodes", ["0", "371", "1e300"])
+    def test_quad_nodes_env_takes_the_spec_bound(self, monkeypatch, nodes):
+        """IGEO_QUAD_NODES is read as a spec's Gauss-Hermite nodes are: from
+        1 to 370, where 371 nodes gave NaN weights."""
+        monkeypatch.setenv("IGEO_QUAD_NODES", nodes)
+        with pytest.raises(SchemaError, match="^IGEO_QUAD_NODES must be from 1 to 370$"):
+            models.normal_mean_sigma()
+        monkeypatch.setenv("IGEO_QUAD_NODES", "370")
+        assert models.normal_mean_sigma().space.rule.nodes == 370
+
     def test_spec_node_count_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("IGEO_QUAD_NODES", "48")
         quad = {"kind": "gauss-hermite", "nodes": 20}

@@ -670,6 +670,17 @@ class TestIntegrate:
         assert space.rule == ExpectationRule.adaptive()
 
 
+def test_gauss_hermite_weights_hold_at_the_largest_count():
+    """numpy's hermgauss underflows a weight to 0 at 371 nodes and gives NaN
+    weights further on; at the largest count a spec may ask for, every node
+    and weight is finite and every weight positive, mapped or not."""
+    t, w = np.polynomial.hermite.hermgauss(numerics.MAX_GAUSS_HERMITE_NODES)
+    x, weights = numerics.gauss_hermite_1d(numerics.MAX_GAUSS_HERMITE_NODES, 0.0, 1.0)
+    for values in (t, w, x, weights):
+        assert np.isfinite(values).all()
+    assert (w > 0).all() and (weights > 0).all()
+
+
 class TestBatches:
     ROWS = np.array([[0.1, -0.2], [0.3, 0.4], [0.1, -0.2]])
 
